@@ -3,7 +3,7 @@ hardware-in-the-loop training of tiny letter classifiers and autoencoders."""
 
 __version__ = "0.1.0"
 
-from .device import (MacPhase, SensorParams, apply_noise, mac_evaluate,
+from .device import (MacPhase, SensorParams, apply_noise, mac,
                      phase_switches, series_capacitance)
 from .weights import WeightBank, binarize_weights, normalize_weights
 from .arrays import (ArrayTopology, ConvSchedule, build_fc_array, conv_forward,

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import SensorParams, mac_evaluate, series_capacitance
+from .device import SensorParams, mac, series_capacitance
 from .weights import as_matrix
 
 
@@ -75,6 +75,8 @@ def fc_forward(topology: ArrayTopology, c_i_image, weights, params: SensorParams
     """One fully-connected array cycle: U_m = mac over bank m's pixels.
 
     `c_i_image` holds induced capacitances (pF); weight row m drives bank m.
+    Every bank reads every pixel in row-major order (build_fc_array's
+    wiring), so the cycle is one kernel call over the flattened image.
     Pass a list as `traces` to capture one device trace per bank.
     """
     img = np.asarray(c_i_image, dtype=float)
@@ -87,15 +89,8 @@ def fc_forward(topology: ArrayTopology, c_i_image, weights, params: SensorParams
         raise ValueError(f"weight matrix must be M x {n}, got {w.shape}")
     if w.shape[0] != topology.banks:
         raise ValueError(f"{w.shape[0]} weight rows for {topology.banks} banks")
-    outputs = []
-    for m in range(topology.banks):
-        coords = topology.bank_wiring[m]
-        c_series = [series_capacitance(img[r, c], params.c0) for r, c in coords]
-        trace = [] if traces is not None else None
-        outputs.append(mac_evaluate(c_series, w[m], params.c0, trace=trace))
-        if traces is not None:
-            traces.append(trace)
-    return outputs
+    cs = series_capacitance(img.reshape(-1), params.c0)
+    return mac(cs, w, params.c0, trace=traces).tolist()
 
 
 def schedule_conv(rows: int, cols: int, kernel: int = 3) -> ConvSchedule:
@@ -109,25 +104,35 @@ def schedule_conv(rows: int, cols: int, kernel: int = 3) -> ConvSchedule:
     return ConvSchedule(rows=rows, cols=cols, kernel=kernel, steps=tuple(steps))
 
 
+def gather_windows(mat_batch: np.ndarray, kernel: int = 3) -> np.ndarray:
+    """(B, rows, cols) -> (B, n_windows, kernel^2) with row-major origins."""
+    b, rows, cols = mat_batch.shape
+    out_r, out_c = rows - kernel + 1, cols - kernel + 1
+    win = np.empty((b, out_r * out_c, kernel * kernel))
+    j = 0
+    for orr in range(out_r):
+        for occ in range(out_c):
+            win[:, j, :] = mat_batch[:, orr:orr + kernel, occ:occ + kernel].reshape(b, -1)
+            j += 1
+    return win
+
+
 def conv_forward(topology: ArrayTopology, schedule: ConvSchedule, c_i_image,
                  kernel_weights, params: SensorParams):
-    """Stride-1 valid cross-correlation executed window-by-window in the
-    array; each output is a mac over the window's series capacitances with
-    the shared kernel voltages."""
+    """Stride-1 valid cross-correlation executed in the array; each output is
+    a mac over the window's series capacitances with the shared kernel
+    voltages. The schedule visits every window exactly once, so all windows
+    go through one kernel call."""
     img = np.asarray(c_i_image, dtype=float)
     if img.shape != (topology.rows, topology.cols):
         raise ValueError(f"image shape {img.shape} does not match topology")
-    k = np.asarray(as_matrix(kernel_weights), dtype=float).reshape(-1)
-    if k.size != schedule.kernel ** 2:
-        raise ValueError(f"kernel needs {schedule.kernel ** 2} weights, got {k.size}")
+    k = as_matrix(kernel_weights).reshape(1, -1)
     ksz = schedule.kernel
-    out = np.zeros((topology.rows - ksz + 1, topology.cols - ksz + 1))
-    for step in schedule.steps:
-        for (orr, occ), _adc in step:
-            window = img[orr:orr + ksz, occ:occ + ksz].reshape(-1)
-            c_series = [series_capacitance(c, params.c0) for c in window]
-            out[orr, occ] = mac_evaluate(c_series, k, params.c0)
-    return out
+    if k.size != ksz ** 2:
+        raise ValueError(f"kernel needs {ksz ** 2} weights, got {k.size}")
+    win = gather_windows(series_capacitance(img, params.c0)[None], ksz)[0]
+    out = mac(win, k, params.c0)[:, 0]
+    return out.reshape(topology.rows - ksz + 1, topology.cols - ksz + 1)
 
 
 def resource_report(rows: int, cols: int, kernel: int = 3):

@@ -40,7 +40,6 @@ class ExperimentConfig:
     sensor: SensorParams
     output_dir: Path
     emit: tuple = ()
-    threads: int = 1
 
 
 @dataclass
@@ -48,7 +47,6 @@ class RunManifest:
     tool_version: str
     architecture: str
     seed: int
-    threads: int
     config_hash: str
     artifacts: list = field(default_factory=list)  # (name, sha256) pairs
     diverged_at: int | None = None
@@ -73,7 +71,7 @@ _SENSOR_KEYS = {
     "sensor.noise_frac": float,
     "sensor.noise_mode": str,
 }
-_TOP_KEYS = ("architecture", "output_dir", "emit", "threads")
+_TOP_KEYS = ("architecture", "output_dir", "emit")
 
 
 def _parse_bool(key, raw):
@@ -99,6 +97,24 @@ def parse_config_text(text: str) -> dict:
     return raw
 
 
+def _section_kwargs(raw: dict, keys: dict) -> dict:
+    """Parse the keys of one dotted section that `raw` sets into keyword
+    arguments for the section's dataclass."""
+    kwargs = {}
+    for key, conv in keys.items():
+        if key not in raw:
+            continue
+        name = key.split(".", 1)[1]
+        if conv is None:
+            kwargs[name] = _parse_bool(key, raw[key])
+            continue
+        try:
+            kwargs[name] = conv(raw[key])
+        except ValueError:
+            raise ConfigError(f"{key}: cannot parse {raw[key]!r}") from None
+    return kwargs
+
+
 def build_config(raw: dict) -> ExperimentConfig:
     """Validate a raw key/value mapping into an ExperimentConfig."""
     known = set(_TRAIN_KEYS) | set(_SENSOR_KEYS) | set(_TOP_KEYS)
@@ -111,34 +127,12 @@ def build_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"architecture: {architecture!r} is not one of "
                           f"{', '.join(netlab.ARCHITECTURES)}")
 
-    train_kwargs = {}
-    for key, conv in _TRAIN_KEYS.items():
-        if key not in raw:
-            continue
-        name = key.split(".", 1)[1]
-        if conv is None:
-            train_kwargs[name] = _parse_bool(key, raw[key])
-        else:
-            try:
-                train_kwargs[name] = conv(raw[key])
-            except ValueError:
-                raise ConfigError(f"{key}: cannot parse {raw[key]!r}") from None
     try:
-        train = netlab.default_config(architecture, **train_kwargs)
+        train = netlab.default_config(architecture, **_section_kwargs(raw, _TRAIN_KEYS))
     except ValueError as exc:
         raise ConfigError(f"train: {exc}") from None
-
-    sensor_kwargs = {}
-    for key, conv in _SENSOR_KEYS.items():
-        if key not in raw:
-            continue
-        name = key.split(".", 1)[1]
-        try:
-            sensor_kwargs[name] = conv(raw[key])
-        except ValueError:
-            raise ConfigError(f"{key}: cannot parse {raw[key]!r}") from None
     try:
-        sensor = SensorParams(**sensor_kwargs)
+        sensor = SensorParams(**_section_kwargs(raw, _SENSOR_KEYS))
     except ValueError as exc:
         raise ConfigError(f"sensor: {exc}") from None
 
@@ -151,30 +145,22 @@ def build_config(raw: dict) -> ExperimentConfig:
     if "waveform" in emit and architecture == "cnn_classifier":
         raise ConfigError("emit: waveform capture covers the FC bank readout only")
 
-    try:
-        threads = int(raw.get("threads", "1"))
-    except ValueError:
-        raise ConfigError(f"threads: cannot parse {raw['threads']!r}") from None
-    if threads < 1:
-        raise ConfigError("threads: must be >= 1")
-
     return ExperimentConfig(
         architecture=architecture,
         train=train,
         sensor=sensor,
         output_dir=Path(raw.get("output_dir", "runs/latest")),
         emit=emit,
-        threads=threads,
     )
 
 
 def canonical_config_lines(config: ExperimentConfig) -> list[str]:
+    """The experiment's identity: every setting except output_dir, so the
+    same experiment hashes alike wherever it is written."""
     t, s = config.train, config.sensor
     pairs = {
         "architecture": config.architecture,
-        "output_dir": str(config.output_dir),
         "emit": ",".join(config.emit),
-        "threads": config.threads,
         "train.batch_size": t.batch_size,
         "train.learning_rate": repr(t.learning_rate),
         "train.epochs": t.epochs,
@@ -246,16 +232,10 @@ def _clean_image(glyph: dataset.Glyph, params: SensorParams, resolution: int = 3
 
 
 def _programmed_fc_weights(ckpt: Checkpoint) -> np.ndarray:
-    from .weights import WeightBank, binarize_weights, normalize_weights
-    if ckpt.architecture == "fc_classifier":
-        bank = WeightBank(ckpt.matrix("weights"))
-    elif ckpt.architecture == "autoencoder":
-        bank = WeightBank(ckpt.matrix("encoder"))
-    else:
+    name = {"fc_classifier": "weights", "autoencoder": "encoder"}.get(ckpt.architecture)
+    if name is None:
         raise ConfigError("waveform/trace capture covers FC bank readout only")
-    if ckpt.binarize:
-        return binarize_weights(bank).v
-    return normalize_weights(bank).v
+    return netlab.programmed_weights(ckpt.matrix(name), ckpt.binarize)[0]
 
 
 def capture_fc_traces(ckpt: Checkpoint, glyph: dataset.Glyph = dataset.Glyph.INV_Z):
@@ -311,7 +291,6 @@ def write_manifest(manifest: RunManifest, path: Path):
         f"tool_version: {manifest.tool_version}",
         f"architecture: {manifest.architecture}",
         f"seed: {manifest.seed}",
-        f"threads: {manifest.threads}",
         f"config_hash: {manifest.config_hash}",
     ]
     if manifest.diverged_at is not None:
@@ -333,7 +312,6 @@ def run(config: ExperimentConfig) -> RunManifest:
         tool_version=__version__,
         architecture=config.architecture,
         seed=config.train.seed,
-        threads=config.threads,
         config_hash=config_hash(config),
     )
 
@@ -457,24 +435,28 @@ def _print_report(report: dict):
 # ---------------------------------------------------------------------------
 # command-line front end
 
-def _apply_overrides(raw: dict, args) -> dict:
-    for item in args.set or []:
+def _parse_set(items) -> dict:
+    raw = {}
+    for item in items or []:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         raw[key.strip()] = value.strip()
-    if getattr(args, "arch", None):
+    return raw
+
+
+def _apply_overrides(raw: dict, args) -> dict:
+    raw.update(_parse_set(args.set))
+    if args.arch:
         raw["architecture"] = args.arch
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         raw["train.seed"] = str(args.seed)
-    if getattr(args, "epochs", None) is not None:
+    if args.epochs is not None:
         raw["train.epochs"] = str(args.epochs)
-    if getattr(args, "output_dir", None):
+    if args.output_dir:
         raw["output_dir"] = args.output_dir
-    if getattr(args, "emit", None):
+    if args.emit:
         raw["emit"] = args.emit
-    if getattr(args, "threads", None) is not None:
-        raw["threads"] = str(args.threads)
     return raw
 
 
@@ -505,24 +487,21 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     try:
+        for flag, value, least in (("--seed", args.seed, 0),
+                                   ("--per-glyph", args.per_glyph, 1),
+                                   ("--letters", args.letters, 1)):
+            if value < least:
+                raise ConfigError(f"{flag}: must be >= {least}, got {value}")
         ckpt = load_checkpoint(args.checkpoint)
+        overrides = _parse_set(args.set)
+        for key in overrides:
+            if key not in _SENSOR_KEYS:
+                raise ConfigError(f"{key}: eval overrides are sensor.* only")
+        sensor = _section_kwargs(overrides, _SENSOR_KEYS)
+        ckpt = dataclasses.replace(ckpt, params=dataclasses.replace(ckpt.params, **sensor))
     except (OSError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.set:
-        overrides = {}
-        try:
-            overrides = _apply_overrides({}, args)
-            for key in overrides:
-                if not key.startswith("sensor."):
-                    raise ConfigError(f"{key}: eval overrides are sensor.* only")
-            kwargs = {k.split(".", 1)[1]: (v if k == "sensor.noise_mode" else float(v))
-                      for k, v in overrides.items()}
-            ckpt = dataclasses.replace(
-                ckpt, params=dataclasses.replace(ckpt.params, **kwargs))
-        except (ConfigError, ValueError, TypeError) as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
     report = evaluate(ckpt, seed=args.seed, per_glyph=args.per_glyph,
                       letters=args.letters)
     _print_report(report)
@@ -594,8 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--epochs", type=int)
     p_train.add_argument("--output-dir", dest="output_dir")
     p_train.add_argument("--emit", help="comma list of " + ",".join(EMIT_CHOICES))
-    p_train.add_argument("--threads", type=int,
-                         help="1 (default) = bitwise-deterministic mode")
     p_train.add_argument("--set", action="append", metavar="KEY=VALUE",
                          help="override any config key")
     p_train.set_defaults(func=_cmd_train)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,6 +74,10 @@ class SensorParams:
     noise_mode: str = "per_class"
 
     def __post_init__(self):
+        for name in ("c0", "c_ih", "c_il", "noise_frac"):
+            value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.c0 <= 0 or self.c_ih <= 0 or self.c_il <= 0:
             raise ValueError("capacitances must be positive")
         if self.c_ih <= self.c_il:
@@ -82,18 +86,6 @@ class SensorParams:
             raise ValueError("noise_frac must be >= 0")
         if self.noise_mode not in ("per_class", "global"):
             raise ValueError(f"unknown noise_mode: {self.noise_mode!r}")
-
-
-@dataclass(frozen=True)
-class PixelCap:
-    """A pixel's induced capacitance and the resulting series capacitance."""
-
-    c_i: float
-    c_series: float
-
-    @classmethod
-    def from_induced(cls, c_i: float, c0: float = DEFAULT_C0) -> "PixelCap":
-        return cls(c_i=float(c_i), c_series=float(series_capacitance(c_i, c0)))
 
 
 def series_capacitance(c_i, c0):
@@ -141,74 +133,55 @@ class TraceRecord:
     voltage_v: float
 
 
-@dataclass
-class MacUnitState:
-    """Charge state and switch settings of a single MAC unit."""
+def mac(cs, v, c0: float = DEFAULT_C0, trace: list | None = None):
+    """Charge-domain MAC of M banks: U[..., m] = sum_n cs[..., n] v[m, n] / (N c0).
 
-    phase: MacPhase = MacPhase.CLEAR
-    switches: tuple = _PHASE_SWITCHES[MacPhase.CLEAR]
-    stored_charge: float = 0.0  # pC
-    plate_voltage: float = 0.0  # V
+    cs holds the series capacitances seen by the N units of a bank on its last
+    axis, with any leading batch axes; v is the M x N matrix of weight
+    voltages (|v| <= 1, the pre-normalized programming range), one row per
+    bank. Each bank runs the four phases: CHARGE stores Q_n = c_n v_n,
+    TRANSFER moves it onto c0 (plate at Q_n/c0), SUM shares the N charges
+    (common plate at sum(Q)/(N c0)). The rounding of the sum depends on the
+    shape matmul sees, so the leading axes are kept, never flattened: a
+    (B, W, N) call equals its B separate (W, N) calls bit for bit.
 
-    def enter(self, phase: MacPhase):
-        self.phase = phase
-        self.switches = _PHASE_SWITCHES[phase]
-
-
-def mac_evaluate(c_series, v, c0: float = DEFAULT_C0, trace: list | None = None) -> float:
-    """Charge-domain MAC: sum(c_n * v_n) / (N * c0) through the phase machine.
-
-    c_series are the N series capacitances seen by the units, v the N weight
-    voltages (|v_n| <= 1, the pre-normalized programming range). The four
-    phases run explicitly so the intermediate charge Q_n = c_n*v_n and plate
-    voltage U_o,n = Q_n/c0 are observable; pass a list as `trace` to capture
-    one TraceRecord per unit per phase.
+    Pass a list as `trace`, with a single sample (cs of shape (N,)), to append
+    one list of TraceRecords per bank, phase-major and unit by unit; the
+    records are read off the same arrays.
     """
-    c = [float(x) for x in c_series]
-    w = [float(x) for x in v]
-    if len(c) != len(w):
-        raise ValueError(f"length mismatch: {len(c)} capacitances vs {len(w)} weights")
-    if len(c) < 1:
+    cs = np.asarray(cs, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 2:
+        raise ValueError(f"weight voltages must be an M x N matrix, got shape {v.shape}")
+    n = v.shape[1]
+    if cs.ndim < 1 or cs.shape[-1] != n:
+        raise ValueError(f"length mismatch: capacitances of shape {cs.shape} "
+                         f"vs {n} weights")
+    if n < 1:
         raise ValueError("need at least one unit")
-    if c0 <= 0 or any(x <= 0 for x in c):
+    if not (c0 > 0 and cs.min(initial=np.inf) > 0):
         raise ValueError("capacitances must be positive")
-    if any(abs(x) > 1.0 for x in w):
+    if not abs(v).max(initial=0.0) <= 1.0:
         raise ValueError("weight voltage outside [-1, 1]; normalize weights first")
-
-    n = len(c)
-    units = [MacUnitState() for _ in range(n)]
-
-    def record(i, unit):
-        if trace is not None:
-            cl, mul, con, add = unit.switches
-            trace.append(TraceRecord(i, unit.phase, cl, mul, con, add,
-                                     unit.stored_charge, unit.plate_voltage))
-
-    # Clear: residual charge drained through CL/CON/ADD.
-    for i, unit in enumerate(units):
-        unit.enter(MacPhase.CLEAR)
-        unit.stored_charge = 0.0
-        unit.plate_voltage = 0.0
-        record(i, unit)
-    # Charge: each series cap charged to its weight voltage, Q_n = c_n*v_n.
-    for i, unit in enumerate(units):
-        unit.enter(MacPhase.CHARGE)
-        unit.stored_charge = c[i] * w[i]
-        unit.plate_voltage = w[i]
-        record(i, unit)
-    # Transfer: cap switched to the fixed c0, plate settles at Q_n/c0.
-    for i, unit in enumerate(units):
-        unit.enter(MacPhase.TRANSFER)
-        unit.plate_voltage = unit.stored_charge / c0
-        record(i, unit)
-    # Sum: N caps in parallel share charge; common plate at sum(Q)/(N*c0).
-    u_out = math.fsum(unit.stored_charge for unit in units) / (n * c0)
-    for i, unit in enumerate(units):
-        unit.enter(MacPhase.SUM)
-        unit.plate_voltage = u_out
-        unit.stored_charge = c0 * u_out
-        record(i, unit)
-    return u_out
+    if trace is not None and cs.ndim != 1:
+        raise ValueError("trace capture takes a single sample of N capacitances")
+    u = cs @ v.T / (n * c0)
+    if trace is not None:
+        q = cs * v
+        u_sum = np.broadcast_to(u[:, None], v.shape)
+        zero = np.zeros_like(v)
+        # (charge Q, plate voltage U) of every unit at the end of each phase.
+        states = {MacPhase.CLEAR: (zero, zero), MacPhase.CHARGE: (q, v),
+                  MacPhase.TRANSFER: (q, q / c0), MacPhase.SUM: (c0 * u_sum, u_sum)}
+        for m in range(v.shape[0]):
+            bank = []
+            for phase in PHASE_ORDER:
+                switches = _PHASE_SWITCHES[phase]
+                charge, volts = states[phase]
+                bank += [TraceRecord(i, phase, *switches, qi, ui) for i, (qi, ui)
+                         in enumerate(zip(charge[m].tolist(), volts[m].tolist()))]
+            trace.append(bank)
+    return u
 
 
 def trace_to_rows(trace, phase_ns=(DEFAULT_PHASE_NS,) * 4):

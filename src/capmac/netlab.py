@@ -5,7 +5,7 @@ the latent weights are divided by beta = max |v| before programming, and the
 digital domain multiplies the array outputs back by beta. Training therefore
 optimizes the latent weights directly while the hardware stays in range.
 
-Forward paths:
+Forward paths, each reading the array through the same kernel, device.mac:
   fc_classifier  logits = beta * U, U = sum(C_n v'_mn) / (N c0) from the array
   autoencoder    U_m = (A - B) / C with A = sum(C_n V_mn) from the array,
                  B = C_L sum(V_mn) and C = C_H - C_L in the digital domain
@@ -16,12 +16,15 @@ Forward paths:
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dataset
-from .device import SensorParams, series_capacitance
+from .arrays import gather_windows
+from .device import SensorParams, mac, series_capacitance
 from .weights import WeightBank, binarize_weights, normalize_weights
 
 ARCHITECTURES = ("fc_classifier", "autoencoder", "cnn_classifier")
@@ -112,6 +115,11 @@ class TrainConfig:
     eval_per_glyph: int = 25
 
     def __post_init__(self):
+        for name in ("batch_size", "learning_rate", "epochs", "noise_frac", "seed",
+                     "eval_per_glyph"):
+            value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.learning_rate <= 0:
@@ -120,6 +128,10 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.noise_frac < 0:
             raise ValueError("noise_frac must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.eval_per_glyph < 1:
+            raise ValueError("eval_per_glyph must be >= 1")
 
 
 def default_config(architecture: str, **overrides) -> TrainConfig:
@@ -164,11 +176,13 @@ class TrainHistory:
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the epoch loss stops being finite; carries the history up
-    to (and the checkpoint of) the last good epoch."""
+    """Raised when an epoch's loss, gradients, updated weights or evaluation
+    outputs stop being finite; carries the history up to (and the checkpoint
+    of) the last good epoch."""
 
     def __init__(self, epoch: int, history: TrainHistory):
-        super().__init__(f"training diverged at epoch {epoch}: non-finite loss")
+        super().__init__(f"training diverged at epoch {epoch}: non-finite "
+                         "loss, gradient, weight or output")
         self.epoch = epoch
         self.history = history
 
@@ -181,48 +195,91 @@ def _effective_params(config: TrainConfig, params: SensorParams) -> SensorParams
     return dataclasses.replace(params, noise_frac=config.noise_frac)
 
 
-def _series_flat(c_i: np.ndarray, params: SensorParams) -> np.ndarray:
-    return series_capacitance(c_i.reshape(c_i.shape[0], -1), params.c0)
-
-
-def _programmed(v: np.ndarray):
-    """Split latent weights into (programmed copy within [-1, 1], beta)."""
-    bank = normalize_weights(WeightBank(v))
+def programmed_weights(v: np.ndarray, binarize: bool = False):
+    """Latent weights -> (voltages programmed into the array, digital rescale
+    beta): signs with beta = 1 when binarized, else v / max|v| with beta =
+    max|v|."""
+    bank = WeightBank(v)
+    if binarize:
+        return binarize_weights(bank).v, 1.0
+    bank = normalize_weights(bank)
     return bank.v, bank.beta
 
 
-def _analog_dot(cs: np.ndarray, v_latent: np.ndarray, c0: float) -> np.ndarray:
-    """A = sum(C_n V_n) per output, computed the hardware way: program
-    v/beta, read the MAC voltages, rescale by N*c0*beta in digital."""
-    prog, beta = _programmed(v_latent)
-    denom = cs.shape[1] * c0
-    mac = cs @ prog.T / denom
-    return mac * (denom * beta)
-
-
-def gather_windows(mat_batch: np.ndarray, kernel: int = 3) -> np.ndarray:
-    """(B, rows, cols) -> (B, n_windows, kernel^2) with row-major origins."""
-    b, rows, cols = mat_batch.shape
-    out_r, out_c = rows - kernel + 1, cols - kernel + 1
-    win = np.empty((b, out_r * out_c, kernel * kernel))
-    j = 0
-    for orr in range(out_r):
-        for occ in range(out_c):
-            win[:, j, :] = mat_batch[:, orr:orr + kernel, occ:occ + kernel].reshape(b, -1)
-            j += 1
-    return win
-
-
+@functools.lru_cache(maxsize=16)
 def encoder_caps(params: SensorParams):
     """(C_H, C_L, C_H - C_L): series capacitances of the two clean pixel
-    classes and the normalization span."""
+    classes and the normalization span. Cached: every AE and CNN forward
+    pass and loss asks for them, and they depend on the frozen params only."""
     c_h = series_capacitance(params.c_ih, params.c0)
     c_l = series_capacitance(params.c_il, params.c0)
     return c_h, c_l, c_h - c_l
 
 
+def _conditioned(cs: np.ndarray, v: np.ndarray, params: SensorParams) -> np.ndarray:
+    """u = (A - B) / C per output: A = sum(C_n V_n) read the hardware way
+    (program v/beta, rescale the MAC voltages by N*c0*beta in digital),
+    B = C_L sum(V_n) and C = C_H - C_L."""
+    _, c_l, span = encoder_caps(params)
+    prog, beta = programmed_weights(v)
+    a = mac(cs, prog, params.c0) * (cs.shape[-1] * params.c0 * beta)
+    return (a - c_l * v.sum(axis=1)) / span
+
+
+# ---------------------------------------------------------------------------
+# forward passes: each takes series capacitances (windows for the CNN) and
+# returns every value its batch loss needs
+
+def _fc_pass(v, cs, params, binarize):
+    """(U, beta): array output voltages and the digital rescale."""
+    prog, beta = programmed_weights(v, binarize)
+    return mac(cs, prog, params.c0), beta
+
+
+def _autoencoder_pass(v_enc, w_dec, cs, params):
+    """(codes phi, normalized reconstruction, series and induced caps)."""
+    _, c_l, span = encoder_caps(params)
+    c0 = params.c0
+    phi = sigmoid(_conditioned(cs, v_enc, params))
+    cnl_rec = sigmoid(phi @ w_dec.T)
+    c_rec = cnl_rec * span + c_l
+    ci_rec = c_rec * c0 / (c0 - c_rec)
+    return phi, cnl_rec, c_rec, ci_rec
+
+
+def _cnn_pass(kernel, head, win, params):
+    """(logits, sigmoid features h) from the conv windows' series caps."""
+    h = sigmoid(_conditioned(win, kernel.reshape(1, -1), params)[..., 0])
+    return h @ head.T, h
+
+
+def fc_output_volts(v: np.ndarray, c_i_flat: np.ndarray, params: SensorParams,
+                    binarize: bool = False) -> np.ndarray:
+    """Array output voltages U_m for a batch, using the programmed weights."""
+    return _fc_pass(v, series_capacitance(c_i_flat, params.c0), params, binarize)[0]
+
+
+def autoencoder_forward(v_enc: np.ndarray, w_dec: np.ndarray,
+                        c_i_flat: np.ndarray, params: SensorParams):
+    """(codes phi, reconstructed series caps, reconstructed induced caps)."""
+    phi, _, c_rec, ci_rec = _autoencoder_pass(
+        v_enc, w_dec, series_capacitance(c_i_flat, params.c0), params)
+    return phi, c_rec, ci_rec
+
+
+def cnn_logits(kernel: np.ndarray, head: np.ndarray, c_i: np.ndarray,
+               params: SensorParams):
+    """(logits, sigmoid features h) for a batch of induced-capacitance images."""
+    return _cnn_pass(kernel, head, gather_windows(series_capacitance(c_i, params.c0)),
+                     params)
+
+
 # ---------------------------------------------------------------------------
 # batch losses (mean loss, summed gradients)
+
+def _mean_cross_entropy(p, labels) -> float:
+    return float(np.mean(-np.sum(labels * np.log(np.maximum(p, LOG_FLOOR)), axis=1)))
+
 
 def fc_batch_loss(v: np.ndarray, c_i_flat: np.ndarray, labels: np.ndarray,
                   params: SensorParams, binarize: bool = False):
@@ -230,36 +287,22 @@ def fc_batch_loss(v: np.ndarray, c_i_flat: np.ndarray, labels: np.ndarray,
     gradient with respect to the latent weights (straight-through when
     binarized)."""
     cs = series_capacitance(c_i_flat, params.c0)
-    denom = cs.shape[1] * params.c0
-    if binarize:
-        w = binarize_weights(WeightBank(v)).v
-        scale = 1.0
-    else:
-        w, scale = _programmed(v)
-    logits = (cs @ w.T / denom) * scale
-    p = softmax(logits)
-    loss = float(np.mean(-np.sum(labels * np.log(np.maximum(p, LOG_FLOOR)), axis=1)))
-    grad = (p - labels).T @ cs / denom
-    return loss, grad, p
+    u, beta = _fc_pass(v, cs, params, binarize)
+    p = softmax(u * beta)
+    grad = (p - labels).T @ cs / (cs.shape[1] * params.c0)
+    return _mean_cross_entropy(p, labels), grad, p
 
 
 def autoencoder_batch_loss(v_enc: np.ndarray, w_dec: np.ndarray,
                            c_i_flat: np.ndarray, params: SensorParams):
     """Mean reconstruction MSE (in induced-capacitance units) and summed
     gradients for encoder voltages and decoder weights."""
-    c_h, c_l, span = encoder_caps(params)
+    _, c_l, span = encoder_caps(params)
     c0 = params.c0
     cs = series_capacitance(c_i_flat, c0)
-    a = _analog_dot(cs, v_enc, c0)
-    b = c_l * v_enc.sum(axis=1)
-    u = (a - b) / span
-    phi = sigmoid(u)
-    z = phi @ w_dec.T
-    cnl_rec = sigmoid(z)
-    c_rec = cnl_rec * span + c_l
+    phi, cnl_rec, c_rec, ci_rec = _autoencoder_pass(v_enc, w_dec, cs, params)
     if np.any(c_rec >= c0):
         raise AssertionError("reconstructed series capacitance reached c0")
-    ci_rec = c_rec * c0 / (c0 - c_rec)
     n = cs.shape[1]
     loss = float(np.mean((ci_rec - c_i_flat) ** 2))
     d_ci = 2.0 / n * (ci_rec - c_i_flat)
@@ -275,69 +318,20 @@ def cnn_batch_loss(kernel: np.ndarray, head: np.ndarray, c_i: np.ndarray,
                    labels: np.ndarray, params: SensorParams):
     """Mean cross-entropy of the conv classifier and summed gradients for
     the kernel voltages and the digital head."""
-    c_h, c_l, span = encoder_caps(params)
-    c0 = params.c0
-    cs = series_capacitance(c_i, c0)
-    win = gather_windows(cs)
-    k = kernel.reshape(-1)
-    prog, beta = _programmed(k.reshape(1, -1))
-    denom = win.shape[2] * c0
-    mac = win @ prog[0] / denom
-    a = mac * (denom * beta)
-    u = (a - c_l * k.sum()) / span
-    h = sigmoid(u)
-    logits = h @ head.T
+    _, c_l, span = encoder_caps(params)
+    win = gather_windows(series_capacitance(c_i, params.c0))
+    logits, h = _cnn_pass(kernel, head, win, params)
     p = softmax(logits)
-    loss = float(np.mean(-np.sum(labels * np.log(np.maximum(p, LOG_FLOOR)), axis=1)))
     d_logit = p - labels
     grad_head = d_logit.T @ h
     d_u = (d_logit @ head) * h * (1 - h)
     win_cnl = (win - c_l) / span
     grad_k = np.einsum("sj,sjk->k", d_u, win_cnl)
-    return loss, grad_k, grad_head, h, p
+    return _mean_cross_entropy(p, labels), grad_k, grad_head, h, p
 
 
 # ---------------------------------------------------------------------------
 # evaluation helpers
-
-def fc_output_volts(v: np.ndarray, c_i_flat: np.ndarray, params: SensorParams,
-                    binarize: bool = False) -> np.ndarray:
-    """Array output voltages U_m for a batch, using the programmed weights."""
-    cs = series_capacitance(c_i_flat, params.c0)
-    denom = cs.shape[1] * params.c0
-    if binarize:
-        w = binarize_weights(WeightBank(v)).v
-    else:
-        w, _ = _programmed(v)
-    return cs @ w.T / denom
-
-
-def autoencoder_forward(v_enc: np.ndarray, w_dec: np.ndarray,
-                        c_i_flat: np.ndarray, params: SensorParams):
-    """(codes phi, reconstructed series caps, reconstructed induced caps)."""
-    c_h, c_l, span = encoder_caps(params)
-    c0 = params.c0
-    cs = series_capacitance(c_i_flat, c0)
-    a = _analog_dot(cs, v_enc, c0)
-    u = (a - c_l * v_enc.sum(axis=1)) / span
-    phi = sigmoid(u)
-    c_rec = sigmoid(phi @ w_dec.T) * span + c_l
-    ci_rec = c_rec * c0 / (c0 - c_rec)
-    return phi, c_rec, ci_rec
-
-
-def cnn_logits(kernel: np.ndarray, head: np.ndarray, c_i: np.ndarray,
-               params: SensorParams) -> np.ndarray:
-    c_h, c_l, span = encoder_caps(params)
-    c0 = params.c0
-    win = gather_windows(series_capacitance(c_i, c0))
-    k = kernel.reshape(-1)
-    prog, beta = _programmed(k.reshape(1, -1))
-    denom = win.shape[2] * c0
-    a = (win @ prog[0] / denom) * (denom * beta)
-    h = sigmoid((a - c_l * k.sum()) / span)
-    return h @ head.T, h
-
 
 def classify_series_bits(c_rec_series: np.ndarray, params: SensorParams):
     """Threshold reconstructed series caps at (C_H + C_L)/2 and classify the
@@ -363,8 +357,8 @@ def _checkpoint(architecture, config, params, epoch, beta, matrices) -> Checkpoi
                       matrices={k: m.copy() for k, m in matrices.items()})
 
 
-def _check_finite(loss, epoch, history):
-    if not np.isfinite(loss):
+def _check_finite(epoch, history, loss, *arrays):
+    if not (math.isfinite(loss) and all(np.isfinite(a).all() for a in arrays)):
         raise TrainingDiverged(epoch, history)
 
 
@@ -388,12 +382,13 @@ def train_fc_classifier(config: TrainConfig, params: SensorParams = SensorParams
         c_i, labels, _ = dataset.batch_arrays(batch)
         loss, grad, _ = fc_batch_loss(v, c_i.reshape(len(batch), -1), labels,
                                       p_eff, binarize=config.binarize)
-        _check_finite(loss, epoch, history)
         v = v - lr * grad
+        _check_finite(epoch, history, loss, grad, v)
         ebatch = dataset.balanced_batch(config.eval_per_glyph, p_eff, erng, resolution=3)
         ec_i, _, eidx = dataset.batch_arrays(ebatch)
         volts = fc_output_volts(v, ec_i.reshape(len(ebatch), -1), p_eff,
                                 binarize=config.binarize)
+        _check_finite(epoch, history, loss, volts)
         history.loss.append(loss)
         history.accuracy.append(float(np.mean(volts.argmax(axis=1) == eidx)))
         history.mean_outputs.append(_mean_by_glyph(volts, eidx))
@@ -423,13 +418,14 @@ def train_autoencoder(config: TrainConfig, params: SensorParams = SensorParams()
         c_i, _, _ = dataset.batch_arrays(batch)
         loss, g_enc, g_dec, _, _, _ = autoencoder_batch_loss(
             v_enc, w_dec, c_i.reshape(len(batch), -1), p_eff)
-        _check_finite(loss, epoch, history)
         v_enc = v_enc - lr * g_enc
         w_dec = w_dec - lr * g_dec
+        _check_finite(epoch, history, loss, g_enc, g_dec, v_enc, w_dec)
         ebatch = dataset.balanced_batch(config.eval_per_glyph, p_eff, erng, resolution=3)
         ec_i, _, eidx = dataset.batch_arrays(ebatch)
         phi, c_rec, _ = autoencoder_forward(v_enc, w_dec,
                                             ec_i.reshape(len(ebatch), -1), p_eff)
+        _check_finite(epoch, history, loss, phi, c_rec)
         pred, _ = classify_series_bits(c_rec, p_eff)
         history.loss.append(loss)
         history.accuracy.append(float(np.mean(pred == eidx)))
@@ -456,12 +452,13 @@ def train_cnn_classifier(config: TrainConfig, params: SensorParams = SensorParam
         batch = dataset.sample_batch(config.batch_size, p_eff, rng, resolution=5)
         c_i, labels, _ = dataset.batch_arrays(batch)
         loss, g_k, g_head, _, _ = cnn_batch_loss(kernel, head, c_i, labels, p_eff)
-        _check_finite(loss, epoch, history)
         kernel = kernel - lr * g_k
         head = head - lr * g_head
+        _check_finite(epoch, history, loss, g_k, g_head, kernel, head)
         ebatch = dataset.balanced_batch(config.eval_per_glyph, p_eff, erng, resolution=5)
         ec_i, _, eidx = dataset.batch_arrays(ebatch)
         logits, _ = cnn_logits(kernel, head, ec_i, p_eff)
+        _check_finite(epoch, history, loss, logits)
         history.loss.append(loss)
         history.accuracy.append(float(np.mean(logits.argmax(axis=1) == eidx)))
         history.mean_outputs.append(_mean_by_glyph(logits, eidx))
@@ -480,6 +477,14 @@ TRAINERS = {
 
 # ---------------------------------------------------------------------------
 # checkpoint and history serialization
+
+# The matrices each architecture's checkpoint holds, with their shapes.
+CHECKPOINT_MATRICES = {
+    "fc_classifier": {"weights": (4, 9)},
+    "autoencoder": {"encoder": (4, 9), "decoder": (9, 4)},
+    "cnn_classifier": {"kernel": (1, 9), "head": (4, 9)},
+}
+
 
 def save_checkpoint(ckpt: Checkpoint, path):
     lines = [
@@ -547,13 +552,18 @@ def load_checkpoint(path) -> Checkpoint:
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing checkpoint field {exc}") from exc
-    _expected = {"fc_classifier": {"weights"}, "autoencoder": {"encoder", "decoder"},
-                 "cnn_classifier": {"kernel", "head"}}
-    if ckpt.architecture not in _expected:
+    expected = CHECKPOINT_MATRICES.get(ckpt.architecture)
+    if expected is None:
         raise ValueError(f"{path}: unknown architecture {ckpt.architecture!r}")
-    if set(matrices) != _expected[ckpt.architecture]:
+    if set(matrices) != set(expected):
         raise ValueError(f"{path}: matrices {sorted(matrices)} do not match "
                          f"architecture {ckpt.architecture}")
+    for name, shape in expected.items():
+        if matrices[name].shape != shape:
+            raise ValueError(f"{path}: matrix {name} is {matrices[name].shape}, "
+                             f"{ckpt.architecture} needs {shape}")
+        if not np.all(np.isfinite(matrices[name])):
+            raise ValueError(f"{path}: matrix {name} holds non-finite values")
     return ckpt
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from capmac.arrays import (ArrayTopology, build_conv_array, build_fc_array,
                            conv_forward, fc_forward, resource_report,
                            schedule_conv, schedule_to_dict, write_schedule_json)
-from capmac.device import SensorParams, mac_evaluate, series_capacitance
+from capmac.device import SensorParams, mac, series_capacitance
 from capmac.weights import WeightBank
 
 PARAMS = SensorParams()
@@ -68,7 +68,7 @@ class TestFcForward:
         got = fc_forward(topo, img, w, PARAMS)
         cs = [series_capacitance(img[r, c], PARAMS.c0) for r, c in topo.bank_wiring[0]]
         for m in range(4):
-            expect = mac_evaluate(cs, w[m], PARAMS.c0)
+            expect = mac(cs, w[m:m + 1], PARAMS.c0)[0]
             assert got[m] == pytest.approx(expect, rel=1e-12)
 
     def test_accepts_weight_bank(self):

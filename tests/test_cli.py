@@ -78,6 +78,30 @@ class TestConfigParsing:
         assert config_hash(a) != config_hash(c)
 
 
+_CONFIG_KEYS = sorted(set(cli._TRAIN_KEYS) | set(cli._SENSOR_KEYS) | set(cli._TOP_KEYS)
+                     | {"threads", "train.momentum"})
+_CONFIG_VALUES = st.one_of(
+    st.sampled_from(["0", "1", "-1", "3", "0.5", "1e308", "1e400", "nan", "inf", "-inf",
+                     "true", "no", "fc_classifier", "autoencoder", "cnn_classifier",
+                     "per_class", "global", "history,waveform", "reconstruction",
+                     "9" * 400, ""]),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUES, max_size=8))
+def test_config_fuzz_builds_or_raises_config_error(raw):
+    text = "\n".join(f"{key} = {value}" for key, value in raw.items())
+    try:
+        cfg = build_config(parse_config_text(text))
+    except ConfigError:
+        return
+    assert cfg.architecture in netlab.ARCHITECTURES
+    assert all(np.isfinite([cfg.train.learning_rate, cfg.train.noise_frac, cfg.sensor.c0,
+                            cfg.sensor.c_ih, cfg.sensor.c_il, cfg.sensor.noise_frac]))
+
+
 class TestRun:
     def test_emits_requested_artifacts_and_manifest(self, tmp_path):
         cfg = build_config(fc_raw(tmp_path))
@@ -117,6 +141,7 @@ class TestRun:
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
         assert dict(m1.artifacts) == dict(m2.artifacts)
+        assert m1.config_hash == m2.config_hash
 
     def test_waveform_and_schedule_artifacts(self, tmp_path):
         raw = fc_raw(tmp_path, emit="waveform,schedule,checkpoint")
@@ -245,6 +270,89 @@ class TestMainExitCodes:
         assert "glyph_h_3.txt" in files
         assert "glyph_invz_5_capacitance.csv" in files
         assert len(files) == 16
+
+
+@pytest.fixture(scope="module")
+def checkpoints(tmp_path_factory):
+    """Short-trained FC and autoencoder checkpoint paths."""
+    out = tmp_path_factory.mktemp("ckpts")
+    paths = {}
+    for arch in ("fc_classifier", "autoencoder"):
+        code = main(["train", "--arch", arch, "--epochs", "3", "--emit", "checkpoint",
+                     "--output-dir", str(out / arch)])
+        assert code == EXIT_OK
+        paths[arch] = str(out / arch / "checkpoint.txt")
+    return paths
+
+
+class TestInputErrors:
+    def test_threads_key_is_unknown(self, tmp_path, capsys):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("architecture = fc_classifier\nthreads = 1\n")
+        code = main(["train", "--config", str(cfgfile),
+                     "--output-dir", str(tmp_path / "r")])
+        assert code == EXIT_CONFIG
+        assert "threads: unknown configuration key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting,field", [
+        ("sensor.c0=nan", "c0"),
+        ("sensor.c_ih=inf", "c_ih"),
+        ("train.learning_rate=inf", "learning_rate"),
+        ("train.noise_frac=-inf", "noise_frac"),
+    ])
+    def test_non_finite_settings_exit_2(self, tmp_path, capsys, setting, field):
+        code = main(["train", "--arch", "cnn_classifier", "--epochs", "2",
+                     "--output-dir", str(tmp_path / "r"), "--set", setting])
+        assert code == EXIT_CONFIG
+        assert f"{field} must be finite" in capsys.readouterr().err
+
+    def test_divergence_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        with np.errstate(all="ignore"):
+            code = main(["train", "--arch", "cnn_classifier", "--output-dir", str(out),
+                         "--set", "train.learning_rate=1e308",
+                         "--emit", "history,checkpoint"])
+        assert code == EXIT_DIVERGED
+        assert "training diverged at epoch 1" in capsys.readouterr().err
+        assert "diverged_at_epoch: 1" in (out / "manifest.txt").read_text().splitlines()
+
+    def test_eval_sensor_override(self, checkpoints, capsys):
+        assert main(["eval", checkpoints["fc_classifier"]]) == EXIT_OK
+        default = capsys.readouterr().out
+        code = main(["eval", checkpoints["fc_classifier"],
+                     "--set", "sensor.noise_frac=0.0"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out != default
+
+    @pytest.mark.parametrize("setting,field", [
+        ("train.seed=1", "train.seed"),
+        ("sensor.c0=nan", "c0"),
+        ("sensor.c0=big", "sensor.c0"),
+    ])
+    def test_eval_bad_override_exits_2(self, checkpoints, capsys, setting, field):
+        code = main(["eval", checkpoints["fc_classifier"], "--set", setting])
+        assert code == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("arch,flag,value", [
+        ("fc_classifier", "--per-glyph", "0"),
+        ("autoencoder", "--per-glyph", "0"),
+        ("autoencoder", "--letters", "0"),
+        ("fc_classifier", "--seed", "-1"),
+    ])
+    def test_eval_bad_counts_exit_2(self, checkpoints, capsys, arch, flag, value):
+        code = main(["eval", checkpoints[arch], flag, value])
+        assert code == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+
+    def test_eval_misshapen_checkpoint_exits_2(self, checkpoints, tmp_path, capsys):
+        ck = load_checkpoint(checkpoints["autoencoder"])
+        ck.matrices["decoder"] = ck.matrices["decoder"][:, :3]
+        path = tmp_path / "ck.txt"
+        netlab.save_checkpoint(ck, path)
+        code = main(["eval", str(path)])
+        assert code == EXIT_CONFIG
+        assert "decoder" in capsys.readouterr().err
 
 
 class TestEvaluate:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capmac.device import (MacPhase, PHASE_ORDER, SensorParams, TraceRecord,
-                           apply_noise, mac_evaluate, phase_switches,
+                           apply_noise, mac, phase_switches,
                            series_capacitance, trace_to_rows, write_trace_csv)
 
 
@@ -63,36 +63,39 @@ class TestPhaseSwitches:
 
 
 class TestMacEvaluate:
+    """The MAC kernel `mac`, one bank (a single weight row) at a time."""
+
     def test_identity_case(self):
-        assert mac_evaluate([72.0] * 9, [1.0] * 9, 72.0) == 1.0
+        assert mac([72.0] * 9, [[1.0] * 9], 72.0)[0] == 1.0
 
     def test_zero_weights(self):
-        assert mac_evaluate([50.0, 13.0, 62.0], [0.0, 0.0, 0.0], 72.0) == 0.0
+        assert mac([50.0, 13.0, 62.0], [[0.0, 0.0, 0.0]], 72.0)[0] == 0.0
 
     def test_paper_operating_point(self):
-        u = mac_evaluate([62.937] * 9, [0.5] * 9, 72.0)
+        u = mac([62.937] * 9, [[0.5] * 9], 72.0)[0]
         assert u == pytest.approx(9 * 62.937 * 0.5 / (9 * 72), rel=1e-12)
         assert u == pytest.approx(0.4371, abs=5e-5)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            mac_evaluate([62.0, 60.0], [0.5], 72.0)
+            mac([62.0, 60.0], [[0.5]], 72.0)
 
     def test_weight_range_enforced(self):
         with pytest.raises(ValueError, match="normalize"):
-            mac_evaluate([62.0], [1.0001], 72.0)
+            mac([62.0], [[1.0001]], 72.0)
         # the boundary itself is legal (binarized weights)
-        mac_evaluate([62.0], [1.0], 72.0)
-        mac_evaluate([62.0], [-1.0], 72.0)
+        mac([62.0], [[1.0]], 72.0)
+        mac([62.0], [[-1.0]], 72.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            mac_evaluate([], [], 72.0)
+            mac([], [[]], 72.0)
 
     def test_trace_phase_sequence(self):
         c, v, c0 = [50.0, 20.0], [0.5, -0.25], 72.0
-        trace = []
-        u = mac_evaluate(c, v, c0, trace=trace)
+        banks = []
+        u = mac(c, [v], c0, trace=banks)[0]
+        (trace,) = banks
         assert len(trace) == 8  # 2 units x 4 phases
         by_phase = {}
         for rec in trace:
@@ -116,7 +119,7 @@ class TestMacEvaluate:
     def test_matches_dot_product_oracle(self, pairs):
         c = [p[0] for p in pairs]
         v = [p[1] for p in pairs]
-        u = mac_evaluate(c, v, 72.0)
+        u = mac(c, [v], 72.0)[0]
         oracle = float(np.dot(c, v)) / (len(c) * 72.0)
         scale = sum(abs(ci * vi) for ci, vi in pairs) / (len(c) * 72.0)
         assert abs(u - oracle) <= 1e-12 * max(abs(u), abs(oracle), scale, 1e-30)
@@ -131,10 +134,51 @@ class TestMacEvaluate:
         rng = np.random.default_rng(0)
         v1 = rng.uniform(-1, 1, n)
         v2 = rng.uniform(-1, 1, n)
-        lhs = mac_evaluate(c, a * v1 + b * v2, 72.0)
-        rhs = a * mac_evaluate(c, v1, 72.0) + b * mac_evaluate(c, v2, 72.0)
+        lhs = mac(c, [a * v1 + b * v2], 72.0)[0]
+        rhs = a * mac(c, [v1], 72.0)[0] + b * mac(c, [v2], 72.0)[0]
         scale = sum(abs(ci) for ci in c) / (n * 72.0)
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), scale)
+
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 9), st.integers(1, 12), st.integers(1, 5),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_batch_axes_kept_bit_for_bit(self, b, w, n, m, seed):
+        rng = np.random.default_rng(seed)
+        cs = rng.uniform(1.0, 500.0, (b, w, n))
+        v = rng.uniform(-1.0, 1.0, (m, n))
+        u = mac(cs, v, 72.0)
+        assert u.shape == (b, w, m)
+        for i in range(b):
+            np.testing.assert_array_equal(u[i], mac(cs[i], v, 72.0))
+
+    def test_non_finite_inputs_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            mac([math.nan, 50.0], [[0.5, 0.5]], 72.0)
+        with pytest.raises(ValueError, match="positive"):
+            mac([50.0], [[0.5]], math.nan)
+        with pytest.raises(ValueError, match="normalize"):
+            mac([50.0, 50.0], [[math.nan, 0.5]], 72.0)
+
+    def test_weights_must_be_a_matrix(self):
+        with pytest.raises(ValueError, match="M x N"):
+            mac([50.0, 50.0], [0.5, 0.5], 72.0)
+
+    def test_trace_needs_a_single_sample(self):
+        with pytest.raises(ValueError, match="single sample"):
+            mac(np.full((2, 3), 50.0), np.zeros((1, 3)), 72.0, trace=[])
+
+    def test_trace_has_one_bank_per_weight_row(self):
+        c, v, c0 = [50.0, 20.0, 35.0], [[0.5, -0.25, 1.0], [-1.0, 0.75, 0.0]], 72.0
+        banks = []
+        u = mac(c, v, c0, trace=banks)
+        assert len(banks) == 2
+        for m, bank in enumerate(banks):
+            assert [rec.phase for rec in bank] == [p for p in PHASE_ORDER for _ in c]
+            assert [rec.unit for rec in bank] == [0, 1, 2] * 4
+            for rec in bank[9:]:
+                assert rec.voltage_v == u[m]
+                assert rec.charge_pc == c0 * u[m]
 
 
 class TestApplyNoise:
@@ -177,10 +221,17 @@ class TestSensorParams:
         with pytest.raises(ValueError):
             SensorParams(noise_mode="weird")
 
+    @given(st.sampled_from(["c0", "c_ih", "c_il", "noise_frac"]),
+           st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_non_finite_rejected_naming_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            SensorParams(**{name: value})
+
 
 def test_trace_csv_export(tmp_path):
-    trace = []
-    mac_evaluate([62.937, 13.602], [1.0, -1.0], 72.0, trace=trace)
+    banks = []
+    mac([62.937, 13.602], [[1.0, -1.0]], 72.0, trace=banks)
+    (trace,) = banks
     rows = trace_to_rows(trace)
     assert len(rows) == 8
     # default 87.5 ns phases: start times 0, 87.5, 175, 262.5

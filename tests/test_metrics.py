@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from capmac.arrays import build_conv_array, build_fc_array, fc_forward
-from capmac.device import MacPhase, SensorParams, mac_evaluate
+from capmac.device import MacPhase, SensorParams, mac
 from capmac.metrics import (EnergyModel, PhaseTiming, assemble_waveform,
                             cycle_count, energy, latency, summary,
                             waveform_final_outputs, write_summary_json,
@@ -61,7 +61,7 @@ class TestEnergy:
 
     def test_charge_based_zero_weights(self):
         trace = []
-        mac_evaluate([62.937] * 9, [0.0] * 9, 72.0, trace=trace)
+        mac([62.937] * 9, [[0.0] * 9], 72.0, trace=trace)
         model = EnergyModel(mode="charge_based")
         assert energy(model, trace=trace) == 0.0
 
@@ -69,7 +69,7 @@ class TestEnergy:
         # sum over charge phase of |Q*V| = 9 * 62.937 pC * 1 V = 0.566 nJ;
         # order-of-magnitude consistent with the calibrated 0.9 nJ figure
         trace = []
-        mac_evaluate([62.937] * 9, [1.0] * 9, 72.0, trace=trace)
+        mac([62.937] * 9, [[1.0] * 9], 72.0, trace=trace)
         e = energy(EnergyModel(mode="charge_based"), trace=trace)
         assert e == pytest.approx(0.566433, abs=1e-6)
         assert 0.1 < e < 2.0
@@ -77,8 +77,8 @@ class TestEnergy:
     def test_charge_based_monotone_in_weight_magnitude(self):
         model = EnergyModel(mode="charge_based")
         lo, hi = [], []
-        mac_evaluate([50.0] * 9, [0.3] * 9, 72.0, trace=lo)
-        mac_evaluate([50.0] * 9, [0.9] * 9, 72.0, trace=hi)
+        mac([50.0] * 9, [[0.3] * 9], 72.0, trace=lo)
+        mac([50.0] * 9, [[0.9] * 9], 72.0, trace=hi)
         assert energy(model, trace=hi) > energy(model, trace=lo)
 
     def test_usage_errors(self):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis.extra.numpy import arrays as np_arrays
 from capmac import dataset, netlab
 from capmac.arrays import build_conv_array, build_fc_array, conv_forward, fc_forward
 from capmac.device import SensorParams, series_capacitance
-from capmac.netlab import (Checkpoint, TrainConfig, TrainingDiverged,
+from capmac.netlab import (CHECKPOINT_MATRICES, Checkpoint, TrainConfig, TrainingDiverged,
                            autoencoder_batch_loss, autoencoder_forward,
                            cnn_batch_loss, cnn_logits, cross_entropy,
                            default_config, encoder_caps, fc_batch_loss,
@@ -317,6 +319,42 @@ class TestTrainers:
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
 
+    def test_seed_and_eval_size_validated(self):
+        with pytest.raises(ValueError, match="seed"):
+            TrainConfig(seed=-1)
+        with pytest.raises(ValueError, match="eval_per_glyph"):
+            TrainConfig(eval_per_glyph=0)
+
+    @given(st.sampled_from(["batch_size", "learning_rate", "epochs", "noise_frac",
+                            "seed", "eval_per_glyph"]),
+           st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_non_finite_config_rejected_naming_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            TrainConfig(**{name: value})
+
+    def test_non_finite_gradient_diverges(self, monkeypatch):
+        real = netlab.fc_batch_loss
+
+        def inf_grad(v, flat, labels, params, binarize=False):
+            loss, grad, p = real(v, flat, labels, params, binarize=binarize)
+            return loss, np.full_like(grad, np.inf), p
+
+        monkeypatch.setattr(netlab, "fc_batch_loss", inf_grad)
+        with pytest.raises(TrainingDiverged, match="non-finite") as exc:
+            train_fc_classifier(default_config("fc_classifier", epochs=5, seed=0))
+        assert exc.value.epoch == 1
+        assert exc.value.history.checkpoint is None
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_cnn_outputs_diverge(self):
+        # At alpha = 1e308 the weights stay finite (about 1e307), but the
+        # digital rescale N*c0*beta of the next forward pass overflows.
+        cfg = default_config("cnn_classifier", learning_rate=1e308, seed=0)
+        with pytest.raises(TrainingDiverged) as exc:
+            train_cnn_classifier(cfg)
+        assert exc.value.epoch == 1
+        assert exc.value.history.epochs_run == 0
+
 
 class TestCheckpointIo:
     def test_round_trip(self, tmp_path):
@@ -348,6 +386,100 @@ class TestCheckpointIo:
         path = tmp_path / "ck.txt"
         save_checkpoint(ck, path)
         with pytest.raises(ValueError, match="match"):
+            load_checkpoint(path)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def checkpoints(draw):
+    arch = draw(st.sampled_from(sorted(CHECKPOINT_MATRICES)))
+    c_il = draw(st.floats(min_value=1e-3, max_value=1e3))
+    params = SensorParams(c0=draw(st.floats(min_value=1e-3, max_value=1e4)), c_il=c_il,
+                          c_ih=c_il * draw(st.floats(min_value=1.01, max_value=100.0)),
+                          noise_frac=draw(st.floats(min_value=0.0, max_value=10.0)),
+                          noise_mode=draw(st.sampled_from(["per_class", "global"])))
+    matrices = {name: draw(np_arrays(float, shape, elements=_FINITE))
+                for name, shape in CHECKPOINT_MATRICES[arch].items()}
+    return Checkpoint(architecture=arch, seed=draw(st.integers(0, 2 ** 63)),
+                      epoch=draw(st.integers(0, 10 ** 6)), beta=draw(_FINITE),
+                      binarize=draw(st.booleans()), params=params, matrices=matrices)
+
+
+_CHECKPOINT_LINES = st.one_of(
+    st.sampled_from([
+        "capmac-checkpoint v1", "architecture: fc_classifier",
+        "architecture: autoencoder", "architecture: cnn_classifier",
+        "architecture: mlp", "seed: 0", "seed: x", "epoch: 3", "beta: 1.0",
+        "binarize: true", "sensor.c0: 72.0", "sensor.c0: nan", "sensor.c_ih: 500.0",
+        "sensor.c_il: 16.77", "sensor.noise_frac: 0.2", "sensor.noise_mode: per_class",
+        "matrix weights 4 9", "matrix encoder 4 9", "matrix decoder 9 4",
+        "matrix decoder 9 3", "matrix kernel 1 9", "matrix head 4 9",
+        "matrix head -1 9", "matrix kernel 1", " ".join(["0.5"] * 9),
+        " ".join(["-0.25"] * 4), " ".join(["0.5"] * 8 + ["inf"]), "0.5 nan 0.5 0.5",
+        "0.5 0.5 0.5", "nan", "",
+    ]),
+    st.text(max_size=20),
+)
+
+
+class TestCheckpointProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(checkpoints())
+    def test_save_load_round_trip(self, tmp_path_factory, ckpt):
+        path = tmp_path_factory.getbasetemp() / "round_trip.txt"
+        save_checkpoint(ckpt, path)
+        loaded = load_checkpoint(path)
+        assert (loaded.architecture, loaded.seed, loaded.epoch, loaded.beta,
+                loaded.binarize, loaded.params) == (
+            ckpt.architecture, ckpt.seed, ckpt.epoch, ckpt.beta, ckpt.binarize,
+            ckpt.params)
+        assert set(loaded.matrices) == set(ckpt.matrices)
+        for name, mat in ckpt.matrices.items():
+            np.testing.assert_array_equal(loaded.matrix(name), mat)
+
+    @settings(max_examples=300, deadline=None)
+    @given(checkpoints(), st.lists(st.tuples(st.sampled_from(["drop", "replace", "insert"]),
+                                             st.integers(0, 60), _CHECKPOINT_LINES),
+                                   max_size=4))
+    def test_parser_fuzz_loads_valid_or_raises_value_error(self, tmp_path_factory,
+                                                           ckpt, edits):
+        # Edits of a valid file reach every branch of the parser.
+        path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+        save_checkpoint(ckpt, path)
+        lines = path.read_text().splitlines()
+        for op, i, line in edits:
+            i %= len(lines) + 1
+            if op == "insert":
+                lines.insert(i, line)
+            elif i < len(lines):
+                lines[i:i + 1] = [] if op == "drop" else [line]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            ckpt = load_checkpoint(path)
+        except ValueError:
+            return
+        expected = CHECKPOINT_MATRICES[ckpt.architecture]
+        assert {k: m.shape for k, m in ckpt.matrices.items()} == expected
+        assert all(np.all(np.isfinite(m)) for m in ckpt.matrices.values())
+
+    def test_rejects_misshapen_matrix(self, tmp_path):
+        ck = Checkpoint(architecture="autoencoder", seed=0, epoch=1, beta=1.0,
+                        binarize=False, params=PARAMS,
+                        matrices={"encoder": np.zeros((4, 9)), "decoder": np.zeros((9, 3))})
+        path = tmp_path / "ck.txt"
+        save_checkpoint(ck, path)
+        with pytest.raises(ValueError, match="decoder"):
+            load_checkpoint(path)
+
+    def test_rejects_non_finite_matrix(self, tmp_path):
+        ck = Checkpoint(architecture="fc_classifier", seed=0, epoch=1, beta=1.0,
+                        binarize=False, params=PARAMS,
+                        matrices={"weights": np.full((4, 9), np.inf)})
+        path = tmp_path / "ck.txt"
+        save_checkpoint(ck, path)
+        with pytest.raises(ValueError, match="non-finite"):
             load_checkpoint(path)
 
 
