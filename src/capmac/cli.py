@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import platform
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__, arrays, dataset, metrics, netlab
 from .device import SensorParams
 from .netlab import (Checkpoint, TrainConfig, TrainingDiverged, load_checkpoint,
-                     save_checkpoint, spec_for, write_history_csv)
+                     save_checkpoint, write_history_csv)
 
 EMIT_CHOICES = ("history", "waveform", "reconstruction", "schedule", "checkpoint")
 
@@ -50,6 +51,9 @@ class RunManifest:
     config_hash: str
     artifacts: list = field(default_factory=list)  # (name, sha256) pairs
     diverged_at: int | None = None
+    # The software that produced the run; outside the config hash and digests.
+    python: str = platform.python_version()
+    numpy: str = np.__version__
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +135,8 @@ def build_config(raw: dict) -> ExperimentConfig:
         train = netlab.default_config(architecture, **_section_kwargs(raw, _TRAIN_KEYS))
     except ValueError as exc:
         raise ConfigError(f"train: {exc}") from None
+    if train.binarize and not netlab.MODELS[architecture].binarizes:
+        raise ConfigError(f"train.binarize: {architecture} trains no binarized weights")
     try:
         sensor = SensorParams(**_section_kwargs(raw, _SENSOR_KEYS))
     except ValueError as exc:
@@ -232,10 +238,14 @@ def _clean_image(glyph: dataset.Glyph, params: SensorParams, resolution: int = 3
 
 
 def _programmed_fc_weights(ckpt: Checkpoint) -> np.ndarray:
-    name = {"fc_classifier": "weights", "autoencoder": "encoder"}.get(ckpt.architecture)
-    if name is None:
+    """The voltages of the checkpoint's first matrix, as programmed into the
+    FC bank; binarized only for a network that trains binarized weights."""
+    model = netlab.MODELS[ckpt.architecture]
+    if model.spec.kernel:
         raise ConfigError("waveform/trace capture covers FC bank readout only")
-    return netlab.programmed_weights(ckpt.matrix(name), ckpt.binarize)[0]
+    first = next(iter(model.matrices))
+    return netlab.programmed_weights(ckpt.matrix(first),
+                                     ckpt.binarize and model.binarizes)[0]
 
 
 def capture_fc_traces(ckpt: Checkpoint, glyph: dataset.Glyph = dataset.Glyph.INV_Z):
@@ -289,6 +299,8 @@ def write_manifest(manifest: RunManifest, path: Path):
     lines = [
         "capmac-manifest v1",
         f"tool_version: {manifest.tool_version}",
+        f"python: {manifest.python}",
+        f"numpy: {manifest.numpy}",
         f"architecture: {manifest.architecture}",
         f"seed: {manifest.seed}",
         f"config_hash: {manifest.config_hash}",
@@ -318,9 +330,8 @@ def run(config: ExperimentConfig) -> RunManifest:
     def add(path: Path):
         manifest.artifacts.append((path.name, _sha256_file(path)))
 
-    trainer = netlab.TRAINERS[config.architecture]
     try:
-        history = trainer(config.train, config.sensor)
+        history = netlab.train(config.architecture, config.train, config.sensor)
     except TrainingDiverged as exc:
         manifest.diverged_at = exc.epoch
         if exc.history.checkpoint is not None:
@@ -371,33 +382,21 @@ def evaluate(ckpt: Checkpoint, seed: int = 0, per_glyph: int = 25,
     additionally reconstructs `letters` random noisy letters and reports
     per-letter MSE and thresholded bitmaps.
     """
+    model = netlab.MODELS.get(ckpt.architecture)
+    if model is None:
+        raise ConfigError(f"architecture: cannot evaluate {ckpt.architecture!r}")
     params = ckpt.params
     rng = np.random.default_rng(seed)
-    resolution = 5 if ckpt.architecture == "cnn_classifier" else 3
-    batch = dataset.balanced_batch(per_glyph, params, rng, resolution=resolution)
-    c_i, _, idx = dataset.batch_arrays(batch)
-    flat = c_i.reshape(len(batch), -1)
-    report = {"architecture": ckpt.architecture, "seed": seed}
-
-    if ckpt.architecture == "fc_classifier":
-        volts = netlab.fc_output_volts(ckpt.matrix("weights"), flat, params,
-                                       binarize=ckpt.binarize)
-        report["accuracy"] = float(np.mean(volts.argmax(axis=1) == idx))
-        report["mean_outputs"] = netlab._mean_by_glyph(volts, idx)
-    elif ckpt.architecture == "cnn_classifier":
-        logits, _ = netlab.cnn_logits(ckpt.matrix("kernel"), ckpt.matrix("head"),
-                                      c_i, params)
-        report["accuracy"] = float(np.mean(logits.argmax(axis=1) == idx))
-        report["mean_outputs"] = netlab._mean_by_glyph(logits, idx)
-    elif ckpt.architecture == "autoencoder":
+    idx = np.repeat(np.arange(dataset.NUM_GLYPHS), per_glyph)
+    c_i = dataset.noisy_letters(idx, params, rng, model.spec.rows)
+    pred, outputs, _ = model.score(ckpt.matrices, c_i, params, ckpt.binarize)
+    report = {"architecture": ckpt.architecture, "seed": seed,
+              "accuracy": float(np.mean(pred == idx)),
+              "mean_outputs": netlab._mean_by_glyph(outputs, idx)}
+    if ckpt.architecture == "autoencoder":
         v_enc, w_dec = ckpt.matrix("encoder"), ckpt.matrix("decoder")
-        phi, c_rec, _ = netlab.autoencoder_forward(v_enc, w_dec, flat, params)
-        pred, _ = netlab.classify_series_bits(c_rec, params)
-        report["accuracy"] = float(np.mean(pred == idx))
-        report["mean_outputs"] = netlab._mean_by_glyph(phi, idx)
-        sample = dataset.sample_batch(letters, params, rng, resolution=3)
-        sc_i, _, sidx = dataset.batch_arrays(sample)
-        sflat = sc_i.reshape(letters, -1)
+        sidx = rng.integers(0, dataset.NUM_GLYPHS, letters)
+        sflat = dataset.noisy_letters(sidx, params, rng).reshape(letters, -1)
         _, s_rec, s_ci_rec = netlab.autoencoder_forward(v_enc, w_dec, sflat, params)
         spred, sbits = netlab.classify_series_bits(s_rec, params)
         report["letters"] = [
@@ -411,8 +410,6 @@ def evaluate(ckpt: Checkpoint, seed: int = 0, per_glyph: int = 25,
             for i, (g, pg) in enumerate(zip(sidx, spred))
         ]
         report["letters_correct"] = int(np.sum(spred == sidx))
-    else:
-        raise ConfigError(f"architecture: cannot evaluate {ckpt.architecture!r}")
     return report
 
 
@@ -487,11 +484,14 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     try:
-        for flag, value, least in (("--seed", args.seed, 0),
-                                   ("--per-glyph", args.per_glyph, 1),
-                                   ("--letters", args.letters, 1)):
+        for flag, value, least, most in (
+                ("--seed", args.seed, 0, None),
+                ("--per-glyph", args.per_glyph, 1, dataset.MAX_DRAW // dataset.NUM_GLYPHS),
+                ("--letters", args.letters, 1, dataset.MAX_DRAW)):
             if value < least:
                 raise ConfigError(f"{flag}: must be >= {least}, got {value}")
+            if most is not None and value > most:
+                raise ConfigError(f"{flag}: must be <= {most}, got {value}")
         ckpt = load_checkpoint(args.checkpoint)
         overrides = _parse_set(args.set)
         for key in overrides:

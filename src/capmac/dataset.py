@@ -73,51 +73,39 @@ def encode_capacitive(image: LetterImage, params: SensorParams) -> CapacitiveSam
     return CapacitiveSample(c_i=c_i, label=one_hot(image.glyph), clean_source=image)
 
 
-def _noise_nominal(clean: np.ndarray, params: SensorParams) -> np.ndarray:
-    if params.noise_mode == "global":
-        return np.full_like(clean, params.c_ih)
-    return clean
+# The most samples a single draw may hold: a training batch, an evaluation
+# set or a set of letters to reconstruct.
+MAX_DRAW = 100_000
+
+# The canonical bitmaps stacked per resolution, indexed by glyph number.
+_GRIDS = {r: np.stack([im.grid for im in letter_patterns(r)]) for r in (3, 5)}
 
 
-def _noisy_samples(indices, patterns, params: SensorParams, rng) -> list[CapacitiveSample]:
-    # One vectorized draw for the whole batch keeps the stream layout fixed.
-    grids = np.stack([patterns[i].grid for i in indices]).astype(float)
-    clean = np.where(grids > 0, params.c_ih, params.c_il)
-    noisy = apply_noise(clean, _noise_nominal(clean, params), params.noise_frac, rng)
-    return [
-        CapacitiveSample(c_i=noisy[j], label=one_hot(patterns[i].glyph),
-                         clean_source=patterns[i])
-        for j, i in enumerate(indices)
-    ]
+def noisy_letters(idx, params: SensorParams, rng, resolution: int = 3) -> np.ndarray:
+    """Induced capacitances c_i[B, R, R] of the glyphs numbered `idx`, each
+    with a fresh noise realization drawn in one call. Deterministic for a
+    seeded rng."""
+    if resolution not in _GRIDS:
+        raise ValueError(f"unsupported resolution: {resolution}")
+    if not 1 <= len(idx) <= MAX_DRAW:
+        raise ValueError(f"a draw holds 1 to {MAX_DRAW} letters, got {len(idx)}")
+    clean = np.where(_GRIDS[resolution][idx] > 0, params.c_ih, params.c_il)
+    nominal = np.full_like(clean, params.c_ih) if params.noise_mode == "global" else clean
+    return apply_noise(clean, nominal, params.noise_frac, rng)
 
 
 def sample_batch(size: int, params: SensorParams, rng, resolution: int = 3
                  ) -> list[CapacitiveSample]:
     """Draw `size` letters uniformly with replacement, each with a fresh
-    noise realization. Deterministic for a seeded rng."""
+    noise realization: the draws of `noisy_letters` as sample objects.
+    Deterministic for a seeded rng."""
     if size < 1:
         raise ValueError("batch size must be >= 1")
     patterns = letter_patterns(resolution)
-    indices = rng.integers(0, NUM_GLYPHS, size)
-    return _noisy_samples(indices, patterns, params, rng)
-
-
-def balanced_batch(per_glyph: int, params: SensorParams, rng, resolution: int = 3
-                   ) -> list[CapacitiveSample]:
-    """Glyph-ordered batch with `per_glyph` fresh noisy samples of each
-    letter; used for per-epoch evaluation."""
-    if per_glyph < 1:
-        raise ValueError("per_glyph must be >= 1")
-    patterns = letter_patterns(resolution)
-    indices = np.repeat(np.arange(NUM_GLYPHS), per_glyph)
-    return _noisy_samples(indices, patterns, params, rng)
-
-
-def batch_arrays(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack a sample list into (c_i, labels, label_indices) arrays."""
-    c_i = np.stack([s.c_i for s in batch])
-    labels = np.stack([s.label for s in batch])
-    return c_i, labels, labels.argmax(axis=1)
+    idx = rng.integers(0, NUM_GLYPHS, size)
+    return [CapacitiveSample(c_i=c_i, label=one_hot(patterns[i].glyph),
+                             clean_source=patterns[i])
+            for c_i, i in zip(noisy_letters(idx, params, rng, resolution), idx)]
 
 
 def write_bitmap(path, grid):

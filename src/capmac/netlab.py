@@ -1,4 +1,4 @@
-"""The three letter networks and their hardware-in-the-loop training loops.
+"""The three letter networks and their hardware-in-the-loop training loop.
 
 The analog array only ever sees weight voltages inside [-1, 1]: each epoch
 the latent weights are divided by beta = max |v| before programming, and the
@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +27,6 @@ from . import dataset
 from .arrays import gather_windows
 from .device import SensorParams, mac, series_capacitance
 from .weights import WeightBank, binarize_weights, normalize_weights
-
-ARCHITECTURES = ("fc_classifier", "autoencoder", "cnn_classifier")
 
 # Offset separating the evaluation stream from the training stream so the
 # eval set size never perturbs the training data sequence.
@@ -94,16 +93,6 @@ def cnn_spec() -> NetworkSpec:
     return NetworkSpec("cnn_classifier", 5, 5, 4, 3, ("sigmoid", "softmax"))
 
 
-def spec_for(architecture: str) -> NetworkSpec:
-    if architecture == "fc_classifier":
-        return fc_spec()
-    if architecture == "autoencoder":
-        return autoencoder_spec()
-    if architecture == "cnn_classifier":
-        return cnn_spec()
-    raise ValueError(f"unknown architecture: {architecture!r}")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 20
@@ -132,18 +121,19 @@ class TrainConfig:
             raise ValueError("seed must be >= 0")
         if self.eval_per_glyph < 1:
             raise ValueError("eval_per_glyph must be >= 1")
+        if self.batch_size > dataset.MAX_DRAW:
+            raise ValueError(f"batch_size must be <= {dataset.MAX_DRAW}")
+        if self.eval_per_glyph > dataset.MAX_DRAW // dataset.NUM_GLYPHS:
+            raise ValueError("eval_per_glyph must be <= "
+                             f"{dataset.MAX_DRAW // dataset.NUM_GLYPHS}")
 
 
 def default_config(architecture: str, **overrides) -> TrainConfig:
-    """Per-architecture defaults: the paper's alpha and epoch counts for the
-    classifier and autoencoder; the CNN rate is a repo calibration."""
-    base = {
-        "fc_classifier": dict(learning_rate=10.0, epochs=350),
-        "autoencoder": dict(learning_rate=4e-4, epochs=40),
-        "cnn_classifier": dict(learning_rate=1.0, epochs=60),
-    }[architecture]
-    base.update(overrides)
-    return TrainConfig(**base)
+    """The architecture's paper-default learning rate and epoch count (see
+    MODELS), with `overrides` applied."""
+    model = MODELS[architecture]
+    return TrainConfig(**{"learning_rate": model.learning_rate, "epochs": model.epochs,
+                          **overrides})
 
 
 @dataclass
@@ -349,142 +339,138 @@ def _mean_by_glyph(values: np.ndarray, glyph_idx: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# trainers
-
-def _checkpoint(architecture, config, params, epoch, beta, matrices) -> Checkpoint:
-    return Checkpoint(architecture=architecture, seed=config.seed, epoch=epoch,
-                      beta=float(beta), binarize=config.binarize, params=params,
-                      matrices={k: m.copy() for k, m in matrices.items()})
-
+# the model table and the training loop
 
 def _check_finite(epoch, history, loss, *arrays):
     if not (math.isfinite(loss) and all(np.isfinite(a).all() for a in arrays)):
         raise TrainingDiverged(epoch, history)
 
 
-def train_fc_classifier(config: TrainConfig, params: SensorParams = SensorParams()
-                        ) -> TrainHistory:
-    """Train the 3x3 fully-connected classifier (optionally binarized with a
-    straight-through estimator) with the analog array in the forward path.
+def _flat(c_i: np.ndarray) -> np.ndarray:
+    return c_i.reshape(len(c_i), -1)
 
-    Per epoch: draw S noisy letters, program the normalized weights, read the
-    four bank voltages, rescale digitally, softmax + cross-entropy, update
-    the latent weights by V -= (alpha/S) * sum_p dL/dV.
+
+# Each architecture's loss + gradient and scoring, on induced-capacitance
+# images c_i[B, R, R] and a dict of its matrices. The batch losses are looked
+# up in the module at call time, so a replaced module attribute takes effect.
+
+def _fc_loss(m, c_i, labels, params, binarize):
+    loss, grad, _ = fc_batch_loss(m["weights"], _flat(c_i), labels, params,
+                                  binarize=binarize)
+    return loss, (grad,)
+
+
+def _fc_score(m, c_i, params, binarize):
+    volts = fc_output_volts(m["weights"], _flat(c_i), params, binarize=binarize)
+    return volts.argmax(axis=1), volts, (volts,)
+
+
+def _autoencoder_loss(m, c_i, labels, params, binarize):
+    loss, g_enc, g_dec, *_ = autoencoder_batch_loss(m["encoder"], m["decoder"],
+                                                    _flat(c_i), params)
+    return loss, (g_enc, g_dec)
+
+
+def _autoencoder_score(m, c_i, params, binarize):
+    """Glyphs read by threshold-classifying the reconstruction; the codes
+    phi are the shown outputs."""
+    phi, c_rec, _ = autoencoder_forward(m["encoder"], m["decoder"], _flat(c_i), params)
+    return classify_series_bits(c_rec, params)[0], phi, (phi, c_rec)
+
+
+def _cnn_loss(m, c_i, labels, params, binarize):
+    loss, g_k, g_head, *_ = cnn_batch_loss(m["kernel"], m["head"], c_i, labels, params)
+    return loss, (g_k, g_head)
+
+
+def _cnn_score(m, c_i, params, binarize):
+    logits, _ = cnn_logits(m["kernel"], m["head"], c_i, params)
+    return logits.argmax(axis=1), logits, (logits,)
+
+
+@dataclass(frozen=True)
+class Model:
+    """What the training loop and the evaluator know of one architecture.
+
+    `matrices` maps each matrix name to its shape, in initialization order;
+    the first is the one programmed into the array, and a checkpoint's beta
+    is its max |v|. `loss(m, c_i, labels, params, binarize)` gives the mean
+    loss and the summed gradients in matrix order; `score(m, c_i, params,
+    binarize)` gives the predicted glyphs, the outputs shown per glyph and
+    the outputs that must stay finite. Only a model that `binarizes` may
+    train and program its first matrix as signs.
     """
+
+    spec: NetworkSpec
+    learning_rate: float
+    epochs: int
+    matrices: dict
+    loss: Callable
+    score: Callable
+    binarizes: bool = False
+
+
+# The paper's alpha and epoch counts for the classifier and the autoencoder;
+# the CNN rate is a repo calibration.
+MODELS = {
+    "fc_classifier": Model(fc_spec(), 10.0, 350, {"weights": (4, 9)},
+                           _fc_loss, _fc_score, binarizes=True),
+    "autoencoder": Model(autoencoder_spec(), 4e-4, 40,
+                         {"encoder": (4, 9), "decoder": (9, 4)},
+                         _autoencoder_loss, _autoencoder_score),
+    "cnn_classifier": Model(cnn_spec(), 1.0, 60, {"kernel": (1, 9), "head": (4, 9)},
+                            _cnn_loss, _cnn_score),
+}
+ARCHITECTURES = tuple(MODELS)
+
+# The matrices each architecture's checkpoint holds, with their shapes.
+CHECKPOINT_MATRICES = {arch: model.matrices for arch, model in MODELS.items()}
+
+# One-hot training labels, indexed by glyph number.
+_LABELS = np.eye(dataset.NUM_GLYPHS)
+
+
+def train(architecture: str, config: TrainConfig,
+          params: SensorParams = SensorParams()) -> TrainHistory:
+    """Train one architecture with the analog array in the forward path.
+
+    Per epoch: draw S noisy letters, compute the loss and the summed
+    gradients through the array, update every matrix by
+    M -= (alpha/S) * sum_p dL/dM, then score a glyph-balanced noisy eval
+    batch from a separate stream. The FC classifier may train binarized
+    weights with a straight-through estimator. Raises TrainingDiverged when
+    the loss, a gradient, a matrix or an eval output stops being finite.
+    """
+    model = MODELS[architecture]
+    resolution = model.spec.rows
     p_eff = _effective_params(config, params)
     rng = np.random.default_rng(config.seed)
     erng = np.random.default_rng(config.seed + EVAL_SEED_OFFSET)
-    v = rng.uniform(-1.0, 1.0, (4, 9))
+    mats = {name: rng.uniform(-1.0, 1.0, shape) for name, shape in model.matrices.items()}
+    eidx = np.repeat(np.arange(dataset.NUM_GLYPHS), config.eval_per_glyph)
     lr = config.learning_rate / config.batch_size
-    history = TrainHistory(architecture="fc_classifier")
+    history = TrainHistory(architecture=architecture)
     for epoch in range(1, config.epochs + 1):
-        batch = dataset.sample_batch(config.batch_size, p_eff, rng, resolution=3)
-        c_i, labels, _ = dataset.batch_arrays(batch)
-        loss, grad, _ = fc_batch_loss(v, c_i.reshape(len(batch), -1), labels,
-                                      p_eff, binarize=config.binarize)
-        v = v - lr * grad
-        _check_finite(epoch, history, loss, grad, v)
-        ebatch = dataset.balanced_batch(config.eval_per_glyph, p_eff, erng, resolution=3)
-        ec_i, _, eidx = dataset.batch_arrays(ebatch)
-        volts = fc_output_volts(v, ec_i.reshape(len(ebatch), -1), p_eff,
-                                binarize=config.binarize)
-        _check_finite(epoch, history, loss, volts)
-        history.loss.append(loss)
-        history.accuracy.append(float(np.mean(volts.argmax(axis=1) == eidx)))
-        history.mean_outputs.append(_mean_by_glyph(volts, eidx))
-        history.checkpoint = _checkpoint("fc_classifier", config, params, epoch,
-                                         np.max(np.abs(v)) or 1.0, {"weights": v})
-    return history
-
-
-def train_autoencoder(config: TrainConfig, params: SensorParams = SensorParams()
-                      ) -> TrainHistory:
-    """Train the 4-code autoencoder: analog encoder dot products, digital
-    (A - B)/C conditioning, sigmoid code, digital decoder, reconstruction
-    back to induced capacitance, MSE loss, batch SGD on both weight sets.
-
-    Per-epoch accuracy is the fraction of a fresh noisy eval batch whose
-    reconstruction threshold-classifies to the correct glyph.
-    """
-    p_eff = _effective_params(config, params)
-    rng = np.random.default_rng(config.seed)
-    erng = np.random.default_rng(config.seed + EVAL_SEED_OFFSET)
-    v_enc = rng.uniform(-1.0, 1.0, (4, 9))
-    w_dec = rng.uniform(-1.0, 1.0, (9, 4))
-    lr = config.learning_rate / config.batch_size
-    history = TrainHistory(architecture="autoencoder")
-    for epoch in range(1, config.epochs + 1):
-        batch = dataset.sample_batch(config.batch_size, p_eff, rng, resolution=3)
-        c_i, _, _ = dataset.batch_arrays(batch)
-        loss, g_enc, g_dec, _, _, _ = autoencoder_batch_loss(
-            v_enc, w_dec, c_i.reshape(len(batch), -1), p_eff)
-        v_enc = v_enc - lr * g_enc
-        w_dec = w_dec - lr * g_dec
-        _check_finite(epoch, history, loss, g_enc, g_dec, v_enc, w_dec)
-        ebatch = dataset.balanced_batch(config.eval_per_glyph, p_eff, erng, resolution=3)
-        ec_i, _, eidx = dataset.batch_arrays(ebatch)
-        phi, c_rec, _ = autoencoder_forward(v_enc, w_dec,
-                                            ec_i.reshape(len(ebatch), -1), p_eff)
-        _check_finite(epoch, history, loss, phi, c_rec)
-        pred, _ = classify_series_bits(c_rec, p_eff)
+        idx = rng.integers(0, dataset.NUM_GLYPHS, config.batch_size)
+        c_i = dataset.noisy_letters(idx, p_eff, rng, resolution)
+        loss, grads = model.loss(mats, c_i, _LABELS[idx], p_eff, config.binarize)
+        mats = {name: m - lr * g for (name, m), g in zip(mats.items(), grads)}
+        _check_finite(epoch, history, loss, *grads, *mats.values())
+        ec_i = dataset.noisy_letters(eidx, p_eff, erng, resolution)
+        pred, outputs, checked = model.score(mats, ec_i, p_eff, config.binarize)
+        _check_finite(epoch, history, loss, *checked)
         history.loss.append(loss)
         history.accuracy.append(float(np.mean(pred == eidx)))
-        history.mean_outputs.append(_mean_by_glyph(phi, eidx))
-        history.checkpoint = _checkpoint("autoencoder", config, params, epoch,
-                                         np.max(np.abs(v_enc)) or 1.0,
-                                         {"encoder": v_enc, "decoder": w_dec})
+        history.mean_outputs.append(_mean_by_glyph(outputs, eidx))
+        # Each epoch makes a new dict of new matrices, so none is copied.
+        beta = float(np.max(np.abs(next(iter(mats.values())))) or 1.0)
+        history.checkpoint = Checkpoint(architecture, config.seed, epoch, beta,
+                                        config.binarize, params, mats)
     return history
-
-
-def train_cnn_classifier(config: TrainConfig, params: SensorParams = SensorParams()
-                         ) -> TrainHistory:
-    """Train the 5x5 convolutional classifier: in-array 3x3 kernel sweep,
-    digital (A - B)/C conditioning and sigmoid on the 9 feature values, then
-    a digital 9 -> 4 head and softmax."""
-    p_eff = _effective_params(config, params)
-    rng = np.random.default_rng(config.seed)
-    erng = np.random.default_rng(config.seed + EVAL_SEED_OFFSET)
-    kernel = rng.uniform(-1.0, 1.0, 9)
-    head = rng.uniform(-1.0, 1.0, (4, 9))
-    lr = config.learning_rate / config.batch_size
-    history = TrainHistory(architecture="cnn_classifier")
-    for epoch in range(1, config.epochs + 1):
-        batch = dataset.sample_batch(config.batch_size, p_eff, rng, resolution=5)
-        c_i, labels, _ = dataset.batch_arrays(batch)
-        loss, g_k, g_head, _, _ = cnn_batch_loss(kernel, head, c_i, labels, p_eff)
-        kernel = kernel - lr * g_k
-        head = head - lr * g_head
-        _check_finite(epoch, history, loss, g_k, g_head, kernel, head)
-        ebatch = dataset.balanced_batch(config.eval_per_glyph, p_eff, erng, resolution=5)
-        ec_i, _, eidx = dataset.batch_arrays(ebatch)
-        logits, _ = cnn_logits(kernel, head, ec_i, p_eff)
-        _check_finite(epoch, history, loss, logits)
-        history.loss.append(loss)
-        history.accuracy.append(float(np.mean(logits.argmax(axis=1) == eidx)))
-        history.mean_outputs.append(_mean_by_glyph(logits, eidx))
-        history.checkpoint = _checkpoint("cnn_classifier", config, params, epoch,
-                                         np.max(np.abs(kernel)) or 1.0,
-                                         {"kernel": kernel.reshape(1, -1), "head": head})
-    return history
-
-
-TRAINERS = {
-    "fc_classifier": train_fc_classifier,
-    "autoencoder": train_autoencoder,
-    "cnn_classifier": train_cnn_classifier,
-}
 
 
 # ---------------------------------------------------------------------------
 # checkpoint and history serialization
-
-# The matrices each architecture's checkpoint holds, with their shapes.
-CHECKPOINT_MATRICES = {
-    "fc_classifier": {"weights": (4, 9)},
-    "autoencoder": {"encoder": (4, 9), "decoder": (9, 4)},
-    "cnn_classifier": {"kernel": (1, 9), "head": (4, 9)},
-}
-
 
 def save_checkpoint(ckpt: Checkpoint, path):
     lines = [

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +103,9 @@ def test_config_fuzz_builds_or_raises_config_error(raw):
     assert cfg.architecture in netlab.ARCHITECTURES
     assert all(np.isfinite([cfg.train.learning_rate, cfg.train.noise_frac, cfg.sensor.c0,
                             cfg.sensor.c_ih, cfg.sensor.c_il, cfg.sensor.noise_frac]))
+    assert cfg.train.batch_size <= dataset.MAX_DRAW
+    assert cfg.train.eval_per_glyph * dataset.NUM_GLYPHS <= dataset.MAX_DRAW
+    assert not cfg.train.binarize or netlab.MODELS[cfg.architecture].binarizes
 
 
 class TestRun:
@@ -115,6 +121,9 @@ class TestRun:
         text = (outdir / "manifest.txt").read_text()
         assert "config_hash" in text
         assert "artifact: history.csv sha256" in text
+        lines = text.splitlines()
+        assert f"python: {platform.python_version()}" in lines
+        assert f"numpy: {np.__version__}" in lines
 
     def test_empty_emit_writes_manifest_only(self, tmp_path):
         raw = fc_raw(tmp_path)
@@ -184,11 +193,11 @@ class TestRun:
         assert invz == ["###", ".#.", "###"]
 
     def test_divergence_exit_path(self, tmp_path, monkeypatch):
-        def diverge(config, params):
+        def diverge(architecture, config, params):
             hist = netlab.TrainHistory(architecture="fc_classifier")
             raise TrainingDiverged(1, hist)
 
-        monkeypatch.setitem(netlab.TRAINERS, "fc_classifier", diverge)
+        monkeypatch.setattr(netlab, "train", diverge)
         cfg = build_config(fc_raw(tmp_path))
         with pytest.raises(TrainingDiverged):
             run(cfg)
@@ -212,10 +221,10 @@ class TestMainExitCodes:
         assert "config error" in capsys.readouterr().err
 
     def test_divergence_is_3(self, tmp_path, monkeypatch, capsys):
-        def diverge(config, params):
+        def diverge(architecture, config, params):
             raise TrainingDiverged(2, netlab.TrainHistory(architecture="fc_classifier"))
 
-        monkeypatch.setitem(netlab.TRAINERS, "fc_classifier", diverge)
+        monkeypatch.setattr(netlab, "train", diverge)
         code = main(["train", "--arch", "fc_classifier",
                      "--output-dir", str(tmp_path / "r")])
         assert code == EXIT_DIVERGED
@@ -345,6 +354,50 @@ class TestInputErrors:
         assert code == EXIT_CONFIG
         assert flag in capsys.readouterr().err
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(["train.batch_size", "train.eval_per_glyph"]),
+           st.integers(min_value=dataset.MAX_DRAW + 1, max_value=10 ** 40))
+    def test_huge_sample_counts_rejected_naming_field(self, key, value):
+        with pytest.raises(ConfigError, match=key.split(".")[1]):
+            build_config({key: str(value)})
+
+    @pytest.mark.parametrize("key,most", [("train.batch_size", dataset.MAX_DRAW),
+                                          ("train.eval_per_glyph", dataset.MAX_DRAW // 4)])
+    def test_sample_count_limits(self, key, most):
+        build_config({key: str(most)})
+        with pytest.raises(ConfigError, match=key.split(".")[1]):
+            build_config({key: str(most + 1)})
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(["--per-glyph", "--letters"]),
+           st.integers(min_value=dataset.MAX_DRAW + 1, max_value=10 ** 40))
+    def test_eval_huge_counts_exit_2(self, flag, value):
+        # The flags are checked before the checkpoint is read.
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["eval", "no-such-checkpoint.txt", flag, str(value)])
+        assert code == EXIT_CONFIG
+        assert flag in err.getvalue()
+
+    @pytest.mark.parametrize("arch", ["autoencoder", "cnn_classifier"])
+    def test_binarize_needs_fc(self, tmp_path, capsys, arch):
+        code = main(["train", "--arch", arch, "--output-dir", str(tmp_path / "r"),
+                     "--set", "train.binarize=true"])
+        assert code == EXIT_CONFIG
+        assert "train.binarize" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_trace_programs_autoencoder_encoder_normalized(self, checkpoints, tmp_path,
+                                                           capsys):
+        ck = load_checkpoint(checkpoints["autoencoder"])
+        ck.binarize = True
+        path = tmp_path / "ck.txt"
+        netlab.save_checkpoint(ck, path)
+        outputs = []
+        for ckpt in (checkpoints["autoencoder"], str(path)):
+            assert main(["trace", "--checkpoint", ckpt, "--out", str(tmp_path)]) == EXIT_OK
+            outputs.append(capsys.readouterr().out.splitlines()[0])
+        assert outputs[0] == outputs[1]
+
     def test_eval_misshapen_checkpoint_exits_2(self, checkpoints, tmp_path, capsys):
         ck = load_checkpoint(checkpoints["autoencoder"])
         ck.matrices["decoder"] = ck.matrices["decoder"][:, :3]
@@ -366,7 +419,7 @@ class TestEvaluate:
         assert 0.0 <= float(np.mean(accs)) <= 0.7
 
     def test_autoencoder_report_includes_letters(self, tmp_path):
-        hist = netlab.train_autoencoder(default_config("autoencoder", seed=0))
+        hist = netlab.train("autoencoder", default_config("autoencoder", seed=0))
         report = evaluate(hist.checkpoint, seed=1, letters=8)
         assert len(report["letters"]) == 8
         assert report["letters_correct"] >= 7

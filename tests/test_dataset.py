@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from capmac import dataset
-from capmac.dataset import (GLYPH_ORDER, Glyph, balanced_batch, batch_arrays,
-                            encode_capacitive, letter_patterns, one_hot,
+from capmac.dataset import (GLYPH_ORDER, Glyph, encode_capacitive,
+                            letter_patterns, noisy_letters, one_hot,
                             read_bitmap, read_capacitance_csv, sample_batch,
                             write_bitmap, write_capacitance_csv)
 from capmac.device import SensorParams, series_capacitance
@@ -127,32 +127,70 @@ class TestSampleBatch:
 
 
 class TestBalancedBatch:
+    """The glyph-ordered evaluation draw: `per_glyph` noisy letters of each
+    glyph in turn."""
+
+    @staticmethod
+    def balanced(per_glyph, params, rng):
+        idx = np.repeat(np.arange(4), per_glyph)
+        return noisy_letters(idx, params, rng), idx
+
     def test_layout(self):
         rng = np.random.default_rng(0)
-        batch = balanced_batch(25, PARAMS, rng)
-        assert len(batch) == 100
-        _, labels, idx = batch_arrays(batch)
+        c_i, idx = self.balanced(25, PARAMS, rng)
+        assert len(c_i) == 100
         np.testing.assert_array_equal(idx, np.repeat(np.arange(4), 25))
+        clean, _ = self.balanced(25, SensorParams(noise_frac=0.0), rng)
+        pats = letter_patterns(3)
+        for c, i in zip(clean, idx):
+            np.testing.assert_array_equal(c, encode_capacitive(pats[i], PARAMS).c_i)
 
     def test_majority_nearest_own_glyph_at_paper_noise(self):
         # learnability sanity: most noisy samples stay closest to their own
         # clean capacitive letter
         rng = np.random.default_rng(11)
-        batch = balanced_batch(100, PARAMS, rng)
+        c_i, idx = self.balanced(100, PARAMS, rng)
         clean = np.stack([encode_capacitive(p, PARAMS).c_i.reshape(-1)
                           for p in letter_patterns(3)])
-        c_i, _, idx = batch_arrays(batch)
-        flat = c_i.reshape(len(batch), -1)
+        flat = c_i.reshape(len(c_i), -1)
         d = ((flat[:, None, :] - clean[None, :, :]) ** 2).sum(axis=2)
         nearest = d.argmin(axis=1)
         assert np.mean(nearest == idx) > 0.5
 
     def test_finite_through_series_composition(self):
         rng = np.random.default_rng(5)
-        batch = balanced_batch(50, PARAMS, rng)
-        c_i, _, _ = batch_arrays(batch)
+        c_i, _ = self.balanced(50, PARAMS, rng)
         cs = series_capacitance(c_i.reshape(-1), PARAMS.c0)
         assert np.all(np.isfinite(cs))
+
+
+class TestNoisyLetters:
+    @pytest.mark.parametrize("resolution", [3, 5])
+    @pytest.mark.parametrize("mode", ["per_class", "global"])
+    def test_same_stream_as_sample_batch(self, resolution, mode):
+        params = SensorParams(noise_mode=mode)
+        for seed in range(3):
+            batch = sample_batch(20, params, np.random.default_rng(seed), resolution)
+            rng = np.random.default_rng(seed)
+            c_i = noisy_letters(rng.integers(0, 4, 20), params, rng, resolution)
+            np.testing.assert_array_equal(np.stack([s.c_i for s in batch]), c_i)
+            assert c_i.shape == (20, resolution, resolution)
+
+    def test_labels_match_glyph_numbers(self):
+        batch = sample_batch(20, PARAMS, np.random.default_rng(4))
+        idx = np.random.default_rng(4).integers(0, 4, 20)
+        for s, i in zip(batch, idx):
+            np.testing.assert_array_equal(s.label, np.eye(4)[i])
+            assert s.clean_source.glyph == GLYPH_ORDER[i]
+
+    def test_unsupported_resolution(self):
+        with pytest.raises(ValueError, match="resolution"):
+            noisy_letters(np.arange(4), PARAMS, np.random.default_rng(0), resolution=4)
+
+    @pytest.mark.parametrize("size", [0, dataset.MAX_DRAW + 1])
+    def test_draw_size_bounded(self, size):
+        with pytest.raises(ValueError, match="a draw holds"):
+            noisy_letters(np.zeros(size, dtype=int), PARAMS, np.random.default_rng(0))
 
 
 class TestFixtureIo:

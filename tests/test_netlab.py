@@ -15,8 +15,7 @@ from capmac.netlab import (CHECKPOINT_MATRICES, Checkpoint, TrainConfig, Trainin
                            default_config, encoder_caps, fc_batch_loss,
                            fc_output_volts, gather_windows, history_columns,
                            load_checkpoint, save_checkpoint, sigmoid, softmax,
-                           train_autoencoder, train_cnn_classifier,
-                           train_fc_classifier, write_history_csv)
+                           train, write_history_csv)
 
 PARAMS = SensorParams()
 
@@ -102,9 +101,9 @@ def _rel_norm_err(a, b):
 
 
 def _random_instance(rng, resolution=3, size=6):
-    batch = dataset.sample_batch(size, PARAMS, rng, resolution=resolution)
-    c_i, labels, _ = dataset.batch_arrays(batch)
-    return c_i, labels
+    idx = rng.integers(0, dataset.NUM_GLYPHS, size)
+    c_i = dataset.noisy_letters(idx, PARAMS, rng, resolution)
+    return c_i, np.eye(dataset.NUM_GLYPHS)[idx]
 
 
 class TestGradients:
@@ -230,15 +229,15 @@ class TestTrainers:
         """
         for seed in range(10):
             cfg = default_config("fc_classifier", epochs=30, noise_frac=0.0, seed=seed)
-            hist = train_fc_classifier(cfg)
+            hist = train("fc_classifier", cfg)
             assert 1.0 in hist.accuracy, f"seed {seed} never reached 1.0"
             assert hist.loss[-1] < np.log(4), f"seed {seed} loss {hist.loss[-1]}"
             assert hist.epochs_run == 30
 
     def test_fc_training_deterministic(self):
         cfg = default_config("fc_classifier", epochs=12, seed=9)
-        a = train_fc_classifier(cfg)
-        b = train_fc_classifier(cfg)
+        a = train("fc_classifier", cfg)
+        b = train("fc_classifier", cfg)
         assert a.loss == b.loss
         assert a.accuracy == b.accuracy
         np.testing.assert_array_equal(a.checkpoint.matrix("weights"),
@@ -246,29 +245,29 @@ class TestTrainers:
 
     def test_autoencoder_training_deterministic(self):
         cfg = default_config("autoencoder", epochs=6, seed=9)
-        a = train_autoencoder(cfg)
-        b = train_autoencoder(cfg)
+        a = train("autoencoder", cfg)
+        b = train("autoencoder", cfg)
         assert a.loss == b.loss
         np.testing.assert_array_equal(a.checkpoint.matrix("encoder"),
                                       b.checkpoint.matrix("encoder"))
 
     def test_cnn_training_deterministic(self):
         cfg = default_config("cnn_classifier", epochs=6, seed=9)
-        a = train_cnn_classifier(cfg)
-        b = train_cnn_classifier(cfg)
+        a = train("cnn_classifier", cfg)
+        b = train("cnn_classifier", cfg)
         assert a.loss == b.loss
         np.testing.assert_array_equal(a.checkpoint.matrix("kernel"),
                                       b.checkpoint.matrix("kernel"))
 
     def test_autoencoder_loss_drops_sharply(self):
         cfg = default_config("autoencoder", seed=0)
-        hist = train_autoencoder(cfg)
+        hist = train("autoencoder", cfg)
         assert hist.loss[14] < 0.5 * hist.loss[0]   # sharp early decrease
         assert hist.loss[-1] < 0.2 * hist.loss[0]
 
     def test_autoencoder_reconstructs_clean_letters(self):
         cfg = default_config("autoencoder", seed=0)
-        hist = train_autoencoder(cfg)
+        hist = train("autoencoder", cfg)
         ck = hist.checkpoint
         pats = dataset.letter_patterns(3)
         clean = np.stack([dataset.encode_capacitive(p, PARAMS).c_i.reshape(-1)
@@ -280,7 +279,7 @@ class TestTrainers:
 
     def test_binarized_forward_uses_signs(self):
         cfg = default_config("fc_classifier", epochs=3, seed=1, binarize=True)
-        hist = train_fc_classifier(cfg)
+        hist = train("fc_classifier", cfg)
         v = hist.checkpoint.matrix("weights")
         volts = fc_output_volts(v, np.full((1, 9), 100.0), PARAMS, binarize=True)
         # bounded by max series cap over c0 with +-1 weights
@@ -288,7 +287,7 @@ class TestTrainers:
 
     def test_history_shapes(self):
         cfg = default_config("cnn_classifier", epochs=4, seed=0)
-        hist = train_cnn_classifier(cfg)
+        hist = train("cnn_classifier", cfg)
         assert hist.epochs_run == 4
         assert len(hist.accuracy) == 4
         assert all(m.shape == (4, 4) for m in hist.mean_outputs)
@@ -306,10 +305,21 @@ class TestTrainers:
         monkeypatch.setattr(netlab, "fc_batch_loss", exploding)
         cfg = default_config("fc_classifier", epochs=10, seed=0)
         with pytest.raises(TrainingDiverged) as exc:
-            train_fc_classifier(cfg)
+            train("fc_classifier", cfg)
         assert exc.value.epoch == 3
         assert exc.value.history.epochs_run == 2
         assert exc.value.history.checkpoint.epoch == 2
+
+    @pytest.mark.parametrize("arch", sorted(netlab.MODELS))
+    def test_checkpoint_follows_model_table(self, arch):
+        model = netlab.MODELS[arch]
+        cfg = default_config(arch, epochs=2, seed=3)
+        assert (cfg.learning_rate, cfg.epochs) == (model.learning_rate, 2)
+        assert default_config(arch).epochs == model.epochs
+        ck = train(arch, cfg).checkpoint
+        assert list(ck.matrices) == list(model.matrices) == list(CHECKPOINT_MATRICES[arch])
+        assert {k: m.shape for k, m in ck.matrices.items()} == model.matrices
+        assert ck.beta == np.max(np.abs(ck.matrix(next(iter(model.matrices)))))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -341,7 +351,7 @@ class TestTrainers:
 
         monkeypatch.setattr(netlab, "fc_batch_loss", inf_grad)
         with pytest.raises(TrainingDiverged, match="non-finite") as exc:
-            train_fc_classifier(default_config("fc_classifier", epochs=5, seed=0))
+            train("fc_classifier", default_config("fc_classifier", epochs=5, seed=0))
         assert exc.value.epoch == 1
         assert exc.value.history.checkpoint is None
 
@@ -351,7 +361,7 @@ class TestTrainers:
         # digital rescale N*c0*beta of the next forward pass overflows.
         cfg = default_config("cnn_classifier", learning_rate=1e308, seed=0)
         with pytest.raises(TrainingDiverged) as exc:
-            train_cnn_classifier(cfg)
+            train("cnn_classifier", cfg)
         assert exc.value.epoch == 1
         assert exc.value.history.epochs_run == 0
 
@@ -359,7 +369,7 @@ class TestTrainers:
 class TestCheckpointIo:
     def test_round_trip(self, tmp_path):
         cfg = default_config("autoencoder", epochs=3, seed=4)
-        hist = train_autoencoder(cfg)
+        hist = train("autoencoder", cfg)
         path = tmp_path / "ck.txt"
         save_checkpoint(hist.checkpoint, path)
         loaded = load_checkpoint(path)
@@ -380,7 +390,7 @@ class TestCheckpointIo:
 
     def test_rejects_matrix_architecture_mismatch(self, tmp_path):
         cfg = default_config("fc_classifier", epochs=2, seed=0)
-        hist = train_fc_classifier(cfg)
+        hist = train("fc_classifier", cfg)
         ck = hist.checkpoint
         ck.matrices["extra"] = np.zeros((1, 1))
         path = tmp_path / "ck.txt"
@@ -486,7 +496,7 @@ class TestCheckpointProperties:
 class TestHistoryCsv:
     def test_format(self, tmp_path):
         cfg = default_config("fc_classifier", epochs=3, seed=0)
-        hist = train_fc_classifier(cfg)
+        hist = train("fc_classifier", cfg)
         path = tmp_path / "history.csv"
         write_history_csv(hist, path)
         lines = path.read_text().splitlines()
@@ -500,6 +510,6 @@ class TestHistoryCsv:
     def test_byte_identical_across_runs(self, tmp_path):
         cfg = default_config("fc_classifier", epochs=5, seed=2)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_history_csv(train_fc_classifier(cfg), p1)
-        write_history_csv(train_fc_classifier(cfg), p2)
+        write_history_csv(train("fc_classifier", cfg), p1)
+        write_history_csv(train("fc_classifier", cfg), p2)
         assert p1.read_bytes() == p2.read_bytes()
