@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import json
 import platform
 import sys
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, arrays, dataset, metrics, netlab
-from .device import SensorParams
+from .device import SensorParams, write_trace_csv
 from .netlab import (Checkpoint, TrainConfig, TrainingDiverged, load_checkpoint,
                      save_checkpoint, write_history_csv)
 
@@ -193,24 +194,22 @@ def config_hash(config: ExperimentConfig) -> str:
 
 def render_ascii(matrix, params: SensorParams | None = None,
                  threshold: float | None = None) -> str:
-    """Threshold a bitmap or capacitance matrix into a '#'/'.' text block.
+    """Threshold a matrix into a '#'/'.' text block: '#' where v >= threshold.
 
-    Binary matrices threshold at 0.5. Any other matrix holds *induced*
-    capacitances and thresholds at the induced value whose series
-    capacitance is the midpoint (C_H + C_L)/2, i.e. mid*c0/(c0 - mid), so a
-    pixel renders '#' exactly when `netlab.classify_series_bits` reads it as 1.
+    Without a `threshold` the matrix holds *induced* capacitances and
+    thresholds at the induced value whose series capacitance is the midpoint
+    (C_H + C_L)/2, i.e. mid*c0/(c0 - mid), so a pixel renders '#' exactly
+    when `netlab.classify_series_bits` reads it as 1. Pass threshold=0.5 for
+    a 0/1 bitmap.
     """
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] > 16 or mat.shape[1] > 16:
         raise ValueError("render_ascii accepts 2-D matrices up to 16x16")
     if threshold is None:
-        if np.all((mat == 0) | (mat == 1)):
-            threshold = 0.5
-        else:
-            params = params or SensorParams()
-            c_h, c_l, _ = netlab.encoder_caps(params)
-            mid = (c_h + c_l) / 2
-            threshold = mid * params.c0 / (params.c0 - mid)
+        params = params or SensorParams()
+        c_h, c_l, _ = netlab.encoder_caps(params)
+        mid = (c_h + c_l) / 2
+        threshold = mid * params.c0 / (params.c0 - mid)
     return "\n".join("".join("#" if v >= threshold else "." for v in row)
                      for row in mat)
 
@@ -273,7 +272,6 @@ def _emit_schedule(config: ExperimentConfig, path: Path):
             "wiring": {str(m): [[r, c] for r, c in coords]
                        for m, coords in topo.bank_wiring.items()},
         }
-        import json
         with open(path, "w") as fh:
             json.dump(data, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -389,10 +387,11 @@ def evaluate(ckpt: Checkpoint, seed: int = 0, per_glyph: int = 25,
     rng = np.random.default_rng(seed)
     idx = np.repeat(np.arange(dataset.NUM_GLYPHS), per_glyph)
     c_i = dataset.noisy_letters(idx, params, rng, model.spec.rows)
-    pred, outputs, _ = model.score(ckpt.matrices, c_i, params, ckpt.binarize)
+    cs = netlab.array_inputs(model.spec, c_i, params)
+    pred, outputs, _ = model.score(ckpt.matrices, cs, params, ckpt.binarize)
     report = {"architecture": ckpt.architecture, "seed": seed,
-              "accuracy": float(np.mean(pred == idx)),
-              "mean_outputs": netlab._mean_by_glyph(outputs, idx)}
+              "accuracy": float((pred == idx).mean()),
+              "mean_outputs": netlab._mean_by_glyph(outputs)}
     if ckpt.architecture == "autoencoder":
         v_enc, w_dec = ckpt.matrix("encoder"), ckpt.matrix("decoder")
         sidx = rng.integers(0, dataset.NUM_GLYPHS, letters)
@@ -426,7 +425,7 @@ def _print_report(report: dict):
             print(f"letter {i}: true={entry['glyph']} predicted={entry['predicted']} "
                   f"mse={entry['mse']:.1f}")
             print("\n".join("  " + line for line in
-                            render_ascii(entry["bitmap"]).splitlines()))
+                            render_ascii(entry["bitmap"], threshold=0.5).splitlines()))
 
 
 # ---------------------------------------------------------------------------
@@ -457,25 +456,25 @@ def _apply_overrides(raw: dict, args) -> dict:
     return raw
 
 
+def _usage_error(message, kind: str = "usage") -> int:
+    print(f"{kind} error: {message}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def _cmd_train(args) -> int:
-    raw = {}
-    if args.config:
-        try:
-            raw = parse_config_text(Path(args.config).read_text())
-        except OSError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
     try:
+        raw = parse_config_text(Path(args.config).read_text()) if args.config else {}
         config = build_config(_apply_overrides(raw, args))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (OSError, ConfigError) as exc:
+        return _usage_error(exc, "config")
     try:
         manifest = run(config)
     except TrainingDiverged as exc:
         print(f"training diverged at epoch {exc.epoch}; last-good checkpoint "
               f"written to {config.output_dir}", file=sys.stderr)
         return EXIT_DIVERGED
+    except OSError as exc:  # run writes nothing outside output_dir
+        return _usage_error(f"output_dir: {exc}", "config")
     print(f"run complete: {len(manifest.artifacts)} artifacts in {config.output_dir}")
     for name, digest in manifest.artifacts:
         print(f"  {name} sha256 {digest[:16]}...")
@@ -500,8 +499,7 @@ def _cmd_eval(args) -> int:
         sensor = _section_kwargs(overrides, _SENSOR_KEYS)
         ckpt = dataclasses.replace(ckpt, params=dataclasses.replace(ckpt.params, **sensor))
     except (OSError, ValueError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _usage_error(exc)
     report = evaluate(ckpt, seed=args.seed, per_glyph=args.per_glyph,
                       letters=args.letters)
     _print_report(report)
@@ -514,15 +512,15 @@ def _cmd_trace(args) -> int:
         glyph = dataset.Glyph(args.glyph)
         outputs, traces = capture_fc_traces(ckpt, glyph)
     except (OSError, ValueError, ConfigError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _usage_error(exc)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    from .device import write_trace_csv
-    flat = [rec for bank in traces for rec in bank]
-    write_trace_csv(flat, outdir / "trace.csv")
     rows = metrics.assemble_waveform(traces, metrics.PhaseTiming())
-    metrics.write_waveform_csv(rows, outdir / "waveform.csv")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        write_trace_csv([rec for bank in traces for rec in bank], outdir / "trace.csv")
+        metrics.write_waveform_csv(rows, outdir / "waveform.csv")
+    except OSError as exc:
+        return _usage_error(f"--out: {exc}")
     print(f"traced {args.glyph}: outputs " + " ".join(f"{u:+.4f}" for u in outputs))
     print(f"wrote {outdir / 'trace.csv'} and {outdir / 'waveform.csv'}")
     return EXIT_OK
@@ -532,29 +530,30 @@ def _cmd_schedule(args) -> int:
     try:
         sched = arrays.schedule_conv(args.rows, args.cols, args.kernel)
     except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    data = arrays.schedule_to_dict(sched)
-    if args.out:
+        return _usage_error(exc)
+    if not args.out:
+        print(json.dumps(arrays.schedule_to_dict(sched), indent=2, sort_keys=True))
+        return EXIT_OK
+    try:
         arrays.write_schedule_json(sched, args.out)
-        print(f"wrote {args.out}")
-    else:
-        import json
-        print(json.dumps(data, indent=2, sort_keys=True))
+    except OSError as exc:
+        return _usage_error(f"--out: {exc}")
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def _cmd_fixtures(args) -> int:
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     params = SensorParams()
-    for resolution in (3, 5):
-        for im in dataset.letter_patterns(resolution):
-            stem = f"glyph_{im.glyph.value}_{resolution}"
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for im in dataset.letter_patterns(3) + dataset.letter_patterns(5):
+            stem = f"glyph_{im.glyph.value}_{im.resolution}"
             dataset.write_bitmap(outdir / f"{stem}.txt", im.grid)
-            sample = dataset.encode_capacitive(im, params)
             dataset.write_capacitance_csv(outdir / f"{stem}_capacitance.csv",
-                                          sample.c_i)
+                                          dataset.encode_capacitive(im, params).c_i)
+    except OSError as exc:
+        return _usage_error(f"--out: {exc}")
     print(f"wrote canonical glyph fixtures to {outdir}")
     return EXIT_OK
 

@@ -78,18 +78,18 @@ def encode_capacitive(image: LetterImage, params: SensorParams) -> CapacitiveSam
 MAX_DRAW = 100_000
 
 # The canonical bitmaps stacked per resolution, indexed by glyph number.
-_GRIDS = {r: np.stack([im.grid for im in letter_patterns(r)]) for r in (3, 5)}
+GRIDS = {r: np.stack([im.grid for im in letter_patterns(r)]) for r in (3, 5)}
 
 
 def noisy_letters(idx, params: SensorParams, rng, resolution: int = 3) -> np.ndarray:
     """Induced capacitances c_i[B, R, R] of the glyphs numbered `idx`, each
     with a fresh noise realization drawn in one call. Deterministic for a
     seeded rng."""
-    if resolution not in _GRIDS:
+    if resolution not in GRIDS:
         raise ValueError(f"unsupported resolution: {resolution}")
     if not 1 <= len(idx) <= MAX_DRAW:
         raise ValueError(f"a draw holds 1 to {MAX_DRAW} letters, got {len(idx)}")
-    clean = np.where(_GRIDS[resolution][idx] > 0, params.c_ih, params.c_il)
+    clean = np.where(GRIDS[resolution][idx] > 0, params.c_ih, params.c_il)
     nominal = np.full_like(clean, params.c_ih) if params.noise_mode == "global" else clean
     return apply_noise(clean, nominal, params.noise_frac, rng)
 

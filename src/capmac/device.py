@@ -95,7 +95,7 @@ def series_capacitance(c_i, c0):
     Raises ValueError for non-positive capacitance.
     """
     c_i = np.asarray(c_i, dtype=float)
-    if np.any(c_i <= 0) or c0 <= 0:
+    if (c_i <= 0).any() or c0 <= 0:
         raise ValueError("capacitances must be positive")
     out = c_i * c0 / (c_i + c0)
     return float(out) if out.ndim == 0 else out

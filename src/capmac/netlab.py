@@ -41,7 +41,7 @@ LOG_FLOOR = 1e-12
 def softmax(u):
     """Row-wise softmax with max subtraction for stability."""
     u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise ValueError("softmax input must be finite")
     shifted = u - u.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -49,13 +49,12 @@ def softmax(u):
 
 
 def sigmoid(z):
-    """Numerically stable logistic function, elementwise."""
+    """Numerically stable logistic function, elementwise: with e = exp(-|z|),
+    1/(1 + e) where z >= 0 and e/(1 + e) elsewhere. e <= 1, so nothing
+    overflows."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return float(out) if out.ndim == 0 else out
 
 
@@ -180,11 +179,6 @@ class TrainingDiverged(RuntimeError):
 # ---------------------------------------------------------------------------
 # shared plumbing
 
-def _effective_params(config: TrainConfig, params: SensorParams) -> SensorParams:
-    # TrainConfig.noise_frac is authoritative during training and evaluation.
-    return dataclasses.replace(params, noise_frac=config.noise_frac)
-
-
 def programmed_weights(v: np.ndarray, binarize: bool = False):
     """Latent weights -> (voltages programmed into the array, digital rescale
     beta): signs with beta = 1 when binarized, else v / max|v| with beta =
@@ -243,6 +237,13 @@ def _cnn_pass(kernel, head, win, params):
     return h @ head.T, h
 
 
+def array_inputs(spec: NetworkSpec, c_i: np.ndarray, params: SensorParams) -> np.ndarray:
+    """What the array reads of images c_i[B, R, R]: their series capacitances,
+    flattened per image, or gathered into windows when `spec.kernel` is set."""
+    cs = series_capacitance(c_i, params.c0)
+    return gather_windows(cs, spec.kernel) if spec.kernel else cs.reshape(len(cs), -1)
+
+
 def fc_output_volts(v: np.ndarray, c_i_flat: np.ndarray, params: SensorParams,
                     binarize: bool = False) -> np.ndarray:
     """Array output voltages U_m for a batch, using the programmed weights."""
@@ -268,7 +269,7 @@ def cnn_logits(kernel: np.ndarray, head: np.ndarray, c_i: np.ndarray,
 # batch losses (mean loss, summed gradients)
 
 def _mean_cross_entropy(p, labels) -> float:
-    return float(np.mean(-np.sum(labels * np.log(np.maximum(p, LOG_FLOOR)), axis=1)))
+    return float((-(labels * np.log(np.maximum(p, LOG_FLOOR))).sum(axis=1)).mean())
 
 
 def fc_batch_loss(v: np.ndarray, c_i_flat: np.ndarray, labels: np.ndarray,
@@ -328,14 +329,15 @@ def classify_series_bits(c_rec_series: np.ndarray, params: SensorParams):
     bitmaps by Hamming distance to the canonical glyphs (ties -> lowest)."""
     c_h, c_l, _ = encoder_caps(params)
     bits = (c_rec_series >= (c_h + c_l) / 2).astype(int)
-    pats = np.stack([im.grid.reshape(-1) for im in dataset.letter_patterns(3)])
-    ham = (bits[:, None, :] != pats[None, :, :]).sum(axis=2)
+    pats = dataset.GRIDS[3].reshape(dataset.NUM_GLYPHS, -1)
+    ham = (bits[:, None, :] != pats).sum(axis=2)
     return ham.argmin(axis=1), bits
 
 
-def _mean_by_glyph(values: np.ndarray, glyph_idx: np.ndarray) -> np.ndarray:
-    return np.stack([values[glyph_idx == g].mean(axis=0)
-                     for g in range(dataset.NUM_GLYPHS)])
+def _mean_by_glyph(values: np.ndarray) -> np.ndarray:
+    """Per-glyph means of outputs laid out glyph-major, as
+    np.repeat(np.arange(NUM_GLYPHS), per_glyph) draws them."""
+    return values.reshape(dataset.NUM_GLYPHS, -1, values.shape[-1]).mean(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +352,10 @@ def _flat(c_i: np.ndarray) -> np.ndarray:
     return c_i.reshape(len(c_i), -1)
 
 
-# Each architecture's loss + gradient and scoring, on induced-capacitance
-# images c_i[B, R, R] and a dict of its matrices. The batch losses are looked
-# up in the module at call time, so a replaced module attribute takes effect.
+# Each architecture's loss + gradient on induced-capacitance images
+# c_i[B, R, R], and scoring on what the array reads of them (array_inputs),
+# given a dict of its matrices. The batch losses are looked up in the module
+# at call time, so a replaced module attribute takes effect.
 
 def _fc_loss(m, c_i, labels, params, binarize):
     loss, grad, _ = fc_batch_loss(m["weights"], _flat(c_i), labels, params,
@@ -360,8 +363,8 @@ def _fc_loss(m, c_i, labels, params, binarize):
     return loss, (grad,)
 
 
-def _fc_score(m, c_i, params, binarize):
-    volts = fc_output_volts(m["weights"], _flat(c_i), params, binarize=binarize)
+def _fc_score(m, cs, params, binarize):
+    volts, _ = _fc_pass(m["weights"], cs, params, binarize)
     return volts.argmax(axis=1), volts, (volts,)
 
 
@@ -371,10 +374,10 @@ def _autoencoder_loss(m, c_i, labels, params, binarize):
     return loss, (g_enc, g_dec)
 
 
-def _autoencoder_score(m, c_i, params, binarize):
+def _autoencoder_score(m, cs, params, binarize):
     """Glyphs read by threshold-classifying the reconstruction; the codes
     phi are the shown outputs."""
-    phi, c_rec, _ = autoencoder_forward(m["encoder"], m["decoder"], _flat(c_i), params)
+    phi, _, c_rec, _ = _autoencoder_pass(m["encoder"], m["decoder"], cs, params)
     return classify_series_bits(c_rec, params)[0], phi, (phi, c_rec)
 
 
@@ -383,8 +386,8 @@ def _cnn_loss(m, c_i, labels, params, binarize):
     return loss, (g_k, g_head)
 
 
-def _cnn_score(m, c_i, params, binarize):
-    logits, _ = cnn_logits(m["kernel"], m["head"], c_i, params)
+def _cnn_score(m, win, params, binarize):
+    logits, _ = _cnn_pass(m["kernel"], m["head"], win, params)
     return logits.argmax(axis=1), logits, (logits,)
 
 
@@ -395,10 +398,10 @@ class Model:
     `matrices` maps each matrix name to its shape, in initialization order;
     the first is the one programmed into the array, and a checkpoint's beta
     is its max |v|. `loss(m, c_i, labels, params, binarize)` gives the mean
-    loss and the summed gradients in matrix order; `score(m, c_i, params,
-    binarize)` gives the predicted glyphs, the outputs shown per glyph and
-    the outputs that must stay finite. Only a model that `binarizes` may
-    train and program its first matrix as signs.
+    loss and the summed gradients in matrix order; `score(m, array_inputs(spec,
+    c_i, params), params, binarize)` gives the predicted glyphs, the outputs
+    shown per glyph and the outputs that must stay finite. Only a model that
+    `binarizes` may train and program its first matrix as signs.
     """
 
     spec: NetworkSpec
@@ -443,7 +446,8 @@ def train(architecture: str, config: TrainConfig,
     """
     model = MODELS[architecture]
     resolution = model.spec.rows
-    p_eff = _effective_params(config, params)
+    # TrainConfig.noise_frac is authoritative during training and evaluation.
+    p_eff = dataclasses.replace(params, noise_frac=config.noise_frac)
     rng = np.random.default_rng(config.seed)
     erng = np.random.default_rng(config.seed + EVAL_SEED_OFFSET)
     mats = {name: rng.uniform(-1.0, 1.0, shape) for name, shape in model.matrices.items()}
@@ -457,13 +461,14 @@ def train(architecture: str, config: TrainConfig,
         mats = {name: m - lr * g for (name, m), g in zip(mats.items(), grads)}
         _check_finite(epoch, history, loss, *grads, *mats.values())
         ec_i = dataset.noisy_letters(eidx, p_eff, erng, resolution)
-        pred, outputs, checked = model.score(mats, ec_i, p_eff, config.binarize)
+        ecs = array_inputs(model.spec, ec_i, p_eff)
+        pred, outputs, checked = model.score(mats, ecs, p_eff, config.binarize)
         _check_finite(epoch, history, loss, *checked)
         history.loss.append(loss)
-        history.accuracy.append(float(np.mean(pred == eidx)))
-        history.mean_outputs.append(_mean_by_glyph(outputs, eidx))
+        history.accuracy.append(float((pred == eidx).mean()))
+        history.mean_outputs.append(_mean_by_glyph(outputs))
         # Each epoch makes a new dict of new matrices, so none is copied.
-        beta = float(np.max(np.abs(next(iter(mats.values())))) or 1.0)
+        beta = float(abs(next(iter(mats.values()))).max() or 1.0)
         history.checkpoint = Checkpoint(architecture, config.seed, epoch, beta,
                                         config.binarize, params, mats)
     return history
@@ -554,22 +559,16 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def history_columns() -> list[str]:
-    cols = ["epoch", "loss", "accuracy"]
-    for glyph in dataset.GLYPH_ORDER:
-        for m in range(4):
-            cols.append(f"u{m + 1}_{glyph.value}")
-    return cols
+    return ["epoch", "loss", "accuracy"] + [
+        f"u{m + 1}_{glyph.value}" for glyph in dataset.GLYPH_ORDER for m in range(4)]
 
 
 def write_history_csv(history: TrainHistory, path):
     """Per-epoch CSV: loss, accuracy and the per-class mean outputs."""
     lines = [",".join(history_columns())]
-    for i in range(history.epochs_run):
-        row = [str(i + 1), repr(history.loss[i]), repr(history.accuracy[i])]
-        mo = history.mean_outputs[i]
-        for g in range(mo.shape[0]):
-            for m in range(mo.shape[1]):
-                row.append(repr(float(mo[g, m])))
-        lines.append(",".join(row))
+    for epoch, (loss, acc, mo) in enumerate(
+            zip(history.loss, history.accuracy, history.mean_outputs), 1):
+        lines.append(",".join([str(epoch), repr(loss), repr(acc),
+                               *map(repr, mo.ravel().tolist())]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capmac import cli, dataset, netlab
@@ -398,6 +398,45 @@ class TestInputErrors:
             outputs.append(capsys.readouterr().out.splitlines()[0])
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_train_unwritable_output_dir_exits_2(self, tmp_path, capsys, via_config):
+        (tmp_path / "file").write_text("")
+        argv = ["train", "--arch", "fc_classifier", "--epochs", "1"]
+        if via_config:
+            cfgfile = tmp_path / "exp.cfg"
+            cfgfile.write_text(f"output_dir = {tmp_path / 'file' / 'x'}\n")
+            argv += ["--config", str(cfgfile)]
+        else:
+            argv += ["--output-dir", str(tmp_path / "file" / "x")]
+        assert main(argv) == EXIT_CONFIG
+        assert "output_dir" in capsys.readouterr().err
+
+    def test_train_malformed_config_file_exits_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("just words\n")
+        code = main(["train", "--config", str(cfgfile), "--output-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "line 1" in capsys.readouterr().err
+
+    def test_trace_unwritable_out_exits_2(self, checkpoints, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        code = main(["trace", "--checkpoint", checkpoints["fc_classifier"],
+                     "--out", str(tmp_path / "file" / "z")])
+        assert code == EXIT_CONFIG
+        assert "--out" in capsys.readouterr().err
+
+    def test_schedule_unwritable_out_exits_2(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        code = main(["schedule", "--out", str(tmp_path / "file" / "s.json")])
+        assert code == EXIT_CONFIG
+        assert "--out" in capsys.readouterr().err
+
+    def test_fixtures_unwritable_out_exits_2(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        code = main(["fixtures", "--out", str(tmp_path / "file" / "y")])
+        assert code == EXIT_CONFIG
+        assert "--out" in capsys.readouterr().err
+
     def test_eval_misshapen_checkpoint_exits_2(self, checkpoints, tmp_path, capsys):
         ck = load_checkpoint(checkpoints["autoencoder"])
         ck.matrices["decoder"] = ck.matrices["decoder"][:, :3]
@@ -439,7 +478,12 @@ class TestRenderAscii:
         assert render_ascii(mat) == "...\n...\n..."
 
     def test_binary_matrix_threshold(self):
-        assert render_ascii(np.eye(2)) == "#.\n.#"
+        assert render_ascii(np.eye(2), threshold=0.5) == "#.\n.#"
+
+    def test_one_picofarad_pixels_are_blank(self):
+        # 1 pF is far below the induced threshold; an all-ones matrix is
+        # read as capacitances, not guessed to be a bitmap.
+        assert render_ascii(np.ones((2, 2))) == "..\n.."
 
     def test_induced_values_below_series_midpoint_are_blank(self):
         # The trained autoencoder's inverted-Z reconstruction: 57.2 and
@@ -458,7 +502,6 @@ class TestRenderAscii:
     def test_matches_series_midpoint_classification(self, c0, c_il, ratio, values):
         params = SensorParams(c0=c0, c_il=c_il, c_ih=c_il * ratio)
         mat = np.array(values).reshape(3, 3)
-        assume(not np.all(mat == 1.0))  # an all-ones matrix reads as binary
         c_h, c_l, _ = netlab.encoder_caps(params)
         mid = (c_h + c_l) / 2
         cs = series_capacitance(mat, params.c0)

@@ -32,6 +32,12 @@ class TestLetterPatterns:
         for p3, p5 in zip(letter_patterns(3), letter_patterns(5)):
             np.testing.assert_array_equal(p5.grid[1:4, 1:4], p3.grid)
 
+    def test_grids_stack_the_letter_patterns(self):
+        for resolution in (3, 5):
+            expect = np.stack([im.grid for im in letter_patterns(resolution)])
+            np.testing.assert_array_equal(dataset.GRIDS[resolution], expect)
+            assert dataset.GRIDS[resolution].dtype == expect.dtype
+
     def test_unsupported_resolution(self):
         with pytest.raises(ValueError):
             letter_patterns(4)

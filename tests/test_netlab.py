@@ -61,6 +61,74 @@ class TestSigmoid:
             assert fd == pytest.approx(analytic, rel=1e-6)
 
 
+def _masked_sigmoid(z):
+    """The masked-scatter logistic the mask-free sigmoid must equal."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _assert_bitwise_equal(a, b):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(np.asarray(a, float).view(np.uint64),
+                                  np.asarray(b, float).view(np.uint64))
+
+
+class TestFastPathEquivalence:
+    """The epoch's scoring paths equal the forms they replaced, bit for bit."""
+
+    @given(np_arrays(float, st.integers(1, 40), elements=st.floats(allow_nan=False)))
+    def test_sigmoid_equals_masked_form(self, z):
+        _assert_bitwise_equal(sigmoid(z), _masked_sigmoid(z))
+
+    def test_sigmoid_at_zeros_subnormals_and_extremes(self):
+        tiny = np.finfo(float).smallest_subnormal
+        z = np.array([0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 1e300, -1e300,
+                      np.inf, -np.inf, 709.0, -709.0, 746.0, -746.0])
+        _assert_bitwise_equal(sigmoid(z), _masked_sigmoid(z))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 2000), st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
+    def test_mean_by_glyph_equals_masked_means(self, per_glyph, outputs, seed):
+        idx = np.repeat(np.arange(dataset.NUM_GLYPHS), per_glyph)
+        values = np.random.default_rng(seed).normal(0.0, 10.0, (len(idx), outputs))
+        masked = np.stack([values[idx == g].mean(axis=0)
+                           for g in range(dataset.NUM_GLYPHS)])
+        _assert_bitwise_equal(netlab._mean_by_glyph(values), masked)
+
+    @pytest.mark.parametrize("arch,binarize", [("fc_classifier", False),
+                                               ("fc_classifier", True),
+                                               ("autoencoder", False),
+                                               ("cnn_classifier", False)])
+    def test_score_equals_public_forward(self, arch, binarize):
+        model = netlab.MODELS[arch]
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            m = {name: rng.uniform(-1.0, 1.0, shape) for name, shape in model.matrices.items()}
+            c_i, _ = _random_instance(rng, model.spec.rows, size=40)
+            pred, shown, checked = model.score(
+                m, netlab.array_inputs(model.spec, c_i, PARAMS), PARAMS, binarize)
+            flat = c_i.reshape(len(c_i), -1)
+            if arch == "fc_classifier":
+                out = fc_output_volts(m["weights"], flat, PARAMS, binarize=binarize)
+                expect = out.argmax(axis=1), out, (out,)
+            elif arch == "autoencoder":
+                phi, c_rec, _ = autoencoder_forward(m["encoder"], m["decoder"], flat, PARAMS)
+                expect = netlab.classify_series_bits(c_rec, PARAMS)[0], phi, (phi, c_rec)
+            else:
+                out, _ = cnn_logits(m["kernel"], m["head"], c_i, PARAMS)
+                expect = out.argmax(axis=1), out, (out,)
+            np.testing.assert_array_equal(pred, expect[0])
+            _assert_bitwise_equal(shown, expect[1])
+            assert len(checked) == len(expect[2])
+            for got, want in zip(checked, expect[2]):
+                _assert_bitwise_equal(got, want)
+
+
 class TestCrossEntropy:
     def test_perfect_prediction(self):
         assert cross_entropy([0.0, 1.0, 0.0, 0.0], [0, 1, 0, 0]) == 0.0
