@@ -70,14 +70,12 @@ def build_conv_array(rows: int, cols: int, kernel: int = 3) -> ArrayTopology:
                          bank_wiring=wiring)
 
 
-def fc_forward(topology: ArrayTopology, c_i_image, weights, params: SensorParams,
-               traces: list | None = None):
+def fc_forward(topology: ArrayTopology, c_i_image, weights, params: SensorParams):
     """One fully-connected array cycle: U_m = mac over bank m's pixels.
 
     `c_i_image` holds induced capacitances (pF); weight row m drives bank m.
     Every bank reads every pixel in row-major order (build_fc_array's
     wiring), so the cycle is one kernel call over the flattened image.
-    Pass a list as `traces` to capture one device trace per bank.
     """
     img = np.asarray(c_i_image, dtype=float)
     if img.shape != (topology.rows, topology.cols):
@@ -90,7 +88,7 @@ def fc_forward(topology: ArrayTopology, c_i_image, weights, params: SensorParams
     if w.shape[0] != topology.banks:
         raise ValueError(f"{w.shape[0]} weight rows for {topology.banks} banks")
     cs = series_capacitance(img.reshape(-1), params.c0)
-    return mac(cs, w, params.c0, trace=traces).tolist()
+    return mac(cs, w, params.c0).tolist()
 
 
 def schedule_conv(rows: int, cols: int, kernel: int = 3) -> ConvSchedule:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, arrays, dataset, metrics, netlab
-from .device import SensorParams, write_trace_csv
+from .device import SensorParams, mac_phases, series_capacitance, write_trace_csv
 from .netlab import (Checkpoint, TrainConfig, TrainingDiverged, load_checkpoint,
                      save_checkpoint, write_history_csv)
 
@@ -60,32 +60,15 @@ class RunManifest:
 # ---------------------------------------------------------------------------
 # config parsing: flat `key = value` lines with dotted sections
 
-_TRAIN_KEYS = {
-    "train.batch_size": int,
-    "train.learning_rate": float,
-    "train.epochs": int,
-    "train.noise_frac": float,
-    "train.seed": int,
-    "train.binarize": None,  # bool, handled below
-    "train.eval_per_glyph": int,
-}
-_SENSOR_KEYS = {
-    "sensor.c0": float,
-    "sensor.c_ih": float,
-    "sensor.c_il": float,
-    "sensor.noise_frac": float,
-    "sensor.noise_mode": str,
-}
+def _section_keys(section: str, settings) -> dict:
+    """`section.field` -> parser, for every field of a settings dataclass."""
+    return {f"{section}.{f.name}": netlab.FIELD_PARSERS[f.type]
+            for f in dataclasses.fields(settings)}
+
+
+_TRAIN_KEYS = _section_keys("train", TrainConfig)
+_SENSOR_KEYS = _section_keys("sensor", SensorParams)
 _TOP_KEYS = ("architecture", "output_dir", "emit")
-
-
-def _parse_bool(key, raw):
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
 
 
 def parse_config_text(text: str) -> dict:
@@ -106,15 +89,11 @@ def _section_kwargs(raw: dict, keys: dict) -> dict:
     """Parse the keys of one dotted section that `raw` sets into keyword
     arguments for the section's dataclass."""
     kwargs = {}
-    for key, conv in keys.items():
+    for key, parse in keys.items():
         if key not in raw:
             continue
-        name = key.split(".", 1)[1]
-        if conv is None:
-            kwargs[name] = _parse_bool(key, raw[key])
-            continue
         try:
-            kwargs[name] = conv(raw[key])
+            kwargs[key.split(".", 1)[1]] = parse(raw[key])
         except ValueError:
             raise ConfigError(f"{key}: cannot parse {raw[key]!r}") from None
     return kwargs
@@ -164,23 +143,10 @@ def build_config(raw: dict) -> ExperimentConfig:
 def canonical_config_lines(config: ExperimentConfig) -> list[str]:
     """The experiment's identity: every setting except output_dir, so the
     same experiment hashes alike wherever it is written."""
-    t, s = config.train, config.sensor
-    pairs = {
-        "architecture": config.architecture,
-        "emit": ",".join(config.emit),
-        "train.batch_size": t.batch_size,
-        "train.learning_rate": repr(t.learning_rate),
-        "train.epochs": t.epochs,
-        "train.noise_frac": repr(t.noise_frac),
-        "train.seed": t.seed,
-        "train.binarize": str(t.binarize).lower(),
-        "train.eval_per_glyph": t.eval_per_glyph,
-        "sensor.c0": repr(s.c0),
-        "sensor.c_ih": repr(s.c_ih),
-        "sensor.c_il": repr(s.c_il),
-        "sensor.noise_frac": repr(s.noise_frac),
-        "sensor.noise_mode": s.noise_mode,
-    }
+    pairs = {"architecture": config.architecture, "emit": ",".join(config.emit)}
+    for section, settings in (("train", config.train), ("sensor", config.sensor)):
+        pairs.update((f"{section}.{name}", text)
+                     for name, text in netlab.field_texts(settings).items())
     return [f"{k} = {pairs[k]}" for k in sorted(pairs)]
 
 
@@ -248,14 +214,15 @@ def _programmed_fc_weights(ckpt: Checkpoint) -> np.ndarray:
 
 
 def capture_fc_traces(ckpt: Checkpoint, glyph: dataset.Glyph = dataset.Glyph.INV_Z):
-    """Run one traced array cycle on the clean image of `glyph`."""
+    """Run one array cycle on the clean image of `glyph`: (outputs, phases),
+    the bank outputs and the (charge, volts) of every unit per phase."""
     params = ckpt.params
     topo = arrays.build_fc_array(3, 3, 4)
     image = _clean_image(glyph, params)
-    traces: list = []
-    outputs = arrays.fc_forward(topo, image, _programmed_fc_weights(ckpt), params,
-                                traces=traces)
-    return outputs, traces
+    weights = _programmed_fc_weights(ckpt)
+    outputs = arrays.fc_forward(topo, image, weights, params)
+    cs = series_capacitance(image.reshape(-1), params.c0)
+    return outputs, mac_phases(cs, weights, params.c0)
 
 
 def _emit_schedule(config: ExperimentConfig, path: Path):
@@ -352,8 +319,8 @@ def run(config: ExperimentConfig) -> RunManifest:
         save_checkpoint(history.checkpoint, path)
         add(path)
     if "waveform" in config.emit:
-        outputs, traces = capture_fc_traces(history.checkpoint)
-        rows = metrics.assemble_waveform(traces, metrics.PhaseTiming())
+        _, phases = capture_fc_traces(history.checkpoint)
+        rows = metrics.assemble_waveform(phases, metrics.PhaseTiming())
         path = outdir / "waveform.csv"
         metrics.write_waveform_csv(rows, path)
         add(path)
@@ -510,14 +477,14 @@ def _cmd_trace(args) -> int:
     try:
         ckpt = load_checkpoint(args.checkpoint)
         glyph = dataset.Glyph(args.glyph)
-        outputs, traces = capture_fc_traces(ckpt, glyph)
+        outputs, phases = capture_fc_traces(ckpt, glyph)
     except (OSError, ValueError, ConfigError) as exc:
         return _usage_error(exc)
     outdir = Path(args.out)
-    rows = metrics.assemble_waveform(traces, metrics.PhaseTiming())
+    rows = metrics.assemble_waveform(phases, metrics.PhaseTiming())
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        write_trace_csv([rec for bank in traces for rec in bank], outdir / "trace.csv")
+        write_trace_csv(phases, outdir / "trace.csv")
         metrics.write_waveform_csv(rows, outdir / "waveform.csv")
     except OSError as exc:
         return _usage_error(f"--out: {exc}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,6 +26,11 @@ DEFAULT_NOISE_FRAC = 0.2
 # Gaussian noise can push a capacitance through zero; the series formula
 # needs a strictly positive value.
 NOISE_FLOOR_PF = 0.01
+
+# The largest rms noise fraction accepted: 50 times the paper's 0.2, where
+# the letters are long lost in noise, yet small enough that the draw's sigma
+# = noise_frac * nominal stays finite (near 1e308 it overflows to inf).
+MAX_NOISE_FRAC = 10.0
 
 # Default per-phase duration (ns); four equal phases summing to 350 ns.
 DEFAULT_PHASE_NS = 87.5
@@ -74,16 +79,16 @@ class SensorParams:
     noise_mode: str = "per_class"
 
     def __post_init__(self):
-        for name in ("c0", "c_ih", "c_il", "noise_frac"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.c0 <= 0 or self.c_ih <= 0 or self.c_il <= 0:
             raise ValueError("capacitances must be positive")
         if self.c_ih <= self.c_il:
             raise ValueError("c_ih must exceed c_il")
-        if self.noise_frac < 0:
-            raise ValueError("noise_frac must be >= 0")
+        if not 0 <= self.noise_frac <= MAX_NOISE_FRAC:
+            raise ValueError(f"noise_frac must be in [0, {MAX_NOISE_FRAC}]")
         if self.noise_mode not in ("per_class", "global"):
             raise ValueError(f"unknown noise_mode: {self.noise_mode!r}")
 
@@ -119,21 +124,7 @@ def apply_noise(c_i_clean, nominal, noise_frac, rng):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """State of one MAC unit at the end of one phase."""
-
-    unit: int
-    phase: MacPhase
-    cl: bool
-    mul: bool
-    con: bool
-    add: bool
-    charge_pc: float
-    voltage_v: float
-
-
-def mac(cs, v, c0: float = DEFAULT_C0, trace: list | None = None):
+def mac(cs, v, c0: float = DEFAULT_C0):
     """Charge-domain MAC of M banks: U[..., m] = sum_n cs[..., n] v[m, n] / (N c0).
 
     cs holds the series capacitances seen by the N units of a bank on its last
@@ -144,10 +135,6 @@ def mac(cs, v, c0: float = DEFAULT_C0, trace: list | None = None):
     (common plate at sum(Q)/(N c0)). The rounding of the sum depends on the
     shape matmul sees, so the leading axes are kept, never flattened: a
     (B, W, N) call equals its B separate (W, N) calls bit for bit.
-
-    Pass a list as `trace`, with a single sample (cs of shape (N,)), to append
-    one list of TraceRecords per bank, phase-major and unit by unit; the
-    records are read off the same arrays.
     """
     cs = np.asarray(cs, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -163,47 +150,42 @@ def mac(cs, v, c0: float = DEFAULT_C0, trace: list | None = None):
         raise ValueError("capacitances must be positive")
     if not abs(v).max(initial=0.0) <= 1.0:
         raise ValueError("weight voltage outside [-1, 1]; normalize weights first")
-    if trace is not None and cs.ndim != 1:
+    return cs @ v.T / (n * c0)
+
+
+def mac_phases(cs, v, c0: float = DEFAULT_C0):
+    """The MAC cycle of one sample, phase by phase: (charge, volts), the
+    charge Q (pC) and plate voltage U (V) of every unit at the end of each
+    phase, both of shape (4, M, N) with the phases in PHASE_ORDER.
+
+    cs holds the N series capacitances of a single sample and v the M x N
+    weight voltages, as for `mac`. CLEAR empties every unit (Q = U = 0);
+    CHARGE stores Q_n = c_n v_n at U = v_n; TRANSFER moves it onto c0
+    (U = Q_n / c0); SUM shares the bank's charges, so every unit of bank m
+    holds U_m = mac(cs, v, c0)[m] and Q = c0 U_m.
+    """
+    cs = np.asarray(cs, dtype=float)
+    if cs.ndim != 1:
         raise ValueError("trace capture takes a single sample of N capacitances")
-    u = cs @ v.T / (n * c0)
-    if trace is not None:
-        q = cs * v
-        u_sum = np.broadcast_to(u[:, None], v.shape)
-        zero = np.zeros_like(v)
-        # (charge Q, plate voltage U) of every unit at the end of each phase.
-        states = {MacPhase.CLEAR: (zero, zero), MacPhase.CHARGE: (q, v),
-                  MacPhase.TRANSFER: (q, q / c0), MacPhase.SUM: (c0 * u_sum, u_sum)}
-        for m in range(v.shape[0]):
-            bank = []
-            for phase in PHASE_ORDER:
-                switches = _PHASE_SWITCHES[phase]
-                charge, volts = states[phase]
-                bank += [TraceRecord(i, phase, *switches, qi, ui) for i, (qi, ui)
-                         in enumerate(zip(charge[m].tolist(), volts[m].tolist()))]
-            trace.append(bank)
-    return u
+    v = np.asarray(v, dtype=float)
+    q = cs * v
+    u_sum = np.broadcast_to(mac(cs, v, c0)[:, None], v.shape)
+    zero = np.zeros_like(v)
+    return (np.stack([zero, q, q, c0 * u_sum]),
+            np.stack([zero, v, q / c0, u_sum]))
 
 
-def trace_to_rows(trace, phase_ns=(DEFAULT_PHASE_NS,) * 4):
-    """Flatten TraceRecords to CSV rows with phase start times attached."""
-    starts = {}
-    t = 0.0
-    for phase, dur in zip(PHASE_ORDER, phase_ns):
-        starts[phase] = t
-        t += dur
-    rows = []
-    for rec in trace:
-        rows.append((rec.unit, rec.phase.value, int(rec.cl), int(rec.mul),
-                     int(rec.con), int(rec.add), rec.charge_pc, rec.voltage_v,
-                     starts[rec.phase]))
-    return rows
-
-
-def write_trace_csv(trace, path, phase_ns=(DEFAULT_PHASE_NS,) * 4):
-    """Export a captured MAC trace as CSV for waveform reconstruction."""
+def write_trace_csv(phases, path):
+    """Export a captured MAC cycle, the (charge, volts) pair of mac_phases,
+    as CSV for waveform reconstruction: bank by bank, phase-major and unit
+    by unit, each phase starting DEFAULT_PHASE_NS after the one before."""
+    charge, volts = phases
     lines = ["unit_index,phase,CL,MUL,CON,ADD,charge_pC,voltage_V,time_ns"]
-    for row in trace_to_rows(trace, phase_ns):
-        unit, phase, cl, mul, con, add, q, u, t = row
-        lines.append(f"{unit},{phase},{cl},{mul},{con},{add},{q!r},{u!r},{t!r}")
+    for m in range(charge.shape[1]):
+        for k, phase in enumerate(PHASE_ORDER):
+            switches = ",".join(str(int(level)) for level in _PHASE_SWITCHES[phase])
+            start = k * DEFAULT_PHASE_NS
+            lines += [f"{i},{phase.value},{switches},{q!r},{u!r},{start!r}" for i, (q, u)
+                      in enumerate(zip(charge[k, m].tolist(), volts[k, m].tolist()))]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -9,6 +9,7 @@ physically motivated lower-bound estimate.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -77,8 +78,9 @@ def energy(model: EnergyModel, net: NetworkSpec | None = None,
     """Energy in nJ for one inference.
 
     calibrated: e_per_classification scaled by the cycle count (needs net
-    and topology). charge_based: sum of |Q_n * V_n| over the charge-phase
-    records of a captured trace (needs trace); 1 pC*V = 1 pJ = 1e-3 nJ.
+    and topology). charge_based: sum of |Q_n * V_n| over the charge phase
+    of a captured trace, the (charge, volts) pair of device.mac_phases
+    (needs trace); 1 pC*V = 1 pJ = 1e-3 nJ.
     """
     if model.mode == "calibrated":
         if net is None or topology is None:
@@ -86,49 +88,34 @@ def energy(model: EnergyModel, net: NetworkSpec | None = None,
         return model.e_per_classification * cycle_count(net, topology)
     if trace is None:
         raise ValueError("charge_based mode needs a captured MAC trace")
-    picojoule = sum(abs(rec.charge_pc * rec.voltage_v)
-                    for rec in _flatten(trace) if rec.phase == MacPhase.CHARGE)
+    charge, volts = trace
+    # Phase 1 of PHASE_ORDER is CHARGE; bank by bank, unit by unit.
+    picojoule = sum(abs(charge[1] * volts[1]).ravel().tolist())
     return picojoule / 1000.0
 
 
-def _flatten(trace):
-    # Accept a single device trace or a list of per-bank traces.
-    if trace and isinstance(trace[0], list):
-        for bank in trace:
-            yield from bank
-    else:
-        yield from trace
-
-
-def assemble_waveform(traces, timing: PhaseTiming):
-    """Build a timed (time_ns, signal, value) table from per-bank MAC traces.
+def assemble_waveform(phases, timing: PhaseTiming):
+    """Build a timed (time_ns, signal, value) table from a captured MAC
+    cycle, the (charge, volts) pair of device.mac_phases.
 
     Signals are the four switch levels plus U_1..U_M; every signal is
     piecewise constant per phase, U_m becomes the bank's summed output at the
     start of the summation phase and the final values equal fc_forward's
     outputs exactly.
     """
-    if not traces or not traces[0]:
-        raise ValueError("empty trace; capture one with fc_forward(traces=[])")
-    banks = [{rec.phase: rec for rec in bank} for bank in traces]
-    starts = []
-    t = 0.0
-    for dur in timing.durations:
-        starts.append(t)
-        t += dur
+    _, volts = phases
+    finals = volts[-1, :, 0].tolist()
+    if not finals:
+        raise ValueError("empty trace; capture one with device.mac_phases")
     rows = []
-    for phase, t0 in zip(PHASE_ORDER, starts):
-        levels = phase_switches(phase)
-        for name, level in zip(SWITCH_NAMES, levels):
-            rows.append((t0, name, float(level)))
-        for m, bank in enumerate(banks):
-            u = bank[MacPhase.SUM].voltage_v if phase == MacPhase.SUM else 0.0
-            rows.append((t0, f"U{m + 1}", u))
-    # Close the cycle: repeat final levels at t_total for plotting.
-    for name, level in zip(SWITCH_NAMES, phase_switches(MacPhase.SUM)):
-        rows.append((timing.total, name, float(level)))
-    for m, bank in enumerate(banks):
-        rows.append((timing.total, f"U{m + 1}", bank[MacPhase.SUM].voltage_v))
+    # Five samples per signal: the start of each phase, then t_total, where
+    # the summation levels repeat to close the cycle for plotting.
+    starts = itertools.accumulate(timing.durations, initial=0.0)
+    for t0, phase in zip(starts, PHASE_ORDER + (MacPhase.SUM,)):
+        rows += [(t0, name, float(level))
+                 for name, level in zip(SWITCH_NAMES, phase_switches(phase))]
+        rows += [(t0, f"U{m + 1}", u if phase == MacPhase.SUM else 0.0)
+                 for m, u in enumerate(finals)]
     return rows
 
 

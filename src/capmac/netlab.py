@@ -25,7 +25,7 @@ import numpy as np
 
 from . import dataset
 from .arrays import gather_windows
-from .device import SensorParams, mac, series_capacitance
+from .device import MAX_NOISE_FRAC, SensorParams, mac, series_capacitance
 from .weights import WeightBank, binarize_weights, normalize_weights
 
 # Offset separating the evaluation stream from the training stream so the
@@ -33,6 +33,12 @@ from .weights import WeightBank, binarize_weights, normalize_weights
 EVAL_SEED_OFFSET = 1_000_003
 
 LOG_FLOOR = 1e-12
+
+# The most epochs a run may train: about 300 times the paper's longest
+# schedule (350 FC epochs). At well under a millisecond per epoch such a run
+# still ends within about a minute, and its history.csv (about 360 bytes per
+# epoch) stays near 36 MB.
+MAX_EPOCHS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -77,19 +83,18 @@ class NetworkSpec:
     cols: int
     outputs: int = 4
     kernel: int = 0
-    activations: tuple = ()
 
 
 def fc_spec() -> NetworkSpec:
-    return NetworkSpec("fc_classifier", 3, 3, 4, 0, ("softmax",))
+    return NetworkSpec("fc_classifier", 3, 3)
 
 
 def autoencoder_spec() -> NetworkSpec:
-    return NetworkSpec("autoencoder", 3, 3, 4, 0, ("sigmoid", "sigmoid"))
+    return NetworkSpec("autoencoder", 3, 3)
 
 
 def cnn_spec() -> NetworkSpec:
-    return NetworkSpec("cnn_classifier", 5, 5, 4, 3, ("sigmoid", "softmax"))
+    return NetworkSpec("cnn_classifier", 5, 5, 4, 3)
 
 
 @dataclass(frozen=True)
@@ -103,28 +108,57 @@ class TrainConfig:
     eval_per_glyph: int = 25
 
     def __post_init__(self):
-        for name in ("batch_size", "learning_rate", "epochs", "noise_frac", "seed",
-                     "eval_per_glyph"):
-            value = getattr(self, name)
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.noise_frac < 0:
-            raise ValueError("noise_frac must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.eval_per_glyph < 1:
-            raise ValueError("eval_per_glyph must be >= 1")
-        if self.batch_size > dataset.MAX_DRAW:
-            raise ValueError(f"batch_size must be <= {dataset.MAX_DRAW}")
-        if self.eval_per_glyph > dataset.MAX_DRAW // dataset.NUM_GLYPHS:
-            raise ValueError("eval_per_glyph must be <= "
-                             f"{dataset.MAX_DRAW // dataset.NUM_GLYPHS}")
+        for name, least, most in (
+                ("batch_size", 1, dataset.MAX_DRAW),
+                ("epochs", 1, MAX_EPOCHS),
+                ("noise_frac", 0, MAX_NOISE_FRAC),
+                ("seed", 0, math.inf),
+                ("eval_per_glyph", 1, dataset.MAX_DRAW // dataset.NUM_GLYPHS)):
+            if not least <= getattr(self, name) <= most:
+                raise ValueError(f"{name} must be in [{least}, {most}]")
+
+
+def _parse_bool(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("true", "1", "yes"):
+        return True
+    if low in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+# How a field of TrainConfig, SensorParams or Checkpoint is read from config
+# or checkpoint text, by its annotation. Fields of other types (a
+# checkpoint's params and matrices) are not written as one line of text.
+FIELD_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
+
+
+def field_texts(settings) -> dict:
+    """{field name: text} of each int, float, str or bool field of a
+    TrainConfig, SensorParams or Checkpoint, as configs and checkpoints write
+    them: booleans in lower case, strings bare, numbers by repr."""
+    texts = {}
+    for f in dataclasses.fields(settings):
+        if f.type in FIELD_PARSERS:
+            value = getattr(settings, f.name)
+            if isinstance(value, bool):
+                value = str(value).lower()
+            texts[f.name] = value if isinstance(value, str) else repr(value)
+    return texts
+
+
+def _parse_fields(cls, texts: dict, prefix: str = "") -> dict:
+    """The inverse of field_texts: keyword arguments for `cls`, each field
+    parsed from texts[prefix + name] by its annotation. Raises KeyError for a
+    missing field and ValueError for a malformed one."""
+    return {f.name: FIELD_PARSERS[f.type](texts[prefix + f.name])
+            for f in dataclasses.fields(cls) if f.type in FIELD_PARSERS}
 
 
 def default_config(architecture: str, **overrides) -> TrainConfig:
@@ -478,19 +512,9 @@ def train(architecture: str, config: TrainConfig,
 # checkpoint and history serialization
 
 def save_checkpoint(ckpt: Checkpoint, path):
-    lines = [
-        "capmac-checkpoint v1",
-        f"architecture: {ckpt.architecture}",
-        f"seed: {ckpt.seed}",
-        f"epoch: {ckpt.epoch}",
-        f"beta: {ckpt.beta!r}",
-        f"binarize: {str(ckpt.binarize).lower()}",
-        f"sensor.c0: {ckpt.params.c0!r}",
-        f"sensor.c_ih: {ckpt.params.c_ih!r}",
-        f"sensor.c_il: {ckpt.params.c_il!r}",
-        f"sensor.noise_frac: {ckpt.params.noise_frac!r}",
-        f"sensor.noise_mode: {ckpt.params.noise_mode}",
-    ]
+    lines = ["capmac-checkpoint v1"]
+    lines += [f"{name}: {text}" for name, text in field_texts(ckpt).items()]
+    lines += [f"sensor.{name}: {text}" for name, text in field_texts(ckpt.params).items()]
     for name in sorted(ckpt.matrices):
         mat = np.atleast_2d(np.asarray(ckpt.matrices[name], dtype=float))
         lines.append(f"matrix {name} {mat.shape[0]} {mat.shape[1]}")
@@ -525,22 +549,9 @@ def load_checkpoint(path) -> Checkpoint:
         else:
             i += 1
     try:
-        params = SensorParams(
-            c0=float(fields["sensor.c0"]),
-            c_ih=float(fields["sensor.c_ih"]),
-            c_il=float(fields["sensor.c_il"]),
-            noise_frac=float(fields["sensor.noise_frac"]),
-            noise_mode=fields["sensor.noise_mode"],
-        )
-        ckpt = Checkpoint(
-            architecture=fields["architecture"],
-            seed=int(fields["seed"]),
-            epoch=int(fields["epoch"]),
-            beta=float(fields["beta"]),
-            binarize=fields["binarize"] == "true",
-            params=params,
-            matrices=matrices,
-        )
+        params = SensorParams(**_parse_fields(SensorParams, fields, "sensor."))
+        ckpt = Checkpoint(**_parse_fields(Checkpoint, fields), params=params,
+                          matrices=matrices)
     except KeyError as exc:
         raise ValueError(f"{path}: missing checkpoint field {exc}") from exc
     expected = CHECKPOINT_MATRICES.get(ckpt.architecture)

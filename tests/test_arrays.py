@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from capmac.arrays import (ArrayTopology, build_conv_array, build_fc_array,
                            conv_forward, fc_forward, resource_report,
                            schedule_conv, schedule_to_dict, write_schedule_json)
-from capmac.device import SensorParams, mac, series_capacitance
+from capmac.device import SensorParams, mac, mac_phases, series_capacitance
 from capmac.weights import WeightBank
 
 PARAMS = SensorParams()
@@ -88,14 +88,12 @@ class TestFcForward:
     def test_trace_capture_per_bank(self):
         topo = build_fc_array(3, 3, 4)
         img = np.full((3, 3), 100.0)
-        traces = []
-        out = fc_forward(topo, img, np.full((4, 9), 0.25), PARAMS, traces=traces)
-        assert len(traces) == 4
-        assert all(len(t) == 36 for t in traces)  # 9 units x 4 phases
-        from capmac.device import MacPhase
-        for m, trace in enumerate(traces):
-            finals = [r for r in trace if r.phase == MacPhase.SUM]
-            assert finals[-1].voltage_v == out[m]
+        w = np.full((4, 9), 0.25)
+        out = fc_forward(topo, img, w, PARAMS)
+        _, volts = mac_phases(series_capacitance(img.reshape(-1), PARAMS.c0), w, PARAMS.c0)
+        assert volts.shape == (4, 4, 9)  # 4 phases x 4 banks x 9 units
+        for m in range(4):
+            assert volts[-1, m, -1] == out[m]
 
 
 class TestScheduleConv:

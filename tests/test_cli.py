@@ -315,6 +315,17 @@ class TestInputErrors:
         assert code == EXIT_CONFIG
         assert f"{field} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting,field", [
+        ("train.noise_frac=1e308", "noise_frac"),
+        ("sensor.noise_frac=1e308", "noise_frac"),
+        (f"train.epochs={netlab.MAX_EPOCHS + 1}", "epochs"),
+    ])
+    def test_out_of_range_settings_exit_2(self, tmp_path, capsys, setting, field):
+        code = main(["train", "--output-dir", str(tmp_path / "r"), "--set", setting])
+        assert code == EXIT_CONFIG
+        assert f"{field} must be in" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_divergence_exits_3(self, tmp_path, capsys):
         out = tmp_path / "r"
         with np.errstate(all="ignore"):
@@ -337,6 +348,7 @@ class TestInputErrors:
         ("train.seed=1", "train.seed"),
         ("sensor.c0=nan", "c0"),
         ("sensor.c0=big", "sensor.c0"),
+        ("sensor.noise_frac=1e306", "noise_frac"),
     ])
     def test_eval_bad_override_exits_2(self, checkpoints, capsys, setting, field):
         code = main(["eval", checkpoints["fc_classifier"], "--set", setting])
@@ -362,7 +374,8 @@ class TestInputErrors:
             build_config({key: str(value)})
 
     @pytest.mark.parametrize("key,most", [("train.batch_size", dataset.MAX_DRAW),
-                                          ("train.eval_per_glyph", dataset.MAX_DRAW // 4)])
+                                          ("train.eval_per_glyph", dataset.MAX_DRAW // 4),
+                                          ("train.epochs", netlab.MAX_EPOCHS)])
     def test_sample_count_limits(self, key, most):
         build_config({key: str(most)})
         with pytest.raises(ConfigError, match=key.split(".")[1]):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capmac.device import (MacPhase, PHASE_ORDER, SensorParams, TraceRecord,
-                           apply_noise, mac, phase_switches,
-                           series_capacitance, trace_to_rows, write_trace_csv)
+from capmac.dataset import noisy_letters
+from capmac.device import (MAX_NOISE_FRAC, MacPhase, PHASE_ORDER, SensorParams,
+                           apply_noise, mac, mac_phases, phase_switches,
+                           series_capacitance, write_trace_csv)
 
 
 class TestSeriesCapacitance:
@@ -63,7 +64,7 @@ class TestPhaseSwitches:
 
 
 class TestMacEvaluate:
-    """The MAC kernel `mac`, one bank (a single weight row) at a time."""
+    """The MAC kernel `mac` and its phase-by-phase capture `mac_phases`."""
 
     def test_identity_case(self):
         assert mac([72.0] * 9, [[1.0] * 9], 72.0)[0] == 1.0
@@ -93,24 +94,30 @@ class TestMacEvaluate:
 
     def test_trace_phase_sequence(self):
         c, v, c0 = [50.0, 20.0], [0.5, -0.25], 72.0
-        banks = []
-        u = mac(c, [v], c0, trace=banks)[0]
-        (trace,) = banks
-        assert len(trace) == 8  # 2 units x 4 phases
-        by_phase = {}
-        for rec in trace:
-            by_phase.setdefault(rec.phase, []).append(rec)
-        for rec in by_phase[MacPhase.CLEAR]:
-            assert rec.charge_pc == 0.0
-        for i, rec in enumerate(by_phase[MacPhase.CHARGE]):
-            assert rec.charge_pc == pytest.approx(c[i] * v[i], rel=1e-15)
-        for i, rec in enumerate(by_phase[MacPhase.TRANSFER]):
-            assert rec.voltage_v == pytest.approx(c[i] * v[i] / c0, rel=1e-15)
-        for rec in by_phase[MacPhase.SUM]:
-            assert rec.voltage_v == u
-        # each record carries exactly its phase's switch pattern
-        for rec in trace:
-            assert (rec.cl, rec.mul, rec.con, rec.add) == phase_switches(rec.phase)
+        charge, volts = mac_phases(c, [v], c0)
+        u = mac(c, [v], c0)[0]
+        assert charge.shape == volts.shape == (4, 1, 2)  # 4 phases x 1 bank x 2 units
+        by_phase = dict(zip(PHASE_ORDER, zip(charge[:, 0], volts[:, 0])))
+        for q in by_phase[MacPhase.CLEAR][0]:
+            assert q == 0.0
+        for i, q in enumerate(by_phase[MacPhase.CHARGE][0]):
+            assert q == pytest.approx(c[i] * v[i], rel=1e-15)
+        for i, volt in enumerate(by_phase[MacPhase.TRANSFER][1]):
+            assert volt == pytest.approx(c[i] * v[i] / c0, rel=1e-15)
+        for volt in by_phase[MacPhase.SUM][1]:
+            assert volt == u
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 16),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_phases_agree_with_the_kernel_bitwise(self, m, n, seed):
+        rng = np.random.default_rng(seed)
+        cs = rng.uniform(1.0, 500.0, n)
+        v = rng.uniform(-1.0, 1.0, (m, n))
+        charge, volts = mac_phases(cs, v, 72.0)
+        u = np.broadcast_to(mac(cs, v, 72.0)[:, None], (m, n))
+        assert volts[-1].tobytes() == u.tobytes()
+        assert charge[1].tobytes() == (cs * v).tobytes()
 
     @settings(max_examples=200)
     @given(st.lists(st.tuples(st.floats(min_value=0.5, max_value=500.0),
@@ -166,19 +173,17 @@ class TestMacEvaluate:
 
     def test_trace_needs_a_single_sample(self):
         with pytest.raises(ValueError, match="single sample"):
-            mac(np.full((2, 3), 50.0), np.zeros((1, 3)), 72.0, trace=[])
+            mac_phases(np.full((2, 3), 50.0), np.zeros((1, 3)), 72.0)
 
     def test_trace_has_one_bank_per_weight_row(self):
         c, v, c0 = [50.0, 20.0, 35.0], [[0.5, -0.25, 1.0], [-1.0, 0.75, 0.0]], 72.0
-        banks = []
-        u = mac(c, v, c0, trace=banks)
-        assert len(banks) == 2
-        for m, bank in enumerate(banks):
-            assert [rec.phase for rec in bank] == [p for p in PHASE_ORDER for _ in c]
-            assert [rec.unit for rec in bank] == [0, 1, 2] * 4
-            for rec in bank[9:]:
-                assert rec.voltage_v == u[m]
-                assert rec.charge_pc == c0 * u[m]
+        charge, volts = mac_phases(c, v, c0)
+        u = mac(c, v, c0)
+        assert charge.shape == volts.shape == (4, 2, 3)  # phases x banks x units
+        for m in range(2):
+            for volt, q in zip(volts[-1, m], charge[-1, m]):
+                assert volt == u[m]
+                assert q == c0 * u[m]
 
 
 class TestApplyNoise:
@@ -227,18 +232,35 @@ class TestSensorParams:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             SensorParams(**{name: value})
 
+    @given(st.one_of(st.floats(min_value=0.0, max_value=MAX_NOISE_FRAC),
+                     st.floats(min_value=MAX_NOISE_FRAC, allow_infinity=False)),
+           st.sampled_from(["per_class", "global"]),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_accepted_noise_frac_gives_finite_capacitances(self, noise_frac, mode, seed):
+        try:
+            params = SensorParams(noise_frac=noise_frac, noise_mode=mode)
+        except ValueError:
+            assert noise_frac > MAX_NOISE_FRAC
+            return
+        idx = np.repeat(np.arange(4), 5)
+        c_i = noisy_letters(idx, params, np.random.default_rng(seed), 5)
+        cs = series_capacitance(c_i, params.c0)
+        assert np.isfinite(cs).all() and (cs > 0).all()
+
 
 def test_trace_csv_export(tmp_path):
-    banks = []
-    mac([62.937, 13.602], [[1.0, -1.0]], 72.0, trace=banks)
-    (trace,) = banks
-    rows = trace_to_rows(trace)
-    assert len(rows) == 8
-    # default 87.5 ns phases: start times 0, 87.5, 175, 262.5
-    times = sorted({r[-1] for r in rows})
-    assert times == [0.0, 87.5, 175.0, 262.5]
     path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path)
+    write_trace_csv(mac_phases([62.937, 13.602], [[1.0, -1.0]], 72.0), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "unit_index,phase,CL,MUL,CON,ADD,charge_pC,voltage_V,time_ns"
     assert len(lines) == 9
+    rows = [line.split(",") for line in lines[1:]]
+    # default 87.5 ns phases: start times 0, 87.5, 175, 262.5
+    times = sorted({float(r[-1]) for r in rows})
+    assert times == [0.0, 87.5, 175.0, 262.5]
+    # phase-major, unit by unit; each row carries exactly its phase's switch pattern
+    assert [r[1] for r in rows] == [p.value for p in PHASE_ORDER for _ in range(2)]
+    assert [r[0] for r in rows] == ["0", "1"] * 4
+    for r in rows:
+        switches = tuple(level == "1" for level in r[2:6])
+        assert switches == phase_switches(MacPhase(r[1]))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from capmac.arrays import build_conv_array, build_fc_array, fc_forward
-from capmac.device import MacPhase, SensorParams, mac
+from capmac.device import SensorParams, mac_phases, series_capacitance
 from capmac.metrics import (EnergyModel, PhaseTiming, assemble_waveform,
                             cycle_count, energy, latency, summary,
                             waveform_final_outputs, write_summary_json,
@@ -46,7 +46,7 @@ class TestLatency:
         timing = PhaseTiming(t_clear=10, t_charge=20, t_transfer=30, t_sum=40)
         topo = build_conv_array(7, 9, 3)
         spec = cnn_spec()
-        spec = type(spec)(spec.architecture, 7, 9, 4, 3, spec.activations)
+        spec = type(spec)(spec.architecture, 7, 9, 4, 3)
         assert latency(spec, timing, topo) == pytest.approx(100.0 * 7)
 
 
@@ -60,25 +60,22 @@ class TestEnergy:
         assert energy(EnergyModel(), net=cnn_spec(), topology=topo) == pytest.approx(2.7)
 
     def test_charge_based_zero_weights(self):
-        trace = []
-        mac([62.937] * 9, [[0.0] * 9], 72.0, trace=trace)
+        trace = mac_phases([62.937] * 9, [[0.0] * 9], 72.0)
         model = EnergyModel(mode="charge_based")
         assert energy(model, trace=trace) == 0.0
 
     def test_charge_based_all_ones_consistency(self):
         # sum over charge phase of |Q*V| = 9 * 62.937 pC * 1 V = 0.566 nJ;
         # order-of-magnitude consistent with the calibrated 0.9 nJ figure
-        trace = []
-        mac([62.937] * 9, [[1.0] * 9], 72.0, trace=trace)
+        trace = mac_phases([62.937] * 9, [[1.0] * 9], 72.0)
         e = energy(EnergyModel(mode="charge_based"), trace=trace)
         assert e == pytest.approx(0.566433, abs=1e-6)
         assert 0.1 < e < 2.0
 
     def test_charge_based_monotone_in_weight_magnitude(self):
         model = EnergyModel(mode="charge_based")
-        lo, hi = [], []
-        mac([50.0] * 9, [[0.3] * 9], 72.0, trace=lo)
-        mac([50.0] * 9, [[0.9] * 9], 72.0, trace=hi)
+        lo = mac_phases([50.0] * 9, [[0.3] * 9], 72.0)
+        hi = mac_phases([50.0] * 9, [[0.9] * 9], 72.0)
         assert energy(model, trace=hi) > energy(model, trace=lo)
 
     def test_usage_errors(self):
@@ -94,27 +91,27 @@ class TestAssembleWaveform:
     def _traced_forward(self, weights):
         topo = build_fc_array(3, 3, 4)
         img = np.where(np.eye(3) > 0, 500.0, 16.77)
-        traces = []
-        outputs = fc_forward(topo, img, weights, PARAMS, traces=traces)
-        return outputs, traces
+        outputs = fc_forward(topo, img, weights, PARAMS)
+        cs = series_capacitance(img.reshape(-1), PARAMS.c0)
+        return outputs, mac_phases(cs, weights, PARAMS.c0)
 
     def test_finals_match_fc_forward_exactly(self):
         rng = np.random.default_rng(0)
-        outputs, traces = self._traced_forward(rng.uniform(-1, 1, (4, 9)))
-        rows = assemble_waveform(traces, PhaseTiming())
+        outputs, phases = self._traced_forward(rng.uniform(-1, 1, (4, 9)))
+        rows = assemble_waveform(phases, PhaseTiming())
         finals = waveform_final_outputs(rows)
         assert finals == outputs
 
     def test_zero_weights_flat_at_zero(self):
-        _, traces = self._traced_forward(np.zeros((4, 9)))
-        rows = assemble_waveform(traces, PhaseTiming())
+        _, phases = self._traced_forward(np.zeros((4, 9)))
+        rows = assemble_waveform(phases, PhaseTiming())
         u_rows = [r for r in rows if r[1].startswith("U")]
         assert all(v == 0.0 for _, _, v in u_rows)
 
     def test_piecewise_constant_and_time_ordered(self):
         rng = np.random.default_rng(1)
-        _, traces = self._traced_forward(rng.uniform(-1, 1, (4, 9)))
-        rows = assemble_waveform(traces, PhaseTiming())
+        _, phases = self._traced_forward(rng.uniform(-1, 1, (4, 9)))
+        rows = assemble_waveform(phases, PhaseTiming())
         by_signal = {}
         for t, sig, v in rows:
             by_signal.setdefault(sig, []).append((t, v))
@@ -125,8 +122,8 @@ class TestAssembleWaveform:
             assert len(pts) == 5  # four phases + closing sample
 
     def test_switch_levels_follow_phases(self):
-        _, traces = self._traced_forward(np.zeros((4, 9)))
-        rows = assemble_waveform(traces, PhaseTiming())
+        _, phases = self._traced_forward(np.zeros((4, 9)))
+        rows = assemble_waveform(phases, PhaseTiming())
         levels = {(t, sig): v for t, sig, v in rows}
         # clear at t=0: CL, CON, ADD high, MUL low
         assert (levels[(0.0, "CL")], levels[(0.0, "MUL")],
@@ -136,12 +133,13 @@ class TestAssembleWaveform:
                 levels[(87.5, "CON")], levels[(87.5, "ADD")]) == (0.0, 1.0, 0.0, 0.0)
 
     def test_empty_trace_rejected(self):
+        no_banks = mac_phases([50.0] * 9, np.zeros((0, 9)), 72.0)
         with pytest.raises(ValueError):
-            assemble_waveform([], PhaseTiming())
+            assemble_waveform(no_banks, PhaseTiming())
 
     def test_csv_export(self, tmp_path):
-        _, traces = self._traced_forward(np.zeros((4, 9)))
-        rows = assemble_waveform(traces, PhaseTiming())
+        _, phases = self._traced_forward(np.zeros((4, 9)))
+        rows = assemble_waveform(phases, PhaseTiming())
         path = tmp_path / "waveform.csv"
         write_waveform_csv(rows, path)
         lines = path.read_text().splitlines()

@@ -4,11 +4,12 @@ Usage: python3 tools/artifact_digests.py
 
 It trains each kind of network (FC with binarize off and on, autoencoder,
 CNN) at seeds 0-4 with the paper-default epochs and prints the digest of
-each history.csv and checkpoint.txt. On the seed-0 checkpoints it then
-runs `capmac eval --per-glyph 250` at eval seeds 0-3, and `capmac trace`
-at every glyph for the kinds that trace, and prints the digests of their
-stdout and of trace.csv. Run it on two checkouts and diff the outputs to
-check that a change leaves every artifact byte-identical.
+each history.csv and checkpoint.txt, and of waveform.csv for the kinds that
+trace. On the seed-0 checkpoints it then runs `capmac eval --per-glyph 250`
+at eval seeds 0-3, and `capmac trace` at every glyph for the kinds that
+trace, and prints the digests of their stdout, trace.csv and waveform.csv.
+Run it on two checkouts and diff the outputs to check that a change leaves
+every artifact byte-identical.
 """
 
 from __future__ import annotations
@@ -57,11 +58,15 @@ def main() -> None:
         # free of the temporary directory's name.
         os.chdir(tmp)
         for label, arch, extra in KINDS:
+            names = ("history.csv", "checkpoint.txt")
+            if label in TRACED:
+                names += ("waveform.csv",)
+            emit = ",".join(name.split(".")[0] for name in names)
             for seed in SEEDS:
                 run = Path(f"{label}_{seed}")
                 capmac("train", "--arch", arch, "--seed", str(seed), "--output-dir",
-                       str(run), "--emit", "history,checkpoint", *extra)
-                for name in ("history.csv", "checkpoint.txt"):
+                       str(run), "--emit", emit, *extra)
+                for name in names:
                     print(f"train {label} seed={seed} {name} "
                           f"{sha256((run / name).read_bytes())}")
         for label, _, _ in KINDS:
@@ -76,8 +81,9 @@ def main() -> None:
                                 "--glyph", glyph.value, "--out", str(out))
                 print(f"trace {label} glyph={glyph.value} stdout "
                       f"{sha256(stdout.encode())}")
-                print(f"trace {label} glyph={glyph.value} trace.csv "
-                      f"{sha256((out / 'trace.csv').read_bytes())}")
+                for name in ("trace.csv", "waveform.csv"):
+                    print(f"trace {label} glyph={glyph.value} {name} "
+                          f"{sha256((out / name).read_bytes())}")
 
 
 if __name__ == "__main__":
