@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, arrays, dataset, metrics, netlab
-from .device import SensorParams, mac_phases, series_capacitance, write_trace_csv
+from .device import SensorParams, mac_phases, write_trace_csv
 from .netlab import (Checkpoint, TrainConfig, TrainingDiverged, load_checkpoint,
                      save_checkpoint, write_history_csv)
 
@@ -202,26 +202,22 @@ def _clean_image(glyph: dataset.Glyph, params: SensorParams, resolution: int = 3
     return dataset.encode_capacitive(pattern, params).c_i
 
 
-def _programmed_fc_weights(ckpt: Checkpoint) -> np.ndarray:
-    """The voltages of the checkpoint's first matrix, as programmed into the
-    FC bank; binarized only for a network that trains binarized weights."""
+def capture_fc_traces(ckpt: Checkpoint, glyph: dataset.Glyph = dataset.Glyph.INV_Z):
+    """Run one array cycle on the clean image of `glyph`: (outputs, phases),
+    the bank outputs and the (charge, volts) of every unit per phase.
+
+    The bank is programmed with the checkpoint's first matrix, binarized only
+    for a network that trains binarized weights."""
     model = netlab.MODELS[ckpt.architecture]
     if model.spec.kernel:
         raise ConfigError("waveform/trace capture covers FC bank readout only")
-    first = next(iter(model.matrices))
-    return netlab.programmed_weights(ckpt.matrix(first),
-                                     ckpt.binarize and model.binarizes)[0]
-
-
-def capture_fc_traces(ckpt: Checkpoint, glyph: dataset.Glyph = dataset.Glyph.INV_Z):
-    """Run one array cycle on the clean image of `glyph`: (outputs, phases),
-    the bank outputs and the (charge, volts) of every unit per phase."""
     params = ckpt.params
-    topo = arrays.build_fc_array(3, 3, 4)
     image = _clean_image(glyph, params)
-    weights = _programmed_fc_weights(ckpt)
-    outputs = arrays.fc_forward(topo, image, weights, params)
-    cs = series_capacitance(image.reshape(-1), params.c0)
+    first = next(iter(model.matrices))
+    weights = netlab.programmed_weights(ckpt.matrix(first),
+                                        ckpt.binarize and model.binarizes)[0]
+    outputs = arrays.fc_forward(arrays.build_fc_array(3, 3, 4), image, weights, params)
+    cs = netlab.array_inputs(model.spec, image[None], params)[0]
     return outputs, mac_phases(cs, weights, params.c0)
 
 
@@ -246,11 +242,12 @@ def _emit_schedule(config: ExperimentConfig, path: Path):
 
 def _emit_reconstructions(ckpt: Checkpoint, outdir: Path) -> list[Path]:
     params = ckpt.params
-    v_enc, w_dec = ckpt.matrix("encoder"), ckpt.matrix("decoder")
+    spec = netlab.MODELS[ckpt.architecture].spec
     written = []
     for im in dataset.letter_patterns(3):
-        c_i = dataset.encode_capacitive(im, params).c_i.reshape(1, -1)
-        _, _, ci_rec = netlab.autoencoder_forward(v_enc, w_dec, c_i, params)
+        c_i = dataset.encode_capacitive(im, params).c_i[None]
+        x = netlab.array_inputs(spec, c_i, params)
+        *_, ci_rec = netlab.autoencoder_forward(ckpt.matrices, x, params)
         recon = ci_rec.reshape(3, 3)
         txt = outdir / f"reconstruction_{im.glyph.value}.txt"
         txt.write_text(render_ascii(recon, params) + "\n")
@@ -360,10 +357,11 @@ def evaluate(ckpt: Checkpoint, seed: int = 0, per_glyph: int = 25,
               "accuracy": float((pred == idx).mean()),
               "mean_outputs": netlab._mean_by_glyph(outputs)}
     if ckpt.architecture == "autoencoder":
-        v_enc, w_dec = ckpt.matrix("encoder"), ckpt.matrix("decoder")
         sidx = rng.integers(0, dataset.NUM_GLYPHS, letters)
-        sflat = dataset.noisy_letters(sidx, params, rng).reshape(letters, -1)
-        _, s_rec, s_ci_rec = netlab.autoencoder_forward(v_enc, w_dec, sflat, params)
+        s_ci = dataset.noisy_letters(sidx, params, rng)
+        sflat = s_ci.reshape(letters, -1)
+        _, _, s_rec, s_ci_rec = netlab.autoencoder_forward(
+            ckpt.matrices, netlab.array_inputs(model.spec, s_ci, params), params)
         spred, sbits = netlab.classify_series_bits(s_rec, params)
         report["letters"] = [
             {

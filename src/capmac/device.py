@@ -32,6 +32,11 @@ NOISE_FLOOR_PF = 0.01
 # = noise_frac * nominal stays finite (near 1e308 it overflows to inf).
 MAX_NOISE_FRAC = 10.0
 
+# The largest capacitance accepted for c0, c_ih and c_il: 2,000 times the
+# paper's largest (500 pF), and small enough that the series formula's
+# product c_i * c0 stays finite (at c_ih = 1e307 it overflows to inf).
+MAX_CAPACITANCE_PF = 1e6
+
 # Default per-phase duration (ns); four equal phases summing to 350 ns.
 DEFAULT_PHASE_NS = 87.5
 
@@ -83,8 +88,9 @@ class SensorParams:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
-        if self.c0 <= 0 or self.c_ih <= 0 or self.c_il <= 0:
-            raise ValueError("capacitances must be positive")
+        for name in ("c0", "c_ih", "c_il"):
+            if not 0 < getattr(self, name) <= MAX_CAPACITANCE_PF:
+                raise ValueError(f"{name} must be in (0, {MAX_CAPACITANCE_PF}] pF")
         if self.c_ih <= self.c_il:
             raise ValueError("c_ih must exceed c_il")
         if not 0 <= self.noise_frac <= MAX_NOISE_FRAC:

@@ -50,7 +50,6 @@ class PhaseTiming:
 class EnergyModel:
     mode: str = "calibrated"            # "calibrated" | "charge_based"
     e_per_classification: float = DEFAULT_ENERGY_NJ   # nJ, calibrated mode
-    supply_v: float = 1.0               # reference for charge_based mode
 
     def __post_init__(self):
         if self.mode not in ("calibrated", "charge_based"):

@@ -5,6 +5,12 @@ the latent weights are divided by beta = max |v| before programming, and the
 digital domain multiplies the array outputs back by beta. Training therefore
 optimizes the latent weights directly while the hardware stays in range.
 
+The array reads one thing of an image c_i[B, R, R]: the series capacitance
+C_n = c_i c0 / (c_i + c0) of each pixel, flattened per image for the FC banks
+and gathered into 3x3 windows for the convolution. array_inputs computes it,
+x = array_inputs(spec, c_i, params), once per batch; every forward pass and
+batch loss takes x, and a loss also takes c_i for its targets.
+
 Forward paths, each reading the array through the same kernel, device.mac:
   fc_classifier  logits = beta * U, U = sum(C_n v'_mn) / (N c0) from the array
   autoencoder    U_m = (A - B) / C with A = sum(C_n V_mn) from the array,
@@ -83,18 +89,6 @@ class NetworkSpec:
     cols: int
     outputs: int = 4
     kernel: int = 0
-
-
-def fc_spec() -> NetworkSpec:
-    return NetworkSpec("fc_classifier", 3, 3)
-
-
-def autoencoder_spec() -> NetworkSpec:
-    return NetworkSpec("autoencoder", 3, 3)
-
-
-def cnn_spec() -> NetworkSpec:
-    return NetworkSpec("cnn_classifier", 5, 5, 4, 3)
 
 
 @dataclass(frozen=True)
@@ -245,31 +239,7 @@ def _conditioned(cs: np.ndarray, v: np.ndarray, params: SensorParams) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# forward passes: each takes series capacitances (windows for the CNN) and
-# returns every value its batch loss needs
-
-def _fc_pass(v, cs, params, binarize):
-    """(U, beta): array output voltages and the digital rescale."""
-    prog, beta = programmed_weights(v, binarize)
-    return mac(cs, prog, params.c0), beta
-
-
-def _autoencoder_pass(v_enc, w_dec, cs, params):
-    """(codes phi, normalized reconstruction, series and induced caps)."""
-    _, c_l, span = encoder_caps(params)
-    c0 = params.c0
-    phi = sigmoid(_conditioned(cs, v_enc, params))
-    cnl_rec = sigmoid(phi @ w_dec.T)
-    c_rec = cnl_rec * span + c_l
-    ci_rec = c_rec * c0 / (c0 - c_rec)
-    return phi, cnl_rec, c_rec, ci_rec
-
-
-def _cnn_pass(kernel, head, win, params):
-    """(logits, sigmoid features h) from the conv windows' series caps."""
-    h = sigmoid(_conditioned(win, kernel.reshape(1, -1), params)[..., 0])
-    return h @ head.T, h
-
+# what the array reads, forward passes and batch losses
 
 def array_inputs(spec: NetworkSpec, c_i: np.ndarray, params: SensorParams) -> np.ndarray:
     """What the array reads of images c_i[B, R, R]: their series capacitances,
@@ -278,81 +248,84 @@ def array_inputs(spec: NetworkSpec, c_i: np.ndarray, params: SensorParams) -> np
     return gather_windows(cs, spec.kernel) if spec.kernel else cs.reshape(len(cs), -1)
 
 
+def _fc_pass(v, cs, params, binarize):
+    """(U, beta): array output voltages and the digital rescale."""
+    prog, beta = programmed_weights(v, binarize)
+    return mac(cs, prog, params.c0), beta
+
+
 def fc_output_volts(v: np.ndarray, c_i_flat: np.ndarray, params: SensorParams,
                     binarize: bool = False) -> np.ndarray:
     """Array output voltages U_m for a batch, using the programmed weights."""
     return _fc_pass(v, series_capacitance(c_i_flat, params.c0), params, binarize)[0]
 
 
-def autoencoder_forward(v_enc: np.ndarray, w_dec: np.ndarray,
-                        c_i_flat: np.ndarray, params: SensorParams):
-    """(codes phi, reconstructed series caps, reconstructed induced caps)."""
-    phi, _, c_rec, ci_rec = _autoencoder_pass(
-        v_enc, w_dec, series_capacitance(c_i_flat, params.c0), params)
-    return phi, c_rec, ci_rec
+def autoencoder_forward(m: dict, x: np.ndarray, params: SensorParams):
+    """(codes phi, normalized reconstruction, reconstructed series caps,
+    reconstructed induced caps) of the autoencoder with matrices m."""
+    _, c_l, span = encoder_caps(params)
+    c0 = params.c0
+    phi = sigmoid(_conditioned(x, m["encoder"], params))
+    cnl_rec = sigmoid(phi @ m["decoder"].T)
+    c_rec = cnl_rec * span + c_l
+    ci_rec = c_rec * c0 / (c0 - c_rec)
+    return phi, cnl_rec, c_rec, ci_rec
 
 
-def cnn_logits(kernel: np.ndarray, head: np.ndarray, c_i: np.ndarray,
-               params: SensorParams):
-    """(logits, sigmoid features h) for a batch of induced-capacitance images."""
-    return _cnn_pass(kernel, head, gather_windows(series_capacitance(c_i, params.c0)),
-                     params)
+def cnn_logits(m: dict, x: np.ndarray, params: SensorParams):
+    """(logits, sigmoid features h) of the conv classifier with matrices m,
+    from the windows x."""
+    h = sigmoid(_conditioned(x, m["kernel"].reshape(1, -1), params)[..., 0])
+    return h @ m["head"].T, h
 
 
-# ---------------------------------------------------------------------------
-# batch losses (mean loss, summed gradients)
+# Batch losses: (mean loss, summed gradients in matrix order).
 
 def _mean_cross_entropy(p, labels) -> float:
     return float((-(labels * np.log(np.maximum(p, LOG_FLOOR))).sum(axis=1)).mean())
 
 
-def fc_batch_loss(v: np.ndarray, c_i_flat: np.ndarray, labels: np.ndarray,
-                  params: SensorParams, binarize: bool = False):
-    """Mean cross-entropy of the FC classifier on a batch, plus the summed
-    gradient with respect to the latent weights (straight-through when
-    binarized)."""
-    cs = series_capacitance(c_i_flat, params.c0)
-    u, beta = _fc_pass(v, cs, params, binarize)
+def fc_batch_loss(m, x, c_i, labels, params, binarize):
+    """Mean cross-entropy of the FC classifier and the gradient with respect
+    to the latent weights (straight-through when binarized)."""
+    u, beta = _fc_pass(m["weights"], x, params, binarize)
     p = softmax(u * beta)
-    grad = (p - labels).T @ cs / (cs.shape[1] * params.c0)
-    return _mean_cross_entropy(p, labels), grad, p
+    grad = (p - labels).T @ x / (x.shape[1] * params.c0)
+    return _mean_cross_entropy(p, labels), (grad,)
 
 
-def autoencoder_batch_loss(v_enc: np.ndarray, w_dec: np.ndarray,
-                           c_i_flat: np.ndarray, params: SensorParams):
-    """Mean reconstruction MSE (in induced-capacitance units) and summed
-    gradients for encoder voltages and decoder weights."""
+def autoencoder_batch_loss(m, x, c_i, labels, params, binarize):
+    """Mean reconstruction MSE (in induced-capacitance units) of the images
+    c_i, and the gradients for encoder voltages and decoder weights."""
     _, c_l, span = encoder_caps(params)
     c0 = params.c0
-    cs = series_capacitance(c_i_flat, c0)
-    phi, cnl_rec, c_rec, ci_rec = _autoencoder_pass(v_enc, w_dec, cs, params)
+    c_i_flat = c_i.reshape(len(c_i), -1)
+    phi, cnl_rec, c_rec, ci_rec = autoencoder_forward(m, x, params)
     if np.any(c_rec >= c0):
         raise AssertionError("reconstructed series capacitance reached c0")
-    n = cs.shape[1]
+    n = x.shape[1]
     loss = float(np.mean((ci_rec - c_i_flat) ** 2))
     d_ci = 2.0 / n * (ci_rec - c_i_flat)
     d_z = d_ci * c0 ** 2 / (c0 - c_rec) ** 2 * span * cnl_rec * (1 - cnl_rec)
     grad_dec = d_z.T @ phi
-    d_u = (d_z @ w_dec) * phi * (1 - phi)
-    cnl = (cs - c_l) / span
+    d_u = (d_z @ m["decoder"]) * phi * (1 - phi)
+    cnl = (x - c_l) / span
     grad_enc = d_u.T @ cnl
-    return loss, grad_enc, grad_dec, phi, ci_rec, c_rec
+    return loss, (grad_enc, grad_dec)
 
 
-def cnn_batch_loss(kernel: np.ndarray, head: np.ndarray, c_i: np.ndarray,
-                   labels: np.ndarray, params: SensorParams):
-    """Mean cross-entropy of the conv classifier and summed gradients for
-    the kernel voltages and the digital head."""
+def cnn_batch_loss(m, x, c_i, labels, params, binarize):
+    """Mean cross-entropy of the conv classifier and the gradients for the
+    kernel voltages and the digital head."""
     _, c_l, span = encoder_caps(params)
-    win = gather_windows(series_capacitance(c_i, params.c0))
-    logits, h = _cnn_pass(kernel, head, win, params)
+    logits, h = cnn_logits(m, x, params)
     p = softmax(logits)
     d_logit = p - labels
     grad_head = d_logit.T @ h
-    d_u = (d_logit @ head) * h * (1 - h)
-    win_cnl = (win - c_l) / span
+    d_u = (d_logit @ m["head"]) * h * (1 - h)
+    win_cnl = (x - c_l) / span
     grad_k = np.einsum("sj,sjk->k", d_u, win_cnl)
-    return _mean_cross_entropy(p, labels), grad_k, grad_head, h, p
+    return _mean_cross_entropy(p, labels), (grad_k, grad_head)
 
 
 # ---------------------------------------------------------------------------
@@ -382,46 +355,23 @@ def _check_finite(epoch, history, loss, *arrays):
         raise TrainingDiverged(epoch, history)
 
 
-def _flat(c_i: np.ndarray) -> np.ndarray:
-    return c_i.reshape(len(c_i), -1)
+# Each architecture's scoring on what the array reads (array_inputs), given a
+# dict of its matrices.
 
-
-# Each architecture's loss + gradient on induced-capacitance images
-# c_i[B, R, R], and scoring on what the array reads of them (array_inputs),
-# given a dict of its matrices. The batch losses are looked up in the module
-# at call time, so a replaced module attribute takes effect.
-
-def _fc_loss(m, c_i, labels, params, binarize):
-    loss, grad, _ = fc_batch_loss(m["weights"], _flat(c_i), labels, params,
-                                  binarize=binarize)
-    return loss, (grad,)
-
-
-def _fc_score(m, cs, params, binarize):
-    volts, _ = _fc_pass(m["weights"], cs, params, binarize)
+def _fc_score(m, x, params, binarize):
+    volts, _ = _fc_pass(m["weights"], x, params, binarize)
     return volts.argmax(axis=1), volts, (volts,)
 
 
-def _autoencoder_loss(m, c_i, labels, params, binarize):
-    loss, g_enc, g_dec, *_ = autoencoder_batch_loss(m["encoder"], m["decoder"],
-                                                    _flat(c_i), params)
-    return loss, (g_enc, g_dec)
-
-
-def _autoencoder_score(m, cs, params, binarize):
+def _autoencoder_score(m, x, params, binarize):
     """Glyphs read by threshold-classifying the reconstruction; the codes
     phi are the shown outputs."""
-    phi, _, c_rec, _ = _autoencoder_pass(m["encoder"], m["decoder"], cs, params)
+    phi, _, c_rec, _ = autoencoder_forward(m, x, params)
     return classify_series_bits(c_rec, params)[0], phi, (phi, c_rec)
 
 
-def _cnn_loss(m, c_i, labels, params, binarize):
-    loss, g_k, g_head, *_ = cnn_batch_loss(m["kernel"], m["head"], c_i, labels, params)
-    return loss, (g_k, g_head)
-
-
-def _cnn_score(m, win, params, binarize):
-    logits, _ = _cnn_pass(m["kernel"], m["head"], win, params)
+def _cnn_score(m, x, params, binarize):
+    logits, _ = cnn_logits(m, x, params)
     return logits.argmax(axis=1), logits, (logits,)
 
 
@@ -431,11 +381,13 @@ class Model:
 
     `matrices` maps each matrix name to its shape, in initialization order;
     the first is the one programmed into the array, and a checkpoint's beta
-    is its max |v|. `loss(m, c_i, labels, params, binarize)` gives the mean
-    loss and the summed gradients in matrix order; `score(m, array_inputs(spec,
-    c_i, params), params, binarize)` gives the predicted glyphs, the outputs
-    shown per glyph and the outputs that must stay finite. Only a model that
-    `binarizes` may train and program its first matrix as signs.
+    is its max |v|. Both functions take the dict m of matrices by name and
+    x = array_inputs(spec, c_i, params), what the array reads of the images
+    c_i[B, R, R]. `loss(m, x, c_i, labels, params, binarize)` gives the mean
+    loss and the summed gradients in matrix order; `score(m, x, params,
+    binarize)` gives the predicted glyphs, the outputs shown per glyph and
+    the outputs that must stay finite. Only a model that `binarizes` may
+    train and program its first matrix as signs.
     """
 
     spec: NetworkSpec
@@ -450,13 +402,15 @@ class Model:
 # The paper's alpha and epoch counts for the classifier and the autoencoder;
 # the CNN rate is a repo calibration.
 MODELS = {
-    "fc_classifier": Model(fc_spec(), 10.0, 350, {"weights": (4, 9)},
-                           _fc_loss, _fc_score, binarizes=True),
-    "autoencoder": Model(autoencoder_spec(), 4e-4, 40,
+    "fc_classifier": Model(NetworkSpec("fc_classifier", 3, 3), 10.0, 350,
+                           {"weights": (4, 9)}, fc_batch_loss, _fc_score,
+                           binarizes=True),
+    "autoencoder": Model(NetworkSpec("autoencoder", 3, 3), 4e-4, 40,
                          {"encoder": (4, 9), "decoder": (9, 4)},
-                         _autoencoder_loss, _autoencoder_score),
-    "cnn_classifier": Model(cnn_spec(), 1.0, 60, {"kernel": (1, 9), "head": (4, 9)},
-                            _cnn_loss, _cnn_score),
+                         autoencoder_batch_loss, _autoencoder_score),
+    "cnn_classifier": Model(NetworkSpec("cnn_classifier", 5, 5, 4, 3), 1.0, 60,
+                            {"kernel": (1, 9), "head": (4, 9)},
+                            cnn_batch_loss, _cnn_score),
 }
 ARCHITECTURES = tuple(MODELS)
 
@@ -491,7 +445,8 @@ def train(architecture: str, config: TrainConfig,
     for epoch in range(1, config.epochs + 1):
         idx = rng.integers(0, dataset.NUM_GLYPHS, config.batch_size)
         c_i = dataset.noisy_letters(idx, p_eff, rng, resolution)
-        loss, grads = model.loss(mats, c_i, _LABELS[idx], p_eff, config.binarize)
+        x = array_inputs(model.spec, c_i, p_eff)
+        loss, grads = model.loss(mats, x, c_i, _LABELS[idx], p_eff, config.binarize)
         mats = {name: m - lr * g for (name, m), g in zip(mats.items(), grads)}
         _check_finite(epoch, history, loss, *grads, *mats.values())
         ec_i = dataset.noisy_letters(eidx, p_eff, erng, resolution)

@@ -319,6 +319,8 @@ class TestInputErrors:
         ("train.noise_frac=1e308", "noise_frac"),
         ("sensor.noise_frac=1e308", "noise_frac"),
         (f"train.epochs={netlab.MAX_EPOCHS + 1}", "epochs"),
+        ("sensor.c_ih=1e307", "c_ih"),
+        ("sensor.c0=1e307", "c0"),
     ])
     def test_out_of_range_settings_exit_2(self, tmp_path, capsys, setting, field):
         code = main(["train", "--output-dir", str(tmp_path / "r"), "--set", setting])
@@ -349,6 +351,8 @@ class TestInputErrors:
         ("sensor.c0=nan", "c0"),
         ("sensor.c0=big", "sensor.c0"),
         ("sensor.noise_frac=1e306", "noise_frac"),
+        ("sensor.c0=1e307", "c0 must be in"),
+        ("sensor.c_ih=1e307", "c_ih must be in"),
     ])
     def test_eval_bad_override_exits_2(self, checkpoints, capsys, setting, field):
         code = main(["eval", checkpoints["fc_classifier"], "--set", setting])
@@ -478,6 +482,23 @@ class TestEvaluate:
         for entry in report["letters"]:
             assert entry["mse"] >= 0
             assert entry["bitmap"].shape == (3, 3)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("arch,binarize", [("fc_classifier", False),
+                                           ("fc_classifier", True),
+                                           ("autoencoder", False),
+                                           ("cnn_classifier", False)])
+def test_training_eval_equals_capmac_eval(arch, binarize, seed):
+    # The last epoch's evaluation in netlab.train and `capmac eval` of the
+    # checkpoint at the evaluation stream's seed score the same letters.
+    cfg = default_config(arch, epochs=1, seed=seed, binarize=binarize)
+    hist = netlab.train(arch, cfg)
+    report = evaluate(hist.checkpoint, seed=seed + netlab.EVAL_SEED_OFFSET,
+                      per_glyph=cfg.eval_per_glyph)
+    assert report["accuracy"] == hist.accuracy[-1]
+    np.testing.assert_array_equal(report["mean_outputs"].view(np.uint64),
+                                  hist.mean_outputs[-1].view(np.uint64))
 
 
 class TestRenderAscii:

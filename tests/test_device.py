@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capmac.dataset import noisy_letters
-from capmac.device import (MAX_NOISE_FRAC, MacPhase, PHASE_ORDER, SensorParams,
-                           apply_noise, mac, mac_phases, phase_switches,
-                           series_capacitance, write_trace_csv)
+from capmac.device import (MAX_CAPACITANCE_PF, MAX_NOISE_FRAC, MacPhase, PHASE_ORDER,
+                           SensorParams, apply_noise, mac, mac_phases,
+                           phase_switches, series_capacitance, write_trace_csv)
 
 
 class TestSeriesCapacitance:
@@ -230,6 +230,13 @@ class TestSensorParams:
            st.sampled_from([math.nan, math.inf, -math.inf]))
     def test_non_finite_rejected_naming_field(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            SensorParams(**{name: value})
+
+    @given(st.sampled_from(["c0", "c_ih", "c_il"]),
+           st.floats(min_value=MAX_CAPACITANCE_PF, exclude_min=True,
+                     allow_infinity=False))
+    def test_capacitance_above_bound_rejected_naming_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be in"):
             SensorParams(**{name: value})
 
     @given(st.one_of(st.floats(min_value=0.0, max_value=MAX_NOISE_FRAC),

@@ -7,9 +7,11 @@ from capmac.metrics import (EnergyModel, PhaseTiming, assemble_waveform,
                             cycle_count, energy, latency, summary,
                             waveform_final_outputs, write_summary_json,
                             write_waveform_csv)
-from capmac.netlab import autoencoder_spec, cnn_spec, fc_spec
+from capmac.netlab import MODELS
 
 PARAMS = SensorParams()
+FC_SPEC, AE_SPEC, CNN_SPEC = (MODELS[arch].spec for arch in
+                              ("fc_classifier", "autoencoder", "cnn_classifier"))
 
 
 class TestPhaseTiming:
@@ -26,26 +28,26 @@ class TestPhaseTiming:
 class TestLatency:
     def test_fc_four_banks_is_one_cycle(self):
         topo = build_fc_array(3, 3, 4)
-        assert latency(fc_spec(), PhaseTiming(), topo) == 350.0
+        assert latency(FC_SPEC, PhaseTiming(), topo) == 350.0
 
     def test_conv_5x5_is_three_cycles(self):
         topo = build_conv_array(5, 5, 3)
-        assert latency(cnn_spec(), PhaseTiming(), topo) == pytest.approx(1050.0)
+        assert latency(CNN_SPEC, PhaseTiming(), topo) == pytest.approx(1050.0)
 
     def test_single_bank_serializes_four_times(self):
         topo1 = build_fc_array(3, 3, 1)
         topo4 = build_fc_array(3, 3, 4)
-        assert (latency(fc_spec(), PhaseTiming(), topo1)
-                == 4 * latency(fc_spec(), PhaseTiming(), topo4))
+        assert (latency(FC_SPEC, PhaseTiming(), topo1)
+                == 4 * latency(FC_SPEC, PhaseTiming(), topo4))
 
     def test_autoencoder_encoder_is_one_cycle(self):
         topo = build_fc_array(3, 3, 4)
-        assert cycle_count(autoencoder_spec(), topo) == 1
+        assert cycle_count(AE_SPEC, topo) == 1
 
     def test_independent_of_weights_additive_in_cycles(self):
         timing = PhaseTiming(t_clear=10, t_charge=20, t_transfer=30, t_sum=40)
         topo = build_conv_array(7, 9, 3)
-        spec = cnn_spec()
+        spec = CNN_SPEC
         spec = type(spec)(spec.architecture, 7, 9, 4, 3)
         assert latency(spec, timing, topo) == pytest.approx(100.0 * 7)
 
@@ -53,11 +55,11 @@ class TestLatency:
 class TestEnergy:
     def test_calibrated_default(self):
         topo = build_fc_array(3, 3, 4)
-        assert energy(EnergyModel(), net=fc_spec(), topology=topo) == 0.9
+        assert energy(EnergyModel(), net=FC_SPEC, topology=topo) == 0.9
 
     def test_calibrated_scales_with_cycles(self):
         topo = build_conv_array(5, 5, 3)
-        assert energy(EnergyModel(), net=cnn_spec(), topology=topo) == pytest.approx(2.7)
+        assert energy(EnergyModel(), net=CNN_SPEC, topology=topo) == pytest.approx(2.7)
 
     def test_charge_based_zero_weights(self):
         trace = mac_phases([62.937] * 9, [[0.0] * 9], 72.0)
@@ -150,7 +152,7 @@ class TestAssembleWaveform:
 class TestSummary:
     def test_fc_summary(self, tmp_path):
         topo = build_fc_array(3, 3, 4)
-        data = summary(fc_spec(), PhaseTiming(), topo, EnergyModel())
+        data = summary(FC_SPEC, PhaseTiming(), topo, EnergyModel())
         assert data["latency_ns"] == 350.0
         assert data["energy_nJ"] == 0.9
         assert data["cycles"] == 1
@@ -161,7 +163,7 @@ class TestSummary:
 
     def test_cnn_summary_uses_resource_report(self):
         topo = build_conv_array(5, 5, 3)
-        data = summary(cnn_spec(), PhaseTiming(), topo, EnergyModel())
+        data = summary(CNN_SPEC, PhaseTiming(), topo, EnergyModel())
         assert data["cycles"] == 3
         assert data["dacs"] == 9
         assert data["adcs"] == 5

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,15 +10,17 @@ from hypothesis.extra.numpy import arrays as np_arrays
 from capmac import dataset, netlab
 from capmac.arrays import build_conv_array, build_fc_array, conv_forward, fc_forward
 from capmac.device import SensorParams, series_capacitance
-from capmac.netlab import (CHECKPOINT_MATRICES, Checkpoint, TrainConfig, TrainingDiverged,
-                           autoencoder_batch_loss, autoencoder_forward,
-                           cnn_batch_loss, cnn_logits, cross_entropy,
-                           default_config, encoder_caps, fc_batch_loss,
-                           fc_output_volts, gather_windows, history_columns,
-                           load_checkpoint, save_checkpoint, sigmoid, softmax,
-                           train, write_history_csv)
+from capmac.netlab import (CHECKPOINT_MATRICES, MODELS, Checkpoint, TrainConfig,
+                           TrainingDiverged, array_inputs, autoencoder_batch_loss,
+                           autoencoder_forward, cnn_batch_loss, cnn_logits,
+                           cross_entropy, default_config, encoder_caps,
+                           fc_batch_loss, fc_output_volts, gather_windows,
+                           history_columns, load_checkpoint, save_checkpoint,
+                           sigmoid, softmax, train, write_history_csv)
 
 PARAMS = SensorParams()
+FC_SPEC, AE_SPEC, CNN_SPEC = (MODELS[arch].spec for arch in
+                              ("fc_classifier", "autoencoder", "cnn_classifier"))
 
 
 class TestSoftmax:
@@ -117,10 +120,12 @@ class TestFastPathEquivalence:
                 out = fc_output_volts(m["weights"], flat, PARAMS, binarize=binarize)
                 expect = out.argmax(axis=1), out, (out,)
             elif arch == "autoencoder":
-                phi, c_rec, _ = autoencoder_forward(m["encoder"], m["decoder"], flat, PARAMS)
+                cs = series_capacitance(flat, PARAMS.c0)
+                phi, _, c_rec, _ = autoencoder_forward(m, cs, PARAMS)
                 expect = netlab.classify_series_bits(c_rec, PARAMS)[0], phi, (phi, c_rec)
             else:
-                out, _ = cnn_logits(m["kernel"], m["head"], c_i, PARAMS)
+                win = gather_windows(series_capacitance(c_i, PARAMS.c0))
+                out, _ = cnn_logits(m, win, PARAMS)
                 expect = out.argmax(axis=1), out, (out,)
             np.testing.assert_array_equal(pred, expect[0])
             _assert_bitwise_equal(shown, expect[1])
@@ -179,24 +184,31 @@ class TestGradients:
         rng = np.random.default_rng(0)
         for _ in range(5):
             c_i, labels = _random_instance(rng)
-            flat = c_i.reshape(len(c_i), -1)
+            x = array_inputs(FC_SPEC, c_i, PARAMS)
             v0 = rng.uniform(-1.5, 1.5, (4, 9))
-            _, grad, _ = fc_batch_loss(v0, flat, labels, PARAMS)
-            fd = _fd_gradient(lambda v: fc_batch_loss(v, flat, labels, PARAMS)[0], v0)
+
+            def loss(v):
+                return fc_batch_loss({"weights": v}, x, c_i, labels, PARAMS, False)
+
+            _, (grad,) = loss(v0)
+            fd = _fd_gradient(lambda v: loss(v)[0], v0)
             assert _rel_norm_err(grad / len(c_i), fd) < 1e-5
 
     def test_autoencoder_gradients_match_finite_differences(self):
         rng = np.random.default_rng(1)
         for _ in range(3):
-            c_i, _ = _random_instance(rng)
-            flat = c_i.reshape(len(c_i), -1)
+            c_i, labels = _random_instance(rng)
+            x = array_inputs(AE_SPEC, c_i, PARAMS)
             v0 = rng.uniform(-1, 1, (4, 9))
             w0 = rng.uniform(-1, 1, (9, 4))
-            _, g_enc, g_dec, _, _, _ = autoencoder_batch_loss(v0, w0, flat, PARAMS)
-            fd_enc = _fd_gradient(
-                lambda v: autoencoder_batch_loss(v, w0, flat, PARAMS)[0], v0)
-            fd_dec = _fd_gradient(
-                lambda w: autoencoder_batch_loss(v0, w, flat, PARAMS)[0], w0)
+
+            def loss(v, w):
+                return autoencoder_batch_loss({"encoder": v, "decoder": w}, x, c_i,
+                                              labels, PARAMS, False)
+
+            _, (g_enc, g_dec) = loss(v0, w0)
+            fd_enc = _fd_gradient(lambda v: loss(v, w0)[0], v0)
+            fd_dec = _fd_gradient(lambda w: loss(v0, w)[0], w0)
             assert _rel_norm_err(g_enc / len(c_i), fd_enc) < 1e-5
             assert _rel_norm_err(g_dec / len(c_i), fd_dec) < 1e-5
 
@@ -204,13 +216,17 @@ class TestGradients:
         rng = np.random.default_rng(2)
         for _ in range(3):
             c_i, labels = _random_instance(rng, resolution=5)
+            x = array_inputs(CNN_SPEC, c_i, PARAMS)
             k0 = rng.uniform(-1, 1, 9)
             f0 = rng.uniform(-1, 1, (4, 9))
-            _, g_k, g_f, _, _ = cnn_batch_loss(k0, f0, c_i, labels, PARAMS)
-            fd_k = _fd_gradient(
-                lambda k: cnn_batch_loss(k, f0, c_i, labels, PARAMS)[0], k0)
-            fd_f = _fd_gradient(
-                lambda f: cnn_batch_loss(k0, f, c_i, labels, PARAMS)[0], f0)
+
+            def loss(k, f):
+                return cnn_batch_loss({"kernel": k, "head": f}, x, c_i, labels,
+                                      PARAMS, False)
+
+            _, (g_k, g_f) = loss(k0, f0)
+            fd_k = _fd_gradient(lambda k: loss(k, f0)[0], k0)
+            fd_f = _fd_gradient(lambda f: loss(k0, f)[0], f0)
             assert _rel_norm_err(g_k / len(c_i), fd_k) < 1e-5
             assert _rel_norm_err(g_f / len(c_i), fd_f) < 1e-5
 
@@ -224,8 +240,8 @@ class TestAnalogDigitalSplit:
             v = rng.uniform(-3, 3, (4, 9))
             c_i, _ = _random_instance(rng)
             cs = series_capacitance(c_i.reshape(len(c_i), -1), PARAMS.c0)
-            phi, _, _ = autoencoder_forward(v, np.zeros((9, 4)),
-                                            c_i.reshape(len(c_i), -1), PARAMS)
+            phi, *_ = autoencoder_forward({"encoder": v, "decoder": np.zeros((9, 4))},
+                                          cs, PARAMS)
             direct = ((cs - c_l) / span) @ v.T
             np.testing.assert_allclose(phi, sigmoid(direct), rtol=1e-9, atol=1e-12)
 
@@ -249,7 +265,8 @@ class TestAnalogDigitalSplit:
         for _ in range(10):
             k = rng.uniform(-2, 2, 9)
             img = rng.uniform(10, 500, (5, 5))
-            logits, h = cnn_logits(k, np.eye(4, 9), img[None], PARAMS)
+            logits, h = cnn_logits({"kernel": k, "head": np.eye(4, 9)},
+                                   array_inputs(CNN_SPEC, img[None], PARAMS), PARAMS)
             beta = np.max(np.abs(k))
             conv = conv_forward(topo, sched, img, k / beta, PARAMS)
             a = conv.reshape(-1) * (9 * PARAMS.c0) * beta
@@ -276,10 +293,10 @@ class TestInversionIdentities:
     def test_reconstruction_stays_below_c0(self):
         rng = np.random.default_rng(8)
         c_i, _ = _random_instance(rng, size=40)
-        flat = c_i.reshape(40, -1)
         v = rng.uniform(-1, 1, (4, 9))
         w = rng.uniform(-1, 1, (9, 4))
-        _, c_rec, ci_rec = autoencoder_forward(v, w, flat, PARAMS)
+        _, _, c_rec, ci_rec = autoencoder_forward(
+            {"encoder": v, "decoder": w}, array_inputs(AE_SPEC, c_i, PARAMS), PARAMS)
         assert np.all(c_rec < PARAMS.c0)
         assert np.all(np.isfinite(ci_rec))
 
@@ -338,10 +355,9 @@ class TestTrainers:
         hist = train("autoencoder", cfg)
         ck = hist.checkpoint
         pats = dataset.letter_patterns(3)
-        clean = np.stack([dataset.encode_capacitive(p, PARAMS).c_i.reshape(-1)
-                          for p in pats])
-        _, c_rec, _ = autoencoder_forward(ck.matrix("encoder"), ck.matrix("decoder"),
-                                          clean, PARAMS)
+        clean = np.stack([dataset.encode_capacitive(p, PARAMS).c_i for p in pats])
+        _, _, c_rec, _ = autoencoder_forward(ck.matrices,
+                                             array_inputs(AE_SPEC, clean, PARAMS), PARAMS)
         pred, _ = netlab.classify_series_bits(c_rec, PARAMS)
         np.testing.assert_array_equal(pred, [0, 1, 2, 3])
 
@@ -362,15 +378,16 @@ class TestTrainers:
 
     def test_divergence_raises_with_last_good_state(self, monkeypatch):
         calls = {"n": 0}
-        real = netlab.fc_batch_loss
+        model = netlab.MODELS["fc_classifier"]
 
-        def exploding(v, flat, labels, params, binarize=False):
+        def exploding(m, *args):
             calls["n"] += 1
             if calls["n"] >= 3:
-                return float("nan"), np.zeros_like(v), None
-            return real(v, flat, labels, params, binarize=binarize)
+                return float("nan"), (np.zeros_like(m["weights"]),)
+            return model.loss(m, *args)
 
-        monkeypatch.setattr(netlab, "fc_batch_loss", exploding)
+        monkeypatch.setitem(netlab.MODELS, "fc_classifier",
+                            dataclasses.replace(model, loss=exploding))
         cfg = default_config("fc_classifier", epochs=10, seed=0)
         with pytest.raises(TrainingDiverged) as exc:
             train("fc_classifier", cfg)
@@ -411,13 +428,14 @@ class TestTrainers:
             TrainConfig(**{name: value})
 
     def test_non_finite_gradient_diverges(self, monkeypatch):
-        real = netlab.fc_batch_loss
+        model = netlab.MODELS["fc_classifier"]
 
-        def inf_grad(v, flat, labels, params, binarize=False):
-            loss, grad, p = real(v, flat, labels, params, binarize=binarize)
-            return loss, np.full_like(grad, np.inf), p
+        def inf_grad(*args):
+            loss, (grad,) = model.loss(*args)
+            return loss, (np.full_like(grad, np.inf),)
 
-        monkeypatch.setattr(netlab, "fc_batch_loss", inf_grad)
+        monkeypatch.setitem(netlab.MODELS, "fc_classifier",
+                            dataclasses.replace(model, loss=inf_grad))
         with pytest.raises(TrainingDiverged, match="non-finite") as exc:
             train("fc_classifier", default_config("fc_classifier", epochs=5, seed=0))
         assert exc.value.epoch == 1

@@ -4,10 +4,12 @@ Usage: python3 tools/artifact_digests.py
 
 It trains each kind of network (FC with binarize off and on, autoencoder,
 CNN) at seeds 0-4 with the paper-default epochs and prints the digest of
-each history.csv and checkpoint.txt, and of waveform.csv for the kinds that
-trace. On the seed-0 checkpoints it then runs `capmac eval --per-glyph 250`
-at eval seeds 0-3, and `capmac trace` at every glyph for the kinds that
-trace, and prints the digests of their stdout, trace.csv and waveform.csv.
+each history.csv, checkpoint.txt and schedule.json, of waveform.csv for the
+kinds that trace, and of the reconstruction_*.txt and reconstruction_*.pgm
+files of the autoencoder. On the seed-0 checkpoints it then runs
+`capmac eval --per-glyph 250` at eval seeds 0-3, and `capmac trace` at every
+glyph for the kinds that trace, and prints the digests of their stdout,
+trace.csv and waveform.csv.
 Run it on two checkouts and diff the outputs to check that a change leaves
 every artifact byte-identical.
 """
@@ -58,17 +60,20 @@ def main() -> None:
         # free of the temporary directory's name.
         os.chdir(tmp)
         for label, arch, extra in KINDS:
-            names = ("history.csv", "checkpoint.txt")
+            emit = ["history", "checkpoint", "schedule"]
             if label in TRACED:
-                names += ("waveform.csv",)
-            emit = ",".join(name.split(".")[0] for name in names)
+                emit.append("waveform")
+            if arch == "autoencoder":
+                emit.append("reconstruction")
             for seed in SEEDS:
                 run = Path(f"{label}_{seed}")
                 capmac("train", "--arch", arch, "--seed", str(seed), "--output-dir",
-                       str(run), "--emit", emit, *extra)
-                for name in names:
-                    print(f"train {label} seed={seed} {name} "
-                          f"{sha256((run / name).read_bytes())}")
+                       str(run), "--emit", ",".join(emit), *extra)
+                # The manifest records the software versions, so it is left out.
+                for path in sorted(run.iterdir()):
+                    if path.name != "manifest.txt":
+                        print(f"train {label} seed={seed} {path.name} "
+                              f"{sha256(path.read_bytes())}")
         for label, _, _ in KINDS:
             ckpt = f"{label}_0/checkpoint.txt"
             for seed in EVAL_SEEDS:
