@@ -8,8 +8,8 @@ from .device import (MacPhase, SensorParams, apply_noise, mac, mac_phases,
 from .weights import WeightBank, binarize_weights, normalize_weights
 from .arrays import (ArrayTopology, ConvSchedule, build_fc_array, conv_forward,
                      fc_forward, resource_report, schedule_conv)
-from .dataset import (CapacitiveSample, Glyph, LetterImage, encode_capacitive,
-                      letter_patterns, noisy_letters, sample_batch)
+from .dataset import (GRIDS, LABELS, CapacitiveSample, Glyph, encode_capacitive,
+                      noisy_letters, sample_batch)
 from .netlab import (MODELS, Checkpoint, NetworkSpec, TrainConfig, TrainHistory,
                      TrainingDiverged, cross_entropy, default_config,
                      load_checkpoint, save_checkpoint, sigmoid, softmax, train)

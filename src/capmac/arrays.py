@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import SensorParams, mac, series_capacitance
-from .weights import as_matrix
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,7 @@ def fc_forward(topology: ArrayTopology, c_i_image, weights, params: SensorParams
     if img.shape != (topology.rows, topology.cols):
         raise ValueError(f"image shape {img.shape} does not match "
                          f"{topology.rows}x{topology.cols} topology")
-    w = as_matrix(weights)
+    w = np.asarray(weights, dtype=float)
     n = topology.rows * topology.cols
     if w.ndim != 2 or w.shape[1] != n:
         raise ValueError(f"weight matrix must be M x {n}, got {w.shape}")
@@ -124,7 +123,7 @@ def conv_forward(topology: ArrayTopology, schedule: ConvSchedule, c_i_image,
     img = np.asarray(c_i_image, dtype=float)
     if img.shape != (topology.rows, topology.cols):
         raise ValueError(f"image shape {img.shape} does not match topology")
-    k = as_matrix(kernel_weights).reshape(1, -1)
+    k = np.asarray(kernel_weights, dtype=float).reshape(1, -1)
     ksz = schedule.kernel
     if k.size != ksz ** 2:
         raise ValueError(f"kernel needs {ksz ** 2} weights, got {k.size}")

@@ -2,8 +2,9 @@
 reproducibility manifest.
 
 The CLI is a thin shell over the library; every run is reproducible by
-calling the same functions with the same config. Exit codes: 0 success,
-2 config/usage error, 3 training divergence.
+calling the same functions with the same config. Exit codes: 0 success, 1
+stdout closed early by its reader (`capmac eval ... | head`), 2 config/usage
+error, 3 training divergence.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import platform
 import sys
 from dataclasses import dataclass, field
@@ -27,6 +29,7 @@ from .netlab import (Checkpoint, TrainConfig, TrainingDiverged, load_checkpoint,
 EMIT_CHOICES = ("history", "waveform", "reconstruction", "schedule", "checkpoint")
 
 EXIT_OK = 0
+EXIT_CLOSED_STDOUT = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
@@ -197,11 +200,6 @@ def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _clean_image(glyph: dataset.Glyph, params: SensorParams, resolution: int = 3):
-    pattern = {im.glyph: im for im in dataset.letter_patterns(resolution)}[glyph]
-    return dataset.encode_capacitive(pattern, params).c_i
-
-
 def capture_fc_traces(ckpt: Checkpoint, glyph: dataset.Glyph = dataset.Glyph.INV_Z):
     """Run one array cycle on the clean image of `glyph`: (outputs, phases),
     the bank outputs and the (charge, volts) of every unit per phase.
@@ -212,13 +210,14 @@ def capture_fc_traces(ckpt: Checkpoint, glyph: dataset.Glyph = dataset.Glyph.INV
     if model.spec.kernel:
         raise ConfigError("waveform/trace capture covers FC bank readout only")
     params = ckpt.params
-    image = _clean_image(glyph, params)
+    grid = dataset.GRIDS[3][dataset.GLYPH_ORDER.index(glyph)]
+    c_i = dataset.encode_capacitive(grid[None], params)
     first = next(iter(model.matrices))
-    weights = netlab.programmed_weights(ckpt.matrix(first),
+    weights = netlab.programmed_weights(ckpt.matrices[first],
                                         ckpt.binarize and model.binarizes)[0]
-    outputs = arrays.fc_forward(arrays.build_fc_array(3, 3, 4), image, weights, params)
-    cs = netlab.array_inputs(model.spec, image[None], params)[0]
-    return outputs, mac_phases(cs, weights, params.c0)
+    cs = netlab.array_inputs(model.spec, c_i, params)[0]
+    charge, volts = mac_phases(cs, weights, params.c0)
+    return volts[-1, :, 0].tolist(), (charge, volts)
 
 
 def _emit_schedule(config: ExperimentConfig, path: Path):
@@ -244,14 +243,14 @@ def _emit_reconstructions(ckpt: Checkpoint, outdir: Path) -> list[Path]:
     params = ckpt.params
     spec = netlab.MODELS[ckpt.architecture].spec
     written = []
-    for im in dataset.letter_patterns(3):
-        c_i = dataset.encode_capacitive(im, params).c_i[None]
+    for glyph, grid in zip(dataset.GLYPH_ORDER, dataset.GRIDS[3]):
+        c_i = dataset.encode_capacitive(grid[None], params)
         x = netlab.array_inputs(spec, c_i, params)
         *_, ci_rec = netlab.autoencoder_forward(ckpt.matrices, x, params)
         recon = ci_rec.reshape(3, 3)
-        txt = outdir / f"reconstruction_{im.glyph.value}.txt"
+        txt = outdir / f"reconstruction_{glyph.value}.txt"
         txt.write_text(render_ascii(recon, params) + "\n")
-        pgm = outdir / f"reconstruction_{im.glyph.value}.pgm"
+        pgm = outdir / f"reconstruction_{glyph.value}.pgm"
         write_pgm(recon, pgm, lo=params.c_il, hi=params.c_ih)
         written += [txt, pgm]
     return written
@@ -344,9 +343,7 @@ def evaluate(ckpt: Checkpoint, seed: int = 0, per_glyph: int = 25,
     additionally reconstructs `letters` random noisy letters and reports
     per-letter MSE and thresholded bitmaps.
     """
-    model = netlab.MODELS.get(ckpt.architecture)
-    if model is None:
-        raise ConfigError(f"architecture: cannot evaluate {ckpt.architecture!r}")
+    model = netlab.MODELS[ckpt.architecture]
     params = ckpt.params
     rng = np.random.default_rng(seed)
     idx = np.repeat(np.arange(dataset.NUM_GLYPHS), per_glyph)
@@ -512,11 +509,12 @@ def _cmd_fixtures(args) -> int:
     params = SensorParams()
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        for im in dataset.letter_patterns(3) + dataset.letter_patterns(5):
-            stem = f"glyph_{im.glyph.value}_{im.resolution}"
-            dataset.write_bitmap(outdir / f"{stem}.txt", im.grid)
-            dataset.write_capacitance_csv(outdir / f"{stem}_capacitance.csv",
-                                          dataset.encode_capacitive(im, params).c_i)
+        for r in (3, 5):
+            for glyph, grid in zip(dataset.GLYPH_ORDER, dataset.GRIDS[r]):
+                stem = f"glyph_{glyph.value}_{r}"
+                dataset.write_bitmap(outdir / f"{stem}.txt", grid)
+                dataset.write_capacitance_csv(outdir / f"{stem}_capacitance.csv",
+                                              dataset.encode_capacitive(grid, params))
     except OSError as exc:
         return _usage_error(f"--out: {exc}")
     print(f"wrote canonical glyph fixtures to {outdir}")
@@ -573,7 +571,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:  # recipe from Python's `signal` docs
+        # Point stdout at devnull so the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
+    return code
 
 
 if __name__ == "__main__":

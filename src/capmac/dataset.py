@@ -30,55 +30,35 @@ _PATTERNS_3 = {
     Glyph.INV_Z: ((1, 1, 1), (0, 1, 0), (1, 1, 1)),
 }
 
+# The corpus: the canonical bitmaps of each resolution, stacked and indexed
+# by glyph number. The 5x5 letters center the 3x3 glyph and extend its
+# strokes to the border by edge replication.
+GRIDS = {3: np.array([_PATTERNS_3[glyph] for glyph in GLYPH_ORDER], dtype=np.uint8)}
+GRIDS[5] = np.pad(GRIDS[3], ((0, 0), (1, 1), (1, 1)), mode="edge")
 
-@dataclass(frozen=True)
-class LetterImage:
-    glyph: Glyph
-    grid: np.ndarray  # binary, shape (resolution, resolution)
-    resolution: int
-
-
-@dataclass(frozen=True)
-class CapacitiveSample:
-    c_i: np.ndarray        # induced capacitances, pF
-    label: np.ndarray      # one-hot, length 4
-    clean_source: LetterImage
-
-
-def letter_patterns(resolution: int) -> list[LetterImage]:
-    """The four canonical letters at 3x3, or at 5x5 via centering the 3x3
-    glyph and extending its strokes to the border by edge replication."""
-    if resolution not in (3, 5):
-        raise ValueError(f"unsupported resolution: {resolution}")
-    out = []
-    for glyph in GLYPH_ORDER:
-        grid = np.array(_PATTERNS_3[glyph], dtype=np.uint8)
-        if resolution == 5:
-            grid = np.pad(grid, 1, mode="edge")
-        grid.setflags(write=False)
-        out.append(LetterImage(glyph=glyph, grid=grid, resolution=resolution))
-    return out
-
-
-def one_hot(glyph: Glyph) -> np.ndarray:
-    label = np.zeros(NUM_GLYPHS)
-    label[GLYPH_ORDER.index(glyph)] = 1.0
-    return label
-
-
-def encode_capacitive(image: LetterImage, params: SensorParams) -> CapacitiveSample:
-    """Map the binary bitmap to induced capacitances: inside -> c_ih,
-    outside -> c_il."""
-    c_i = np.where(image.grid > 0, params.c_ih, params.c_il).astype(float)
-    return CapacitiveSample(c_i=c_i, label=one_hot(image.glyph), clean_source=image)
-
+LABELS = np.eye(NUM_GLYPHS)  # one-hot, indexed by glyph number
+for _shared in (*GRIDS.values(), LABELS):
+    _shared.setflags(write=False)
 
 # The most samples a single draw may hold: a training batch, an evaluation
 # set or a set of letters to reconstruct.
 MAX_DRAW = 100_000
 
-# The canonical bitmaps stacked per resolution, indexed by glyph number.
-GRIDS = {r: np.stack([im.grid for im in letter_patterns(r)]) for r in (3, 5)}
+
+def encode_capacitive(grid, params: SensorParams) -> np.ndarray:
+    """Map binary bitmaps, one or a stack, to induced capacitances (pF):
+    inside -> c_ih, outside -> c_il."""
+    c_i = np.where(np.asarray(grid) > 0, params.c_ih, params.c_il)
+    return c_i.astype(float, copy=False)
+
+
+@dataclass(frozen=True)
+class CapacitiveSample:
+    """One noisy letter: induced capacitances c_i (pF) and its one-hot label.
+    Only sample_batch makes these, for the benchmark's readout set-up."""
+
+    c_i: np.ndarray
+    label: np.ndarray
 
 
 def noisy_letters(idx, params: SensorParams, rng, resolution: int = 3) -> np.ndarray:
@@ -89,7 +69,7 @@ def noisy_letters(idx, params: SensorParams, rng, resolution: int = 3) -> np.nda
         raise ValueError(f"unsupported resolution: {resolution}")
     if not 1 <= len(idx) <= MAX_DRAW:
         raise ValueError(f"a draw holds 1 to {MAX_DRAW} letters, got {len(idx)}")
-    clean = np.where(GRIDS[resolution][idx] > 0, params.c_ih, params.c_il)
+    clean = encode_capacitive(GRIDS[resolution][idx], params)
     nominal = np.full_like(clean, params.c_ih) if params.noise_mode == "global" else clean
     return apply_noise(clean, nominal, params.noise_frac, rng)
 
@@ -98,13 +78,12 @@ def sample_batch(size: int, params: SensorParams, rng, resolution: int = 3
                  ) -> list[CapacitiveSample]:
     """Draw `size` letters uniformly with replacement, each with a fresh
     noise realization: the draws of `noisy_letters` as sample objects.
-    Deterministic for a seeded rng."""
+    Deterministic for a seeded rng. Training and evaluation call
+    noisy_letters; this stays for the benchmark's readout set-up."""
     if size < 1:
         raise ValueError("batch size must be >= 1")
-    patterns = letter_patterns(resolution)
     idx = rng.integers(0, NUM_GLYPHS, size)
-    return [CapacitiveSample(c_i=c_i, label=one_hot(patterns[i].glyph),
-                             clean_source=patterns[i])
+    return [CapacitiveSample(c_i=c_i, label=LABELS[i])
             for c_i, i in zip(noisy_letters(idx, params, rng, resolution), idx)]
 
 

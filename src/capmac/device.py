@@ -37,7 +37,14 @@ MAX_NOISE_FRAC = 10.0
 # product c_i * c0 stays finite (at c_ih = 1e307 it overflows to inf).
 MAX_CAPACITANCE_PF = 1e6
 
-# Default per-phase duration (ns); four equal phases summing to 350 ns.
+# The largest c_ih/c0 accepted (the paper's is 500/72). The autoencoder maps
+# series capacitances back through c_i = C c0/(c0 - C), so a touched pixel's
+# C_H = c_ih c0/(c_ih + c0) must stay clear of c0: here c0 - C_H is about
+# 1e-9 c0, but at c_ih/c0 = 1e17 C_H rounds to c0 and the map divides by 0.
+MAX_CAPACITANCE_RATIO = 1e9
+
+# Duration (ns) of each of the four MAC phases: the measured 350 ns cycle
+# split evenly.
 DEFAULT_PHASE_NS = 87.5
 
 
@@ -93,6 +100,9 @@ class SensorParams:
                 raise ValueError(f"{name} must be in (0, {MAX_CAPACITANCE_PF}] pF")
         if self.c_ih <= self.c_il:
             raise ValueError("c_ih must exceed c_il")
+        if self.c_ih > MAX_CAPACITANCE_RATIO * self.c0:
+            raise ValueError(f"c_ih must be at most {MAX_CAPACITANCE_RATIO:,.0f} times "
+                             f"c0, got c_ih/c0 = {self.c_ih / self.c0:.3g}")
         if not 0 <= self.noise_frac <= MAX_NOISE_FRAC:
             raise ValueError(f"noise_frac must be in [0, {MAX_NOISE_FRAC}]")
         if self.noise_mode not in ("per_class", "global"):
@@ -102,8 +112,9 @@ class SensorParams:
 def series_capacitance(c_i, c0):
     """Series combination c_i*c0/(c_i + c0) of the induced and sensor caps.
 
-    Accepts scalars or arrays; the result is strictly below both inputs.
-    Raises ValueError for non-positive capacitance.
+    Accepts scalars or arrays. The exact result lies below both inputs, but
+    rounds to the smaller once the larger is some 1e16 times it. Raises
+    ValueError for non-positive capacitance.
     """
     c_i = np.asarray(c_i, dtype=float)
     if (c_i <= 0).any() or c0 <= 0:

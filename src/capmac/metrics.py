@@ -15,23 +15,23 @@ import math
 from dataclasses import dataclass
 
 from .arrays import ArrayTopology, resource_report
-from .device import MacPhase, PHASE_ORDER, SWITCH_NAMES, phase_switches
+from .device import (DEFAULT_PHASE_NS, MacPhase, PHASE_ORDER, SWITCH_NAMES,
+                     phase_switches)
 from .netlab import NetworkSpec
 
-# Measured figures for one 4-bank FC classification cycle.
-DEFAULT_CYCLE_NS = 350.0
+# Measured energy of one 4-bank FC classification cycle.
 DEFAULT_ENERGY_NJ = 0.9
 
 
 @dataclass(frozen=True)
 class PhaseTiming:
-    """Durations (ns) of the four MAC phases; defaults split the measured
-    350 ns cycle evenly."""
+    """Durations (ns) of the four MAC phases; each defaults to
+    device.DEFAULT_PHASE_NS."""
 
-    t_clear: float = DEFAULT_CYCLE_NS / 4
-    t_charge: float = DEFAULT_CYCLE_NS / 4
-    t_transfer: float = DEFAULT_CYCLE_NS / 4
-    t_sum: float = DEFAULT_CYCLE_NS / 4
+    t_clear: float = DEFAULT_PHASE_NS
+    t_charge: float = DEFAULT_PHASE_NS
+    t_transfer: float = DEFAULT_PHASE_NS
+    t_sum: float = DEFAULT_PHASE_NS
 
     def __post_init__(self):
         if min(self.t_clear, self.t_charge, self.t_transfer, self.t_sum) <= 0:

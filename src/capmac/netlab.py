@@ -46,6 +46,12 @@ LOG_FLOOR = 1e-12
 # epoch) stays near 36 MB.
 MAX_EPOCHS = 100_000
 
+# The largest learning rate accepted: 1e5 times the paper's largest (10, FC).
+# An FC step moves a weight by less than alpha/N, so MAX_EPOCHS steps stay
+# below 1.2e10. Unbounded, alpha = 1e308 left beta = 7.3e306 in an FC
+# checkpoint: finite but useless, as any further product with it overflows.
+MAX_LEARNING_RATE = 1e6
+
 
 # ---------------------------------------------------------------------------
 # activations and losses
@@ -71,10 +77,10 @@ def sigmoid(z):
 
 
 def cross_entropy(p, y):
-    """-sum(y log p) with the log argument floored at 1e-12."""
+    """-sum(y log p) over the last axis, averaged over a leading batch axis
+    if there is one, with the log argument floored at 1e-12."""
     p = np.asarray(p, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return float(-np.sum(y * np.log(np.maximum(p, LOG_FLOOR))))
+    return float((-(y * np.log(np.maximum(p, LOG_FLOOR)))).sum(axis=-1).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +117,7 @@ class TrainConfig:
         for name, least, most in (
                 ("batch_size", 1, dataset.MAX_DRAW),
                 ("epochs", 1, MAX_EPOCHS),
+                ("learning_rate", 0, MAX_LEARNING_RATE),
                 ("noise_frac", 0, MAX_NOISE_FRAC),
                 ("seed", 0, math.inf),
                 ("eval_per_glyph", 1, dataset.MAX_DRAW // dataset.NUM_GLYPHS)):
@@ -173,9 +180,6 @@ class Checkpoint:
     params: SensorParams
     matrices: dict
 
-    def matrix(self, name: str) -> np.ndarray:
-        return self.matrices[name]
-
 
 @dataclass
 class TrainHistory:
@@ -195,7 +199,8 @@ class TrainHistory:
 class TrainingDiverged(RuntimeError):
     """Raised when an epoch's loss, gradients, updated weights or evaluation
     outputs stop being finite; carries the history up to (and the checkpoint
-    of) the last good epoch."""
+    of) the last good epoch. Finite but huge weights are not detected here;
+    TrainConfig prevents them at config time by bounding the learning rate."""
 
     def __init__(self, epoch: int, history: TrainHistory):
         super().__init__(f"training diverged at epoch {epoch}: non-finite "
@@ -281,17 +286,13 @@ def cnn_logits(m: dict, x: np.ndarray, params: SensorParams):
 
 # Batch losses: (mean loss, summed gradients in matrix order).
 
-def _mean_cross_entropy(p, labels) -> float:
-    return float((-(labels * np.log(np.maximum(p, LOG_FLOOR))).sum(axis=1)).mean())
-
-
 def fc_batch_loss(m, x, c_i, labels, params, binarize):
     """Mean cross-entropy of the FC classifier and the gradient with respect
     to the latent weights (straight-through when binarized)."""
     u, beta = _fc_pass(m["weights"], x, params, binarize)
     p = softmax(u * beta)
     grad = (p - labels).T @ x / (x.shape[1] * params.c0)
-    return _mean_cross_entropy(p, labels), (grad,)
+    return cross_entropy(p, labels), (grad,)
 
 
 def autoencoder_batch_loss(m, x, c_i, labels, params, binarize):
@@ -325,7 +326,7 @@ def cnn_batch_loss(m, x, c_i, labels, params, binarize):
     d_u = (d_logit @ m["head"]) * h * (1 - h)
     win_cnl = (x - c_l) / span
     grad_k = np.einsum("sj,sjk->k", d_u, win_cnl)
-    return _mean_cross_entropy(p, labels), (grad_k, grad_head)
+    return cross_entropy(p, labels), (grad_k, grad_head)
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +415,6 @@ MODELS = {
 }
 ARCHITECTURES = tuple(MODELS)
 
-# The matrices each architecture's checkpoint holds, with their shapes.
-CHECKPOINT_MATRICES = {arch: model.matrices for arch, model in MODELS.items()}
-
-# One-hot training labels, indexed by glyph number.
-_LABELS = np.eye(dataset.NUM_GLYPHS)
-
 
 def train(architecture: str, config: TrainConfig,
           params: SensorParams = SensorParams()) -> TrainHistory:
@@ -446,7 +441,7 @@ def train(architecture: str, config: TrainConfig,
         idx = rng.integers(0, dataset.NUM_GLYPHS, config.batch_size)
         c_i = dataset.noisy_letters(idx, p_eff, rng, resolution)
         x = array_inputs(model.spec, c_i, p_eff)
-        loss, grads = model.loss(mats, x, c_i, _LABELS[idx], p_eff, config.binarize)
+        loss, grads = model.loss(mats, x, c_i, dataset.LABELS[idx], p_eff, config.binarize)
         mats = {name: m - lr * g for (name, m), g in zip(mats.items(), grads)}
         _check_finite(epoch, history, loss, *grads, *mats.values())
         ec_i = dataset.noisy_letters(eidx, p_eff, erng, resolution)
@@ -509,13 +504,13 @@ def load_checkpoint(path) -> Checkpoint:
                           matrices=matrices)
     except KeyError as exc:
         raise ValueError(f"{path}: missing checkpoint field {exc}") from exc
-    expected = CHECKPOINT_MATRICES.get(ckpt.architecture)
-    if expected is None:
+    model = MODELS.get(ckpt.architecture)
+    if model is None:
         raise ValueError(f"{path}: unknown architecture {ckpt.architecture!r}")
-    if set(matrices) != set(expected):
+    if set(matrices) != set(model.matrices):
         raise ValueError(f"{path}: matrices {sorted(matrices)} do not match "
                          f"architecture {ckpt.architecture}")
-    for name, shape in expected.items():
+    for name, shape in model.matrices.items():
         if matrices[name].shape != shape:
             raise ValueError(f"{path}: matrix {name} is {matrices[name].shape}, "
                              f"{ckpt.architecture} needs {shape}")

@@ -3,7 +3,7 @@ sign binarization."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,10 +22,6 @@ class WeightBank:
     def __post_init__(self):
         self.v = np.asarray(self.v, dtype=float)
 
-    @property
-    def shape(self):
-        return self.v.shape
-
 
 def normalize_weights(bank: WeightBank) -> WeightBank:
     """Divide by beta = max |v| so the largest programmed voltage is +-1.
@@ -43,10 +39,3 @@ def normalize_weights(bank: WeightBank) -> WeightBank:
 def binarize_weights(bank: WeightBank) -> WeightBank:
     """Map every weight to +1 or -1 (sign, with sign(0) = +1)."""
     return WeightBank(v=np.where(bank.v >= 0, 1.0, -1.0), beta=bank.beta)
-
-
-def as_matrix(weights) -> np.ndarray:
-    """Accept a WeightBank or a plain matrix and return the ndarray."""
-    if isinstance(weights, WeightBank):
-        return weights.v
-    return np.asarray(weights, dtype=float)

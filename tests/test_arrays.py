@@ -9,7 +9,6 @@ from capmac.arrays import (ArrayTopology, build_conv_array, build_fc_array,
                            conv_forward, fc_forward, resource_report,
                            schedule_conv, schedule_to_dict, write_schedule_json)
 from capmac.device import SensorParams, mac, mac_phases, series_capacitance
-from capmac.weights import WeightBank
 
 PARAMS = SensorParams()
 
@@ -70,13 +69,6 @@ class TestFcForward:
         for m in range(4):
             expect = mac(cs, w[m:m + 1], PARAMS.c0)[0]
             assert got[m] == pytest.approx(expect, rel=1e-12)
-
-    def test_accepts_weight_bank(self):
-        topo = build_fc_array(3, 3, 4)
-        img = np.full((3, 3), 100.0)
-        bank = WeightBank(np.full((4, 9), 0.5))
-        out = fc_forward(topo, img, bank, PARAMS)
-        assert all(u > 0 for u in out)
 
     def test_shape_errors(self):
         topo = build_fc_array(3, 3, 4)

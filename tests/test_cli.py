@@ -1,7 +1,12 @@
 import contextlib
 import io
 import json
+import math
+import os
 import platform
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +18,7 @@ from capmac import cli, dataset, netlab
 from capmac.cli import (ConfigError, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK,
                         build_config, config_hash, evaluate, main,
                         parse_config_text, render_ascii, run, write_pgm)
-from capmac.device import SensorParams, series_capacitance
+from capmac.device import MAX_CAPACITANCE_PF, SensorParams, series_capacitance
 from capmac.netlab import TrainingDiverged, default_config, load_checkpoint
 
 
@@ -321,6 +326,7 @@ class TestInputErrors:
         (f"train.epochs={netlab.MAX_EPOCHS + 1}", "epochs"),
         ("sensor.c_ih=1e307", "c_ih"),
         ("sensor.c0=1e307", "c0"),
+        ("train.learning_rate=1e308", "learning_rate"),
     ])
     def test_out_of_range_settings_exit_2(self, tmp_path, capsys, setting, field):
         code = main(["train", "--output-dir", str(tmp_path / "r"), "--set", setting])
@@ -328,7 +334,10 @@ class TestInputErrors:
         assert f"{field} must be in" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
-    def test_divergence_exits_3(self, tmp_path, capsys):
+    def test_divergence_exits_3(self, tmp_path, capsys, monkeypatch):
+        # The config refuses this rate; lift the bound to make the CNN's
+        # outputs overflow for real.
+        monkeypatch.setattr(netlab, "MAX_LEARNING_RATE", 1e308)
         out = tmp_path / "r"
         with np.errstate(all="ignore"):
             code = main(["train", "--arch", "cnn_classifier", "--output-dir", str(out),
@@ -337,6 +346,47 @@ class TestInputErrors:
         assert code == EXIT_DIVERGED
         assert "training diverged at epoch 1" in capsys.readouterr().err
         assert "diverged_at_epoch: 1" in (out / "manifest.txt").read_text().splitlines()
+
+    @pytest.mark.parametrize("c0,c_ih", [("1e-12", "1e5"), ("1e-300", "1e6")])
+    def test_series_capacitance_at_c0_exits_2(self, tmp_path, capsys, c0, c_ih):
+        # C_H = c_ih c0/(c_ih + c0) rounds to c0 here; the autoencoder used
+        # to end in an AssertionError.
+        code = main(["train", "--arch", "autoencoder", "--epochs", "40",
+                     "--output-dir", str(tmp_path / "r"),
+                     "--set", f"sensor.c0={c0}", "--set", f"sensor.c_ih={c_ih}"])
+        assert code == EXIT_CONFIG
+        assert "c_ih must be at most" in capsys.readouterr().err
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(min_value=math.log(5e-324), max_value=math.log(MAX_CAPACITANCE_PF)),
+           st.floats(min_value=math.log(5e-324), max_value=math.log(MAX_CAPACITANCE_PF)))
+    def test_any_sensor_ratio_trains_or_exits_cleanly(self, log_c0, log_c_ih):
+        c0 = min(math.exp(log_c0), MAX_CAPACITANCE_PF)
+        c_ih = min(math.exp(log_c_ih), MAX_CAPACITANCE_PF)
+        with tempfile.TemporaryDirectory() as out, np.errstate(all="ignore"), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["train", "--arch", "autoencoder", "--epochs", "2",
+                         "--output-dir", out, "--emit", "history,checkpoint",
+                         "--set", f"sensor.c0={c0!r}", "--set", f"sensor.c_ih={c_ih!r}"])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED)
+
+    def test_eval_into_closed_pipe_exits_without_traceback(self, checkpoints):
+        # As `capmac eval ... | head -3`: the reader leaves after three lines.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "capmac.cli", "eval", checkpoints["autoencoder"],
+             "--letters", "20000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src})
+        for _ in range(3):
+            proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        code = proc.wait(timeout=60)
+        assert err == b""
+        assert code == cli.EXIT_CLOSED_STDOUT
 
     def test_eval_sensor_override(self, checkpoints, capsys):
         assert main(["eval", checkpoints["fc_classifier"]]) == EXIT_OK
@@ -503,9 +553,8 @@ def test_training_eval_equals_capmac_eval(arch, binarize, seed):
 
 class TestRenderAscii:
     def test_clean_h_capacitance_matrix(self):
-        h = dataset.letter_patterns(3)[0]
-        sample = dataset.encode_capacitive(h, SensorParams())
-        assert render_ascii(sample.c_i) == "#.#\n###\n#.#"
+        c_i = dataset.encode_capacitive(dataset.GRIDS[3][0], SensorParams())
+        assert render_ascii(c_i) == "#.#\n###\n#.#"
 
     def test_all_low_matrix_is_blank(self):
         mat = np.full((3, 3), 16.77)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from capmac import dataset
-from capmac.dataset import (GLYPH_ORDER, Glyph, encode_capacitive,
-                            letter_patterns, noisy_letters, one_hot,
-                            read_bitmap, read_capacitance_csv, sample_batch,
-                            write_bitmap, write_capacitance_csv)
+from capmac.dataset import (GLYPH_ORDER, GRIDS, LABELS, Glyph, encode_capacitive,
+                            noisy_letters, read_bitmap, read_capacitance_csv,
+                            sample_batch, write_bitmap, write_capacitance_csv)
 from capmac.device import SensorParams, series_capacitance
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -15,63 +14,63 @@ PARAMS = SensorParams()
 
 
 class TestLetterPatterns:
+    """The corpus GRIDS: the canonical bitmaps per resolution, indexed by
+    glyph number."""
+
     def test_four_distinct_3x3(self):
-        pats = letter_patterns(3)
-        assert len(pats) == 4
-        flat = [tuple(p.grid.reshape(-1)) for p in pats]
+        assert len(GRIDS[3]) == 4
+        flat = [tuple(grid.reshape(-1)) for grid in GRIDS[3]]
         assert len(set(flat)) == 4
 
     def test_four_distinct_5x5(self):
-        pats = letter_patterns(5)
-        assert len(pats) == 4
-        assert all(p.grid.shape == (5, 5) for p in pats)
-        flat = [tuple(p.grid.reshape(-1)) for p in pats]
+        assert len(GRIDS[5]) == 4
+        assert all(grid.shape == (5, 5) for grid in GRIDS[5])
+        flat = [tuple(grid.reshape(-1)) for grid in GRIDS[5]]
         assert len(set(flat)) == 4
 
     def test_5x5_embeds_3x3_center(self):
-        for p3, p5 in zip(letter_patterns(3), letter_patterns(5)):
-            np.testing.assert_array_equal(p5.grid[1:4, 1:4], p3.grid)
+        for g3, g5 in zip(GRIDS[3], GRIDS[5]):
+            np.testing.assert_array_equal(g5[1:4, 1:4], g3)
 
-    def test_grids_stack_the_letter_patterns(self):
+    def test_grids_are_read_only_edge_pads(self):
+        for g3, g5 in zip(GRIDS[3], GRIDS[5]):
+            np.testing.assert_array_equal(g5, np.pad(g3, 1, mode="edge"))
         for resolution in (3, 5):
-            expect = np.stack([im.grid for im in letter_patterns(resolution)])
-            np.testing.assert_array_equal(dataset.GRIDS[resolution], expect)
-            assert dataset.GRIDS[resolution].dtype == expect.dtype
-
-    def test_unsupported_resolution(self):
-        with pytest.raises(ValueError):
-            letter_patterns(4)
+            assert GRIDS[resolution].dtype == np.uint8
+            assert not GRIDS[resolution].flags.writeable
+        assert not LABELS.flags.writeable
 
     def test_pairwise_hamming_at_least_one(self):
         for res in (3, 5):
-            pats = letter_patterns(res)
+            grids = GRIDS[res]
             for i in range(4):
                 for j in range(i + 1, 4):
-                    assert np.sum(pats[i].grid != pats[j].grid) >= 1
+                    assert np.sum(grids[i] != grids[j]) >= 1
 
     @pytest.mark.parametrize("resolution", [3, 5])
     def test_matches_frozen_fixtures(self, resolution):
-        for im in letter_patterns(resolution):
-            fixture = read_bitmap(FIXTURES / f"glyph_{im.glyph.value}_{resolution}.txt")
-            np.testing.assert_array_equal(im.grid, fixture)
+        for glyph, grid in zip(GLYPH_ORDER, GRIDS[resolution]):
+            fixture = read_bitmap(FIXTURES / f"glyph_{glyph.value}_{resolution}.txt")
+            np.testing.assert_array_equal(grid, fixture)
 
 
 class TestEncodeCapacitive:
     def test_h_maps_to_class_values(self):
-        h = letter_patterns(3)[0]
-        sample = encode_capacitive(h, PARAMS)
-        assert set(np.unique(sample.c_i)) == {16.77, 500.0}
-        np.testing.assert_array_equal(sample.c_i == 500.0, h.grid == 1)
-        np.testing.assert_array_equal(sample.label, [1, 0, 0, 0])
+        h = GRIDS[3][0]
+        c_i = encode_capacitive(h, PARAMS)
+        assert set(np.unique(c_i)) == {16.77, 500.0}
+        np.testing.assert_array_equal(c_i == 500.0, h == 1)
+        np.testing.assert_array_equal(LABELS[0], [1, 0, 0, 0])
 
     def test_label_order_is_h_l_y_invz(self):
-        for idx, im in enumerate(letter_patterns(3)):
-            assert im.glyph == GLYPH_ORDER[idx]
-            assert np.argmax(one_hot(im.glyph)) == idx
+        assert GLYPH_ORDER == (Glyph.H, Glyph.L, Glyph.Y, Glyph.INV_Z)
+        for idx in range(len(GLYPH_ORDER)):
+            assert np.argmax(LABELS[idx]) == idx
+        np.testing.assert_array_equal(LABELS, np.eye(4))
 
     def test_series_round_trip_values(self):
-        sample = encode_capacitive(letter_patterns(3)[0], PARAMS)
-        cs = series_capacitance(sample.c_i, PARAMS.c0)
+        c_i = encode_capacitive(GRIDS[3][0], PARAMS)
+        cs = series_capacitance(c_i, PARAMS.c0)
         values = {round(v, 3) for v in np.unique(cs)}
         assert values == {62.937, 13.602}
 
@@ -79,8 +78,8 @@ class TestEncodeCapacitive:
         # c_ih must stay strictly above c_il; a vanishing gap approaches the
         # degenerate constant-matrix limit
         params = SensorParams(c_ih=16.78, c_il=16.77)
-        sample = encode_capacitive(letter_patterns(3)[2], params)
-        assert sample.c_i.max() - sample.c_i.min() == pytest.approx(0.01, rel=1e-9)
+        c_i = encode_capacitive(GRIDS[3][2], params)
+        assert c_i.max() - c_i.min() == pytest.approx(0.01, rel=1e-9)
 
 
 class TestSampleBatch:
@@ -96,7 +95,7 @@ class TestSampleBatch:
         batch = sample_batch(50, params, rng)
         by_glyph = {}
         for s in batch:
-            key = s.clean_source.glyph
+            key = int(np.argmax(s.label))
             if key in by_glyph:
                 np.testing.assert_array_equal(s.c_i, by_glyph[key])
             else:
@@ -127,8 +126,8 @@ class TestSampleBatch:
         b = sample_batch(200, global_, np.random.default_rng(1))
         # same underlying draws, but the global mode scales outside-pixel
         # noise by c_ih instead of c_il, so spreads differ strongly
-        lo_a = np.concatenate([s.c_i[s.clean_source.grid == 0] for s in a])
-        lo_b = np.concatenate([s.c_i[s.clean_source.grid == 0] for s in b])
+        lo_a = np.concatenate([s.c_i[GRIDS[3][s.label.argmax()] == 0] for s in a])
+        lo_b = np.concatenate([s.c_i[GRIDS[3][s.label.argmax()] == 0] for s in b])
         assert np.std(lo_b) > 5 * np.std(lo_a)
 
 
@@ -147,17 +146,15 @@ class TestBalancedBatch:
         assert len(c_i) == 100
         np.testing.assert_array_equal(idx, np.repeat(np.arange(4), 25))
         clean, _ = self.balanced(25, SensorParams(noise_frac=0.0), rng)
-        pats = letter_patterns(3)
         for c, i in zip(clean, idx):
-            np.testing.assert_array_equal(c, encode_capacitive(pats[i], PARAMS).c_i)
+            np.testing.assert_array_equal(c, encode_capacitive(GRIDS[3][i], PARAMS))
 
     def test_majority_nearest_own_glyph_at_paper_noise(self):
         # learnability sanity: most noisy samples stay closest to their own
         # clean capacitive letter
         rng = np.random.default_rng(11)
         c_i, idx = self.balanced(100, PARAMS, rng)
-        clean = np.stack([encode_capacitive(p, PARAMS).c_i.reshape(-1)
-                          for p in letter_patterns(3)])
+        clean = encode_capacitive(GRIDS[3], PARAMS).reshape(4, -1)
         flat = c_i.reshape(len(c_i), -1)
         d = ((flat[:, None, :] - clean[None, :, :]) ** 2).sum(axis=2)
         nearest = d.argmin(axis=1)
@@ -187,7 +184,6 @@ class TestNoisyLetters:
         idx = np.random.default_rng(4).integers(0, 4, 20)
         for s, i in zip(batch, idx):
             np.testing.assert_array_equal(s.label, np.eye(4)[i])
-            assert s.clean_source.glyph == GLYPH_ORDER[i]
 
     def test_unsupported_resolution(self):
         with pytest.raises(ValueError, match="resolution"):
@@ -201,13 +197,13 @@ class TestNoisyLetters:
 
 class TestFixtureIo:
     def test_bitmap_round_trip(self, tmp_path):
-        grid = letter_patterns(3)[3].grid
+        grid = GRIDS[3][3]
         path = tmp_path / "z.txt"
         write_bitmap(path, grid)
         np.testing.assert_array_equal(read_bitmap(path), grid)
 
     def test_capacitance_csv_round_trip(self, tmp_path):
-        sample = encode_capacitive(letter_patterns(3)[1], PARAMS)
+        c_i = encode_capacitive(GRIDS[3][1], PARAMS)
         path = tmp_path / "l.csv"
-        write_capacitance_csv(path, sample.c_i)
-        np.testing.assert_array_equal(read_capacitance_csv(path), sample.c_i)
+        write_capacitance_csv(path, c_i)
+        np.testing.assert_array_equal(read_capacitance_csv(path), c_i)

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays as np_arrays
 from capmac import dataset, netlab
 from capmac.arrays import build_conv_array, build_fc_array, conv_forward, fc_forward
 from capmac.device import SensorParams, series_capacitance
-from capmac.netlab import (CHECKPOINT_MATRICES, MODELS, Checkpoint, TrainConfig,
+from capmac.netlab import (MODELS, Checkpoint, TrainConfig,
                            TrainingDiverged, array_inputs, autoencoder_batch_loss,
                            autoencoder_forward, cnn_batch_loss, cnn_logits,
                            cross_entropy, default_config, encoder_caps,
@@ -150,6 +150,14 @@ class TestCrossEntropy:
 
     def test_clamped_at_floor(self):
         assert np.isfinite(cross_entropy([1.0, 0.0, 0.0, 0.0], [0, 1, 0, 0]))
+
+    @given(np_arrays(float, (5, 4), elements=st.floats(min_value=0.01, max_value=1.0)),
+           np_arrays(int, 5, elements=st.integers(0, 3)))
+    def test_batch_is_mean_of_rows(self, raw, glyphs):
+        p = raw / raw.sum(axis=1, keepdims=True)
+        y = np.eye(4)[glyphs]
+        rows = [cross_entropy(pi, yi) for pi, yi in zip(p, y)]
+        assert cross_entropy(p, y) == pytest.approx(np.mean(rows), rel=1e-12)
 
 
 def _fd_gradient(loss_fn, theta, h=1e-5):
@@ -325,24 +333,24 @@ class TestTrainers:
         b = train("fc_classifier", cfg)
         assert a.loss == b.loss
         assert a.accuracy == b.accuracy
-        np.testing.assert_array_equal(a.checkpoint.matrix("weights"),
-                                      b.checkpoint.matrix("weights"))
+        np.testing.assert_array_equal(a.checkpoint.matrices["weights"],
+                                      b.checkpoint.matrices["weights"])
 
     def test_autoencoder_training_deterministic(self):
         cfg = default_config("autoencoder", epochs=6, seed=9)
         a = train("autoencoder", cfg)
         b = train("autoencoder", cfg)
         assert a.loss == b.loss
-        np.testing.assert_array_equal(a.checkpoint.matrix("encoder"),
-                                      b.checkpoint.matrix("encoder"))
+        np.testing.assert_array_equal(a.checkpoint.matrices["encoder"],
+                                      b.checkpoint.matrices["encoder"])
 
     def test_cnn_training_deterministic(self):
         cfg = default_config("cnn_classifier", epochs=6, seed=9)
         a = train("cnn_classifier", cfg)
         b = train("cnn_classifier", cfg)
         assert a.loss == b.loss
-        np.testing.assert_array_equal(a.checkpoint.matrix("kernel"),
-                                      b.checkpoint.matrix("kernel"))
+        np.testing.assert_array_equal(a.checkpoint.matrices["kernel"],
+                                      b.checkpoint.matrices["kernel"])
 
     def test_autoencoder_loss_drops_sharply(self):
         cfg = default_config("autoencoder", seed=0)
@@ -354,8 +362,7 @@ class TestTrainers:
         cfg = default_config("autoencoder", seed=0)
         hist = train("autoencoder", cfg)
         ck = hist.checkpoint
-        pats = dataset.letter_patterns(3)
-        clean = np.stack([dataset.encode_capacitive(p, PARAMS).c_i for p in pats])
+        clean = dataset.encode_capacitive(dataset.GRIDS[3], PARAMS)
         _, _, c_rec, _ = autoencoder_forward(ck.matrices,
                                              array_inputs(AE_SPEC, clean, PARAMS), PARAMS)
         pred, _ = netlab.classify_series_bits(c_rec, PARAMS)
@@ -364,7 +371,7 @@ class TestTrainers:
     def test_binarized_forward_uses_signs(self):
         cfg = default_config("fc_classifier", epochs=3, seed=1, binarize=True)
         hist = train("fc_classifier", cfg)
-        v = hist.checkpoint.matrix("weights")
+        v = hist.checkpoint.matrices["weights"]
         volts = fc_output_volts(v, np.full((1, 9), 100.0), PARAMS, binarize=True)
         # bounded by max series cap over c0 with +-1 weights
         assert np.all(np.abs(volts) <= series_capacitance(100.0, PARAMS.c0) / PARAMS.c0 + 1e-12)
@@ -402,9 +409,9 @@ class TestTrainers:
         assert (cfg.learning_rate, cfg.epochs) == (model.learning_rate, 2)
         assert default_config(arch).epochs == model.epochs
         ck = train(arch, cfg).checkpoint
-        assert list(ck.matrices) == list(model.matrices) == list(CHECKPOINT_MATRICES[arch])
+        assert list(ck.matrices) == list(model.matrices)
         assert {k: m.shape for k, m in ck.matrices.items()} == model.matrices
-        assert ck.beta == np.max(np.abs(ck.matrix(next(iter(model.matrices)))))
+        assert ck.beta == np.max(np.abs(ck.matrices[next(iter(model.matrices))]))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -413,6 +420,9 @@ class TestTrainers:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
+        TrainConfig(learning_rate=netlab.MAX_LEARNING_RATE)
+        with pytest.raises(ValueError, match="^learning_rate must be in"):
+            TrainConfig(learning_rate=1e308)
 
     def test_seed_and_eval_size_validated(self):
         with pytest.raises(ValueError, match="seed"):
@@ -442,9 +452,11 @@ class TestTrainers:
         assert exc.value.history.checkpoint is None
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowing_cnn_outputs_diverge(self):
+    def test_overflowing_cnn_outputs_diverge(self, monkeypatch):
         # At alpha = 1e308 the weights stay finite (about 1e307), but the
-        # digital rescale N*c0*beta of the next forward pass overflows.
+        # digital rescale N*c0*beta of the next forward pass overflows. The
+        # config refuses such a rate, so lift the bound to reach the check.
+        monkeypatch.setattr(netlab, "MAX_LEARNING_RATE", 1e308)
         cfg = default_config("cnn_classifier", learning_rate=1e308, seed=0)
         with pytest.raises(TrainingDiverged) as exc:
             train("cnn_classifier", cfg)
@@ -463,10 +475,10 @@ class TestCheckpointIo:
         assert loaded.seed == 4
         assert loaded.epoch == 3
         assert loaded.params == hist.checkpoint.params
-        np.testing.assert_array_equal(loaded.matrix("encoder"),
-                                      hist.checkpoint.matrix("encoder"))
-        np.testing.assert_array_equal(loaded.matrix("decoder"),
-                                      hist.checkpoint.matrix("decoder"))
+        np.testing.assert_array_equal(loaded.matrices["encoder"],
+                                      hist.checkpoint.matrices["encoder"])
+        np.testing.assert_array_equal(loaded.matrices["decoder"],
+                                      hist.checkpoint.matrices["decoder"])
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -490,14 +502,14 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def checkpoints(draw):
-    arch = draw(st.sampled_from(sorted(CHECKPOINT_MATRICES)))
+    arch = draw(st.sampled_from(sorted(MODELS)))
     c_il = draw(st.floats(min_value=1e-3, max_value=1e3))
     params = SensorParams(c0=draw(st.floats(min_value=1e-3, max_value=1e4)), c_il=c_il,
                           c_ih=c_il * draw(st.floats(min_value=1.01, max_value=100.0)),
                           noise_frac=draw(st.floats(min_value=0.0, max_value=10.0)),
                           noise_mode=draw(st.sampled_from(["per_class", "global"])))
     matrices = {name: draw(np_arrays(float, shape, elements=_FINITE))
-                for name, shape in CHECKPOINT_MATRICES[arch].items()}
+                for name, shape in MODELS[arch].matrices.items()}
     return Checkpoint(architecture=arch, seed=draw(st.integers(0, 2 ** 63)),
                       epoch=draw(st.integers(0, 10 ** 6)), beta=draw(_FINITE),
                       binarize=draw(st.booleans()), params=params, matrices=matrices)
@@ -533,7 +545,7 @@ class TestCheckpointProperties:
             ckpt.params)
         assert set(loaded.matrices) == set(ckpt.matrices)
         for name, mat in ckpt.matrices.items():
-            np.testing.assert_array_equal(loaded.matrix(name), mat)
+            np.testing.assert_array_equal(loaded.matrices[name], mat)
 
     @settings(max_examples=300, deadline=None)
     @given(checkpoints(), st.lists(st.tuples(st.sampled_from(["drop", "replace", "insert"]),
@@ -556,7 +568,7 @@ class TestCheckpointProperties:
             ckpt = load_checkpoint(path)
         except ValueError:
             return
-        expected = CHECKPOINT_MATRICES[ckpt.architecture]
+        expected = MODELS[ckpt.architecture].matrices
         assert {k: m.shape for k, m in ckpt.matrices.items()} == expected
         assert all(np.all(np.isfinite(m)) for m in ckpt.matrices.values())
 
