@@ -3,8 +3,8 @@ hardware-in-the-loop training of tiny letter classifiers and autoencoders."""
 
 __version__ = "0.1.0"
 
-from .device import (MacPhase, SensorParams, apply_noise, mac, mac_phases,
-                     phase_switches, series_capacitance)
+from .device import (PHASES, SensorParams, apply_noise, mac, mac_phases,
+                     series_capacitance)
 from .weights import WeightBank, binarize_weights, normalize_weights
 from .arrays import (ArrayTopology, ConvSchedule, build_fc_array, conv_forward,
                      fc_forward, resource_report, schedule_conv)
@@ -13,4 +13,4 @@ from .dataset import (GRIDS, LABELS, CapacitiveSample, Glyph, encode_capacitive,
 from .netlab import (MODELS, Checkpoint, NetworkSpec, TrainConfig, TrainHistory,
                      TrainingDiverged, cross_entropy, default_config,
                      load_checkpoint, save_checkpoint, sigmoid, softmax, train)
-from .metrics import EnergyModel, PhaseTiming, assemble_waveform, energy, latency
+from .metrics import assemble_waveform, charge_energy, energy, latency

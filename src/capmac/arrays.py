@@ -11,21 +11,23 @@ import numpy as np
 from .device import SensorParams, mac, series_capacitance
 
 
+# The largest rows or cols of a convolution array: 50 times the paper's 5x5.
+# The schedule has (rows-k+1)(cols-k+1) windows, at most 65,536 here, which
+# build and print in well under a second; the count grows with the square of
+# the side (636,804 windows at 800x800).
+MAX_CONV_SIDE = 256
+
+
 @dataclass(frozen=True)
 class ArrayTopology:
-    """rows x cols pixel array where each pixel holds `subpixels_per_pixel`
-    identical MAC units. bank_wiring maps a bank (output) index to the pixel
-    coordinates its units read; subpixels within one pixel see the same C_I.
+    """rows x cols pixel array read by `banks` MAC banks, all in one array
+    cycle. FC bank m reads every pixel in row-major order; convolution bank
+    (ADC lane) r reads the band of rows r..r+kernel-1 as its windows slide.
     """
 
     rows: int
     cols: int
-    subpixels_per_pixel: int
-    bank_wiring: dict
-
-    @property
-    def banks(self) -> int:
-        return len(self.bank_wiring)
+    banks: int
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,17 @@ class ConvSchedule:
     steps: tuple
 
 
+def _check_conv_geometry(rows: int, cols: int, kernel: int):
+    """Raise ValueError, naming the parameter first, unless
+    1 <= kernel <= rows, cols <= MAX_CONV_SIDE."""
+    if not 1 <= kernel <= MAX_CONV_SIDE:
+        raise ValueError(f"kernel must be in [1, {MAX_CONV_SIDE}], got {kernel}")
+    for name, side in (("rows", rows), ("cols", cols)):
+        if not kernel <= side <= MAX_CONV_SIDE:
+            raise ValueError(f"{name} must be in [{kernel}, {MAX_CONV_SIDE}] for a "
+                             f"{kernel}x{kernel} kernel, got {side}")
+
+
 def build_fc_array(rows: int, cols: int, banks: int) -> ArrayTopology:
     """Fully-connected wiring: bank m ties together subpixel m of every
     pixel, so all `banks` outputs are produced in a single array cycle."""
@@ -49,10 +62,7 @@ def build_fc_array(rows: int, cols: int, banks: int) -> ArrayTopology:
         raise ValueError("array dimensions must be at least 1x1")
     if banks < 1:
         raise ValueError("need at least one bank")
-    coords = [(r, c) for r in range(rows) for c in range(cols)]
-    wiring = {m: list(coords) for m in range(banks)}
-    return ArrayTopology(rows=rows, cols=cols, subpixels_per_pixel=banks,
-                         bank_wiring=wiring)
+    return ArrayTopology(rows, cols, banks)
 
 
 def build_conv_array(rows: int, cols: int, kernel: int = 3) -> ArrayTopology:
@@ -60,21 +70,16 @@ def build_conv_array(rows: int, cols: int, kernel: int = 3) -> ArrayTopology:
     the horizontal band of rows r..r+kernel-1 as its windows slide. (The
     exact subpixel-to-window interconnect is an interpretation; it yields the
     stated step and ADC counts.)"""
-    if rows < kernel or cols < kernel:
-        raise ValueError("array smaller than kernel")
-    wiring = {}
-    for r in range(rows - kernel + 1):
-        wiring[r] = [(rr, c) for rr in range(r, r + kernel) for c in range(cols)]
-    return ArrayTopology(rows=rows, cols=cols, subpixels_per_pixel=kernel * kernel,
-                         bank_wiring=wiring)
+    _check_conv_geometry(rows, cols, kernel)
+    return ArrayTopology(rows, cols, rows - kernel + 1)
 
 
 def fc_forward(topology: ArrayTopology, c_i_image, weights, params: SensorParams):
     """One fully-connected array cycle: U_m = mac over bank m's pixels.
 
     `c_i_image` holds induced capacitances (pF); weight row m drives bank m.
-    Every bank reads every pixel in row-major order (build_fc_array's
-    wiring), so the cycle is one kernel call over the flattened image.
+    Every bank reads every pixel in row-major order (the FC wiring), so the
+    cycle is one kernel call over the flattened image.
     """
     img = np.asarray(c_i_image, dtype=float)
     if img.shape != (topology.rows, topology.cols):
@@ -93,8 +98,7 @@ def fc_forward(topology: ArrayTopology, c_i_image, weights, params: SensorParams
 def schedule_conv(rows: int, cols: int, kernel: int = 3) -> ConvSchedule:
     """Left-to-right window sweep: cols-kernel+1 steps, each evaluating the
     rows-kernel+1 vertically stacked windows in parallel on dedicated ADCs."""
-    if rows < kernel or cols < kernel:
-        raise ValueError("array smaller than kernel")
+    _check_conv_geometry(rows, cols, kernel)
     steps = []
     for oc in range(cols - kernel + 1):
         steps.append(tuple(((orr, oc), orr) for orr in range(rows - kernel + 1)))
@@ -135,8 +139,7 @@ def conv_forward(topology: ArrayTopology, schedule: ConvSchedule, c_i_image,
 def resource_report(rows: int, cols: int, kernel: int = 3):
     """(dac_count, adc_count, step_count) for a rows x cols conv array:
     kernel^2 weight DACs, one ADC per row, cols-kernel+1 schedule steps."""
-    if rows < kernel or cols < kernel:
-        raise ValueError("array smaller than kernel")
+    _check_conv_geometry(rows, cols, kernel)
     return kernel * kernel, rows, cols - kernel + 1
 
 

@@ -226,13 +226,14 @@ def _emit_schedule(config: ExperimentConfig, path: Path):
         arrays.write_schedule_json(sched, path)
     else:
         topo = arrays.build_fc_array(3, 3, 4)
+        # Every bank reads every pixel in row-major order, as fc_forward does.
+        pixels = [[r, c] for r in range(topo.rows) for c in range(topo.cols)]
         data = {
             "type": "fc_banks",
             "rows": topo.rows,
             "cols": topo.cols,
             "banks": topo.banks,
-            "wiring": {str(m): [[r, c] for r, c in coords]
-                       for m, coords in topo.bank_wiring.items()},
+            "wiring": {str(m): pixels for m in range(topo.banks)},
         }
         with open(path, "w") as fh:
             json.dump(data, fh, indent=2, sort_keys=True)
@@ -316,7 +317,7 @@ def run(config: ExperimentConfig) -> RunManifest:
         add(path)
     if "waveform" in config.emit:
         _, phases = capture_fc_traces(history.checkpoint)
-        rows = metrics.assemble_waveform(phases, metrics.PhaseTiming())
+        rows = metrics.assemble_waveform(phases)
         path = outdir / "waveform.csv"
         metrics.write_waveform_csv(rows, path)
         add(path)
@@ -476,7 +477,7 @@ def _cmd_trace(args) -> int:
     except (OSError, ValueError, ConfigError) as exc:
         return _usage_error(exc)
     outdir = Path(args.out)
-    rows = metrics.assemble_waveform(phases, metrics.PhaseTiming())
+    rows = metrics.assemble_waveform(phases)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         write_trace_csv(phases, outdir / "trace.csv")
@@ -491,8 +492,8 @@ def _cmd_trace(args) -> int:
 def _cmd_schedule(args) -> int:
     try:
         sched = arrays.schedule_conv(args.rows, args.cols, args.kernel)
-    except ValueError as exc:
-        return _usage_error(exc)
+    except ValueError as exc:  # the message begins with the flag's name
+        return _usage_error(f"--{exc}")
     if not args.out:
         print(json.dumps(arrays.schedule_to_dict(sched), indent=2, sort_keys=True))
         return EXIT_OK

@@ -10,7 +10,6 @@ injection, leakage or RC settling.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, fields
 
@@ -43,36 +42,22 @@ MAX_CAPACITANCE_PF = 1e6
 # 1e-9 c0, but at c_ih/c0 = 1e17 C_H rounds to c0 and the map divides by 0.
 MAX_CAPACITANCE_RATIO = 1e9
 
+# The smallest c_il accepted. A pixel's c_i is at least min(c_il,
+# NOISE_FLOOR_PF), and c0 >= c_ih/MAX_CAPACITANCE_RATIO > 1e-9 c_il, so the
+# series formula's product c_i c0 exceeds 1e-9 c_il^2: a normal float for c_il
+# above about 5e-150. Below that it can underflow to a zero capacitance.
+MIN_C_IL_PF = 1e-140
+
 # Duration (ns) of each of the four MAC phases: the measured 350 ns cycle
 # split evenly.
 DEFAULT_PHASE_NS = 87.5
 
-
-class MacPhase(enum.Enum):
-    """The four phases of one MAC cycle, in execution order."""
-
-    CLEAR = "clear"
-    CHARGE = "charge"
-    TRANSFER = "transfer"
-    SUM = "sum"
-
-
-PHASE_ORDER = (MacPhase.CLEAR, MacPhase.CHARGE, MacPhase.TRANSFER, MacPhase.SUM)
-
-# Switch levels (CL, MUL, CON, ADD) asserted during each phase.
-_PHASE_SWITCHES = {
-    MacPhase.CLEAR: (True, False, True, True),
-    MacPhase.CHARGE: (False, True, False, False),
-    MacPhase.TRANSFER: (False, False, True, False),
-    MacPhase.SUM: (False, False, True, True),
-}
-
 SWITCH_NAMES = ("CL", "MUL", "CON", "ADD")
 
-
-def phase_switches(phase: MacPhase) -> tuple[bool, bool, bool, bool]:
-    """Return the (CL, MUL, CON, ADD) switch levels for a phase."""
-    return _PHASE_SWITCHES[phase]
+# The four phases of one MAC cycle in execution order, each with the switch
+# levels (CL, MUL, CON, ADD) it asserts.
+PHASES = (("clear", (1, 0, 1, 1)), ("charge", (0, 1, 0, 0)),
+          ("transfer", (0, 0, 1, 0)), ("sum", (0, 0, 1, 1)))
 
 
 @dataclass(frozen=True)
@@ -98,6 +83,8 @@ class SensorParams:
         for name in ("c0", "c_ih", "c_il"):
             if not 0 < getattr(self, name) <= MAX_CAPACITANCE_PF:
                 raise ValueError(f"{name} must be in (0, {MAX_CAPACITANCE_PF}] pF")
+        if self.c_il < MIN_C_IL_PF:
+            raise ValueError(f"c_il must be at least {MIN_C_IL_PF:g} pF")
         if self.c_ih <= self.c_il:
             raise ValueError("c_ih must exceed c_il")
         if self.c_ih > MAX_CAPACITANCE_RATIO * self.c0:
@@ -173,7 +160,7 @@ def mac(cs, v, c0: float = DEFAULT_C0):
 def mac_phases(cs, v, c0: float = DEFAULT_C0):
     """The MAC cycle of one sample, phase by phase: (charge, volts), the
     charge Q (pC) and plate voltage U (V) of every unit at the end of each
-    phase, both of shape (4, M, N) with the phases in PHASE_ORDER.
+    phase, both of shape (4, M, N) with the phases in the order of PHASES.
 
     cs holds the N series capacitances of a single sample and v the M x N
     weight voltages, as for `mac`. CLEAR empties every unit (Q = U = 0);
@@ -199,10 +186,10 @@ def write_trace_csv(phases, path):
     charge, volts = phases
     lines = ["unit_index,phase,CL,MUL,CON,ADD,charge_pC,voltage_V,time_ns"]
     for m in range(charge.shape[1]):
-        for k, phase in enumerate(PHASE_ORDER):
-            switches = ",".join(str(int(level)) for level in _PHASE_SWITCHES[phase])
+        for k, (phase, levels) in enumerate(PHASES):
+            switches = ",".join(map(str, levels))
             start = k * DEFAULT_PHASE_NS
-            lines += [f"{i},{phase.value},{switches},{q!r},{u!r},{start!r}" for i, (q, u)
+            lines += [f"{i},{phase},{switches},{q!r},{u!r},{start!r}" for i, (q, u)
                       in enumerate(zip(charge[k, m].tolist(), volts[k, m].tolist()))]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

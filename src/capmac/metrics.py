@@ -1,99 +1,54 @@
-"""Latency and energy models for the in-sensor MAC,
-plus waveform table assembly from captured phase traces.
+"""Latency and energy of the in-sensor MAC, plus waveform table assembly
+from captured phase traces.
 
-Latency is purely structural (phase durations times scheduled array cycles).
-Energy has two modes: `calibrated` reproduces the measured per-classification
-figure, `charge_based` sums |Q_n * V_n| over the charging phase as a
-physically motivated lower-bound estimate.
+Latency is structural: the four phases of device.DEFAULT_PHASE_NS (a 350 ns
+cycle) times the scheduled array cycles. `energy` scales the measured
+per-classification figure by the same cycle count; `charge_energy` sums
+|Q_n * V_n| over the charging phase of a captured cycle as a physically
+motivated lower-bound estimate.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-from dataclasses import dataclass
 
 from .arrays import ArrayTopology, resource_report
-from .device import (DEFAULT_PHASE_NS, MacPhase, PHASE_ORDER, SWITCH_NAMES,
-                     phase_switches)
+from .device import DEFAULT_PHASE_NS, PHASES, SWITCH_NAMES
 from .netlab import NetworkSpec
 
 # Measured energy of one 4-bank FC classification cycle.
 DEFAULT_ENERGY_NJ = 0.9
 
 
-@dataclass(frozen=True)
-class PhaseTiming:
-    """Durations (ns) of the four MAC phases; each defaults to
-    device.DEFAULT_PHASE_NS."""
-
-    t_clear: float = DEFAULT_PHASE_NS
-    t_charge: float = DEFAULT_PHASE_NS
-    t_transfer: float = DEFAULT_PHASE_NS
-    t_sum: float = DEFAULT_PHASE_NS
-
-    def __post_init__(self):
-        if min(self.t_clear, self.t_charge, self.t_transfer, self.t_sum) <= 0:
-            raise ValueError("phase durations must be positive")
-
-    @property
-    def durations(self):
-        return (self.t_clear, self.t_charge, self.t_transfer, self.t_sum)
-
-    @property
-    def total(self) -> float:
-        return self.t_clear + self.t_charge + self.t_transfer + self.t_sum
-
-
-@dataclass(frozen=True)
-class EnergyModel:
-    mode: str = "calibrated"            # "calibrated" | "charge_based"
-    e_per_classification: float = DEFAULT_ENERGY_NJ   # nJ, calibrated mode
-
-    def __post_init__(self):
-        if self.mode not in ("calibrated", "charge_based"):
-            raise ValueError(f"unknown energy mode: {self.mode!r}")
-
-
 def cycle_count(net: NetworkSpec, topology: ArrayTopology) -> int:
-    """Sequential array cycles per inference: ceil(M/banks) for FC readout,
-    one horizontal schedule step per cycle for convolution."""
-    if net.architecture in ("fc_classifier", "autoencoder"):
-        return math.ceil(net.outputs / topology.banks)
-    if net.architecture == "cnn_classifier":
+    """Sequential array cycles per inference: one horizontal schedule step per
+    cycle for convolution, ceil(M/banks) for FC readout."""
+    if net.kernel:
         return net.cols - net.kernel + 1
-    raise ValueError(f"unknown architecture: {net.architecture!r}")
+    return math.ceil(net.outputs / topology.banks)
 
 
-def latency(net: NetworkSpec, timing: PhaseTiming, topology: ArrayTopology) -> float:
-    """Total nanoseconds: (sum of phase durations) x (scheduled cycles).
-    Independent of weight values."""
-    return timing.total * cycle_count(net, topology)
+def latency(net: NetworkSpec, topology: ArrayTopology) -> float:
+    """Total nanoseconds: the cycle's four phase durations times the
+    scheduled cycles. Independent of weight values."""
+    return len(PHASES) * DEFAULT_PHASE_NS * cycle_count(net, topology)
 
 
-def energy(model: EnergyModel, net: NetworkSpec | None = None,
-           topology: ArrayTopology | None = None, trace=None) -> float:
-    """Energy in nJ for one inference.
-
-    calibrated: e_per_classification scaled by the cycle count (needs net
-    and topology). charge_based: sum of |Q_n * V_n| over the charge phase
-    of a captured trace, the (charge, volts) pair of device.mac_phases
-    (needs trace); 1 pC*V = 1 pJ = 1e-3 nJ.
-    """
-    if model.mode == "calibrated":
-        if net is None or topology is None:
-            raise ValueError("calibrated mode needs a network spec and topology")
-        return model.e_per_classification * cycle_count(net, topology)
-    if trace is None:
-        raise ValueError("charge_based mode needs a captured MAC trace")
-    charge, volts = trace
-    # Phase 1 of PHASE_ORDER is CHARGE; bank by bank, unit by unit.
-    picojoule = sum(abs(charge[1] * volts[1]).ravel().tolist())
-    return picojoule / 1000.0
+def energy(net: NetworkSpec, topology: ArrayTopology) -> float:
+    """Energy in nJ for one inference: DEFAULT_ENERGY_NJ per array cycle."""
+    return DEFAULT_ENERGY_NJ * cycle_count(net, topology)
 
 
-def assemble_waveform(phases, timing: PhaseTiming):
+def charge_energy(phases) -> float:
+    """Energy in nJ of a captured MAC cycle, the (charge, volts) pair of
+    device.mac_phases: the sum of |Q_n * V_n| over the CHARGE phase (PHASES[1]),
+    bank by bank and unit by unit; 1 pC*V = 1 pJ = 1e-3 nJ."""
+    charge, volts = phases
+    return sum(abs(charge[1] * volts[1]).ravel().tolist()) / 1000.0
+
+
+def assemble_waveform(phases):
     """Build a timed (time_ns, signal, value) table from a captured MAC
     cycle, the (charge, volts) pair of device.mac_phases.
 
@@ -107,13 +62,12 @@ def assemble_waveform(phases, timing: PhaseTiming):
     if not finals:
         raise ValueError("empty trace; capture one with device.mac_phases")
     rows = []
-    # Five samples per signal: the start of each phase, then t_total, where
-    # the summation levels repeat to close the cycle for plotting.
-    starts = itertools.accumulate(timing.durations, initial=0.0)
-    for t0, phase in zip(starts, PHASE_ORDER + (MacPhase.SUM,)):
-        rows += [(t0, name, float(level))
-                 for name, level in zip(SWITCH_NAMES, phase_switches(phase))]
-        rows += [(t0, f"U{m + 1}", u if phase == MacPhase.SUM else 0.0)
+    # Five samples per signal: the start of each phase, then the cycle's end,
+    # where the summation levels repeat to close the cycle for plotting.
+    for k, (phase, levels) in enumerate(PHASES + PHASES[-1:]):
+        t0 = k * DEFAULT_PHASE_NS
+        rows += [(t0, name, float(level)) for name, level in zip(SWITCH_NAMES, levels)]
+        rows += [(t0, f"U{m + 1}", u if phase == "sum" else 0.0)
                  for m, u in enumerate(finals)]
     return rows
 
@@ -135,11 +89,9 @@ def write_waveform_csv(rows, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def summary(net: NetworkSpec, timing: PhaseTiming, topology: ArrayTopology,
-            model: EnergyModel) -> dict:
+def summary(net: NetworkSpec, topology: ArrayTopology) -> dict:
     """Metrics JSON bundle: latency, energy, cycles and converter counts."""
-    cycles = cycle_count(net, topology)
-    if net.architecture == "cnn_classifier":
+    if net.kernel:
         dacs, adcs, _ = resource_report(net.rows, net.cols, net.kernel)
     else:
         # FC wiring: one DAC per (bank, pixel) voltage, one ADC per bank.
@@ -147,10 +99,9 @@ def summary(net: NetworkSpec, timing: PhaseTiming, topology: ArrayTopology,
         adcs = topology.banks
     return {
         "architecture": net.architecture,
-        "latency_ns": latency(net, timing, topology),
-        "energy_nJ": energy(model, net=net, topology=topology)
-        if model.mode == "calibrated" else None,
-        "cycles": cycles,
+        "latency_ns": latency(net, topology),
+        "energy_nJ": energy(net, topology),
+        "cycles": cycle_count(net, topology),
         "dacs": dacs,
         "adcs": adcs,
     }

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capmac.arrays import (ArrayTopology, build_conv_array, build_fc_array,
-                           conv_forward, fc_forward, resource_report,
+from capmac.arrays import (MAX_CONV_SIDE, ArrayTopology, build_conv_array,
+                           build_fc_array, conv_forward, fc_forward, resource_report,
                            schedule_conv, schedule_to_dict, write_schedule_json)
 from capmac.device import SensorParams, mac, mac_phases, series_capacitance
 
@@ -33,17 +33,11 @@ def naive_cross_correlation(c_i_image, kernel_3x3, params):
 class TestBuildFcArray:
     def test_four_banks_of_nine(self):
         topo = build_fc_array(3, 3, 4)
-        assert topo.banks == 4
-        assert topo.subpixels_per_pixel == 4
-        for m in range(4):
-            coords = topo.bank_wiring[m]
-            assert len(coords) == 9
-            assert set(coords) == {(r, c) for r in range(3) for c in range(3)}
+        assert topo == ArrayTopology(rows=3, cols=3, banks=4)
 
     def test_minimal_topology(self):
         topo = build_fc_array(1, 1, 1)
-        assert topo.banks == 1
-        assert topo.bank_wiring[0] == [(0, 0)]
+        assert topo == ArrayTopology(rows=1, cols=1, banks=1)
 
     def test_rejects_zero_dims(self):
         with pytest.raises(ValueError):
@@ -65,7 +59,8 @@ class TestFcForward:
         img = rng.uniform(10, 500, (3, 3))
         w = rng.uniform(-1, 1, (4, 9))
         got = fc_forward(topo, img, w, PARAMS)
-        cs = [series_capacitance(img[r, c], PARAMS.c0) for r, c in topo.bank_wiring[0]]
+        # Every bank reads every pixel in row-major order.
+        cs = [series_capacitance(img[r, c], PARAMS.c0) for r in range(3) for c in range(3)]
         for m in range(4):
             expect = mac(cs, w[m:m + 1], PARAMS.c0)[0]
             assert got[m] == pytest.approx(expect, rel=1e-12)
@@ -182,6 +177,28 @@ class TestResourceReport:
         assert steps == len(sched.steps)
         assert dacs == 9
         assert adcs == rows
+
+
+@pytest.mark.parametrize("build", [build_conv_array, schedule_conv, resource_report])
+@pytest.mark.parametrize("rows,cols,kernel,name", [
+    (5, 5, 0, "kernel"),
+    (5, 5, -2, "kernel"),
+    (0, 0, 0, "kernel"),
+    (5, 5, MAX_CONV_SIDE + 1, "kernel"),
+    (2, 5, 3, "rows"),
+    (5, 2, 3, "cols"),
+    (MAX_CONV_SIDE + 1, 5, 3, "rows"),
+    (5, MAX_CONV_SIDE + 1, 1, "cols"),
+])
+def test_conv_geometry_rejected_naming_parameter(build, rows, cols, kernel, name):
+    with pytest.raises(ValueError, match=f"^{name} must be in"):
+        build(rows, cols, kernel)
+
+
+def test_conv_geometry_bounds_accepted():
+    assert len(schedule_conv(MAX_CONV_SIDE, 3, 3).steps) == 1
+    assert resource_report(1, MAX_CONV_SIDE, 1) == (1, 1, MAX_CONV_SIDE)
+    assert build_conv_array(MAX_CONV_SIDE, MAX_CONV_SIDE, MAX_CONV_SIDE).banks == 1
 
 
 def test_schedule_json_dump(tmp_path):

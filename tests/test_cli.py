@@ -14,12 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capmac import cli, dataset, netlab
+from capmac import arrays, cli, dataset, netlab
 from capmac.cli import (ConfigError, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK,
                         build_config, config_hash, evaluate, main,
                         parse_config_text, render_ascii, run, write_pgm)
-from capmac.device import MAX_CAPACITANCE_PF, SensorParams, series_capacitance
+from capmac.device import (MAX_CAPACITANCE_PF, MAX_CAPACITANCE_RATIO, SensorParams,
+                           series_capacitance)
 from capmac.netlab import TrainingDiverged, default_config, load_checkpoint
+
+LOG_CAPACITANCE = st.floats(min_value=math.log(5e-324), max_value=math.log(MAX_CAPACITANCE_PF))
 
 
 def fc_raw(tmp_path, **extra):
@@ -165,6 +168,9 @@ class TestRun:
         sched = json.loads((outdir / "schedule.json").read_text())
         assert sched["type"] == "fc_banks"
         assert sched["banks"] == 4
+        # every bank reads every pixel in row-major order, as fc_forward does
+        row_major = [[r, c] for r in range(3) for c in range(3)]
+        assert sched["wiring"] == {str(m): row_major for m in range(4)}
 
     def test_cnn_schedule_artifact(self, tmp_path):
         raw = {
@@ -277,6 +283,25 @@ class TestMainExitCodes:
         code = main(["schedule", "--rows", "2", "--cols", "5"])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag,value", [("--kernel", "0"), ("--kernel", "-2"),
+                                            ("--rows", "257"), ("--cols", "0")])
+    def test_schedule_bad_geometry_exits_2_naming_flag(self, capsys, flag, value):
+        code = main(["schedule", flag, value])
+        assert code == EXIT_CONFIG
+        assert f"usage error: {flag} must be in" in capsys.readouterr().err
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(["--rows", "--cols", "--kernel"]),
+           st.one_of(st.integers(min_value=-10 ** 40, max_value=0),
+                     st.integers(min_value=arrays.MAX_CONV_SIDE + 1, max_value=10 ** 40)))
+    def test_schedule_huge_geometry_exits_2(self, flag, value):
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["schedule", flag, str(value)])
+        assert code == EXIT_CONFIG
+        assert f"{flag} must be in" in err.getvalue()
+        assert out.getvalue() == ""
+
     def test_fixtures_subcommand(self, tmp_path):
         code = main(["fixtures", "--out", str(tmp_path / "fx")])
         assert code == EXIT_OK
@@ -356,6 +381,37 @@ class TestInputErrors:
                      "--set", f"sensor.c0={c0}", "--set", f"sensor.c_ih={c_ih}"])
         assert code == EXIT_CONFIG
         assert "c_ih must be at most" in capsys.readouterr().err
+
+    def test_underflowing_capacitance_exits_2(self, tmp_path, capsys):
+        # c_i * c0 underflows to 0 here; training used to end in a ValueError.
+        code = main(["train", "--arch", "fc_classifier", "--epochs", "2",
+                     "--output-dir", str(tmp_path / "r"),
+                     "--set", "sensor.c0=1e-50", "--set", "sensor.c_ih=1e-284",
+                     "--set", "sensor.c_il=1e-294", "--set", "train.noise_frac=0"])
+        assert code == EXIT_CONFIG
+        assert "c_il must be at least" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(netlab.ARCHITECTURES), LOG_CAPACITANCE, LOG_CAPACITANCE,
+           st.floats(min_value=-math.log(MAX_CAPACITANCE_RATIO),
+                     max_value=math.log(MAX_CAPACITANCE_RATIO)),
+           st.sampled_from(["0", "0.2"]))
+    def test_any_capacitances_train_or_exit_cleanly(self, arch, log_a, log_b, log_ratio,
+                                                    noise_frac):
+        # Log-uniform c_il < c_ih, and c0 within MAX_CAPACITANCE_RATIO of c_ih
+        # either way, so that most draws pass the other checks.
+        c_il, c_ih = sorted(min(math.exp(x), MAX_CAPACITANCE_PF) for x in (log_a, log_b))
+        c0 = min(c_ih / math.exp(log_ratio), MAX_CAPACITANCE_PF)
+        with tempfile.TemporaryDirectory() as out, np.errstate(all="ignore"), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["train", "--arch", arch, "--epochs", "2", "--output-dir", out,
+                         "--emit", "history,checkpoint",
+                         "--set", f"sensor.c0={c0!r}", "--set", f"sensor.c_ih={c_ih!r}",
+                         "--set", f"sensor.c_il={c_il!r}",
+                         "--set", f"train.noise_frac={noise_frac}"])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(min_value=math.log(5e-324), max_value=math.log(MAX_CAPACITANCE_PF)),

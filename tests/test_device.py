@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capmac.dataset import noisy_letters
-from capmac.device import (MAX_CAPACITANCE_PF, MAX_NOISE_FRAC, MacPhase, PHASE_ORDER,
+from capmac.device import (MAX_CAPACITANCE_PF, MAX_NOISE_FRAC, MIN_C_IL_PF, PHASES,
                            SensorParams, apply_noise, mac, mac_phases,
-                           phase_switches, series_capacitance, write_trace_csv)
+                           series_capacitance, write_trace_csv)
+
+SWITCHES = dict(PHASES)
 
 
 class TestSeriesCapacitance:
@@ -51,16 +53,19 @@ class TestSeriesCapacitance:
 
 class TestPhaseSwitches:
     def test_clear_asserts_cl_con_add(self):
-        assert phase_switches(MacPhase.CLEAR) == (True, False, True, True)
+        assert SWITCHES["clear"] == (True, False, True, True)
 
     def test_charge_asserts_mul_only(self):
-        assert phase_switches(MacPhase.CHARGE) == (False, True, False, False)
+        assert SWITCHES["charge"] == (False, True, False, False)
 
     def test_transfer_asserts_con_only(self):
-        assert phase_switches(MacPhase.TRANSFER) == (False, False, True, False)
+        assert SWITCHES["transfer"] == (False, False, True, False)
 
     def test_sum_asserts_con_add(self):
-        assert phase_switches(MacPhase.SUM) == (False, False, True, True)
+        assert SWITCHES["sum"] == (False, False, True, True)
+
+    def test_execution_order(self):
+        assert [name for name, _ in PHASES] == ["clear", "charge", "transfer", "sum"]
 
 
 class TestMacEvaluate:
@@ -97,14 +102,15 @@ class TestMacEvaluate:
         charge, volts = mac_phases(c, [v], c0)
         u = mac(c, [v], c0)[0]
         assert charge.shape == volts.shape == (4, 1, 2)  # 4 phases x 1 bank x 2 units
-        by_phase = dict(zip(PHASE_ORDER, zip(charge[:, 0], volts[:, 0])))
-        for q in by_phase[MacPhase.CLEAR][0]:
+        names = [name for name, _ in PHASES]
+        by_phase = dict(zip(names, zip(charge[:, 0], volts[:, 0])))
+        for q in by_phase["clear"][0]:
             assert q == 0.0
-        for i, q in enumerate(by_phase[MacPhase.CHARGE][0]):
+        for i, q in enumerate(by_phase["charge"][0]):
             assert q == pytest.approx(c[i] * v[i], rel=1e-15)
-        for i, volt in enumerate(by_phase[MacPhase.TRANSFER][1]):
+        for i, volt in enumerate(by_phase["transfer"][1]):
             assert volt == pytest.approx(c[i] * v[i] / c0, rel=1e-15)
-        for volt in by_phase[MacPhase.SUM][1]:
+        for volt in by_phase["sum"][1]:
             assert volt == u
 
     @settings(max_examples=100, deadline=None)
@@ -232,6 +238,11 @@ class TestSensorParams:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             SensorParams(**{name: value})
 
+    def test_c_il_below_bound_rejected_naming_field(self):
+        SensorParams(c0=1e-130, c_ih=1e-125, c_il=MIN_C_IL_PF)
+        with pytest.raises(ValueError, match="^c_il must be at least"):
+            SensorParams(c0=1e-130, c_ih=1e-125, c_il=MIN_C_IL_PF / 2)
+
     @given(st.sampled_from(["c0", "c_ih", "c_il"]),
            st.floats(min_value=MAX_CAPACITANCE_PF, exclude_min=True,
                      allow_infinity=False))
@@ -266,8 +277,8 @@ def test_trace_csv_export(tmp_path):
     times = sorted({float(r[-1]) for r in rows})
     assert times == [0.0, 87.5, 175.0, 262.5]
     # phase-major, unit by unit; each row carries exactly its phase's switch pattern
-    assert [r[1] for r in rows] == [p.value for p in PHASE_ORDER for _ in range(2)]
+    assert [r[1] for r in rows] == [name for name, _ in PHASES for _ in range(2)]
     assert [r[0] for r in rows] == ["0", "1"] * 4
     for r in rows:
         switches = tuple(level == "1" for level in r[2:6])
-        assert switches == phase_switches(MacPhase(r[1]))
+        assert switches == SWITCHES[r[1]]

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from capmac.arrays import build_conv_array, build_fc_array, fc_forward
-from capmac.device import SensorParams, mac_phases, series_capacitance
-from capmac.metrics import (EnergyModel, PhaseTiming, assemble_waveform,
-                            cycle_count, energy, latency, summary,
-                            waveform_final_outputs, write_summary_json,
-                            write_waveform_csv)
+from capmac.device import (DEFAULT_PHASE_NS, PHASES, SensorParams, mac_phases,
+                           series_capacitance, write_trace_csv)
+from capmac.metrics import (assemble_waveform, charge_energy, cycle_count, energy,
+                            latency, summary, waveform_final_outputs,
+                            write_summary_json, write_waveform_csv)
 from capmac.netlab import MODELS
 
 PARAMS = SensorParams()
@@ -16,77 +16,60 @@ FC_SPEC, AE_SPEC, CNN_SPEC = (MODELS[arch].spec for arch in
 
 class TestPhaseTiming:
     def test_defaults_sum_to_350(self):
-        t = PhaseTiming()
-        assert t.total == 350.0
-        assert t.durations == (87.5, 87.5, 87.5, 87.5)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            PhaseTiming(t_clear=0.0)
+        assert len(PHASES) * DEFAULT_PHASE_NS == 350.0
+        assert DEFAULT_PHASE_NS == 87.5
 
 
 class TestLatency:
     def test_fc_four_banks_is_one_cycle(self):
         topo = build_fc_array(3, 3, 4)
-        assert latency(FC_SPEC, PhaseTiming(), topo) == 350.0
+        assert latency(FC_SPEC, topo) == 350.0
 
     def test_conv_5x5_is_three_cycles(self):
         topo = build_conv_array(5, 5, 3)
-        assert latency(CNN_SPEC, PhaseTiming(), topo) == pytest.approx(1050.0)
+        assert latency(CNN_SPEC, topo) == pytest.approx(1050.0)
 
     def test_single_bank_serializes_four_times(self):
         topo1 = build_fc_array(3, 3, 1)
         topo4 = build_fc_array(3, 3, 4)
-        assert (latency(FC_SPEC, PhaseTiming(), topo1)
-                == 4 * latency(FC_SPEC, PhaseTiming(), topo4))
+        assert latency(FC_SPEC, topo1) == 4 * latency(FC_SPEC, topo4)
 
     def test_autoencoder_encoder_is_one_cycle(self):
         topo = build_fc_array(3, 3, 4)
         assert cycle_count(AE_SPEC, topo) == 1
 
     def test_independent_of_weights_additive_in_cycles(self):
-        timing = PhaseTiming(t_clear=10, t_charge=20, t_transfer=30, t_sum=40)
         topo = build_conv_array(7, 9, 3)
         spec = CNN_SPEC
         spec = type(spec)(spec.architecture, 7, 9, 4, 3)
-        assert latency(spec, timing, topo) == pytest.approx(100.0 * 7)
+        assert latency(spec, topo) == pytest.approx(350.0 * 7)
 
 
 class TestEnergy:
     def test_calibrated_default(self):
         topo = build_fc_array(3, 3, 4)
-        assert energy(EnergyModel(), net=FC_SPEC, topology=topo) == 0.9
+        assert energy(FC_SPEC, topo) == 0.9
 
     def test_calibrated_scales_with_cycles(self):
         topo = build_conv_array(5, 5, 3)
-        assert energy(EnergyModel(), net=CNN_SPEC, topology=topo) == pytest.approx(2.7)
+        assert energy(CNN_SPEC, topo) == pytest.approx(2.7)
 
     def test_charge_based_zero_weights(self):
         trace = mac_phases([62.937] * 9, [[0.0] * 9], 72.0)
-        model = EnergyModel(mode="charge_based")
-        assert energy(model, trace=trace) == 0.0
+        assert charge_energy(trace) == 0.0
 
     def test_charge_based_all_ones_consistency(self):
         # sum over charge phase of |Q*V| = 9 * 62.937 pC * 1 V = 0.566 nJ;
         # order-of-magnitude consistent with the calibrated 0.9 nJ figure
         trace = mac_phases([62.937] * 9, [[1.0] * 9], 72.0)
-        e = energy(EnergyModel(mode="charge_based"), trace=trace)
+        e = charge_energy(trace)
         assert e == pytest.approx(0.566433, abs=1e-6)
         assert 0.1 < e < 2.0
 
     def test_charge_based_monotone_in_weight_magnitude(self):
-        model = EnergyModel(mode="charge_based")
         lo = mac_phases([50.0] * 9, [[0.3] * 9], 72.0)
         hi = mac_phases([50.0] * 9, [[0.9] * 9], 72.0)
-        assert energy(model, trace=hi) > energy(model, trace=lo)
-
-    def test_usage_errors(self):
-        with pytest.raises(ValueError):
-            energy(EnergyModel(), net=None, topology=None)
-        with pytest.raises(ValueError):
-            energy(EnergyModel(mode="charge_based"), trace=None)
-        with pytest.raises(ValueError):
-            EnergyModel(mode="thermal")
+        assert charge_energy(hi) > charge_energy(lo)
 
 
 class TestAssembleWaveform:
@@ -100,20 +83,20 @@ class TestAssembleWaveform:
     def test_finals_match_fc_forward_exactly(self):
         rng = np.random.default_rng(0)
         outputs, phases = self._traced_forward(rng.uniform(-1, 1, (4, 9)))
-        rows = assemble_waveform(phases, PhaseTiming())
+        rows = assemble_waveform(phases)
         finals = waveform_final_outputs(rows)
         assert finals == outputs
 
     def test_zero_weights_flat_at_zero(self):
         _, phases = self._traced_forward(np.zeros((4, 9)))
-        rows = assemble_waveform(phases, PhaseTiming())
+        rows = assemble_waveform(phases)
         u_rows = [r for r in rows if r[1].startswith("U")]
         assert all(v == 0.0 for _, _, v in u_rows)
 
     def test_piecewise_constant_and_time_ordered(self):
         rng = np.random.default_rng(1)
         _, phases = self._traced_forward(rng.uniform(-1, 1, (4, 9)))
-        rows = assemble_waveform(phases, PhaseTiming())
+        rows = assemble_waveform(phases)
         by_signal = {}
         for t, sig, v in rows:
             by_signal.setdefault(sig, []).append((t, v))
@@ -125,7 +108,7 @@ class TestAssembleWaveform:
 
     def test_switch_levels_follow_phases(self):
         _, phases = self._traced_forward(np.zeros((4, 9)))
-        rows = assemble_waveform(phases, PhaseTiming())
+        rows = assemble_waveform(phases)
         levels = {(t, sig): v for t, sig, v in rows}
         # clear at t=0: CL, CON, ADD high, MUL low
         assert (levels[(0.0, "CL")], levels[(0.0, "MUL")],
@@ -137,11 +120,26 @@ class TestAssembleWaveform:
     def test_empty_trace_rejected(self):
         no_banks = mac_phases([50.0] * 9, np.zeros((0, 9)), 72.0)
         with pytest.raises(ValueError):
-            assemble_waveform(no_banks, PhaseTiming())
+            assemble_waveform(no_banks)
+
+    def test_phase_starts_match_trace_csv(self, tmp_path):
+        rng = np.random.default_rng(3)
+        _, phases = self._traced_forward(rng.uniform(-1, 1, (4, 9)))
+        write_trace_csv(phases, tmp_path / "trace.csv")
+        write_waveform_csv(assemble_waveform(phases), tmp_path / "waveform.csv")
+        trace_starts = {}
+        for row in (tmp_path / "trace.csv").read_text().splitlines()[1:]:
+            fields = row.split(",")
+            trace_starts.setdefault(fields[1], set()).add(fields[-1])
+        wave_starts = sorted({row.split(",")[0] for row in
+                              (tmp_path / "waveform.csv").read_text().splitlines()[1:]},
+                             key=float)
+        # each phase starts at one time in trace.csv, the waveform's k-th sample
+        assert [trace_starts[name] for name, _ in PHASES] == [{t} for t in wave_starts[:4]]
 
     def test_csv_export(self, tmp_path):
         _, phases = self._traced_forward(np.zeros((4, 9)))
-        rows = assemble_waveform(phases, PhaseTiming())
+        rows = assemble_waveform(phases)
         path = tmp_path / "waveform.csv"
         write_waveform_csv(rows, path)
         lines = path.read_text().splitlines()
@@ -152,7 +150,7 @@ class TestAssembleWaveform:
 class TestSummary:
     def test_fc_summary(self, tmp_path):
         topo = build_fc_array(3, 3, 4)
-        data = summary(FC_SPEC, PhaseTiming(), topo, EnergyModel())
+        data = summary(FC_SPEC, topo)
         assert data["latency_ns"] == 350.0
         assert data["energy_nJ"] == 0.9
         assert data["cycles"] == 1
@@ -161,9 +159,24 @@ class TestSummary:
         write_summary_json(data, tmp_path / "m.json")
         assert (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("arch,latency_ns,energy_nj,cycles,dacs,adcs", [
+        ("fc_classifier", 350.0, 0.9, 1, 36, 4),
+        ("autoencoder", 350.0, 0.9, 1, 36, 4),
+        ("cnn_classifier", 1050.0, 2.7, 3, 9, 5),
+    ])
+    def test_every_model(self, arch, latency_ns, energy_nj, cycles, dacs, adcs):
+        spec = MODELS[arch].spec
+        topo = (build_conv_array(spec.rows, spec.cols, spec.kernel) if spec.kernel
+                else build_fc_array(spec.rows, spec.cols, spec.outputs))
+        data = summary(spec, topo)
+        assert data["architecture"] == arch
+        assert data["latency_ns"] == pytest.approx(latency_ns)
+        assert data["energy_nJ"] == pytest.approx(energy_nj)
+        assert (data["cycles"], data["dacs"], data["adcs"]) == (cycles, dacs, adcs)
+
     def test_cnn_summary_uses_resource_report(self):
         topo = build_conv_array(5, 5, 3)
-        data = summary(CNN_SPEC, PhaseTiming(), topo, EnergyModel())
+        data = summary(CNN_SPEC, topo)
         assert data["cycles"] == 3
         assert data["dacs"] == 9
         assert data["adcs"] == 5

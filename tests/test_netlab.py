@@ -298,6 +298,15 @@ class TestInversionIdentities:
         back = s * PARAMS.c0 / (PARAMS.c0 - s)
         np.testing.assert_allclose(back, c_i, rtol=1e-9)
 
+    def test_series_bits_threshold_includes_midpoint(self):
+        c_h, c_l, _ = encoder_caps(PARAMS)
+        mid = (c_h + c_l) / 2
+        grids = dataset.GRIDS[3].reshape(dataset.NUM_GLYPHS, -1)
+        c_rec = np.where(grids == 1, mid, np.nextafter(mid, 0.0))
+        pred, bits = netlab.classify_series_bits(c_rec, PARAMS)
+        assert bits.tolist() == grids.tolist()
+        assert pred.tolist() == list(range(dataset.NUM_GLYPHS))
+
     def test_reconstruction_stays_below_c0(self):
         rng = np.random.default_rng(8)
         c_i, _ = _random_instance(rng, size=40)
