@@ -196,10 +196,6 @@ def write_pgm(matrix, path, lo: float, hi: float):
 # ---------------------------------------------------------------------------
 # artifacts
 
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def capture_fc_traces(ckpt: Checkpoint, glyph: dataset.Glyph = dataset.Glyph.INV_Z):
     """Run one array cycle on the clean image of `glyph`: (outputs, phases),
     the bank outputs and the (charge, volts) of every unit per phase.
@@ -277,8 +273,9 @@ def write_manifest(manifest: RunManifest, path: Path):
 def run(config: ExperimentConfig) -> RunManifest:
     """Train per config, write the requested artifacts and the manifest.
 
-    Raises TrainingDiverged after writing the last-good checkpoint and the
-    manifest, so callers can map it to an exit status.
+    A diverged run writes only its last-good state: the checkpoint, emitted
+    or not, and history.csv if requested. It then raises TrainingDiverged
+    after the manifest, so callers can map it to an exit status.
     """
     outdir = config.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
@@ -290,46 +287,42 @@ def run(config: ExperimentConfig) -> RunManifest:
     )
 
     def add(path: Path):
-        manifest.artifacts.append((path.name, _sha256_file(path)))
+        manifest.artifacts.append((path.name, hashlib.sha256(path.read_bytes()).hexdigest()))
 
+    emit, diverged = config.emit, None
     try:
         history = netlab.train(config.architecture, config.train, config.sensor)
     except TrainingDiverged as exc:
-        manifest.diverged_at = exc.epoch
-        if exc.history.checkpoint is not None:
-            ck = outdir / "checkpoint.txt"
-            save_checkpoint(exc.history.checkpoint, ck)
-            add(ck)
-        if exc.history.epochs_run and "history" in config.emit:
-            hp = outdir / "history.csv"
-            write_history_csv(exc.history, hp)
-            add(hp)
-        write_manifest(manifest, outdir / "manifest.txt")
-        raise
+        history, diverged, manifest.diverged_at = exc.history, exc, exc.epoch
+        emit = ["history"] if "history" in emit and history.epochs_run else []
+        if history.checkpoint is not None:
+            emit.append("checkpoint")
 
-    if "history" in config.emit:
+    if "history" in emit:
         path = outdir / "history.csv"
         write_history_csv(history, path)
         add(path)
-    if "checkpoint" in config.emit:
+    if "checkpoint" in emit:
         path = outdir / "checkpoint.txt"
         save_checkpoint(history.checkpoint, path)
         add(path)
-    if "waveform" in config.emit:
+    if "waveform" in emit:
         _, phases = capture_fc_traces(history.checkpoint)
         rows = metrics.assemble_waveform(phases)
         path = outdir / "waveform.csv"
         metrics.write_waveform_csv(rows, path)
         add(path)
-    if "schedule" in config.emit:
+    if "schedule" in emit:
         path = outdir / "schedule.json"
         _emit_schedule(config, path)
         add(path)
-    if "reconstruction" in config.emit:
+    if "reconstruction" in emit:
         for path in _emit_reconstructions(history.checkpoint, outdir):
             add(path)
 
     write_manifest(manifest, outdir / "manifest.txt")
+    if diverged is not None:
+        raise diverged
     return manifest
 
 
@@ -338,22 +331,20 @@ def run(config: ExperimentConfig) -> RunManifest:
 
 def evaluate(ckpt: Checkpoint, seed: int = 0, per_glyph: int = 25,
              letters: int = 8) -> dict:
-    """Fresh-batch evaluation of a checkpoint.
+    """Fresh-batch evaluation of a checkpoint at its recorded params.
 
-    Classifiers report accuracy and per-class mean outputs; the autoencoder
-    additionally reconstructs `letters` random noisy letters and reports
-    per-letter MSE and thresholded bitmaps.
+    Reports the accuracy and per-class mean outputs of `netlab.evaluate` on
+    the stream `seed`: at train.seed + EVAL_SEED_OFFSET, the last history row.
+    The autoencoder then reconstructs `letters` noisy letters drawn from the
+    same stream and reports per-letter MSE and thresholded bitmaps.
     """
     model = netlab.MODELS[ckpt.architecture]
     params = ckpt.params
     rng = np.random.default_rng(seed)
-    idx = np.repeat(np.arange(dataset.NUM_GLYPHS), per_glyph)
-    c_i = dataset.noisy_letters(idx, params, rng, model.spec.rows)
-    cs = netlab.array_inputs(model.spec, c_i, params)
-    pred, outputs, _ = model.score(ckpt.matrices, cs, params, ckpt.binarize)
+    accuracy, mean_outputs, _ = netlab.evaluate(ckpt.architecture, ckpt.matrices, params,
+                                                ckpt.binarize, rng, per_glyph)
     report = {"architecture": ckpt.architecture, "seed": seed,
-              "accuracy": float((pred == idx).mean()),
-              "mean_outputs": netlab._mean_by_glyph(outputs)}
+              "accuracy": accuracy, "mean_outputs": mean_outputs}
     if ckpt.architecture == "autoencoder":
         sidx = rng.integers(0, dataset.NUM_GLYPHS, letters)
         s_ci = dataset.noisy_letters(sidx, params, rng)

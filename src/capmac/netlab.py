@@ -31,7 +31,7 @@ import numpy as np
 
 from . import dataset
 from .arrays import gather_windows
-from .device import MAX_NOISE_FRAC, SensorParams, mac, series_capacitance
+from .device import SensorParams, mac, series_capacitance
 from .weights import WeightBank, binarize_weights, normalize_weights
 
 # Offset separating the evaluation stream from the training stream so the
@@ -99,10 +99,11 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """How a run trains; its sensor and noise level are train's `params`."""
+
     batch_size: int = 20
     learning_rate: float = 10.0
     epochs: int = 350
-    noise_frac: float = 0.2
     seed: int = 0
     binarize: bool = False
     eval_per_glyph: int = 25
@@ -118,7 +119,6 @@ class TrainConfig:
                 ("batch_size", 1, dataset.MAX_DRAW),
                 ("epochs", 1, MAX_EPOCHS),
                 ("learning_rate", 0, MAX_LEARNING_RATE),
-                ("noise_frac", 0, MAX_NOISE_FRAC),
                 ("seed", 0, math.inf),
                 ("eval_per_glyph", 1, dataset.MAX_DRAW // dataset.NUM_GLYPHS)):
             if not least <= getattr(self, name) <= most:
@@ -185,7 +185,6 @@ class Checkpoint:
 class TrainHistory:
     """Per-epoch records plus the final weights."""
 
-    architecture: str
     loss: list = field(default_factory=list)
     accuracy: list = field(default_factory=list)
     mean_outputs: list = field(default_factory=list)  # (glyphs, outputs) per epoch
@@ -348,6 +347,19 @@ def _mean_by_glyph(values: np.ndarray) -> np.ndarray:
     return values.reshape(dataset.NUM_GLYPHS, -1, values.shape[-1]).mean(axis=1)
 
 
+def evaluate(architecture: str, m: dict, params: SensorParams, binarize: bool,
+             rng, per_glyph: int):
+    """Score the matrices m of `architecture` on a noisy batch drawn from rng
+    at params, per_glyph letters of each glyph, glyph-major: (accuracy,
+    per-glyph mean outputs, the outputs that must stay finite)."""
+    model = MODELS[architecture]
+    idx = np.repeat(np.arange(dataset.NUM_GLYPHS), per_glyph)
+    c_i = dataset.noisy_letters(idx, params, rng, model.spec.rows)
+    pred, outputs, checked = model.score(m, array_inputs(model.spec, c_i, params),
+                                         params, binarize)
+    return float((pred == idx).mean()), _mean_by_glyph(outputs), checked
+
+
 # ---------------------------------------------------------------------------
 # the model table and the training loop
 
@@ -420,37 +432,33 @@ def train(architecture: str, config: TrainConfig,
           params: SensorParams = SensorParams()) -> TrainHistory:
     """Train one architecture with the analog array in the forward path.
 
-    Per epoch: draw S noisy letters, compute the loss and the summed
-    gradients through the array, update every matrix by
-    M -= (alpha/S) * sum_p dL/dM, then score a glyph-balanced noisy eval
-    batch from a separate stream. The FC classifier may train binarized
-    weights with a straight-through estimator. Raises TrainingDiverged when
-    the loss, a gradient, a matrix or an eval output stops being finite.
+    Per epoch: draw S noisy letters at `params`, the ones the checkpoint
+    records, compute the loss and the summed gradients through the array,
+    update every matrix by M -= (alpha/S) * sum_p dL/dM, then `evaluate` at
+    the same params on a separate stream. The FC classifier may train
+    binarized weights with a straight-through estimator. Raises
+    TrainingDiverged when the loss, a gradient, a matrix or an eval output
+    stops being finite.
     """
     model = MODELS[architecture]
-    resolution = model.spec.rows
-    # TrainConfig.noise_frac is authoritative during training and evaluation.
-    p_eff = dataclasses.replace(params, noise_frac=config.noise_frac)
     rng = np.random.default_rng(config.seed)
     erng = np.random.default_rng(config.seed + EVAL_SEED_OFFSET)
     mats = {name: rng.uniform(-1.0, 1.0, shape) for name, shape in model.matrices.items()}
-    eidx = np.repeat(np.arange(dataset.NUM_GLYPHS), config.eval_per_glyph)
     lr = config.learning_rate / config.batch_size
-    history = TrainHistory(architecture=architecture)
+    history = TrainHistory()
     for epoch in range(1, config.epochs + 1):
         idx = rng.integers(0, dataset.NUM_GLYPHS, config.batch_size)
-        c_i = dataset.noisy_letters(idx, p_eff, rng, resolution)
-        x = array_inputs(model.spec, c_i, p_eff)
-        loss, grads = model.loss(mats, x, c_i, dataset.LABELS[idx], p_eff, config.binarize)
+        c_i = dataset.noisy_letters(idx, params, rng, model.spec.rows)
+        x = array_inputs(model.spec, c_i, params)
+        loss, grads = model.loss(mats, x, c_i, dataset.LABELS[idx], params, config.binarize)
         mats = {name: m - lr * g for (name, m), g in zip(mats.items(), grads)}
         _check_finite(epoch, history, loss, *grads, *mats.values())
-        ec_i = dataset.noisy_letters(eidx, p_eff, erng, resolution)
-        ecs = array_inputs(model.spec, ec_i, p_eff)
-        pred, outputs, checked = model.score(mats, ecs, p_eff, config.binarize)
+        accuracy, mean_outputs, checked = evaluate(
+            architecture, mats, params, config.binarize, erng, config.eval_per_glyph)
         _check_finite(epoch, history, loss, *checked)
         history.loss.append(loss)
-        history.accuracy.append(float((pred == eidx).mean()))
-        history.mean_outputs.append(_mean_by_glyph(outputs))
+        history.accuracy.append(accuracy)
+        history.mean_outputs.append(mean_outputs)
         # Each epoch makes a new dict of new matrices, so none is copied.
         beta = float(abs(next(iter(mats.values()))).max() or 1.0)
         history.checkpoint = Checkpoint(architecture, config.seed, epoch, beta,

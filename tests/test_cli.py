@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -20,7 +21,8 @@ from capmac.cli import (ConfigError, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK,
                         parse_config_text, render_ascii, run, write_pgm)
 from capmac.device import (MAX_CAPACITANCE_PF, MAX_CAPACITANCE_RATIO, SensorParams,
                            series_capacitance)
-from capmac.netlab import TrainingDiverged, default_config, load_checkpoint
+from capmac.netlab import (TrainingDiverged, default_config, load_checkpoint,
+                           save_checkpoint, write_history_csv)
 
 LOG_CAPACITANCE = st.floats(min_value=math.log(5e-324), max_value=math.log(MAX_CAPACITANCE_PF))
 
@@ -90,7 +92,7 @@ class TestConfigParsing:
 
 
 _CONFIG_KEYS = sorted(set(cli._TRAIN_KEYS) | set(cli._SENSOR_KEYS) | set(cli._TOP_KEYS)
-                     | {"threads", "train.momentum"})
+                     | {"threads", "train.momentum", "train.noise_frac"})
 _CONFIG_VALUES = st.one_of(
     st.sampled_from(["0", "1", "-1", "3", "0.5", "1e308", "1e400", "nan", "inf", "-inf",
                      "true", "no", "fc_classifier", "autoencoder", "cnn_classifier",
@@ -109,8 +111,8 @@ def test_config_fuzz_builds_or_raises_config_error(raw):
     except ConfigError:
         return
     assert cfg.architecture in netlab.ARCHITECTURES
-    assert all(np.isfinite([cfg.train.learning_rate, cfg.train.noise_frac, cfg.sensor.c0,
-                            cfg.sensor.c_ih, cfg.sensor.c_il, cfg.sensor.noise_frac]))
+    assert all(np.isfinite([cfg.train.learning_rate, cfg.sensor.c0, cfg.sensor.c_ih,
+                            cfg.sensor.c_il, cfg.sensor.noise_frac]))
     assert cfg.train.batch_size <= dataset.MAX_DRAW
     assert cfg.train.eval_per_glyph * dataset.NUM_GLYPHS <= dataset.MAX_DRAW
     assert not cfg.train.binarize or netlab.MODELS[cfg.architecture].binarizes
@@ -205,8 +207,7 @@ class TestRun:
 
     def test_divergence_exit_path(self, tmp_path, monkeypatch):
         def diverge(architecture, config, params):
-            hist = netlab.TrainHistory(architecture="fc_classifier")
-            raise TrainingDiverged(1, hist)
+            raise TrainingDiverged(1, netlab.TrainHistory())
 
         monkeypatch.setattr(netlab, "train", diverge)
         cfg = build_config(fc_raw(tmp_path))
@@ -214,6 +215,34 @@ class TestRun:
             run(cfg)
         text = (tmp_path / "run" / "manifest.txt").read_text()
         assert "diverged_at_epoch: 1" in text
+
+    @pytest.mark.parametrize("emit,written", [
+        ("history,waveform,schedule", ["checkpoint.txt", "history.csv"]),
+        ("waveform,schedule", ["checkpoint.txt"]),
+    ])
+    def test_diverged_run_writes_last_good_state(self, tmp_path, monkeypatch, emit,
+                                                 written):
+        # A diverged run writes its last-good checkpoint whether or not it was
+        # asked for, history.csv only if asked for, and nothing else.
+        hist = netlab.train("fc_classifier", default_config("fc_classifier", epochs=2, seed=0))
+
+        def diverge(architecture, config, params):
+            raise TrainingDiverged(3, hist)
+
+        monkeypatch.setattr(netlab, "train", diverge)
+        with pytest.raises(TrainingDiverged):
+            run(build_config(fc_raw(tmp_path, emit=emit)))
+        outdir = tmp_path / "run"
+        assert sorted(p.name for p in outdir.iterdir()) == written + ["manifest.txt"]
+        lines = (outdir / "manifest.txt").read_text().splitlines()
+        assert "diverged_at_epoch: 3" in lines
+        listed = dict(line.split()[1::2] for line in lines if line.startswith("artifact: "))
+        assert listed == {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+                          for name in written}
+        save_checkpoint(hist.checkpoint, tmp_path / "want_checkpoint.txt")
+        write_history_csv(hist, tmp_path / "want_history.csv")
+        for name in written:
+            assert (outdir / name).read_bytes() == (tmp_path / f"want_{name}").read_bytes()
 
 
 class TestMainExitCodes:
@@ -233,7 +262,7 @@ class TestMainExitCodes:
 
     def test_divergence_is_3(self, tmp_path, monkeypatch, capsys):
         def diverge(architecture, config, params):
-            raise TrainingDiverged(2, netlab.TrainHistory(architecture="fc_classifier"))
+            raise TrainingDiverged(2, netlab.TrainHistory())
 
         monkeypatch.setattr(netlab, "train", diverge)
         code = main(["train", "--arch", "fc_classifier",
@@ -326,18 +355,22 @@ def checkpoints(tmp_path_factory):
 
 class TestInputErrors:
     def test_threads_key_is_unknown(self, tmp_path, capsys):
-        cfgfile = tmp_path / "exp.cfg"
-        cfgfile.write_text("architecture = fc_classifier\nthreads = 1\n")
-        code = main(["train", "--config", str(cfgfile),
-                     "--output-dir", str(tmp_path / "r")])
-        assert code == EXIT_CONFIG
-        assert "threads: unknown configuration key" in capsys.readouterr().err
+        # Neither is a setting: numpy's threads are the environment's, and
+        # the noise level is sensor.noise_frac, the one a checkpoint records.
+        for key, value in (("threads", "1"), ("train.noise_frac", "0")):
+            cfgfile = tmp_path / "exp.cfg"
+            cfgfile.write_text(f"architecture = fc_classifier\n{key} = {value}\n")
+            code = main(["train", "--config", str(cfgfile),
+                         "--output-dir", str(tmp_path / "r")])
+            assert code == EXIT_CONFIG
+            assert f"{key}: unknown configuration key" in capsys.readouterr().err
+            assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("setting,field", [
         ("sensor.c0=nan", "c0"),
         ("sensor.c_ih=inf", "c_ih"),
         ("train.learning_rate=inf", "learning_rate"),
-        ("train.noise_frac=-inf", "noise_frac"),
+        ("sensor.noise_frac=-inf", "noise_frac"),
     ])
     def test_non_finite_settings_exit_2(self, tmp_path, capsys, setting, field):
         code = main(["train", "--arch", "cnn_classifier", "--epochs", "2",
@@ -346,7 +379,7 @@ class TestInputErrors:
         assert f"{field} must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting,field", [
-        ("train.noise_frac=1e308", "noise_frac"),
+        ("sensor.noise_frac=-0.2", "noise_frac"),
         ("sensor.noise_frac=1e308", "noise_frac"),
         (f"train.epochs={netlab.MAX_EPOCHS + 1}", "epochs"),
         ("sensor.c_ih=1e307", "c_ih"),
@@ -387,7 +420,7 @@ class TestInputErrors:
         code = main(["train", "--arch", "fc_classifier", "--epochs", "2",
                      "--output-dir", str(tmp_path / "r"),
                      "--set", "sensor.c0=1e-50", "--set", "sensor.c_ih=1e-284",
-                     "--set", "sensor.c_il=1e-294", "--set", "train.noise_frac=0"])
+                     "--set", "sensor.c_il=1e-294", "--set", "sensor.noise_frac=0"])
         assert code == EXIT_CONFIG
         assert "c_il must be at least" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
@@ -403,15 +436,17 @@ class TestInputErrors:
         # either way, so that most draws pass the other checks.
         c_il, c_ih = sorted(min(math.exp(x), MAX_CAPACITANCE_PF) for x in (log_a, log_b))
         c0 = min(c_ih / math.exp(log_ratio), MAX_CAPACITANCE_PF)
+        err = io.StringIO()
         with tempfile.TemporaryDirectory() as out, np.errstate(all="ignore"), \
-                contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["train", "--arch", arch, "--epochs", "2", "--output-dir", out,
                          "--emit", "history,checkpoint",
                          "--set", f"sensor.c0={c0!r}", "--set", f"sensor.c_ih={c_ih!r}",
                          "--set", f"sensor.c_il={c_il!r}",
-                         "--set", f"train.noise_frac={noise_frac}"])
+                         "--set", f"sensor.noise_frac={noise_frac}"])
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED)
+        # Only the sensor settings vary, so only they may be refused.
+        assert code != EXIT_CONFIG or err.getvalue().startswith("config error: sensor:")
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(min_value=math.log(5e-324), max_value=math.log(MAX_CAPACITANCE_PF)),
@@ -590,16 +625,22 @@ class TestEvaluate:
             assert entry["bitmap"].shape == (3, 3)
 
 
-@pytest.mark.parametrize("seed", [0, 5])
+# Ids: the seed, and the noise level where it is not the paper's 0.2.
+@pytest.mark.parametrize("seed,noise_frac", [
+    pytest.param(seed, noise_frac, id=str(seed) if noise_frac == 0.2
+                 else f"{seed}-noise{noise_frac}")
+    for noise_frac in (0.2, 0.0, 0.05) for seed in (0, 5)])
 @pytest.mark.parametrize("arch,binarize", [("fc_classifier", False),
                                            ("fc_classifier", True),
                                            ("autoencoder", False),
                                            ("cnn_classifier", False)])
-def test_training_eval_equals_capmac_eval(arch, binarize, seed):
+def test_training_eval_equals_capmac_eval(arch, binarize, seed, noise_frac):
     # The last epoch's evaluation in netlab.train and `capmac eval` of the
-    # checkpoint at the evaluation stream's seed score the same letters.
+    # checkpoint at the evaluation stream's seed score the same letters at
+    # the same noise level, the one the checkpoint records.
     cfg = default_config(arch, epochs=1, seed=seed, binarize=binarize)
-    hist = netlab.train(arch, cfg)
+    hist = netlab.train(arch, cfg, SensorParams(noise_frac=noise_frac))
+    assert hist.checkpoint.params.noise_frac == noise_frac
     report = evaluate(hist.checkpoint, seed=seed + netlab.EVAL_SEED_OFFSET,
                       per_glyph=cfg.eval_per_glyph)
     assert report["accuracy"] == hist.accuracy[-1]

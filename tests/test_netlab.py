@@ -330,8 +330,8 @@ class TestTrainers:
         of them, with a 30-epoch bound, against the 350 paper epochs.
         """
         for seed in range(10):
-            cfg = default_config("fc_classifier", epochs=30, noise_frac=0.0, seed=seed)
-            hist = train("fc_classifier", cfg)
+            cfg = default_config("fc_classifier", epochs=30, seed=seed)
+            hist = train("fc_classifier", cfg, SensorParams(noise_frac=0.0))
             assert 1.0 in hist.accuracy, f"seed {seed} never reached 1.0"
             assert hist.loss[-1] < np.log(4), f"seed {seed} loss {hist.loss[-1]}"
             assert hist.epochs_run == 30
@@ -411,6 +411,42 @@ class TestTrainers:
         assert exc.value.history.epochs_run == 2
         assert exc.value.history.checkpoint.epoch == 2
 
+    @pytest.mark.parametrize("arch", sorted(MODELS))
+    def test_trains_at_the_recorded_params(self, arch):
+        # Noise-free, the first loss is the loss of the clean letters that the
+        # training stream picks, at the initial matrices it draws.
+        params = SensorParams(noise_frac=0.0)
+        model = MODELS[arch]
+        cfg = default_config(arch, epochs=2, seed=4)
+        hist = train(arch, cfg, params)
+        rng = np.random.default_rng(cfg.seed)
+        m = {name: rng.uniform(-1.0, 1.0, shape) for name, shape in model.matrices.items()}
+        idx = rng.integers(0, dataset.NUM_GLYPHS, cfg.batch_size)
+        c_i = dataset.encode_capacitive(dataset.GRIDS[model.spec.rows][idx], params)
+        loss, _ = model.loss(m, array_inputs(model.spec, c_i, params), c_i,
+                             dataset.LABELS[idx], params, False)
+        assert hist.loss[0] == loss
+        assert hist.checkpoint.params == params
+
+    @pytest.mark.parametrize("arch,binarize", [("fc_classifier", False),
+                                               ("fc_classifier", True),
+                                               ("autoencoder", False),
+                                               ("cnn_classifier", False)])
+    def test_noise_free_eval_scores_the_clean_letters(self, arch, binarize):
+        # Noise-free, every eval letter of glyph g is the clean letter g, so
+        # its mean outputs are the clean letter's, and the accuracy is the
+        # fraction of clean glyphs read correctly.
+        params = SensorParams(noise_frac=0.0)
+        model = MODELS[arch]
+        hist = train(arch, default_config(arch, epochs=3, seed=2, binarize=binarize),
+                     params)
+        clean = dataset.encode_capacitive(dataset.GRIDS[model.spec.rows], params)
+        pred, outputs, _ = model.score(hist.checkpoint.matrices,
+                                       array_inputs(model.spec, clean, params),
+                                       params, binarize)
+        np.testing.assert_allclose(hist.mean_outputs[-1], outputs, rtol=0, atol=1e-12)
+        assert hist.accuracy[-1] == np.mean(pred == np.arange(dataset.NUM_GLYPHS))
+
     @pytest.mark.parametrize("arch", sorted(netlab.MODELS))
     def test_checkpoint_follows_model_table(self, arch):
         model = netlab.MODELS[arch]
@@ -439,8 +475,8 @@ class TestTrainers:
         with pytest.raises(ValueError, match="eval_per_glyph"):
             TrainConfig(eval_per_glyph=0)
 
-    @given(st.sampled_from(["batch_size", "learning_rate", "epochs", "noise_frac",
-                            "seed", "eval_per_glyph"]),
+    @given(st.sampled_from(["batch_size", "learning_rate", "epochs", "seed",
+                            "eval_per_glyph"]),
            st.sampled_from([math.nan, math.inf, -math.inf]))
     def test_non_finite_config_rejected_naming_field(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):

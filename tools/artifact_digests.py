@@ -9,7 +9,10 @@ kinds that trace, and of the reconstruction_*.txt and reconstruction_*.pgm
 files of the autoencoder. On the seed-0 checkpoints it then runs
 `capmac eval --per-glyph 250` at eval seeds 0-3, and `capmac trace` at every
 glyph for the kinds that trace, and prints the digests of their stdout,
-trace.csv and waveform.csv.
+trace.csv and waveform.csv. Last, it trains FC and the autoencoder at seed 0
+at a noise level other than the default (sensor.noise_frac = 0.05) and
+prints the digests of their history.csv and checkpoint.txt and of the stdout
+of `capmac eval` at the evaluation stream's seed, 0 + EVAL_SEED_OFFSET.
 Run it on two checkouts and diff the outputs to check that a change leaves
 every artifact byte-identical.
 """
@@ -26,7 +29,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from capmac import cli, dataset  # noqa: E402
+from capmac import cli, dataset, netlab  # noqa: E402
 
 # (label, architecture, extra config overrides)
 KINDS = (
@@ -38,6 +41,9 @@ KINDS = (
 TRACED = ("fc_classifier", "fc_classifier_binarized", "autoencoder")
 SEEDS = range(5)
 EVAL_SEEDS = range(4)
+# (label, architecture) trained at a noise level other than the default.
+NOISY = (("fc_classifier", "fc_classifier"), ("autoencoder", "autoencoder"))
+NOISE_FRAC = "0.05"
 
 
 def sha256(data: bytes) -> str:
@@ -89,6 +95,18 @@ def main() -> None:
                 for name in ("trace.csv", "waveform.csv"):
                     print(f"trace {label} glyph={glyph.value} {name} "
                           f"{sha256((out / name).read_bytes())}")
+        for label, arch in NOISY:
+            run = Path(f"{label}_noise{NOISE_FRAC}_0")
+            capmac("train", "--arch", arch, "--seed", "0", "--output-dir", str(run),
+                   "--emit", "history,checkpoint", "--set", f"sensor.noise_frac={NOISE_FRAC}")
+            for name in ("history.csv", "checkpoint.txt"):
+                print(f"train {label} noise={NOISE_FRAC} seed=0 {name} "
+                      f"{sha256((run / name).read_bytes())}")
+            # The evaluation stream of the seed-0 run: the last history row.
+            stdout = capmac("eval", str(run / "checkpoint.txt"),
+                            "--seed", str(netlab.EVAL_SEED_OFFSET))
+            print(f"eval {label} noise={NOISE_FRAC} eval_seed={netlab.EVAL_SEED_OFFSET} "
+                  f"stdout {sha256(stdout.encode())}")
 
 
 if __name__ == "__main__":

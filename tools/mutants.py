@@ -77,6 +77,15 @@ MUTANTS = (
      "    erng = np.random.default_rng(config.seed + EVAL_SEED_OFFSET)\n",
      "    erng = np.random.default_rng(config.seed)\n"
      "    rng = np.random.default_rng(config.seed + EVAL_SEED_OFFSET)\n"),
+    ("eval letters interleaved", "netlab.py",
+     "idx = np.repeat(np.arange(dataset.NUM_GLYPHS), per_glyph)",
+     "idx = np.tile(np.arange(dataset.NUM_GLYPHS), per_glyph)"),
+    ("diverged run drops its checkpoint", "cli.py",
+     "        if history.checkpoint is not None:\n"
+     '            emit.append("checkpoint")\n', ""),
+    ("training draws at SensorParams() instead of params", "netlab.py",
+     "        c_i = dataset.noisy_letters(idx, params, rng, model.spec.rows)\n",
+     "        c_i = dataset.noisy_letters(idx, SensorParams(), rng, model.spec.rows)\n"),
 )
 
 
