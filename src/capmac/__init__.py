@@ -7,10 +7,10 @@ from .device import (PHASES, SensorParams, apply_noise, mac, mac_phases,
                      series_capacitance)
 from .weights import WeightBank, binarize_weights, normalize_weights
 from .arrays import (ArrayTopology, ConvSchedule, build_fc_array, conv_forward,
-                     fc_forward, resource_report, schedule_conv)
+                     fc_forward, schedule_conv)
 from .dataset import (GRIDS, LABELS, CapacitiveSample, Glyph, encode_capacitive,
                       noisy_letters, sample_batch)
 from .netlab import (MODELS, Checkpoint, NetworkSpec, TrainConfig, TrainHistory,
                      TrainingDiverged, cross_entropy, default_config,
                      load_checkpoint, save_checkpoint, sigmoid, softmax, train)
-from .metrics import assemble_waveform, charge_energy, energy, latency
+from .metrics import assemble_waveform, charge_energy, schedule_report

@@ -3,7 +3,6 @@ readout, and the sliding-window schedule for in-array convolution."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,14 +107,11 @@ def schedule_conv(rows: int, cols: int, kernel: int = 3) -> ConvSchedule:
 def gather_windows(mat_batch: np.ndarray, kernel: int = 3) -> np.ndarray:
     """(B, rows, cols) -> (B, n_windows, kernel^2) with row-major origins."""
     b, rows, cols = mat_batch.shape
-    out_r, out_c = rows - kernel + 1, cols - kernel + 1
-    win = np.empty((b, out_r * out_c, kernel * kernel))
-    j = 0
-    for orr in range(out_r):
-        for occ in range(out_c):
-            win[:, j, :] = mat_batch[:, orr:orr + kernel, occ:occ + kernel].reshape(b, -1)
-            j += 1
-    return win
+    # Flat pixel index of each window's top-left corner, plus each kernel tap's offset.
+    origins = np.arange(rows - kernel + 1)[:, None] * cols + np.arange(cols - kernel + 1)
+    offsets = np.arange(kernel)[:, None] * cols + np.arange(kernel)
+    return np.take(mat_batch.reshape(b, -1), origins.reshape(-1, 1) + offsets.reshape(1, -1),
+                   axis=1)
 
 
 def conv_forward(topology: ArrayTopology, schedule: ConvSchedule, c_i_image,
@@ -136,23 +132,16 @@ def conv_forward(topology: ArrayTopology, schedule: ConvSchedule, c_i_image,
     return out.reshape(topology.rows - ksz + 1, topology.cols - ksz + 1)
 
 
-def resource_report(rows: int, cols: int, kernel: int = 3):
-    """(dac_count, adc_count, step_count) for a rows x cols conv array:
-    kernel^2 weight DACs, one ADC per row, cols-kernel+1 schedule steps."""
-    _check_conv_geometry(rows, cols, kernel)
-    return kernel * kernel, rows, cols - kernel + 1
-
-
 def schedule_to_dict(schedule: ConvSchedule) -> dict:
-    """JSON-ready dump of the schedule plus the resource accounting."""
-    dacs, adcs, n_steps = resource_report(schedule.rows, schedule.cols, schedule.kernel)
+    """JSON-ready dump of the schedule and the converters it uses: one cycle
+    per step, one ADC per lane the steps read, one DAC per kernel weight."""
     return {
         "rows": schedule.rows,
         "cols": schedule.cols,
         "kernel": schedule.kernel,
-        "dac_count": dacs,
-        "adc_count": adcs,
-        "step_count": n_steps,
+        "dac_count": schedule.kernel ** 2,
+        "adc_count": len({adc for step in schedule.steps for _, adc in step}),
+        "step_count": len(schedule.steps),
         "steps": [
             {"step": i,
              "windows": [{"row": orr, "col": occ, "adc": adc}
@@ -160,9 +149,3 @@ def schedule_to_dict(schedule: ConvSchedule) -> dict:
             for i, step in enumerate(schedule.steps)
         ],
     }
-
-
-def write_schedule_json(schedule: ConvSchedule, path):
-    with open(path, "w") as fh:
-        json.dump(schedule_to_dict(schedule), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -216,24 +216,9 @@ def capture_fc_traces(ckpt: Checkpoint, glyph: dataset.Glyph = dataset.Glyph.INV
     return volts[-1, :, 0].tolist(), (charge, volts)
 
 
-def _emit_schedule(config: ExperimentConfig, path: Path):
-    if config.architecture == "cnn_classifier":
-        sched = arrays.schedule_conv(5, 5, 3)
-        arrays.write_schedule_json(sched, path)
-    else:
-        topo = arrays.build_fc_array(3, 3, 4)
-        # Every bank reads every pixel in row-major order, as fc_forward does.
-        pixels = [[r, c] for r in range(topo.rows) for c in range(topo.cols)]
-        data = {
-            "type": "fc_banks",
-            "rows": topo.rows,
-            "cols": topo.cols,
-            "banks": topo.banks,
-            "wiring": {str(m): pixels for m in range(topo.banks)},
-        }
-        with open(path, "w") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+def _json_text(report: dict) -> str:
+    """The one JSON layout of capmac's reports: sorted keys, 2-space indent."""
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def _emit_reconstructions(ckpt: Checkpoint, outdir: Path) -> list[Path]:
@@ -314,7 +299,8 @@ def run(config: ExperimentConfig) -> RunManifest:
         add(path)
     if "schedule" in emit:
         path = outdir / "schedule.json"
-        _emit_schedule(config, path)
+        spec = netlab.MODELS[config.architecture].spec
+        path.write_text(_json_text(metrics.schedule_report(spec)))
         add(path)
     if "reconstruction" in emit:
         for path in _emit_reconstructions(history.checkpoint, outdir):
@@ -417,9 +403,12 @@ def _usage_error(message, kind: str = "usage") -> int:
 
 def _cmd_train(args) -> int:
     try:
-        raw = parse_config_text(Path(args.config).read_text()) if args.config else {}
-        config = build_config(_apply_overrides(raw, args))
-    except (OSError, ConfigError) as exc:
+        text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+    except (OSError, UnicodeDecodeError) as exc:
+        return _usage_error(f"--config: {exc}", "config")
+    try:
+        config = build_config(_apply_overrides(parse_config_text(text), args))
+    except ConfigError as exc:
         return _usage_error(exc, "config")
     try:
         manifest = run(config)
@@ -476,20 +465,21 @@ def _cmd_trace(args) -> int:
     except OSError as exc:
         return _usage_error(f"--out: {exc}")
     print(f"traced {args.glyph}: outputs " + " ".join(f"{u:+.4f}" for u in outputs))
+    print(f"charge energy: {metrics.charge_energy(phases):.6f} nJ")
     print(f"wrote {outdir / 'trace.csv'} and {outdir / 'waveform.csv'}")
     return EXIT_OK
 
 
 def _cmd_schedule(args) -> int:
     try:
-        sched = arrays.schedule_conv(args.rows, args.cols, args.kernel)
+        report = metrics.conv_report(arrays.schedule_conv(args.rows, args.cols, args.kernel))
     except ValueError as exc:  # the message begins with the flag's name
         return _usage_error(f"--{exc}")
     if not args.out:
-        print(json.dumps(arrays.schedule_to_dict(sched), indent=2, sort_keys=True))
+        sys.stdout.write(_json_text(report))
         return EXIT_OK
     try:
-        arrays.write_schedule_json(sched, args.out)
+        Path(args.out).write_text(_json_text(report))
     except OSError as exc:
         return _usage_error(f"--out: {exc}")
     print(f"wrote {args.out}")

@@ -1,43 +1,59 @@
-"""Latency and energy of the in-sensor MAC, plus waveform table assembly
-from captured phase traces.
+"""The hardware cost of an inference, read off the schedule the array runs,
+plus waveform table assembly from captured phase traces.
 
-Latency is structural: the four phases of device.DEFAULT_PHASE_NS (a 350 ns
-cycle) times the scheduled array cycles. `energy` scales the measured
-per-classification figure by the same cycle count; `charge_energy` sums
-|Q_n * V_n| over the charging phase of a captured cycle as a physically
-motivated lower-bound estimate.
+`schedule_report` is the one source of every count: array cycles (schedule
+steps), ADCs and DACs, and from the cycles the latency, four phases of
+device.DEFAULT_PHASE_NS (a 350 ns cycle) each, and the energy,
+DEFAULT_ENERGY_PJ each. `charge_energy` sums |Q_n * V_n| over the charging
+phase of a captured cycle as a physically motivated lower-bound estimate.
 """
 
 from __future__ import annotations
 
-import json
-import math
-
-from .arrays import ArrayTopology, resource_report
+from . import arrays
 from .device import DEFAULT_PHASE_NS, PHASES, SWITCH_NAMES
 from .netlab import NetworkSpec
 
-# Measured energy of one 4-bank FC classification cycle.
-DEFAULT_ENERGY_NJ = 0.9
+# Measured energy of one 4-bank FC classification cycle, 0.9 nJ, in whole pJ
+# so that the nJ figure of any cycle count is the nearest float to its decimal.
+DEFAULT_ENERGY_PJ = 900
 
 
-def cycle_count(net: NetworkSpec, topology: ArrayTopology) -> int:
-    """Sequential array cycles per inference: one horizontal schedule step per
-    cycle for convolution, ceil(M/banks) for FC readout."""
-    if net.kernel:
-        return net.cols - net.kernel + 1
-    return math.ceil(net.outputs / topology.banks)
+def schedule_report(spec: NetworkSpec) -> dict:
+    """JSON-ready account of the array that runs `spec` and what one
+    inference costs on it.
+
+    A convolution reports arrays.schedule_to_dict of its schedule. An FC
+    network runs in one cycle in which each of its `outputs` banks reads every
+    pixel in row-major order, as fc_forward does: one ADC per bank and one DAC
+    per (bank, pixel) voltage.
+    """
+    if spec.kernel:
+        return conv_report(arrays.schedule_conv(spec.rows, spec.cols, spec.kernel))
+    pixels = [[r, c] for r in range(spec.rows) for c in range(spec.cols)]
+    return _with_cost({
+        "type": "fc_banks",
+        "rows": spec.rows,
+        "cols": spec.cols,
+        "banks": spec.outputs,
+        "wiring": {str(m): pixels for m in range(spec.outputs)},
+        "dac_count": spec.outputs * len(pixels),
+        "adc_count": spec.outputs,
+        "step_count": 1,
+    })
 
 
-def latency(net: NetworkSpec, topology: ArrayTopology) -> float:
-    """Total nanoseconds: the cycle's four phase durations times the
-    scheduled cycles. Independent of weight values."""
-    return len(PHASES) * DEFAULT_PHASE_NS * cycle_count(net, topology)
+def conv_report(schedule: arrays.ConvSchedule) -> dict:
+    """schedule_report of a convolution schedule already built."""
+    return _with_cost(arrays.schedule_to_dict(schedule))
 
 
-def energy(net: NetworkSpec, topology: ArrayTopology) -> float:
-    """Energy in nJ for one inference: DEFAULT_ENERGY_NJ per array cycle."""
-    return DEFAULT_ENERGY_NJ * cycle_count(net, topology)
+def _with_cost(report: dict) -> dict:
+    """`report` plus the latency and energy of its step_count array cycles."""
+    cycles = report["step_count"]
+    return {**report,
+            "latency_ns": len(PHASES) * DEFAULT_PHASE_NS * cycles,
+            "energy_nJ": DEFAULT_ENERGY_PJ * cycles / 1000}
 
 
 def charge_energy(phases) -> float:
@@ -87,27 +103,3 @@ def write_waveform_csv(rows, path):
         lines.append(f"{t!r},{signal},{value!r}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def summary(net: NetworkSpec, topology: ArrayTopology) -> dict:
-    """Metrics JSON bundle: latency, energy, cycles and converter counts."""
-    if net.kernel:
-        dacs, adcs, _ = resource_report(net.rows, net.cols, net.kernel)
-    else:
-        # FC wiring: one DAC per (bank, pixel) voltage, one ADC per bank.
-        dacs = topology.banks * net.rows * net.cols
-        adcs = topology.banks
-    return {
-        "architecture": net.architecture,
-        "latency_ns": latency(net, topology),
-        "energy_nJ": energy(net, topology),
-        "cycles": cycle_count(net, topology),
-        "dacs": dacs,
-        "adcs": adcs,
-    }
-
-
-def write_summary_json(data: dict, path):
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -6,11 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capmac.arrays import (MAX_CONV_SIDE, ArrayTopology, build_conv_array,
-                           build_fc_array, conv_forward, fc_forward, resource_report,
-                           schedule_conv, schedule_to_dict, write_schedule_json)
+                           build_fc_array, conv_forward, fc_forward, gather_windows,
+                           schedule_conv, schedule_to_dict)
 from capmac.device import SensorParams, mac, mac_phases, series_capacitance
 
 PARAMS = SensorParams()
+
+
+def resource_report(rows, cols, kernel):
+    """(dac_count, adc_count, step_count) that schedule_to_dict reports for
+    a rows x cols convolution array."""
+    data = schedule_to_dict(schedule_conv(rows, cols, kernel))
+    return data["dac_count"], data["adc_count"], data["step_count"]
 
 
 def naive_cross_correlation(c_i_image, kernel_3x3, params):
@@ -161,10 +168,11 @@ class TestConvForward:
 
 
 class TestResourceReport:
+    # One ADC per lane the schedule reads, rows - kernel + 1 of them.
     @pytest.mark.parametrize("rows,cols,kernel,expected", [
-        (5, 5, 3, (9, 5, 3)),
-        (3, 3, 3, (9, 3, 1)),
-        (8, 10, 3, (9, 8, 8)),
+        (5, 5, 3, (9, 3, 3)),
+        (3, 3, 3, (9, 1, 1)),
+        (8, 10, 3, (9, 6, 8)),
     ])
     def test_counts(self, rows, cols, kernel, expected):
         assert resource_report(rows, cols, kernel) == expected
@@ -176,7 +184,7 @@ class TestResourceReport:
         sched = schedule_conv(rows, cols, 3)
         assert steps == len(sched.steps)
         assert dacs == 9
-        assert adcs == rows
+        assert adcs == rows - 2 == build_conv_array(rows, cols, 3).banks
 
 
 @pytest.mark.parametrize("build", [build_conv_array, schedule_conv, resource_report])
@@ -201,14 +209,29 @@ def test_conv_geometry_bounds_accepted():
     assert build_conv_array(MAX_CONV_SIDE, MAX_CONV_SIDE, MAX_CONV_SIDE).banks == 1
 
 
-def test_schedule_json_dump(tmp_path):
+def test_schedule_json_dump():
     sched = schedule_conv(5, 5, 3)
     data = schedule_to_dict(sched)
     assert data["step_count"] == 3
     assert data["dac_count"] == 9
-    assert data["adc_count"] == 5
+    assert data["adc_count"] == 3
     assert len(data["steps"]) == 3
-    path = tmp_path / "schedule.json"
-    write_schedule_json(sched, path)
-    loaded = json.loads(path.read_text())
-    assert loaded == data
+    assert json.loads(json.dumps(data)) == data
+
+
+class TestGatherWindows:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=9),
+           st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=9),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_matches_explicit_slicing(self, b, rows, cols, kernel, seed):
+        kernel = min(kernel, rows, cols)
+        mat = np.random.default_rng(seed).uniform(5, 600, (b, rows, cols))
+        want = np.stack([
+            np.stack([mat[i, r:r + kernel, c:c + kernel].ravel()
+                      for r in range(rows - kernel + 1) for c in range(cols - kernel + 1)])
+            for i in range(b)])
+        got = gather_windows(mat, kernel)
+        np.testing.assert_array_equal(got, want)
+        # A strided result would change the order of the sums built on it.
+        assert got.flags.c_contiguous

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capmac import arrays, cli, dataset, netlab
+from capmac import arrays, cli, dataset, metrics, netlab
 from capmac.cli import (ConfigError, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK,
                         build_config, config_hash, evaluate, main,
                         parse_config_text, render_ascii, run, write_pgm)
@@ -170,6 +170,8 @@ class TestRun:
         sched = json.loads((outdir / "schedule.json").read_text())
         assert sched["type"] == "fc_banks"
         assert sched["banks"] == 4
+        assert (sched["step_count"], sched["adc_count"], sched["dac_count"]) == (1, 4, 36)
+        assert (sched["latency_ns"], sched["energy_nJ"]) == (350.0, 0.9)
         # every bank reads every pixel in row-major order, as fc_forward does
         row_major = [[r, c] for r in range(3) for c in range(3)]
         assert sched["wiring"] == {str(m): row_major for m in range(4)}
@@ -184,7 +186,10 @@ class TestRun:
         run(build_config(raw))
         sched = json.loads((tmp_path / "cnn" / "schedule.json").read_text())
         assert sched["step_count"] == 3
-        assert sched["adc_count"] == 5
+        assert sched["adc_count"] == 3
+        assert sched["dac_count"] == 9
+        assert (sched["latency_ns"], sched["energy_nJ"]) == (1050.0, 2.7)
+        assert sched == metrics.schedule_report(netlab.MODELS["cnn_classifier"].spec)
 
     def test_autoencoder_reconstruction_artifacts(self, tmp_path):
         raw = {
@@ -296,17 +301,25 @@ class TestMainExitCodes:
     def test_trace_subcommand(self, tmp_path, capsys):
         main(["train", "--arch", "fc_classifier", "--epochs", "5", "--seed", "0",
               "--output-dir", str(tmp_path / "r"), "--emit", "checkpoint"])
+        capsys.readouterr()
         code = main(["trace", "--checkpoint", str(tmp_path / "r" / "checkpoint.txt"),
                      "--glyph", "invz", "--out", str(tmp_path / "t")])
         assert code == EXIT_OK
         assert (tmp_path / "t" / "trace.csv").exists()
         assert (tmp_path / "t" / "waveform.csv").exists()
+        out = capsys.readouterr().out.splitlines()
+        outputs, phases = cli.capture_fc_traces(
+            load_checkpoint(tmp_path / "r" / "checkpoint.txt"), dataset.Glyph.INV_Z)
+        assert out[0] == "traced invz: outputs " + " ".join(f"{u:+.4f}" for u in outputs)
+        assert out[1] == f"charge energy: {metrics.charge_energy(phases):.6f} nJ"
 
     def test_schedule_subcommand(self, capsys):
         code = main(["schedule", "--rows", "5", "--cols", "5"])
         assert code == EXIT_OK
         data = json.loads(capsys.readouterr().out)
         assert data["step_count"] == 3
+        # the same report as the CNN's schedule.json
+        assert data == metrics.schedule_report(netlab.MODELS["cnn_classifier"].spec)
 
     def test_schedule_usage_error(self, capsys):
         code = main(["schedule", "--rows", "2", "--cols", "5"])
@@ -575,6 +588,26 @@ class TestInputErrors:
         code = main(["train", "--config", str(cfgfile), "--output-dir", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert "line 1" in capsys.readouterr().err
+
+    def test_train_non_utf8_config_file_exits_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_bytes(b"train.epochs = 2\n\xff\xfe = 1\n")
+        code = main(["train", "--config", str(cfgfile), "--output-dir", str(tmp_path / "r")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: --config: ")
+        assert not (tmp_path / "r").exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.binary(max_size=200))
+    def test_any_config_file_bytes_train_or_exit_cleanly(self, contents):
+        with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            cfgfile = Path(tmp) / "exp.cfg"
+            cfgfile.write_bytes(contents)
+            code = main(["train", "--config", str(cfgfile), "--epochs", "1",
+                         "--output-dir", str(Path(tmp) / "r")])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED)
 
     def test_trace_unwritable_out_exits_2(self, checkpoints, tmp_path, capsys):
         (tmp_path / "file").write_text("")

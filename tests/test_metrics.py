@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from capmac.arrays import build_conv_array, build_fc_array, fc_forward
+from capmac.arrays import build_fc_array, fc_forward, schedule_conv
 from capmac.device import (DEFAULT_PHASE_NS, PHASES, SensorParams, mac_phases,
                            series_capacitance, write_trace_csv)
-from capmac.metrics import (assemble_waveform, charge_energy, cycle_count, energy,
-                            latency, summary, waveform_final_outputs,
-                            write_summary_json, write_waveform_csv)
+from capmac.metrics import (assemble_waveform, charge_energy, conv_report,
+                            schedule_report, waveform_final_outputs, write_waveform_csv)
 from capmac.netlab import MODELS
 
 PARAMS = SensorParams()
@@ -22,37 +23,34 @@ class TestPhaseTiming:
 
 class TestLatency:
     def test_fc_four_banks_is_one_cycle(self):
-        topo = build_fc_array(3, 3, 4)
-        assert latency(FC_SPEC, topo) == 350.0
+        assert schedule_report(FC_SPEC)["latency_ns"] == 350.0
 
     def test_conv_5x5_is_three_cycles(self):
-        topo = build_conv_array(5, 5, 3)
-        assert latency(CNN_SPEC, topo) == pytest.approx(1050.0)
-
-    def test_single_bank_serializes_four_times(self):
-        topo1 = build_fc_array(3, 3, 1)
-        topo4 = build_fc_array(3, 3, 4)
-        assert latency(FC_SPEC, topo1) == 4 * latency(FC_SPEC, topo4)
+        assert schedule_report(CNN_SPEC)["latency_ns"] == pytest.approx(1050.0)
 
     def test_autoencoder_encoder_is_one_cycle(self):
-        topo = build_fc_array(3, 3, 4)
-        assert cycle_count(AE_SPEC, topo) == 1
+        assert schedule_report(AE_SPEC)["step_count"] == 1
 
     def test_independent_of_weights_additive_in_cycles(self):
-        topo = build_conv_array(7, 9, 3)
         spec = CNN_SPEC
         spec = type(spec)(spec.architecture, 7, 9, 4, 3)
-        assert latency(spec, topo) == pytest.approx(350.0 * 7)
+        assert schedule_report(spec)["latency_ns"] == pytest.approx(350.0 * 7)
+
+    @given(st.integers(min_value=3, max_value=12), st.integers(min_value=3, max_value=12))
+    def test_one_cycle_per_schedule_step(self, rows, cols):
+        sched = schedule_conv(rows, cols, 3)
+        report = conv_report(sched)
+        assert report["step_count"] == len(sched.steps)
+        assert report["latency_ns"] == 350.0 * len(sched.steps)
+        assert report["energy_nJ"] == pytest.approx(0.9 * len(sched.steps))
 
 
 class TestEnergy:
     def test_calibrated_default(self):
-        topo = build_fc_array(3, 3, 4)
-        assert energy(FC_SPEC, topo) == 0.9
+        assert schedule_report(FC_SPEC)["energy_nJ"] == 0.9
 
     def test_calibrated_scales_with_cycles(self):
-        topo = build_conv_array(5, 5, 3)
-        assert energy(CNN_SPEC, topo) == pytest.approx(2.7)
+        assert schedule_report(CNN_SPEC)["energy_nJ"] == pytest.approx(2.7)
 
     def test_charge_based_zero_weights(self):
         trace = mac_phases([62.937] * 9, [[0.0] * 9], 72.0)
@@ -148,35 +146,29 @@ class TestAssembleWaveform:
 
 
 class TestSummary:
-    def test_fc_summary(self, tmp_path):
-        topo = build_fc_array(3, 3, 4)
-        data = summary(FC_SPEC, topo)
+    def test_fc_summary(self):
+        data = schedule_report(FC_SPEC)
         assert data["latency_ns"] == 350.0
         assert data["energy_nJ"] == 0.9
-        assert data["cycles"] == 1
-        assert data["dacs"] == 36
-        assert data["adcs"] == 4
-        write_summary_json(data, tmp_path / "m.json")
-        assert (tmp_path / "m.json").exists()
+        assert data["step_count"] == 1
+        assert data["dac_count"] == 36
+        assert data["adc_count"] == 4
+        assert data["banks"] == 4
 
     @pytest.mark.parametrize("arch,latency_ns,energy_nj,cycles,dacs,adcs", [
         ("fc_classifier", 350.0, 0.9, 1, 36, 4),
         ("autoencoder", 350.0, 0.9, 1, 36, 4),
-        ("cnn_classifier", 1050.0, 2.7, 3, 9, 5),
+        ("cnn_classifier", 1050.0, 2.7, 3, 9, 3),
     ])
     def test_every_model(self, arch, latency_ns, energy_nj, cycles, dacs, adcs):
-        spec = MODELS[arch].spec
-        topo = (build_conv_array(spec.rows, spec.cols, spec.kernel) if spec.kernel
-                else build_fc_array(spec.rows, spec.cols, spec.outputs))
-        data = summary(spec, topo)
-        assert data["architecture"] == arch
+        data = schedule_report(MODELS[arch].spec)
         assert data["latency_ns"] == pytest.approx(latency_ns)
         assert data["energy_nJ"] == pytest.approx(energy_nj)
-        assert (data["cycles"], data["dacs"], data["adcs"]) == (cycles, dacs, adcs)
+        assert (data["step_count"], data["dac_count"], data["adc_count"]) == (cycles, dacs, adcs)
 
     def test_cnn_summary_uses_resource_report(self):
-        topo = build_conv_array(5, 5, 3)
-        data = summary(CNN_SPEC, topo)
-        assert data["cycles"] == 3
-        assert data["dacs"] == 9
-        assert data["adcs"] == 5
+        data = schedule_report(CNN_SPEC)
+        assert data["step_count"] == 3
+        assert data["dac_count"] == 9
+        assert data["adc_count"] == 3
+        assert data == conv_report(schedule_conv(5, 5, 3))

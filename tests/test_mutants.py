@@ -1,0 +1,22 @@
+"""Every mutant of tools/mutants.py still applies to the source it mutates.
+
+The mutation harness itself takes minutes and stays out of the test suite;
+this check is cheap and catches a refactor that leaves a mutant stale.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+mutants = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(mutants)
+
+
+@pytest.mark.parametrize("name,module,old,new", mutants.MUTANTS,
+                         ids=[m[0] for m in mutants.MUTANTS])
+def test_mutant_text_occurs_once(name, module, old, new):
+    source = (ROOT / "src" / "capmac" / module).read_text()
+    assert source.count(old) == 1, f"{name}: its text occurs {source.count(old)} times in {module}"

@@ -3,10 +3,12 @@
 Usage: python3 tools/mutants.py [NAME ...]
 
 Each mutant is one string replacement in one module of src/capmac. For each
-one (or only those named), the script copies src/, tests/, bench/ and
-pyproject.toml into a temporary directory, applies the replacement there,
-runs `python -m pytest -x -q` in the copy and prints `killed` when a test
-fails and `survived` when every test passes. The checkout is never modified.
+one (or only those named), the script copies src/, tests/, bench/, tools/
+and pyproject.toml into a temporary directory, applies the replacement
+there, runs `python -m pytest -x -q` in the copy and prints `killed` when a
+test fails and `survived` when every test passes. tests/test_mutants.py is
+left out of those runs: it checks that each mutant's text occurs once, so it
+would fail on every mutated copy. The checkout is never modified.
 A mutant whose original text no longer occurs exactly once is reported as
 `stale`. The unmutated copy is tested first and must pass. The exit status is
 0 only when every mutant was killed.
@@ -26,7 +28,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "bench", "pyproject.toml")
+COPIED = ("src", "tests", "bench", "tools", "pyproject.toml")
 # A mutant that makes the suite hang counts as killed after this many seconds.
 TIMEOUT_S = 600
 
@@ -55,9 +57,15 @@ MUTANTS = (
      "except KeyError as exc:", "except IndexError as exc:"),
     ("CHARGE phase raises CON", "device.py",
      '("charge", (0, 1, 0, 0))', '("charge", (0, 1, 1, 0))'),
-    ("FC wiring written column-major", "cli.py",
-     "pixels = [[r, c] for r in range(topo.rows) for c in range(topo.cols)]",
-     "pixels = [[r, c] for c in range(topo.cols) for r in range(topo.rows)]"),
+    ("FC wiring written column-major", "metrics.py",
+     "pixels = [[r, c] for r in range(spec.rows) for c in range(spec.cols)]",
+     "pixels = [[r, c] for c in range(spec.cols) for r in range(spec.rows)]"),
+    ("ADC count one per row", "arrays.py",
+     '"adc_count": len({adc for step in schedule.steps for _, adc in step}),',
+     '"adc_count": schedule.rows,'),
+    ("latency ignores the step count", "metrics.py",
+     '"latency_ns": len(PHASES) * DEFAULT_PHASE_NS * cycles,',
+     '"latency_ns": len(PHASES) * DEFAULT_PHASE_NS,'),
     ("charge_energy reads the TRANSFER phase", "metrics.py",
      "abs(charge[1] * volts[1])", "abs(charge[2] * volts[2])"),
     ("c_il lower bound dropped", "device.py",
@@ -110,7 +118,8 @@ def run_mutant(module: str | None = None, old: str = "", new: str = "") -> str:
             path.write_text(text.replace(old, new))
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                 "--ignore", str(tmp / "tests" / "test_mutants.py")],
                 cwd=tmp, env={**os.environ, "PYTHONPATH": str(tmp / "src")},
                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
