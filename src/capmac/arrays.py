@@ -3,6 +3,7 @@ readout, and the sliding-window schedule for in-array convolution."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,14 +105,21 @@ def schedule_conv(rows: int, cols: int, kernel: int = 3) -> ConvSchedule:
     return ConvSchedule(rows=rows, cols=cols, kernel=kernel, steps=tuple(steps))
 
 
-def gather_windows(mat_batch: np.ndarray, kernel: int = 3) -> np.ndarray:
-    """(B, rows, cols) -> (B, n_windows, kernel^2) with row-major origins."""
-    b, rows, cols = mat_batch.shape
+@functools.lru_cache(maxsize=16)
+def _window_index(rows: int, cols: int, kernel: int) -> np.ndarray:
+    """Read-only flat pixel indices of each window's taps, (n_windows, kernel^2)."""
     # Flat pixel index of each window's top-left corner, plus each kernel tap's offset.
     origins = np.arange(rows - kernel + 1)[:, None] * cols + np.arange(cols - kernel + 1)
     offsets = np.arange(kernel)[:, None] * cols + np.arange(kernel)
-    return np.take(mat_batch.reshape(b, -1), origins.reshape(-1, 1) + offsets.reshape(1, -1),
-                   axis=1)
+    index = origins.reshape(-1, 1) + offsets.reshape(1, -1)
+    index.setflags(write=False)
+    return index
+
+
+def gather_windows(mat_batch: np.ndarray, kernel: int = 3) -> np.ndarray:
+    """(B, rows, cols) -> (B, n_windows, kernel^2) with row-major origins."""
+    b, rows, cols = mat_batch.shape
+    return np.take(mat_batch.reshape(b, -1), _window_index(rows, cols, kernel), axis=1)
 
 
 def conv_forward(topology: ArrayTopology, schedule: ConvSchedule, c_i_image,

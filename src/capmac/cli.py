@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -503,7 +504,9 @@ def _cmd_fixtures(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `capmac` parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="capmac",
         description="Capacitive in-sensor MAC array simulator and trainer")

@@ -4,6 +4,7 @@ and 5x5, capacitive encoding, and seeded noisy batch generation."""
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,16 @@ class CapacitiveSample:
     label: np.ndarray
 
 
+@functools.lru_cache(maxsize=16)
+def _letter_table(c_ih: float, c_il: float, noise_mode: str, resolution: int) -> np.ndarray:
+    """Read-only (clean capacitances, noise reference) of every glyph, stacked
+    as shape (2, NUM_GLYPHS, R, R): what each draw reads, built once."""
+    clean = np.where(GRIDS[resolution] > 0, c_ih, c_il).astype(float)
+    table = np.stack([clean, np.full_like(clean, c_ih) if noise_mode == "global" else clean])
+    table.setflags(write=False)
+    return table
+
+
 def noisy_letters(idx, params: SensorParams, rng, resolution: int = 3) -> np.ndarray:
     """Induced capacitances c_i[B, R, R] of the glyphs numbered `idx`, each
     with a fresh noise realization drawn in one call. Deterministic for a
@@ -69,8 +80,8 @@ def noisy_letters(idx, params: SensorParams, rng, resolution: int = 3) -> np.nda
         raise ValueError(f"unsupported resolution: {resolution}")
     if not 1 <= len(idx) <= MAX_DRAW:
         raise ValueError(f"a draw holds 1 to {MAX_DRAW} letters, got {len(idx)}")
-    clean = encode_capacitive(GRIDS[resolution][idx], params)
-    nominal = np.full_like(clean, params.c_ih) if params.noise_mode == "global" else clean
+    clean, nominal = _letter_table(params.c_ih, params.c_il, params.noise_mode,
+                                   resolution).take(idx, axis=1)
     return apply_noise(clean, nominal, params.noise_frac, rng)
 
 

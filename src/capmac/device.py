@@ -123,8 +123,10 @@ def apply_noise(c_i_clean, nominal, noise_frac, rng):
     if noise_frac == 0:
         out = c_i_clean.copy()
     else:
-        delta = rng.standard_normal(c_i_clean.shape) * (noise_frac * np.asarray(nominal, dtype=float))
-        out = np.maximum(c_i_clean + delta, NOISE_FLOOR_PF)
+        out = rng.standard_normal(c_i_clean.shape)
+        out *= noise_frac * np.asarray(nominal, dtype=float)
+        out += c_i_clean
+        np.maximum(out, NOISE_FLOOR_PF, out=out)
     return float(out) if out.ndim == 0 else out
 
 

@@ -4,8 +4,8 @@ plus waveform table assembly from captured phase traces.
 `schedule_report` is the one source of every count: array cycles (schedule
 steps), ADCs and DACs, and from the cycles the latency, four phases of
 device.DEFAULT_PHASE_NS (a 350 ns cycle) each, and the energy,
-DEFAULT_ENERGY_PJ each. `charge_energy` sums |Q_n * V_n| over the charging
-phase of a captured cycle as a physically motivated lower-bound estimate.
+DEFAULT_ENERGY_PJ each. `charge_energy` sums |Q_n * V_n| over the CHARGE
+phase only: a lower bound, so 0.39 nJ for a traced FC cycle vs 0.9 nJ is expected.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from . import arrays
 from .device import DEFAULT_PHASE_NS, PHASES, SWITCH_NAMES
 from .netlab import NetworkSpec
 
-# Measured energy of one 4-bank FC classification cycle, 0.9 nJ, in whole pJ
-# so that the nJ figure of any cycle count is the nearest float to its decimal.
+# Energy of one 4-bank FC cycle, 0.9 nJ, in whole pJ so that any cycle count's nJ
+# is the nearest float to its decimal. Unsourced: PAPER.md is the abstract only.
 DEFAULT_ENERGY_PJ = 900
 
 

@@ -32,7 +32,6 @@ import numpy as np
 from . import dataset
 from .arrays import gather_windows
 from .device import SensorParams, mac, series_capacitance
-from .weights import WeightBank, binarize_weights, normalize_weights
 
 # Offset separating the evaluation stream from the training stream so the
 # eval set size never perturbs the training data sequence.
@@ -80,7 +79,8 @@ def cross_entropy(p, y):
     """-sum(y log p) over the last axis, averaged over a leading batch axis
     if there is one, with the log argument floored at 1e-12."""
     p = np.asarray(p, dtype=float)
-    return float((-(y * np.log(np.maximum(p, LOG_FLOOR)))).sum(axis=-1).mean())
+    per_sample = (-(y * np.log(np.maximum(p, LOG_FLOOR)))).sum(axis=-1)
+    return float(per_sample.sum() / per_sample.size)
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +215,11 @@ def programmed_weights(v: np.ndarray, binarize: bool = False):
     """Latent weights -> (voltages programmed into the array, digital rescale
     beta): signs with beta = 1 when binarized, else v / max|v| with beta =
     max|v|."""
-    bank = WeightBank(v)
+    v = np.asarray(v, dtype=float)
     if binarize:
-        return binarize_weights(bank).v, 1.0
-    bank = normalize_weights(bank)
-    return bank.v, bank.beta
+        return np.where(v >= 0, 1.0, -1.0), 1.0
+    beta = float(abs(v).max()) or 1.0
+    return v / beta, beta
 
 
 @functools.lru_cache(maxsize=16)
@@ -304,7 +304,7 @@ def autoencoder_batch_loss(m, x, c_i, labels, params, binarize):
     if np.any(c_rec >= c0):
         raise AssertionError("reconstructed series capacitance reached c0")
     n = x.shape[1]
-    loss = float(np.mean((ci_rec - c_i_flat) ** 2))
+    loss = float(((ci_rec - c_i_flat) ** 2).sum() / ci_rec.size)
     d_ci = 2.0 / n * (ci_rec - c_i_flat)
     d_z = d_ci * c0 ** 2 / (c0 - c_rec) ** 2 * span * cnl_rec * (1 - cnl_rec)
     grad_dec = d_z.T @ phi
@@ -344,7 +344,8 @@ def classify_series_bits(c_rec_series: np.ndarray, params: SensorParams):
 def _mean_by_glyph(values: np.ndarray) -> np.ndarray:
     """Per-glyph means of outputs laid out glyph-major, as
     np.repeat(np.arange(NUM_GLYPHS), per_glyph) draws them."""
-    return values.reshape(dataset.NUM_GLYPHS, -1, values.shape[-1]).mean(axis=1)
+    by_glyph = values.reshape(dataset.NUM_GLYPHS, -1, values.shape[-1])
+    return by_glyph.sum(axis=1) / by_glyph.shape[1]
 
 
 def evaluate(architecture: str, m: dict, params: SensorParams, binarize: bool,
@@ -357,7 +358,7 @@ def evaluate(architecture: str, m: dict, params: SensorParams, binarize: bool,
     c_i = dataset.noisy_letters(idx, params, rng, model.spec.rows)
     pred, outputs, checked = model.score(m, array_inputs(model.spec, c_i, params),
                                          params, binarize)
-    return float((pred == idx).mean()), _mean_by_glyph(outputs), checked
+    return float(np.count_nonzero(pred == idx) / len(idx)), _mean_by_glyph(outputs), checked
 
 
 # ---------------------------------------------------------------------------

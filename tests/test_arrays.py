@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capmac import arrays
 from capmac.arrays import (MAX_CONV_SIDE, ArrayTopology, build_conv_array,
                            build_fc_array, conv_forward, fc_forward, gather_windows,
                            schedule_conv, schedule_to_dict)
@@ -223,15 +224,26 @@ class TestGatherWindows:
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=9),
            st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=9),
+           st.integers(min_value=1, max_value=9),
            st.integers(min_value=0, max_value=2 ** 32 - 1))
-    def test_matches_explicit_slicing(self, b, rows, cols, kernel, seed):
-        kernel = min(kernel, rows, cols)
-        mat = np.random.default_rng(seed).uniform(5, 600, (b, rows, cols))
-        want = np.stack([
-            np.stack([mat[i, r:r + kernel, c:c + kernel].ravel()
-                      for r in range(rows - kernel + 1) for c in range(cols - kernel + 1)])
-            for i in range(b)])
-        got = gather_windows(mat, kernel)
-        np.testing.assert_array_equal(got, want)
-        # A strided result would change the order of the sums built on it.
-        assert got.flags.c_contiguous
+    def test_matches_explicit_slicing(self, b, rows, cols, other_cols, kernel, seed):
+        # Two geometries in turn, sharing rows and kernel: the window index
+        # cached for the first must not serve the second.
+        kernel = min(kernel, rows, cols, other_cols)
+        rng = np.random.default_rng(seed)
+        for width in (cols, other_cols):
+            mat = rng.uniform(5, 600, (b, rows, width))
+            want = np.stack([
+                np.stack([mat[i, r:r + kernel, c:c + kernel].ravel()
+                          for r in range(rows - kernel + 1)
+                          for c in range(width - kernel + 1)])
+                for i in range(b)])
+            got = gather_windows(mat, kernel)
+            np.testing.assert_array_equal(got, want)
+            # A strided result would change the order of the sums built on it.
+            assert got.flags.c_contiguous
+
+    def test_cached_index_rejects_writes(self):
+        gather_windows(np.ones((1, 5, 5)), 3)
+        with pytest.raises(ValueError, match="read-only"):
+            arrays._window_index(5, 5, 3)[0, 0] = 1

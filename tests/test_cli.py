@@ -258,6 +258,20 @@ class TestMainExitCodes:
         assert code == EXIT_OK
         assert "run complete" in capsys.readouterr().out
 
+    def test_reused_parser_carries_nothing_between_calls(self, tmp_path):
+        # The parser is built once per process; a flag of one call must not
+        # become the default of the next.
+        assert cli.build_parser() is cli.build_parser()
+        common = ["train", "--arch", "fc_classifier", "--epochs", "2", "--emit", ""]
+        assert main([*common, "--seed", "5", "--set", "train.batch_size=3",
+                     "--output-dir", str(tmp_path / "a")]) == EXIT_OK
+        assert main([*common, "--output-dir", str(tmp_path / "b")]) == EXIT_OK
+        lines = (tmp_path / "b" / "manifest.txt").read_text().splitlines()
+        assert "seed: 0" in lines
+        default_hash = config_hash(build_config(fc_raw(tmp_path, emit="",
+                                                       **{"train.epochs": "2"})))
+        assert f"config_hash: {default_hash}" in lines
+
     def test_config_error_is_2(self, tmp_path, capsys):
         code = main(["train", "--arch", "fc_classifier",
                      "--output-dir", str(tmp_path / "r"),

@@ -2,12 +2,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capmac import dataset
 from capmac.dataset import (GLYPH_ORDER, GRIDS, LABELS, Glyph, encode_capacitive,
                             noisy_letters, read_bitmap, read_capacitance_csv,
                             sample_batch, write_bitmap, write_capacitance_csv)
-from capmac.device import SensorParams, series_capacitance
+from capmac.device import NOISE_FLOOR_PF, SensorParams, apply_noise, series_capacitance
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PARAMS = SensorParams()
@@ -178,6 +180,45 @@ class TestNoisyLetters:
             c_i = noisy_letters(rng.integers(0, 4, 20), params, rng, resolution)
             np.testing.assert_array_equal(np.stack([s.c_i for s in batch]), c_i)
             assert c_i.shape == (20, resolution, resolution)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(1e-3, 1e4), st.floats(1.01, 100.0), st.floats(0.1, 1e4),
+           st.one_of(st.just(0.0), st.floats(0.0, 10.0)), st.sampled_from([3, 5]),
+           st.lists(st.integers(0, 3), min_size=1, max_size=30),
+           st.integers(0, 2 ** 32 - 1))
+    def test_equals_encode_then_apply_noise(self, c_il, ratio, c0, noise_frac,
+                                            resolution, idx, seed):
+        # Both modes in one process at equal capacitances: a table cached
+        # without its noise mode would serve the second the first one's.
+        for mode in ("per_class", "global"):
+            params = SensorParams(c0, c_il * ratio, c_il, noise_frac, mode)
+            clean = encode_capacitive(GRIDS[resolution][idx], params)
+            nominal = clean if mode == "per_class" else np.full_like(clean, params.c_ih)
+            got = noisy_letters(idx, params, np.random.default_rng(seed), resolution)
+            want = apply_noise(clean, nominal, noise_frac, np.random.default_rng(seed))
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            if noise_frac > 0:
+                z = np.random.default_rng(seed).standard_normal(clean.shape)
+                spelled_out = np.maximum(clean + z * (noise_frac * nominal), NOISE_FLOOR_PF)
+                np.testing.assert_array_equal(got.view(np.uint64),
+                                              spelled_out.view(np.uint64))
+
+    @pytest.mark.parametrize("noise_frac", [0.0, 0.2])
+    @pytest.mark.parametrize("mode", ["per_class", "global"])
+    def test_draw_never_aliases_the_table(self, noise_frac, mode):
+        params = SensorParams(noise_frac=noise_frac, noise_mode=mode)
+        idx = [0, 1, 2, 3, 3]
+        first = noisy_letters(idx, params, np.random.default_rng(3), 5)
+        want = first.copy()
+        first[...] = -1.0
+        again = noisy_letters(idx, params, np.random.default_rng(3), 5)
+        np.testing.assert_array_equal(again, want)
+
+    def test_tables_reject_writes(self):
+        noisy_letters([0], PARAMS, np.random.default_rng(0))
+        table = dataset._letter_table(PARAMS.c_ih, PARAMS.c_il, PARAMS.noise_mode, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0, 0, 0] = 1.0
 
     def test_labels_match_glyph_numbers(self):
         batch = sample_batch(20, PARAMS, np.random.default_rng(4))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays as np_arrays
 
-from capmac import dataset, netlab
+from capmac import dataset, netlab, weights
 from capmac.arrays import build_conv_array, build_fc_array, conv_forward, fc_forward
 from capmac.device import SensorParams, series_capacitance
 from capmac.netlab import (MODELS, Checkpoint, TrainConfig,
@@ -102,6 +102,58 @@ class TestFastPathEquivalence:
         masked = np.stack([values[idx == g].mean(axis=0)
                            for g in range(dataset.NUM_GLYPHS)])
         _assert_bitwise_equal(netlab._mean_by_glyph(values), masked)
+        _assert_bitwise_equal(netlab._mean_by_glyph(values),
+                              np.mean(values.reshape(4, per_glyph, outputs), axis=1))
+
+    @given(np_arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 9)),
+                     elements=st.floats(-1e3, 1e3)), st.booleans())
+    def test_programmed_weights_equal_weight_bank_form(self, v, binarize):
+        bank = weights.WeightBank(v)
+        want = weights.binarize_weights(bank) if binarize else weights.normalize_weights(bank)
+        prog, beta = netlab.programmed_weights(v, binarize)
+        _assert_bitwise_equal(prog, want.v)
+        assert beta == want.beta
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.one_of(st.just(()), st.tuples(st.integers(1, 300))), st.integers(1, 9),
+           st.integers(0, 2 ** 32 - 1))
+    def test_cross_entropy_equals_np_mean_form(self, batch, classes, seed):
+        rng = np.random.default_rng(seed)
+        p = softmax(rng.normal(0.0, 30.0, (*batch, classes)))
+        y = np.eye(classes)[rng.integers(0, classes, batch)]
+        per_sample = (-(y * np.log(np.maximum(p, netlab.LOG_FLOOR)))).sum(axis=-1)
+        got = cross_entropy(p, y)
+        assert type(got) is float
+        _assert_bitwise_equal(np.array(got), np.array(float(np.mean(per_sample))))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 300), st.integers(0, 2 ** 32 - 1))
+    def test_autoencoder_loss_equals_np_mean_form(self, size, seed):
+        rng = np.random.default_rng(seed)
+        m = {name: rng.uniform(-1.0, 1.0, shape)
+             for name, shape in MODELS["autoencoder"].matrices.items()}
+        c_i, labels = _random_instance(rng, size=size)
+        x = array_inputs(AE_SPEC, c_i, PARAMS)
+        loss, _ = autoencoder_batch_loss(m, x, c_i, labels, PARAMS, False)
+        ci_rec = autoencoder_forward(m, x, PARAMS)[3]
+        assert loss == float(np.mean((ci_rec - c_i.reshape(size, -1)) ** 2))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(netlab.ARCHITECTURES), st.integers(1, 300),
+           st.integers(0, 2 ** 32 - 1))
+    def test_accuracy_equals_np_mean_form(self, arch, per_glyph, seed):
+        model = MODELS[arch]
+        m = {name: np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
+             for name, shape in model.matrices.items()}
+        accuracy, _, _ = netlab.evaluate(arch, m, PARAMS, False,
+                                         np.random.default_rng(seed), per_glyph)
+        idx = np.repeat(np.arange(dataset.NUM_GLYPHS), per_glyph)
+        c_i = dataset.noisy_letters(idx, PARAMS, np.random.default_rng(seed),
+                                    model.spec.rows)
+        pred, _, _ = model.score(m, array_inputs(model.spec, c_i, PARAMS), PARAMS, False)
+        # A numpy scalar here would be written as np.float64(...) in history.csv.
+        assert type(accuracy) is float
+        assert accuracy == float(np.mean(pred == idx))
 
     @pytest.mark.parametrize("arch,binarize", [("fc_classifier", False),
                                                ("fc_classifier", True),

@@ -45,8 +45,8 @@ MUTANTS = (
      "out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))",
      "out = 1.0 / (1.0 + np.exp(-z))"),
     ("interleaved glyph mean", "netlab.py",
-     "values.reshape(dataset.NUM_GLYPHS, -1, values.shape[-1]).mean(axis=1)",
-     "values.reshape(-1, dataset.NUM_GLYPHS, values.shape[-1]).mean(axis=0)"),
+     "values.reshape(dataset.NUM_GLYPHS, -1, values.shape[-1])",
+     "values.reshape(-1, dataset.NUM_GLYPHS, values.shape[-1]).swapaxes(0, 1)"),
     ("FC score ignores binarize", "netlab.py",
      'volts, _ = _fc_pass(m["weights"], x, params, binarize)',
      'volts, _ = _fc_pass(m["weights"], x, params, False)'),
@@ -79,7 +79,14 @@ MUTANTS = (
     ("strict threshold in classify_series_bits", "netlab.py",
      "bits = (c_rec_series >= (c_h + c_l) / 2)", "bits = (c_rec_series > (c_h + c_l) / 2)"),
     ("noise clamp skipped", "device.py",
-     "out = np.maximum(c_i_clean + delta, NOISE_FLOOR_PF)", "out = c_i_clean + delta"),
+     "        np.maximum(out, NOISE_FLOOR_PF, out=out)\n", ""),
+    ("letter table ignores noise_mode", "dataset.py",
+     'np.full_like(clean, c_ih) if noise_mode == "global" else clean', "clean"),
+    ("letter table at resolution 3 for every resolution", "dataset.py",
+     "np.where(GRIDS[resolution] > 0, c_ih, c_il)", "np.where(GRIDS[3] > 0, c_ih, c_il)"),
+    ("window index keyed without cols", "arrays.py",
+     "_window_index(rows, cols, kernel)",
+     "_window_index(rows, gather_windows.__dict__.setdefault((rows, kernel), cols), kernel)"),
     ("training and eval streams swapped", "netlab.py",
      "    rng = np.random.default_rng(config.seed)\n"
      "    erng = np.random.default_rng(config.seed + EVAL_SEED_OFFSET)\n",
