@@ -64,14 +64,8 @@ class RunManifest:
 # ---------------------------------------------------------------------------
 # config parsing: flat `key = value` lines with dotted sections
 
-def _section_keys(section: str, settings) -> dict:
-    """`section.field` -> parser, for every field of a settings dataclass."""
-    return {f"{section}.{f.name}": netlab.FIELD_PARSERS[f.type]
-            for f in dataclasses.fields(settings)}
-
-
-_TRAIN_KEYS = _section_keys("train", TrainConfig)
-_SENSOR_KEYS = _section_keys("sensor", SensorParams)
+_TRAIN_KEYS = netlab.field_keys(TrainConfig, "train.")
+_SENSOR_KEYS = netlab.field_keys(SensorParams, "sensor.")
 _TOP_KEYS = ("architecture", "output_dir", "emit")
 
 
@@ -89,20 +83,6 @@ def parse_config_text(text: str) -> dict:
     return raw
 
 
-def _section_kwargs(raw: dict, keys: dict) -> dict:
-    """Parse the keys of one dotted section that `raw` sets into keyword
-    arguments for the section's dataclass."""
-    kwargs = {}
-    for key, parse in keys.items():
-        if key not in raw:
-            continue
-        try:
-            kwargs[key.split(".", 1)[1]] = parse(raw[key])
-        except ValueError:
-            raise ConfigError(f"{key}: cannot parse {raw[key]!r}") from None
-    return kwargs
-
-
 def build_config(raw: dict) -> ExperimentConfig:
     """Validate a raw key/value mapping into an ExperimentConfig."""
     known = set(_TRAIN_KEYS) | set(_SENSOR_KEYS) | set(_TOP_KEYS)
@@ -116,23 +96,30 @@ def build_config(raw: dict) -> ExperimentConfig:
                           f"{', '.join(netlab.ARCHITECTURES)}")
 
     try:
-        train = netlab.default_config(architecture, **_section_kwargs(raw, _TRAIN_KEYS))
+        train_kwargs = netlab.parse_fields(TrainConfig, raw, "train.")
+        sensor_kwargs = netlab.parse_fields(SensorParams, raw, "sensor.")
+    except ValueError as exc:
+        raise ConfigError(exc) from None
+    try:
+        train = netlab.default_config(architecture, **train_kwargs)
     except ValueError as exc:
         raise ConfigError(f"train: {exc}") from None
     if train.binarize and not netlab.MODELS[architecture].binarizes:
         raise ConfigError(f"train.binarize: {architecture} trains no binarized weights")
     try:
-        sensor = SensorParams(**_section_kwargs(raw, _SENSOR_KEYS))
+        sensor = SensorParams(**sensor_kwargs)
     except ValueError as exc:
         raise ConfigError(f"sensor: {exc}") from None
 
-    emit = tuple(e for e in raw.get("emit", "").split(",") if e)
-    for e in emit:
+    requested = [e for e in raw.get("emit", "").split(",") if e]
+    for e in requested:
         if e not in EMIT_CHOICES:
             raise ConfigError(f"emit: {e!r} is not one of {', '.join(EMIT_CHOICES)}")
+    # A set, so every spelling of the same artifacts hashes alike.
+    emit = tuple(e for e in EMIT_CHOICES if e in requested)
     if "reconstruction" in emit and architecture != "autoencoder":
         raise ConfigError("emit: reconstruction artifacts need architecture = autoencoder")
-    if "waveform" in emit and architecture == "cnn_classifier":
+    if "waveform" in emit and netlab.MODELS[architecture].spec.kernel:
         raise ConfigError("emit: waveform capture covers the FC bank readout only")
 
     return ExperimentConfig(
@@ -162,26 +149,15 @@ def config_hash(config: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 # rendering
 
-def render_ascii(matrix, params: SensorParams | None = None,
-                 threshold: float | None = None) -> str:
-    """Threshold a matrix into a '#'/'.' text block: '#' where v >= threshold.
+def render_ascii(bitmap) -> str:
+    """Draw a 0/1 bitmap up to 16x16 as a '#'/'.' text block, '#' for 1.
 
-    Without a `threshold` the matrix holds *induced* capacitances and
-    thresholds at the induced value whose series capacitance is the midpoint
-    (C_H + C_L)/2, i.e. mid*c0/(c0 - mid), so a pixel renders '#' exactly
-    when `netlab.classify_series_bits` reads it as 1. Pass threshold=0.5 for
-    a 0/1 bitmap.
-    """
-    mat = np.asarray(matrix, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] > 16 or mat.shape[1] > 16:
-        raise ValueError("render_ascii accepts 2-D matrices up to 16x16")
-    if threshold is None:
-        params = params or SensorParams()
-        c_h, c_l, _ = netlab.encoder_caps(params)
-        mid = (c_h + c_l) / 2
-        threshold = mid * params.c0 / (params.c0 - mid)
-    return "\n".join("".join("#" if v >= threshold else "." for v in row)
-                     for row in mat)
+    Deciding which pixels are on is the caller's: a reconstruction's bits
+    come from `netlab.classify_series_bits`."""
+    bits = np.asarray(bitmap)
+    if bits.ndim != 2 or max(bits.shape) > 16 or not ((bits == 0) | (bits == 1)).all():
+        raise ValueError("render_ascii draws 2-D 0/1 bitmaps up to 16x16")
+    return "\n".join("".join("#" if v else "." for v in row) for row in bits)
 
 
 def write_pgm(matrix, path, lo: float, hi: float):
@@ -207,7 +183,7 @@ def capture_fc_traces(ckpt: Checkpoint, glyph: dataset.Glyph = dataset.Glyph.INV
     if model.spec.kernel:
         raise ConfigError("waveform/trace capture covers FC bank readout only")
     params = ckpt.params
-    grid = dataset.GRIDS[3][dataset.GLYPH_ORDER.index(glyph)]
+    grid = dataset.GRIDS[model.spec.rows][dataset.GLYPH_ORDER.index(glyph)]
     c_i = dataset.encode_capacitive(grid[None], params)
     first = next(iter(model.matrices))
     weights = netlab.programmed_weights(ckpt.matrices[first],
@@ -226,15 +202,15 @@ def _emit_reconstructions(ckpt: Checkpoint, outdir: Path) -> list[Path]:
     params = ckpt.params
     spec = netlab.MODELS[ckpt.architecture].spec
     written = []
-    for glyph, grid in zip(dataset.GLYPH_ORDER, dataset.GRIDS[3]):
+    for glyph, grid in zip(dataset.GLYPH_ORDER, dataset.GRIDS[spec.rows]):
         c_i = dataset.encode_capacitive(grid[None], params)
         x = netlab.array_inputs(spec, c_i, params)
-        *_, ci_rec = netlab.autoencoder_forward(ckpt.matrices, x, params)
-        recon = ci_rec.reshape(3, 3)
+        *_, c_rec, ci_rec = netlab.autoencoder_forward(ckpt.matrices, x, params)
+        _, bits = netlab.classify_series_bits(c_rec, params)
         txt = outdir / f"reconstruction_{glyph.value}.txt"
-        txt.write_text(render_ascii(recon, params) + "\n")
+        txt.write_text(render_ascii(bits.reshape(grid.shape)) + "\n")
         pgm = outdir / f"reconstruction_{glyph.value}.pgm"
-        write_pgm(recon, pgm, lo=params.c_il, hi=params.c_ih)
+        write_pgm(ci_rec.reshape(grid.shape), pgm, lo=params.c_il, hi=params.c_ih)
         written += [txt, pgm]
     return written
 
@@ -316,14 +292,16 @@ def run(config: ExperimentConfig) -> RunManifest:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def evaluate(ckpt: Checkpoint, seed: int = 0, per_glyph: int = 25,
-             letters: int = 8) -> dict:
+def evaluate(ckpt: Checkpoint, seed: int = 0,
+             per_glyph: int = TrainConfig.eval_per_glyph, letters: int = 8) -> dict:
     """Fresh-batch evaluation of a checkpoint at its recorded params.
 
     Reports the accuracy and per-class mean outputs of `netlab.evaluate` on
-    the stream `seed`: at train.seed + EVAL_SEED_OFFSET, the last history row.
-    The autoencoder then reconstructs `letters` noisy letters drawn from the
-    same stream and reports per-letter MSE and thresholded bitmaps.
+    the stream `seed`. At train.seed + EVAL_SEED_OFFSET and the run's
+    train.eval_per_glyph (TrainConfig's is the default), these score the
+    letters of the run's first epoch evaluation: a one-epoch run's history
+    row. The autoencoder then reconstructs `letters` noisy letters from the
+    same stream and reports per-letter MSE and classify_series_bits' bitmaps.
     """
     model = netlab.MODELS[ckpt.architecture]
     params = ckpt.params
@@ -366,7 +344,7 @@ def _print_report(report: dict):
             print(f"letter {i}: true={entry['glyph']} predicted={entry['predicted']} "
                   f"mse={entry['mse']:.1f}")
             print("\n".join("  " + line for line in
-                            render_ascii(entry["bitmap"], threshold=0.5).splitlines()))
+                            render_ascii(entry["bitmap"]).splitlines()))
 
 
 # ---------------------------------------------------------------------------
@@ -384,16 +362,11 @@ def _parse_set(items) -> dict:
 
 def _apply_overrides(raw: dict, args) -> dict:
     raw.update(_parse_set(args.set))
-    if args.arch:
-        raw["architecture"] = args.arch
-    if args.seed is not None:
-        raw["train.seed"] = str(args.seed)
-    if args.epochs is not None:
-        raw["train.epochs"] = str(args.epochs)
-    if args.output_dir:
-        raw["output_dir"] = args.output_dir
-    if args.emit:
-        raw["emit"] = args.emit
+    for key, value in (("architecture", args.arch), ("train.seed", args.seed),
+                       ("train.epochs", args.epochs), ("output_dir", args.output_dir),
+                       ("emit", args.emit)):
+        if value not in (None, ""):  # an empty string flag keeps the config's value
+            raw[key] = str(value)
     return raw
 
 
@@ -440,7 +413,7 @@ def _cmd_eval(args) -> int:
         for key in overrides:
             if key not in _SENSOR_KEYS:
                 raise ConfigError(f"{key}: eval overrides are sensor.* only")
-        sensor = _section_kwargs(overrides, _SENSOR_KEYS)
+        sensor = netlab.parse_fields(SensorParams, overrides, "sensor.")
         ckpt = dataclasses.replace(ckpt, params=dataclasses.replace(ckpt.params, **sensor))
     except (OSError, ValueError) as exc:
         return _usage_error(exc)
@@ -492,8 +465,8 @@ def _cmd_fixtures(args) -> int:
     params = SensorParams()
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        for r in (3, 5):
-            for glyph, grid in zip(dataset.GLYPH_ORDER, dataset.GRIDS[r]):
+        for r, grids in dataset.GRIDS.items():
+            for glyph, grid in zip(dataset.GLYPH_ORDER, grids):
                 stem = f"glyph_{glyph.value}_{r}"
                 dataset.write_bitmap(outdir / f"{stem}.txt", grid)
                 dataset.write_capacitance_csv(outdir / f"{stem}_capacitance.csv",
@@ -527,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on fresh batches")
     p_eval.add_argument("checkpoint")
     p_eval.add_argument("--seed", type=int, default=0)
-    p_eval.add_argument("--per-glyph", type=int, default=25)
+    p_eval.add_argument("--per-glyph", type=int, default=TrainConfig.eval_per_glyph)
     p_eval.add_argument("--letters", type=int, default=8,
                         help="random letters for autoencoder reconstruction")
     p_eval.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -542,9 +515,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.set_defaults(func=_cmd_trace)
 
     p_sched = sub.add_parser("schedule", help="dump a convolution schedule")
-    p_sched.add_argument("--rows", type=int, default=5)
-    p_sched.add_argument("--cols", type=int, default=5)
-    p_sched.add_argument("--kernel", type=int, default=3)
+    cnn = netlab.MODELS["cnn_classifier"].spec
+    p_sched.add_argument("--rows", type=int, default=cnn.rows)
+    p_sched.add_argument("--cols", type=int, default=cnn.cols)
+    p_sched.add_argument("--kernel", type=int, default=cnn.kernel)
     p_sched.add_argument("--out")
     p_sched.set_defaults(func=_cmd_schedule)
 

@@ -154,12 +154,24 @@ def field_texts(settings) -> dict:
     return texts
 
 
-def _parse_fields(cls, texts: dict, prefix: str = "") -> dict:
-    """The inverse of field_texts: keyword arguments for `cls`, each field
-    parsed from texts[prefix + name] by its annotation. Raises KeyError for a
-    missing field and ValueError for a malformed one."""
-    return {f.name: FIELD_PARSERS[f.type](texts[prefix + f.name])
-            for f in dataclasses.fields(cls) if f.type in FIELD_PARSERS}
+def field_keys(cls, prefix: str) -> list[str]:
+    """The keys field_texts writes for `cls`, each field's name after `prefix`."""
+    return [prefix + f.name for f in dataclasses.fields(cls) if f.type in FIELD_PARSERS]
+
+
+def parse_fields(cls, texts: dict, prefix: str) -> dict:
+    """The inverse of field_texts: keyword arguments for `cls` from the keys
+    of field_keys(cls, prefix) that `texts` holds, each parsed by its field's
+    annotation. A malformed value raises ValueError naming its key."""
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        key = prefix + f.name
+        if f.type in FIELD_PARSERS and key in texts:
+            try:
+                kwargs[f.name] = FIELD_PARSERS[f.type](texts[key])
+            except ValueError:
+                raise ValueError(f"{key}: cannot parse {texts[key]!r}") from None
+    return kwargs
 
 
 def default_config(architecture: str, **overrides) -> TrainConfig:
@@ -488,31 +500,28 @@ def load_checkpoint(path) -> Checkpoint:
         lines = [line.rstrip("\n") for line in fh]
     if not lines or lines[0] != "capmac-checkpoint v1":
         raise ValueError(f"{path}: not a capmac checkpoint")
-    fields = {}
-    matrices = {}
+    fields, matrices = {}, {}
     i = 1
     while i < len(lines):
         line = lines[i]
+        i += 1
         if line.startswith("matrix "):
             _, name, rows, cols = line.split()
             rows, cols = int(rows), int(cols)
-            block = lines[i + 1:i + 1 + rows]
-            matrices[name] = np.array([[float(x) for x in row.split()] for row in block])
+            matrices[name] = np.array([[float(x) for x in row.split()]
+                                       for row in lines[i:i + rows]])
             if matrices[name].shape != (rows, cols):
                 raise ValueError(f"{path}: malformed matrix {name}")
-            i += 1 + rows
-        elif line.strip():
+            i += rows
+        else:  # header lines; a blank line keys "", which no field reads
             key, _, value = line.partition(":")
             fields[key.strip()] = value.strip()
-            i += 1
-        else:
-            i += 1
-    try:
-        params = SensorParams(**_parse_fields(SensorParams, fields, "sensor."))
-        ckpt = Checkpoint(**_parse_fields(Checkpoint, fields), params=params,
-                          matrices=matrices)
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing checkpoint field {exc}") from exc
+    for key in field_keys(Checkpoint, "") + field_keys(SensorParams, "sensor."):
+        if key not in fields:
+            raise ValueError(f"{path}: missing checkpoint field {key!r}")
+    params = SensorParams(**parse_fields(SensorParams, fields, "sensor."))
+    ckpt = Checkpoint(**parse_fields(Checkpoint, fields, ""), params=params,
+                      matrices=matrices)
     model = MODELS.get(ckpt.architecture)
     if model is None:
         raise ValueError(f"{path}: unknown architecture {ckpt.architecture!r}")

@@ -80,6 +80,11 @@ class TestFcForward:
         with pytest.raises(ValueError):
             fc_forward(topo, np.full((3, 3), 100.0), np.zeros((4, 8)), PARAMS)
 
+    def test_bank_count_mismatch(self):
+        topo = build_fc_array(3, 3, 4)
+        with pytest.raises(ValueError, match="3 weight rows for 4 banks"):
+            fc_forward(topo, np.full((3, 3), 100.0), np.zeros((3, 9)), PARAMS)
+
     def test_trace_capture_per_bank(self):
         topo = build_fc_array(3, 3, 4)
         img = np.full((3, 3), 100.0)
@@ -166,6 +171,19 @@ class TestConvForward:
         img = np.full((5, 5), 100.0)
         with pytest.raises(ValueError):
             conv_forward(topo, sched, img, np.full(9, 1.5), PARAMS)
+
+    def test_image_shape_mismatch(self):
+        topo = build_conv_array(5, 5, 3)
+        with pytest.raises(ValueError, match="does not match"):
+            conv_forward(topo, schedule_conv(5, 5, 3), np.full((5, 4), 100.0),
+                         np.zeros(9), PARAMS)
+
+    @pytest.mark.parametrize("weights", [8, 10, 16])
+    def test_kernel_size_mismatch(self, weights):
+        topo = build_conv_array(5, 5, 3)
+        with pytest.raises(ValueError, match=f"kernel needs 9 weights, got {weights}"):
+            conv_forward(topo, schedule_conv(5, 5, 3), np.full((5, 5), 100.0),
+                         np.zeros(weights), PARAMS)
 
 
 class TestResourceReport:

@@ -118,6 +118,18 @@ def test_config_fuzz_builds_or_raises_config_error(raw):
     assert not cfg.train.binarize or netlab.MODELS[cfg.architecture].binarizes
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(cli.EMIT_CHOICES), max_size=12))
+def test_emit_spelling_leaves_config_hash_unchanged(names):
+    # Regression: "history,checkpoint", "checkpoint,history" and
+    # "history,checkpoint,history" write the same artifacts but hashed apart.
+    cfg = build_config({"architecture": "autoencoder", "emit": ",".join(names)})
+    assert cfg.emit == tuple(e for e in cli.EMIT_CHOICES if e in names)
+    alphabetical = build_config({"architecture": "autoencoder",
+                                 "emit": ",".join(sorted(set(names)))})
+    assert config_hash(cfg) == config_hash(alphabetical)
+
+
 class TestRun:
     def test_emits_requested_artifacts_and_manifest(self, tmp_path):
         cfg = build_config(fc_raw(tmp_path))
@@ -369,10 +381,10 @@ class TestMainExitCodes:
 
 @pytest.fixture(scope="module")
 def checkpoints(tmp_path_factory):
-    """Short-trained FC and autoencoder checkpoint paths."""
+    """Short-trained checkpoint paths, one per architecture."""
     out = tmp_path_factory.mktemp("ckpts")
     paths = {}
-    for arch in ("fc_classifier", "autoencoder"):
+    for arch in netlab.ARCHITECTURES:
         code = main(["train", "--arch", arch, "--epochs", "3", "--emit", "checkpoint",
                      "--output-dir", str(out / arch)])
         assert code == EXIT_OK
@@ -630,6 +642,37 @@ class TestInputErrors:
         assert code == EXIT_CONFIG
         assert "--out" in capsys.readouterr().err
 
+    def test_trace_cnn_checkpoint_exits_2(self, checkpoints, tmp_path, capsys):
+        code = main(["trace", "--checkpoint", checkpoints["cnn_classifier"],
+                     "--out", str(tmp_path / "t")])
+        assert code == EXIT_CONFIG
+        assert "FC bank readout only" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
+    def test_trace_missing_checkpoint_exits_2(self, tmp_path, capsys):
+        code = main(["trace", "--checkpoint", str(tmp_path / "nope.txt"),
+                     "--out", str(tmp_path / "t")])
+        assert code == EXIT_CONFIG
+        assert "nope.txt" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_malformed_set_item_exits_2(self, checkpoints, tmp_path, capsys, command):
+        argv = (["train", "--output-dir", str(tmp_path / "r")] if command == "train"
+                else ["eval", checkpoints["fc_classifier"]])
+        assert main([*argv, "--set", "sensor.c0"]) == EXIT_CONFIG
+        assert "--set expects KEY=VALUE, got 'sensor.c0'" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("geometry", [[], ["--rows", "7", "--cols", "9"]])
+    def test_schedule_out_writes_the_printed_bytes(self, tmp_path, capsys, geometry):
+        assert main(["schedule", *geometry]) == EXIT_OK
+        printed = capsys.readouterr().out
+        path = tmp_path / "s.json"
+        assert main(["schedule", *geometry, "--out", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == f"wrote {path}\n"
+        assert path.read_bytes() == printed.encode()
+
     def test_schedule_unwritable_out_exits_2(self, tmp_path, capsys):
         (tmp_path / "file").write_text("")
         code = main(["schedule", "--out", str(tmp_path / "file" / "s.json")])
@@ -672,6 +715,17 @@ class TestEvaluate:
             assert entry["bitmap"].shape == (3, 3)
 
 
+def test_eval_defaults_reproduce_a_one_epoch_history_row():
+    # `capmac eval` at the evaluation stream's seed and its default
+    # --per-glyph scores the letters that a run's first epoch scored at its
+    # defaults; later epochs draw further along the stream.
+    hist = netlab.train("autoencoder", default_config("autoencoder", epochs=1, seed=3))
+    report = evaluate(hist.checkpoint, seed=3 + netlab.EVAL_SEED_OFFSET)
+    assert report["accuracy"] == hist.accuracy[-1]
+    np.testing.assert_array_equal(report["mean_outputs"].view(np.uint64),
+                                  hist.mean_outputs[-1].view(np.uint64))
+
+
 # Ids: the seed, and the noise level where it is not the paper's 0.2.
 @pytest.mark.parametrize("seed,noise_frac", [
     pytest.param(seed, noise_frac, id=str(seed) if noise_frac == 0.2
@@ -695,22 +749,29 @@ def test_training_eval_equals_capmac_eval(arch, binarize, seed, noise_frac):
                                   hist.mean_outputs[-1].view(np.uint64))
 
 
+def _bits(c_i, params=SensorParams()):
+    """The bitmap `netlab.classify_series_bits` reads from induced
+    capacitances c_i, in c_i's shape. Its threshold is per pixel, so each
+    pixel goes in as a one-pixel row."""
+    cs = series_capacitance(np.asarray(c_i, dtype=float), params.c0)
+    return netlab.classify_series_bits(cs.reshape(-1, 1), params)[1].reshape(cs.shape)
+
+
 class TestRenderAscii:
     def test_clean_h_capacitance_matrix(self):
         c_i = dataset.encode_capacitive(dataset.GRIDS[3][0], SensorParams())
-        assert render_ascii(c_i) == "#.#\n###\n#.#"
+        assert render_ascii(_bits(c_i)) == "#.#\n###\n#.#"
 
     def test_all_low_matrix_is_blank(self):
         mat = np.full((3, 3), 16.77)
-        assert render_ascii(mat) == "...\n...\n..."
+        assert render_ascii(_bits(mat)) == "...\n...\n..."
 
     def test_binary_matrix_threshold(self):
-        assert render_ascii(np.eye(2), threshold=0.5) == "#.\n.#"
+        assert render_ascii(np.eye(2)) == "#.\n.#"
 
     def test_one_picofarad_pixels_are_blank(self):
-        # 1 pF is far below the induced threshold; an all-ones matrix is
-        # read as capacitances, not guessed to be a bitmap.
-        assert render_ascii(np.ones((2, 2))) == "..\n.."
+        # 1 pF is far below the series midpoint, so its bits are all 0.
+        assert render_ascii(_bits(np.ones((2, 2)))) == "..\n.."
 
     def test_induced_values_below_series_midpoint_are_blank(self):
         # The trained autoencoder's inverted-Z reconstruction: 57.2 and
@@ -719,7 +780,9 @@ class TestRenderAscii:
         mat = np.array([[498.2, 398.9, 479.7],
                         [57.2, 474.1, 55.1],
                         [474.1, 460.5, 469.6]])
-        assert render_ascii(mat).splitlines()[1] == ".#."
+        cs = series_capacitance(mat, SensorParams().c0).reshape(1, -1)
+        _, bits = netlab.classify_series_bits(cs, SensorParams())
+        assert render_ascii(bits.reshape(3, 3)).splitlines()[1] == ".#."
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(min_value=1.0, max_value=1e3),
@@ -730,16 +793,19 @@ class TestRenderAscii:
         params = SensorParams(c0=c0, c_il=c_il, c_ih=c_il * ratio)
         mat = np.array(values).reshape(3, 3)
         c_h, c_l, _ = netlab.encoder_caps(params)
-        mid = (c_h + c_l) / 2
         cs = series_capacitance(mat, params.c0)
-        near = np.abs(cs - mid) <= 1e-9 * mid
         rendered = np.array([[ch == "#" for ch in row]
-                             for row in render_ascii(mat, params).splitlines()])
-        np.testing.assert_array_equal(rendered[~near], (cs >= mid)[~near])
+                             for row in render_ascii(_bits(mat, params)).splitlines()])
+        np.testing.assert_array_equal(rendered, cs >= (c_h + c_l) / 2)
 
     def test_oversize_rejected(self):
         with pytest.raises(ValueError):
             render_ascii(np.zeros((17, 3)))
+
+    @pytest.mark.parametrize("matrix", [np.full((3, 3), 500.0), [[0, 2]], [[0.5, 1]]])
+    def test_rejects_values_other_than_0_and_1(self, matrix):
+        with pytest.raises(ValueError, match="0/1 bitmaps"):
+            render_ascii(matrix)
 
 
 def test_write_pgm_scaling(tmp_path):

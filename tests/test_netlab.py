@@ -561,7 +561,51 @@ class TestTrainers:
         assert exc.value.history.epochs_run == 0
 
 
+_HEADER_KEYS = ["architecture", "seed", "epoch", "beta", "binarize", "sensor.c0",
+                "sensor.c_ih", "sensor.c_il", "sensor.noise_frac", "sensor.noise_mode"]
+
+
+def _zero_checkpoint(arch):
+    return Checkpoint(architecture=arch, seed=0, epoch=1, beta=1.0, binarize=False,
+                      params=PARAMS, matrices={name: np.zeros(shape) for name, shape
+                                               in MODELS[arch].matrices.items()})
+
+
 class TestCheckpointIo:
+    @pytest.mark.parametrize("arch", sorted(MODELS))
+    def test_each_missing_header_field_is_named(self, tmp_path, arch):
+        # Without any one header line the file must not load, not even at a
+        # default SensorParams value.
+        path = tmp_path / "ck.txt"
+        save_checkpoint(_zero_checkpoint(arch), path)
+        lines = path.read_text().splitlines()
+        header = lines[1:1 + len(_HEADER_KEYS)]
+        assert [line.partition(":")[0] for line in header] == _HEADER_KEYS
+        assert lines[1 + len(_HEADER_KEYS)].startswith("matrix ")
+        for i, key in enumerate(_HEADER_KEYS, 1):
+            path.write_text("\n".join(lines[:i] + lines[i + 1:]) + "\n")
+            with pytest.raises(ValueError, match=f"missing checkpoint field '{key}'"):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", [k for k in _HEADER_KEYS
+                                     if k not in ("architecture", "sensor.noise_mode")])
+    def test_malformed_header_value_names_field(self, tmp_path, key):
+        path = tmp_path / "ck.txt"
+        save_checkpoint(_zero_checkpoint("fc_classifier"), path)
+        lines = [f"{key}: many" if line.partition(":")[0] == key else line
+                 for line in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"{key}: cannot parse 'many'"):
+            load_checkpoint(path)
+
+    def test_unknown_architecture_rejected(self, tmp_path):
+        path = tmp_path / "ck.txt"
+        save_checkpoint(_zero_checkpoint("fc_classifier"), path)
+        text = path.read_text().replace("architecture: fc_classifier", "architecture: mlp")
+        path.write_text(text)
+        with pytest.raises(ValueError, match="unknown architecture 'mlp'"):
+            load_checkpoint(path)
+
     def test_round_trip(self, tmp_path):
         cfg = default_config("autoencoder", epochs=3, seed=4)
         hist = train("autoencoder", cfg)

@@ -9,10 +9,15 @@ kinds that trace, and of the reconstruction_*.txt and reconstruction_*.pgm
 files of the autoencoder. On the seed-0 checkpoints it then runs
 `capmac eval --per-glyph 250` at eval seeds 0-3, and `capmac trace` at every
 glyph for the kinds that trace, and prints the digests of their stdout,
-trace.csv and waveform.csv. Last, it trains FC and the autoencoder at seed 0
+trace.csv and waveform.csv. Then it trains FC and the autoencoder at seed 0
 at a noise level other than the default (sensor.noise_frac = 0.05) and
 prints the digests of their history.csv and checkpoint.txt and of the stdout
 of `capmac eval` at the evaluation stream's seed, 0 + EVAL_SEED_OFFSET.
+It also trains FC and the autoencoder at seed 0 under the global noise
+reference (sensor.noise_mode = global) and prints the digests of their
+history.csv and checkpoint.txt. Last, it prints the digests of the stdout
+of `capmac schedule` (at its defaults and at --rows 7 --cols 9) and of
+every file `capmac fixtures` writes.
 Run it on two checkouts and diff the outputs to check that a change leaves
 every artifact byte-identical.
 """
@@ -44,6 +49,8 @@ EVAL_SEEDS = range(4)
 # (label, architecture) trained at a noise level other than the default.
 NOISY = (("fc_classifier", "fc_classifier"), ("autoencoder", "autoencoder"))
 NOISE_FRAC = "0.05"
+# `capmac schedule` geometries: its defaults, then a non-square array.
+SCHEDULES = ((), ("--rows", "7", "--cols", "9"))
 
 
 def sha256(data: bytes) -> str:
@@ -102,11 +109,26 @@ def main() -> None:
             for name in ("history.csv", "checkpoint.txt"):
                 print(f"train {label} noise={NOISE_FRAC} seed=0 {name} "
                       f"{sha256((run / name).read_bytes())}")
-            # The evaluation stream of the seed-0 run: the last history row.
+            # The evaluation stream of the seed-0 run: the letters of its
+            # first epoch's evaluation, scored with its final weights.
             stdout = capmac("eval", str(run / "checkpoint.txt"),
                             "--seed", str(netlab.EVAL_SEED_OFFSET))
             print(f"eval {label} noise={NOISE_FRAC} eval_seed={netlab.EVAL_SEED_OFFSET} "
                   f"stdout {sha256(stdout.encode())}")
+        for label, arch in NOISY:
+            run = Path(f"{label}_global_0")
+            capmac("train", "--arch", arch, "--seed", "0", "--output-dir", str(run),
+                   "--emit", "history,checkpoint", "--set", "sensor.noise_mode=global")
+            for name in ("history.csv", "checkpoint.txt"):
+                print(f"train {label} noise_mode=global seed=0 {name} "
+                      f"{sha256((run / name).read_bytes())}")
+        for extra in SCHEDULES:
+            stdout = capmac("schedule", *extra)
+            print(f"schedule {' '.join(extra) or 'default'} stdout "
+                  f"{sha256(stdout.encode())}")
+        capmac("fixtures", "--out", "fixtures")
+        for path in sorted(Path("fixtures").iterdir()):
+            print(f"fixtures {path.name} {sha256(path.read_bytes())}")
 
 
 if __name__ == "__main__":

@@ -39,8 +39,8 @@ MUTANTS = (
     ("FC gradient divided by S", "netlab.py",
      "grad = (p - labels).T @ x / (x.shape[1] * params.c0)",
      "grad = (p - labels).T @ x / (x.shape[0] * x.shape[1] * params.c0)"),
-    ("render threshold at the series midpoint", "cli.py",
-     "threshold = mid * params.c0 / (params.c0 - mid)", "threshold = mid"),
+    ("reconstruction classified on induced caps", "cli.py",
+     "netlab.classify_series_bits(c_rec, params)", "netlab.classify_series_bits(ci_rec, params)"),
     ("naive sigmoid", "netlab.py",
      "out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))",
      "out = 1.0 / (1.0 + np.exp(-z))"),
@@ -53,8 +53,10 @@ MUTANTS = (
     ("array inputs scaled by 1+2e-16", "netlab.py",
      "cs = series_capacitance(c_i, params.c0)\n",
      "cs = series_capacitance(c_i, params.c0) * (1 + 2e-16)\n"),
-    ("checkpoint parser lets a KeyError escape", "netlab.py",
-     "except KeyError as exc:", "except IndexError as exc:"),
+    ("missing checkpoint field accepted", "netlab.py",
+     "        if key not in fields:\n"
+     '            raise ValueError(f"{path}: missing checkpoint field {key!r}")\n',
+     "        pass\n"),
     ("CHARGE phase raises CON", "device.py",
      '("charge", (0, 1, 0, 0))', '("charge", (0, 1, 1, 0))'),
     ("FC wiring written column-major", "metrics.py",
