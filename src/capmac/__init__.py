@@ -10,7 +10,7 @@ from .arrays import (ArrayTopology, ConvSchedule, build_fc_array, conv_forward,
                      fc_forward, schedule_conv)
 from .dataset import (GRIDS, LABELS, CapacitiveSample, Glyph, encode_capacitive,
                       noisy_letters, sample_batch)
-from .netlab import (MODELS, Checkpoint, NetworkSpec, TrainConfig, TrainHistory,
-                     TrainingDiverged, cross_entropy, default_config,
-                     load_checkpoint, save_checkpoint, sigmoid, softmax, train)
+from .netlab import (MODELS, Checkpoint, TrainConfig, TrainHistory, TrainingDiverged,
+                     cross_entropy, default_config, load_checkpoint, save_checkpoint,
+                     sigmoid, softmax, train)
 from .metrics import assemble_waveform, charge_energy, schedule_report

@@ -20,14 +20,15 @@ MAX_CONV_SIDE = 256
 
 @dataclass(frozen=True)
 class ArrayTopology:
-    """rows x cols pixel array read by `banks` MAC banks, all in one array
-    cycle. FC bank m reads every pixel in row-major order; convolution bank
-    (ADC lane) r reads the band of rows r..r+kernel-1 as its windows slide.
-    """
+    """The array a network runs on: rows x cols pixels read by `banks` MAC
+    banks. Kernel 0 is FC wiring: bank m reads every pixel in row-major order,
+    all in one array cycle. Otherwise bank (ADC lane) r reads the band of rows
+    r..r+kernel-1 as its kernel x kernel windows slide."""
 
     rows: int
     cols: int
     banks: int
+    kernel: int = 0
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ def build_conv_array(rows: int, cols: int, kernel: int = 3) -> ArrayTopology:
     exact subpixel-to-window interconnect is an interpretation; it yields the
     stated step and ADC counts.)"""
     _check_conv_geometry(rows, cols, kernel)
-    return ArrayTopology(rows, cols, rows - kernel + 1)
+    return ArrayTopology(rows, cols, rows - kernel + 1, kernel)
 
 
 def fc_forward(topology: ArrayTopology, c_i_image, weights, params: SensorParams):

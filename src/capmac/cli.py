@@ -323,7 +323,6 @@ def evaluate(ckpt: Checkpoint, seed: int = 0,
                 "predicted": dataset.GLYPH_ORDER[pg].value,
                 "mse": float(np.mean((s_ci_rec[i] - sflat[i]) ** 2)),
                 "bitmap": sbits[i].reshape(3, 3),
-                "reconstruction": s_ci_rec[i].reshape(3, 3),
             }
             for i, (g, pg) in enumerate(zip(sidx, spred))
         ]
@@ -400,14 +399,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     try:
-        for flag, value, least, most in (
-                ("--seed", args.seed, 0, None),
-                ("--per-glyph", args.per_glyph, 1, dataset.MAX_DRAW // dataset.NUM_GLYPHS),
-                ("--letters", args.letters, 1, dataset.MAX_DRAW)):
-            if value < least:
-                raise ConfigError(f"{flag}: must be >= {least}, got {value}")
-            if most is not None and value > most:
-                raise ConfigError(f"{flag}: must be <= {most}, got {value}")
+        netlab.check_bound("seed", args.seed, "--seed")
+        netlab.check_bound("eval_per_glyph", args.per_glyph, "--per-glyph")
+        if not 1 <= args.letters <= dataset.MAX_DRAW:
+            raise ConfigError(f"--letters must be in [1, {dataset.MAX_DRAW}]")
         ckpt = load_checkpoint(args.checkpoint)
         overrides = _parse_set(args.set)
         for key in overrides:
@@ -446,7 +441,8 @@ def _cmd_trace(args) -> int:
 
 def _cmd_schedule(args) -> int:
     try:
-        report = metrics.conv_report(arrays.schedule_conv(args.rows, args.cols, args.kernel))
+        report = metrics.schedule_report(arrays.build_conv_array(args.rows, args.cols,
+                                                                 args.kernel))
     except ValueError as exc:  # the message begins with the flag's name
         return _usage_error(f"--{exc}")
     if not args.out:

@@ -10,46 +10,37 @@ phase only: a lower bound, so 0.39 nJ for a traced FC cycle vs 0.9 nJ is expecte
 
 from __future__ import annotations
 
-from . import arrays
+from .arrays import ArrayTopology, schedule_conv, schedule_to_dict
 from .device import DEFAULT_PHASE_NS, PHASES, SWITCH_NAMES
-from .netlab import NetworkSpec
 
 # Energy of one 4-bank FC cycle, 0.9 nJ, in whole pJ so that any cycle count's nJ
 # is the nearest float to its decimal. Unsourced: PAPER.md is the abstract only.
 DEFAULT_ENERGY_PJ = 900
 
 
-def schedule_report(spec: NetworkSpec) -> dict:
-    """JSON-ready account of the array that runs `spec` and what one
-    inference costs on it.
+def schedule_report(spec: ArrayTopology) -> dict:
+    """JSON-ready account of the array `spec` and what one inference costs on
+    it, with the latency and energy of its step_count array cycles.
 
-    A convolution reports arrays.schedule_to_dict of its schedule. An FC
-    network runs in one cycle in which each of its `outputs` banks reads every
-    pixel in row-major order, as fc_forward does: one ADC per bank and one DAC
-    per (bank, pixel) voltage.
+    A convolution array (kernel set) reports arrays.schedule_to_dict of the
+    schedule it runs. An FC array runs in one cycle in which each of its
+    `banks` reads every pixel in row-major order, as fc_forward does: one ADC
+    per bank and one DAC per (bank, pixel) voltage.
     """
     if spec.kernel:
-        return conv_report(arrays.schedule_conv(spec.rows, spec.cols, spec.kernel))
-    pixels = [[r, c] for r in range(spec.rows) for c in range(spec.cols)]
-    return _with_cost({
-        "type": "fc_banks",
-        "rows": spec.rows,
-        "cols": spec.cols,
-        "banks": spec.outputs,
-        "wiring": {str(m): pixels for m in range(spec.outputs)},
-        "dac_count": spec.outputs * len(pixels),
-        "adc_count": spec.outputs,
-        "step_count": 1,
-    })
-
-
-def conv_report(schedule: arrays.ConvSchedule) -> dict:
-    """schedule_report of a convolution schedule already built."""
-    return _with_cost(arrays.schedule_to_dict(schedule))
-
-
-def _with_cost(report: dict) -> dict:
-    """`report` plus the latency and energy of its step_count array cycles."""
+        report = schedule_to_dict(schedule_conv(spec.rows, spec.cols, spec.kernel))
+    else:
+        pixels = [[r, c] for r in range(spec.rows) for c in range(spec.cols)]
+        report = {
+            "type": "fc_banks",
+            "rows": spec.rows,
+            "cols": spec.cols,
+            "banks": spec.banks,
+            "wiring": {str(m): pixels for m in range(spec.banks)},
+            "dac_count": spec.banks * len(pixels),
+            "adc_count": spec.banks,
+            "step_count": 1,
+        }
     cycles = report["step_count"]
     return {**report,
             "latency_ns": len(PHASES) * DEFAULT_PHASE_NS * cycles,

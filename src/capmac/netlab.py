@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dataset
-from .arrays import gather_windows
+from .arrays import ArrayTopology, build_conv_array, build_fc_array, gather_windows
 from .device import SensorParams, mac, series_capacitance
 
 # Offset separating the evaluation stream from the training stream so the
@@ -67,11 +67,11 @@ def softmax(u):
 
 def sigmoid(z):
     """Numerically stable logistic function, elementwise: with e = exp(-|z|),
-    1/(1 + e) where z >= 0 and e/(1 + e) elsewhere. e <= 1, so nothing
-    overflows."""
+    1/(1 + e) where z >= 0 and e/(1 + e) elsewhere, in one division. e <= 1,
+    so nothing overflows."""
     z = np.asarray(z, dtype=float)
     e = np.exp(-np.abs(z))
-    out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
     return float(out) if out.ndim == 0 else out
 
 
@@ -84,18 +84,7 @@ def cross_entropy(p, y):
 
 
 # ---------------------------------------------------------------------------
-# specs and configs
-
-@dataclass(frozen=True)
-class NetworkSpec:
-    """Which architecture runs on which array geometry."""
-
-    architecture: str
-    rows: int
-    cols: int
-    outputs: int = 4
-    kernel: int = 0
-
+# configs
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -115,14 +104,24 @@ class TrainConfig:
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        for name, least, most in (
-                ("batch_size", 1, dataset.MAX_DRAW),
-                ("epochs", 1, MAX_EPOCHS),
-                ("learning_rate", 0, MAX_LEARNING_RATE),
-                ("seed", 0, math.inf),
-                ("eval_per_glyph", 1, dataset.MAX_DRAW // dataset.NUM_GLYPHS)):
-            if not least <= getattr(self, name) <= most:
-                raise ValueError(f"{name} must be in [{least}, {most}]")
+        for name in _train_bounds():
+            check_bound(name, getattr(self, name))
+
+
+def _train_bounds() -> dict:
+    """(least, most) of each bounded TrainConfig field, built per call so that
+    a changed MAX_EPOCHS or MAX_LEARNING_RATE applies."""
+    return {"batch_size": (1, dataset.MAX_DRAW), "epochs": (1, MAX_EPOCHS),
+            "learning_rate": (0, MAX_LEARNING_RATE), "seed": (0, math.inf),
+            "eval_per_glyph": (1, dataset.MAX_DRAW // dataset.NUM_GLYPHS)}
+
+
+def check_bound(name: str, value, label: str = ""):
+    """Raise ValueError, naming `label` (by default the field), unless `value`
+    lies within the bounds of TrainConfig field `name`."""
+    least, most = _train_bounds()[name]
+    if not least <= value <= most:
+        raise ValueError(f"{label or name} must be in [{least}, {most}]")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -257,7 +256,7 @@ def _conditioned(cs: np.ndarray, v: np.ndarray, params: SensorParams) -> np.ndar
 # ---------------------------------------------------------------------------
 # what the array reads, forward passes and batch losses
 
-def array_inputs(spec: NetworkSpec, c_i: np.ndarray, params: SensorParams) -> np.ndarray:
+def array_inputs(spec: ArrayTopology, c_i: np.ndarray, params: SensorParams) -> np.ndarray:
     """What the array reads of images c_i[B, R, R]: their series capacitances,
     flattened per image, or gathered into windows when `spec.kernel` is set."""
     cs = series_capacitance(c_i, params.c0)
@@ -416,7 +415,7 @@ class Model:
     train and program its first matrix as signs.
     """
 
-    spec: NetworkSpec
+    spec: ArrayTopology  # the array the network runs on
     learning_rate: float
     epochs: int
     matrices: dict
@@ -428,13 +427,13 @@ class Model:
 # The paper's alpha and epoch counts for the classifier and the autoencoder;
 # the CNN rate is a repo calibration.
 MODELS = {
-    "fc_classifier": Model(NetworkSpec("fc_classifier", 3, 3), 10.0, 350,
+    "fc_classifier": Model(build_fc_array(3, 3, 4), 10.0, 350,
                            {"weights": (4, 9)}, fc_batch_loss, _fc_score,
                            binarizes=True),
-    "autoencoder": Model(NetworkSpec("autoencoder", 3, 3), 4e-4, 40,
+    "autoencoder": Model(build_fc_array(3, 3, 4), 4e-4, 40,
                          {"encoder": (4, 9), "decoder": (9, 4)},
                          autoencoder_batch_loss, _autoencoder_score),
-    "cnn_classifier": Model(NetworkSpec("cnn_classifier", 5, 5, 4, 3), 1.0, 60,
+    "cnn_classifier": Model(build_conv_array(5, 5, 3), 1.0, 60,
                             {"kernel": (1, 9), "head": (4, 9)},
                             cnn_batch_loss, _cnn_score),
 }
@@ -522,6 +521,8 @@ def load_checkpoint(path) -> Checkpoint:
     params = SensorParams(**parse_fields(SensorParams, fields, "sensor."))
     ckpt = Checkpoint(**parse_fields(Checkpoint, fields, ""), params=params,
                       matrices=matrices)
+    if not math.isfinite(ckpt.beta):
+        raise ValueError(f"{path}: beta must be finite, got {ckpt.beta!r}")
     model = MODELS.get(ckpt.architecture)
     if model is None:
         raise ValueError(f"{path}: unknown architecture {ckpt.architecture!r}")

@@ -575,6 +575,24 @@ class TestInputErrors:
         assert code == EXIT_CONFIG
         assert flag in err.getvalue()
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([("--per-glyph", "eval_per_glyph"), ("--seed", "seed")]),
+           st.one_of(st.integers(min_value=-3, max_value=dataset.MAX_DRAW // 4 + 3),
+                     st.integers(min_value=-10 ** 40, max_value=10 ** 40)))
+    def test_eval_flags_bounded_as_train_config(self, checkpoints, flag_field, value):
+        # `capmac eval` refuses exactly the values that training refuses.
+        flag, field = flag_field
+        try:
+            default_config("fc_classifier", **{field: value})
+            refused = False
+        except ValueError:
+            refused = True
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["eval", checkpoints["fc_classifier"], flag, str(value)])
+        assert (code == EXIT_CONFIG) == refused
+        assert (flag in err.getvalue()) == refused
+
     @pytest.mark.parametrize("arch", ["autoencoder", "cnn_classifier"])
     def test_binarize_needs_fc(self, tmp_path, capsys, arch):
         code = main(["train", "--arch", arch, "--output-dir", str(tmp_path / "r"),

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from capmac.arrays import build_fc_array, fc_forward, schedule_conv
+from capmac.arrays import (build_conv_array, build_fc_array, fc_forward, schedule_conv,
+                           schedule_to_dict)
 from capmac.device import (DEFAULT_PHASE_NS, PHASES, SensorParams, mac_phases,
                            series_capacitance, write_trace_csv)
-from capmac.metrics import (assemble_waveform, charge_energy, conv_report,
-                            schedule_report, waveform_final_outputs, write_waveform_csv)
+from capmac.metrics import (assemble_waveform, charge_energy, schedule_report,
+                            waveform_final_outputs, write_waveform_csv)
 from capmac.netlab import MODELS
 
 PARAMS = SensorParams()
@@ -32,14 +33,13 @@ class TestLatency:
         assert schedule_report(AE_SPEC)["step_count"] == 1
 
     def test_independent_of_weights_additive_in_cycles(self):
-        spec = CNN_SPEC
-        spec = type(spec)(spec.architecture, 7, 9, 4, 3)
+        spec = build_conv_array(7, 9, 3)
         assert schedule_report(spec)["latency_ns"] == pytest.approx(350.0 * 7)
 
     @given(st.integers(min_value=3, max_value=12), st.integers(min_value=3, max_value=12))
     def test_one_cycle_per_schedule_step(self, rows, cols):
         sched = schedule_conv(rows, cols, 3)
-        report = conv_report(sched)
+        report = schedule_report(build_conv_array(rows, cols, 3))
         assert report["step_count"] == len(sched.steps)
         assert report["latency_ns"] == 350.0 * len(sched.steps)
         assert report["energy_nJ"] == pytest.approx(0.9 * len(sched.steps))
@@ -171,4 +171,5 @@ class TestSummary:
         assert data["step_count"] == 3
         assert data["dac_count"] == 9
         assert data["adc_count"] == 3
-        assert data == conv_report(schedule_conv(5, 5, 3))
+        assert data == {**schedule_to_dict(schedule_conv(5, 5, 3)),
+                        "latency_ns": 1050.0, "energy_nJ": 2.7}

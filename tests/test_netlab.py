@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes
 from hypothesis.extra.numpy import arrays as np_arrays
 
 from capmac import dataset, netlab, weights
@@ -75,6 +76,15 @@ def _masked_sigmoid(z):
     return out
 
 
+def _two_division_sigmoid(z):
+    """The two-division logistic the one-division sigmoid must equal,
+    returning a float for a 0-d input."""
+    z = np.asarray(z, dtype=float)
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return float(out) if out.ndim == 0 else out
+
+
 def _assert_bitwise_equal(a, b):
     assert a.shape == b.shape
     np.testing.assert_array_equal(np.asarray(a, float).view(np.uint64),
@@ -87,6 +97,13 @@ class TestFastPathEquivalence:
     @given(np_arrays(float, st.integers(1, 40), elements=st.floats(allow_nan=False)))
     def test_sigmoid_equals_masked_form(self, z):
         _assert_bitwise_equal(sigmoid(z), _masked_sigmoid(z))
+
+    @given(st.one_of(st.floats(), np_arrays(float, array_shapes(min_dims=0, max_dims=3),
+                                            elements=st.floats())))
+    def test_sigmoid_equals_two_division_form(self, z):
+        got, want = sigmoid(z), _two_division_sigmoid(z)
+        assert type(got) is type(want)
+        _assert_bitwise_equal(np.asarray(got), np.asarray(want))
 
     def test_sigmoid_at_zeros_subnormals_and_extremes(self):
         tiny = np.finfo(float).smallest_subnormal
@@ -720,6 +737,14 @@ class TestCheckpointProperties:
         path = tmp_path / "ck.txt"
         save_checkpoint(ck, path)
         with pytest.raises(ValueError, match="decoder"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_beta(self, tmp_path, beta):
+        path = tmp_path / "ck.txt"
+        save_checkpoint(dataclasses.replace(_zero_checkpoint("fc_classifier"), beta=beta),
+                        path)
+        with pytest.raises(ValueError, match="beta must be finite"):
             load_checkpoint(path)
 
     def test_rejects_non_finite_matrix(self, tmp_path):

@@ -42,7 +42,7 @@ MUTANTS = (
     ("reconstruction classified on induced caps", "cli.py",
      "netlab.classify_series_bits(c_rec, params)", "netlab.classify_series_bits(ci_rec, params)"),
     ("naive sigmoid", "netlab.py",
-     "out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))",
+     "out = np.where(z >= 0, 1.0, e) / (1.0 + e)",
      "out = 1.0 / (1.0 + np.exp(-z))"),
     ("interleaved glyph mean", "netlab.py",
      "values.reshape(dataset.NUM_GLYPHS, -1, values.shape[-1])",
@@ -62,6 +62,11 @@ MUTANTS = (
     ("FC wiring written column-major", "metrics.py",
      "pixels = [[r, c] for r in range(spec.rows) for c in range(spec.cols)]",
      "pixels = [[r, c] for c in range(spec.cols) for r in range(spec.rows)]"),
+    ("conv topology forgets its kernel", "arrays.py",
+     "return ArrayTopology(rows, cols, rows - kernel + 1, kernel)",
+     "return ArrayTopology(rows, cols, rows - kernel + 1)"),
+    ("FC report counts one bank per row", "metrics.py",
+     '"adc_count": spec.banks,', '"adc_count": spec.rows,'),
     ("ADC count one per row", "arrays.py",
      '"adc_count": len({adc for step in schedule.steps for _, adc in step}),',
      '"adc_count": schedule.rows,'),
