@@ -80,20 +80,16 @@ def fc_forward(topology: ArrayTopology, c_i_image, weights, params: SensorParams
 
     `c_i_image` holds induced capacitances (pF); weight row m drives bank m.
     Every bank reads every pixel in row-major order (the FC wiring), so the
-    cycle is one kernel call over the flattened image.
+    cycle is one kernel call on what the array reads of the image.
     """
     img = np.asarray(c_i_image, dtype=float)
     if img.shape != (topology.rows, topology.cols):
         raise ValueError(f"image shape {img.shape} does not match "
                          f"{topology.rows}x{topology.cols} topology")
-    w = np.asarray(weights, dtype=float)
-    n = topology.rows * topology.cols
-    if w.ndim != 2 or w.shape[1] != n:
-        raise ValueError(f"weight matrix must be M x {n}, got {w.shape}")
-    if w.shape[0] != topology.banks:
-        raise ValueError(f"{w.shape[0]} weight rows for {topology.banks} banks")
-    cs = series_capacitance(img.reshape(-1), params.c0)
-    return mac(cs, w, params.c0).tolist()
+    volts = mac(array_inputs(topology, img[None], params), weights, params.c0)[0]
+    if len(volts) != topology.banks:
+        raise ValueError(f"{len(volts)} weight rows for {topology.banks} banks")
+    return volts.tolist()
 
 
 def schedule_conv(rows: int, cols: int, kernel: int = 3) -> ConvSchedule:
@@ -123,6 +119,14 @@ def gather_windows(mat_batch: np.ndarray, kernel: int = 3) -> np.ndarray:
     return np.take(mat_batch.reshape(b, -1), _window_index(rows, cols, kernel), axis=1)
 
 
+def array_inputs(topology: ArrayTopology, c_i, params: SensorParams) -> np.ndarray:
+    """What the array reads of images c_i[B, rows, cols]: their series
+    capacitances, flattened per image for FC wiring, or gathered into the
+    topology's kernel x kernel windows for a convolution."""
+    cs = series_capacitance(c_i, params.c0)
+    return gather_windows(cs, topology.kernel) if topology.kernel else cs.reshape(len(cs), -1)
+
+
 def conv_forward(topology: ArrayTopology, schedule: ConvSchedule, c_i_image,
                  kernel_weights, params: SensorParams):
     """Stride-1 valid cross-correlation executed in the array; each output is
@@ -132,12 +136,15 @@ def conv_forward(topology: ArrayTopology, schedule: ConvSchedule, c_i_image,
     img = np.asarray(c_i_image, dtype=float)
     if img.shape != (topology.rows, topology.cols):
         raise ValueError(f"image shape {img.shape} does not match topology")
+    want = (topology.rows, topology.cols, topology.kernel)
+    got = (schedule.rows, schedule.cols, schedule.kernel)
+    if got != want:
+        raise ValueError(f"schedule (rows, cols, kernel) {got} != topology's {want}")
     k = np.asarray(kernel_weights, dtype=float).reshape(1, -1)
-    ksz = schedule.kernel
+    ksz = topology.kernel
     if k.size != ksz ** 2:
         raise ValueError(f"kernel needs {ksz ** 2} weights, got {k.size}")
-    win = gather_windows(series_capacitance(img, params.c0)[None], ksz)[0]
-    out = mac(win, k, params.c0)[:, 0]
+    out = mac(array_inputs(topology, img[None], params), k, params.c0)[0, :, 0]
     return out.reshape(topology.rows - ksz + 1, topology.cols - ksz + 1)
 
 

@@ -17,7 +17,7 @@ import json
 import os
 import platform
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,19 +46,6 @@ class ExperimentConfig:
     sensor: SensorParams
     output_dir: Path
     emit: tuple = ()
-
-
-@dataclass
-class RunManifest:
-    tool_version: str
-    architecture: str
-    seed: int
-    config_hash: str
-    artifacts: list = field(default_factory=list)  # (name, sha256) pairs
-    diverged_at: int | None = None
-    # The software that produced the run; outside the config hash and digests.
-    python: str = platform.python_version()
-    numpy: str = np.__version__
 
 
 # ---------------------------------------------------------------------------
@@ -215,25 +202,29 @@ def _emit_reconstructions(ckpt: Checkpoint, outdir: Path) -> list[Path]:
     return written
 
 
-def write_manifest(manifest: RunManifest, path: Path):
+def write_manifest(config: ExperimentConfig, artifacts: list, diverged_at: int | None,
+                   path: Path):
+    """Write the manifest: the software that produced the run (outside the
+    config hash and digests), the experiment and each artifact's digest."""
     lines = [
         "capmac-manifest v1",
-        f"tool_version: {manifest.tool_version}",
-        f"python: {manifest.python}",
-        f"numpy: {manifest.numpy}",
-        f"architecture: {manifest.architecture}",
-        f"seed: {manifest.seed}",
-        f"config_hash: {manifest.config_hash}",
+        f"tool_version: {__version__}",
+        f"python: {platform.python_version()}",
+        f"numpy: {np.__version__}",
+        f"architecture: {config.architecture}",
+        f"seed: {config.train.seed}",
+        f"config_hash: {config_hash(config)}",
     ]
-    if manifest.diverged_at is not None:
-        lines.append(f"diverged_at_epoch: {manifest.diverged_at}")
-    for name, digest in manifest.artifacts:
+    if diverged_at is not None:
+        lines.append(f"diverged_at_epoch: {diverged_at}")
+    for name, digest in artifacts:
         lines.append(f"artifact: {name} sha256 {digest}")
     path.write_text("\n".join(lines) + "\n")
 
 
-def run(config: ExperimentConfig) -> RunManifest:
-    """Train per config, write the requested artifacts and the manifest.
+def run(config: ExperimentConfig) -> list[tuple[str, str]]:
+    """Train per config, write the requested artifacts and the manifest, and
+    return the artifacts' (name, sha256) pairs in the order written.
 
     A diverged run writes only its last-good state: the checkpoint, emitted
     or not, and history.csv if requested. It then raises TrainingDiverged
@@ -241,21 +232,16 @@ def run(config: ExperimentConfig) -> RunManifest:
     """
     outdir = config.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(
-        tool_version=__version__,
-        architecture=config.architecture,
-        seed=config.train.seed,
-        config_hash=config_hash(config),
-    )
+    artifacts = []
 
     def add(path: Path):
-        manifest.artifacts.append((path.name, hashlib.sha256(path.read_bytes()).hexdigest()))
+        artifacts.append((path.name, hashlib.sha256(path.read_bytes()).hexdigest()))
 
     emit, diverged = config.emit, None
     try:
         history = netlab.train(config.architecture, config.train, config.sensor)
     except TrainingDiverged as exc:
-        history, diverged, manifest.diverged_at = exc.history, exc, exc.epoch
+        history, diverged = exc.history, exc
         emit = ["history"] if "history" in emit and history.epochs_run else []
         if history.checkpoint is not None:
             emit.append("checkpoint")
@@ -283,10 +269,11 @@ def run(config: ExperimentConfig) -> RunManifest:
         for path in _emit_reconstructions(history.checkpoint, outdir):
             add(path)
 
-    write_manifest(manifest, outdir / "manifest.txt")
+    write_manifest(config, artifacts, None if diverged is None else diverged.epoch,
+                   outdir / "manifest.txt")
     if diverged is not None:
         raise diverged
-    return manifest
+    return artifacts
 
 
 # ---------------------------------------------------------------------------
@@ -384,15 +371,15 @@ def _cmd_train(args) -> int:
     except ConfigError as exc:
         return _usage_error(exc, "config")
     try:
-        manifest = run(config)
+        artifacts = run(config)
     except TrainingDiverged as exc:
         print(f"training diverged at epoch {exc.epoch}; last-good checkpoint "
               f"written to {config.output_dir}", file=sys.stderr)
         return EXIT_DIVERGED
     except OSError as exc:  # run writes nothing outside output_dir
         return _usage_error(f"output_dir: {exc}", "config")
-    print(f"run complete: {len(manifest.artifacts)} artifacts in {config.output_dir}")
-    for name, digest in manifest.artifacts:
+    print(f"run complete: {len(artifacts)} artifacts in {config.output_dir}")
+    for name, digest in artifacts:
         print(f"  {name} sha256 {digest[:16]}...")
     return EXIT_OK
 

@@ -7,7 +7,8 @@ optimizes the latent weights directly while the hardware stays in range.
 
 The array reads one thing of an image c_i[B, R, R]: the series capacitance
 C_n = c_i c0 / (c_i + c0) of each pixel, flattened per image for the FC banks
-and gathered into 3x3 windows for the convolution. array_inputs computes it,
+and gathered into 3x3 windows for the convolution. arrays.array_inputs, the
+read the simulator's fc_forward and conv_forward make too, computes it,
 x = array_inputs(spec, c_i, params), once per batch; every forward pass and
 batch loss takes x, and a loss also takes c_i for its targets.
 
@@ -30,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dataset
-from .arrays import ArrayTopology, build_conv_array, build_fc_array, gather_windows
+from .arrays import (ArrayTopology, array_inputs, build_conv_array, build_fc_array,
+                     gather_windows)  # kept for bench/workloads.py's netlab.gather_windows
 from .device import SensorParams, mac, series_capacitance
 
 # Offset separating the evaluation stream from the training stream so the
@@ -254,14 +256,7 @@ def _conditioned(cs: np.ndarray, v: np.ndarray, params: SensorParams) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# what the array reads, forward passes and batch losses
-
-def array_inputs(spec: ArrayTopology, c_i: np.ndarray, params: SensorParams) -> np.ndarray:
-    """What the array reads of images c_i[B, R, R]: their series capacitances,
-    flattened per image, or gathered into windows when `spec.kernel` is set."""
-    cs = series_capacitance(c_i, params.c0)
-    return gather_windows(cs, spec.kernel) if spec.kernel else cs.reshape(len(cs), -1)
-
+# forward passes and batch losses
 
 def _fc_pass(v, cs, params, binarize):
     """(U, beta): array output voltages and the digital rescale."""
@@ -406,9 +401,9 @@ class Model:
 
     `matrices` maps each matrix name to its shape, in initialization order;
     the first is the one programmed into the array, and a checkpoint's beta
-    is its max |v|. Both functions take the dict m of matrices by name and
-    x = array_inputs(spec, c_i, params), what the array reads of the images
-    c_i[B, R, R]. `loss(m, x, c_i, labels, params, binarize)` gives the mean
+    is its divisor in programmed_weights. Both functions take the dict m of
+    matrices by name and x = array_inputs(spec, c_i, params), what the array
+    reads of the images c_i[B, R, R]. `loss(m, x, c_i, labels, params, binarize)` gives the mean
     loss and the summed gradients in matrix order; `score(m, x, params,
     binarize)` gives the predicted glyphs, the outputs shown per glyph and
     the outputs that must stay finite. Only a model that `binarizes` may
@@ -472,7 +467,7 @@ def train(architecture: str, config: TrainConfig,
         history.accuracy.append(accuracy)
         history.mean_outputs.append(mean_outputs)
         # Each epoch makes a new dict of new matrices, so none is copied.
-        beta = float(abs(next(iter(mats.values()))).max() or 1.0)
+        beta = programmed_weights(next(iter(mats.values())))[1]
         history.checkpoint = Checkpoint(architecture, config.seed, epoch, beta,
                                         config.binarize, params, mats)
     return history
@@ -505,12 +500,15 @@ def load_checkpoint(path) -> Checkpoint:
         line = lines[i]
         i += 1
         if line.startswith("matrix "):
-            _, name, rows, cols = line.split()
-            rows, cols = int(rows), int(cols)
-            matrices[name] = np.array([[float(x) for x in row.split()]
-                                       for row in lines[i:i + rows]])
-            if matrices[name].shape != (rows, cols):
-                raise ValueError(f"{path}: malformed matrix {name}")
+            try:
+                _, name, rows, cols = line.split()
+                rows, cols = int(rows), int(cols)
+                matrices[name] = np.array([[float(x) for x in row.split()]
+                                           for row in lines[i:i + rows]])
+                if matrices[name].shape != (rows, cols):
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"{path}: malformed matrix block {line!r}") from None
             i += rows
         else:  # header lines; a blank line keys "", which no field reads
             key, _, value = line.partition(":")
@@ -535,6 +533,10 @@ def load_checkpoint(path) -> Checkpoint:
                              f"{ckpt.architecture} needs {shape}")
         if not np.all(np.isfinite(matrices[name])):
             raise ValueError(f"{path}: matrix {name} holds non-finite values")
+    first = next(iter(model.matrices))
+    beta = programmed_weights(matrices[first])[1]
+    if ckpt.beta != beta:
+        raise ValueError(f"{path}: beta must be {beta!r}, got {ckpt.beta!r}")
     return ckpt
 
 

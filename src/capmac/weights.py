@@ -1,11 +1,12 @@
-"""Voltage weight banks: normalization to the programmable [-1, 1] range and
-sign binarization."""
+"""Voltage weight banks, programmed by the trainer's rule netlab.programmed_weights."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .netlab import programmed_weights
 
 
 @dataclass
@@ -24,18 +25,11 @@ class WeightBank:
 
 
 def normalize_weights(bank: WeightBank) -> WeightBank:
-    """Divide by beta = max |v| so the largest programmed voltage is +-1.
-
-    An all-zero bank has no defined beta and is returned unchanged with
-    beta = 1. Normalization is a positive rescaling, so the argmax of any
-    linear readout is preserved.
-    """
-    beta = float(np.max(np.abs(bank.v)))
-    if beta == 0.0:
-        return WeightBank(v=bank.v.copy(), beta=1.0)
-    return WeightBank(v=bank.v / beta, beta=beta)
+    """Divide by beta = max |v| so the largest programmed voltage is +-1; an
+    all-zero bank keeps its zeros with beta = 1."""
+    return WeightBank(*programmed_weights(bank.v))
 
 
 def binarize_weights(bank: WeightBank) -> WeightBank:
     """Map every weight to +1 or -1 (sign, with sign(0) = +1)."""
-    return WeightBank(v=np.where(bank.v >= 0, 1.0, -1.0), beta=bank.beta)
+    return WeightBank(programmed_weights(bank.v, binarize=True)[0], bank.beta)

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capmac import arrays
-from capmac.arrays import (MAX_CONV_SIDE, ArrayTopology, build_conv_array,
-                           build_fc_array, conv_forward, fc_forward, gather_windows,
-                           schedule_conv, schedule_to_dict)
-from capmac.device import SensorParams, mac, mac_phases, series_capacitance
+from capmac.arrays import (MAX_CONV_SIDE, ArrayTopology, array_inputs,
+                           build_conv_array, build_fc_array, conv_forward, fc_forward,
+                           gather_windows, schedule_conv, schedule_to_dict)
+from capmac.device import (NOISE_FLOOR_PF, SensorParams, mac, mac_phases,
+                           series_capacitance)
 
 PARAMS = SensorParams()
 
@@ -79,6 +80,12 @@ class TestFcForward:
             fc_forward(topo, np.full((2, 3), 100.0), np.zeros((4, 9)), PARAMS)
         with pytest.raises(ValueError):
             fc_forward(topo, np.full((3, 3), 100.0), np.zeros((4, 8)), PARAMS)
+
+    @pytest.mark.parametrize("shape", [(), (9,), (4, 9, 1), (4, 8), (4, 10)])
+    def test_malformed_weights_raise_value_error(self, shape):
+        topo = build_fc_array(3, 3, 4)
+        with pytest.raises(ValueError):
+            fc_forward(topo, np.full((3, 3), 100.0), np.zeros(shape), PARAMS)
 
     def test_bank_count_mismatch(self):
         topo = build_fc_array(3, 3, 4)
@@ -178,12 +185,49 @@ class TestConvForward:
             conv_forward(topo, schedule_conv(5, 5, 3), np.full((5, 4), 100.0),
                          np.zeros(9), PARAMS)
 
+    @pytest.mark.parametrize("topo,sched", [
+        (build_conv_array(5, 5, 3), schedule_conv(5, 5, 2)),
+        (build_conv_array(5, 5, 3), schedule_conv(5, 6, 3)),
+        (build_fc_array(5, 5, 3), schedule_conv(5, 5, 3)),
+    ])
+    def test_schedule_topology_mismatch(self, topo, sched):
+        # Each pairing used to return a feature map of some size.
+        with pytest.raises(ValueError, match=r"^schedule \(rows, cols, kernel\) .* != "
+                                             r"topology's"):
+            conv_forward(topo, sched, np.full((5, 5), 100.0), np.zeros(9), PARAMS)
+
     @pytest.mark.parametrize("weights", [8, 10, 16])
     def test_kernel_size_mismatch(self, weights):
         topo = build_conv_array(5, 5, 3)
         with pytest.raises(ValueError, match=f"kernel needs 9 weights, got {weights}"):
             conv_forward(topo, schedule_conv(5, 5, 3), np.full((5, 5), 100.0),
                          np.zeros(weights), PARAMS)
+
+
+class TestSingleRead:
+    """The simulator reads the array as the trainer does: one mac call on
+    array_inputs, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 3), st.integers(1, 5),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_forwards_equal_mac_of_array_inputs(self, rows, cols, kernel, banks, seed):
+        rng = np.random.default_rng(seed)
+        img = rng.uniform(NOISE_FLOOR_PF, 600, (rows, cols))
+        if kernel == 0:
+            topo = build_fc_array(rows, cols, banks)
+            w = rng.uniform(-1, 1, (banks, rows * cols))
+            got = fc_forward(topo, img, w, PARAMS)
+            want = mac(array_inputs(topo, img[None], PARAMS), w, PARAMS.c0)[0]
+            assert isinstance(got, list)
+        else:
+            kernel = min(kernel, rows, cols)
+            topo = build_conv_array(rows, cols, kernel)
+            w = rng.uniform(-1, 1, (1, kernel ** 2))
+            got = conv_forward(topo, schedule_conv(rows, cols, kernel), img, w, PARAMS)
+            want = mac(array_inputs(topo, img[None], PARAMS), w, PARAMS.c0)[0]
+            want = want[:, 0].reshape(rows - kernel + 1, cols - kernel + 1)
+        assert np.asarray(got).tobytes() == want.tobytes()
 
 
 class TestResourceReport:

@@ -133,12 +133,12 @@ def test_emit_spelling_leaves_config_hash_unchanged(names):
 class TestRun:
     def test_emits_requested_artifacts_and_manifest(self, tmp_path):
         cfg = build_config(fc_raw(tmp_path))
-        manifest = run(cfg)
+        artifacts = run(cfg)
         outdir = tmp_path / "run"
         assert (outdir / "history.csv").exists()
         assert (outdir / "checkpoint.txt").exists()
         assert (outdir / "manifest.txt").exists()
-        names = [n for n, _ in manifest.artifacts]
+        names = [n for n, _ in artifacts]
         assert names == ["history.csv", "checkpoint.txt"]
         text = (outdir / "manifest.txt").read_text()
         assert "config_hash" in text
@@ -150,9 +150,9 @@ class TestRun:
     def test_empty_emit_writes_manifest_only(self, tmp_path):
         raw = fc_raw(tmp_path)
         raw["emit"] = ""
-        manifest = run(build_config(raw))
+        artifacts = run(build_config(raw))
         outdir = tmp_path / "run"
-        assert manifest.artifacts == []
+        assert artifacts == []
         assert sorted(p.name for p in outdir.iterdir()) == ["manifest.txt"]
 
     def test_history_row_count_matches_epochs(self, tmp_path):
@@ -166,13 +166,13 @@ class TestRun:
         raw1["output_dir"] = str(tmp_path / "a")
         raw2 = fc_raw(tmp_path)
         raw2["output_dir"] = str(tmp_path / "b")
-        m1 = run(build_config(raw1))
-        m2 = run(build_config(raw2))
+        a1 = run(build_config(raw1))
+        a2 = run(build_config(raw2))
         for name in ("history.csv", "checkpoint.txt"):
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
-        assert dict(m1.artifacts) == dict(m2.artifacts)
-        assert m1.config_hash == m2.config_hash
+        assert dict(a1) == dict(a2)
+        assert config_hash(build_config(raw1)) == config_hash(build_config(raw2))
 
     def test_waveform_and_schedule_artifacts(self, tmp_path):
         raw = fc_raw(tmp_path, emit="waveform,schedule,checkpoint")
@@ -711,6 +711,34 @@ class TestInputErrors:
         code = main(["eval", str(path)])
         assert code == EXIT_CONFIG
         assert "decoder" in capsys.readouterr().err
+
+    def test_eval_checkpoint_with_edited_beta_exits_2(self, checkpoints, tmp_path, capsys):
+        # The file's beta must be the one train writes, the divisor of its
+        # first matrix; an edited beta used to load and evaluate silently.
+        text = Path(checkpoints["fc_classifier"]).read_text()
+        beta_line = next(line for line in text.splitlines() if line.startswith("beta: "))
+        path = tmp_path / "ck.txt"
+        path.write_text(text.replace(beta_line, "beta: 5.0"))
+        assert main(["eval", str(path)]) == EXIT_CONFIG
+        assert "beta must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("broken", ["matrix weights 4", "abc"],
+                             ids=["short header", "non-numeric entry"])
+    def test_eval_malformed_matrix_names_file_and_matrix(self, checkpoints, tmp_path,
+                                                         capsys, broken):
+        # Either the header loses its column count or the first entry of the
+        # matrix's first row becomes text.
+        lines = Path(checkpoints["fc_classifier"]).read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("matrix "))
+        if broken.startswith("matrix "):
+            lines[at] = broken
+        else:
+            lines[at + 1] = " ".join([broken] + lines[at + 1].split()[1:])
+        header = lines[at]
+        path = tmp_path / "ck.txt"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["eval", str(path)]) == EXIT_CONFIG
+        assert f"{path}: malformed matrix block '{header}'" in capsys.readouterr().err
 
 
 class TestEvaluate:

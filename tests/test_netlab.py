@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -331,7 +332,7 @@ class TestAnalogDigitalSplit:
             volts = fc_output_volts(v, img.reshape(1, -1), PARAMS)[0]
             prog = v / np.max(np.abs(v))
             expect = fc_forward(topo, img, prog, PARAMS)
-            np.testing.assert_allclose(volts, expect, rtol=1e-12)
+            np.testing.assert_array_equal(volts, expect)
 
     def test_cnn_features_equal_conv_forward_route(self):
         rng = np.random.default_rng(5)
@@ -668,8 +669,10 @@ def checkpoints(draw):
                           noise_mode=draw(st.sampled_from(["per_class", "global"])))
     matrices = {name: draw(np_arrays(float, shape, elements=_FINITE))
                 for name, shape in MODELS[arch].matrices.items()}
+    # The beta train writes: the divisor of the first matrix.
+    beta = netlab.programmed_weights(next(iter(matrices.values())))[1]
     return Checkpoint(architecture=arch, seed=draw(st.integers(0, 2 ** 63)),
-                      epoch=draw(st.integers(0, 10 ** 6)), beta=draw(_FINITE),
+                      epoch=draw(st.integers(0, 10 ** 6)), beta=beta,
                       binarize=draw(st.booleans()), params=params, matrices=matrices)
 
 
@@ -746,6 +749,19 @@ class TestCheckpointProperties:
                         path)
         with pytest.raises(ValueError, match="beta must be finite"):
             load_checkpoint(path)
+
+    @settings(max_examples=50, deadline=None)
+    @given(checkpoints(), _FINITE)
+    def test_rejects_beta_other_than_train_writes(self, tmp_path_factory, ckpt, beta):
+        # train writes the divisor of the first matrix; any other beta would
+        # be recorded but never read.
+        path = tmp_path_factory.getbasetemp() / "beta.txt"
+        save_checkpoint(dataclasses.replace(ckpt, beta=beta), path)
+        if beta == ckpt.beta:
+            assert load_checkpoint(path).beta == beta
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"beta must be {ckpt.beta!r},")):
+                load_checkpoint(path)
 
     def test_rejects_non_finite_matrix(self, tmp_path):
         ck = Checkpoint(architecture="fc_classifier", seed=0, epoch=1, beta=1.0,

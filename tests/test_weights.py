@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays as np_arrays
 
 from capmac.arrays import build_fc_array, fc_forward
 from capmac.device import SensorParams
+from capmac.netlab import programmed_weights
 from capmac.weights import WeightBank, binarize_weights, normalize_weights
 
 
@@ -63,3 +64,17 @@ class TestBinarizeWeights:
         twice = binarize_weights(once)
         np.testing.assert_array_equal(once.v, twice.v)
         assert set(np.unique(once.v)) <= {-1.0, 1.0}
+
+
+@given(st.one_of(np_arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 9)),
+                           elements=st.floats(-1e3, 1e3)),
+                 st.builds(np.zeros, st.tuples(st.integers(1, 4), st.integers(1, 9)))),
+       st.floats(0.5, 5.0))
+def test_banks_equal_programmed_weights(v, beta):
+    # Both wrappers are the trainer's one programming rule, bit for bit.
+    prog, divisor = programmed_weights(v)
+    norm = normalize_weights(WeightBank(v, beta))
+    assert norm.v.tobytes() == prog.tobytes() and norm.beta == divisor
+    signs = binarize_weights(WeightBank(v, beta))
+    assert signs.v.tobytes() == programmed_weights(v, binarize=True)[0].tobytes()
+    assert signs.beta == beta

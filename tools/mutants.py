@@ -50,7 +50,7 @@ MUTANTS = (
     ("FC score ignores binarize", "netlab.py",
      'volts, _ = _fc_pass(m["weights"], x, params, binarize)',
      'volts, _ = _fc_pass(m["weights"], x, params, False)'),
-    ("array inputs scaled by 1+2e-16", "netlab.py",
+    ("array inputs scaled by 1+2e-16", "arrays.py",
      "cs = series_capacitance(c_i, params.c0)\n",
      "cs = series_capacitance(c_i, params.c0) * (1 + 2e-16)\n"),
     ("missing checkpoint field accepted", "netlab.py",
@@ -108,6 +108,10 @@ MUTANTS = (
     ("training draws at SensorParams() instead of params", "netlab.py",
      "        c_i = dataset.noisy_letters(idx, params, rng, model.spec.rows)\n",
      "        c_i = dataset.noisy_letters(idx, SensorParams(), rng, model.spec.rows)\n"),
+    ("checkpoint beta not checked", "netlab.py",
+     "    if ckpt.beta != beta:\n", "    if False:\n"),
+    ("conv schedule/topology mismatch accepted", "arrays.py",
+     "    if got != want:\n", "    if False:\n"),
 )
 
 
