@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 from .device import (PHASES, SensorParams, apply_noise, mac, mac_phases,
                      series_capacitance)
 from .weights import WeightBank, binarize_weights, normalize_weights
-from .arrays import (ArrayTopology, ConvSchedule, build_fc_array, conv_forward,
-                     fc_forward, schedule_conv)
+from .arrays import (ArrayTopology, build_fc_array, conv_forward, fc_forward,
+                     schedule_conv)
 from .dataset import (GRIDS, LABELS, CapacitiveSample, Glyph, encode_capacitive,
                       noisy_letters, sample_batch)
 from .netlab import (MODELS, Checkpoint, TrainConfig, TrainHistory, TrainingDiverged,

@@ -57,7 +57,8 @@ _TOP_KEYS = ("architecture", "output_dir", "emit")
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse `key = value` lines (# comments allowed) into a raw dict."""
+    """Parse `key = value` lines (# comments allowed) into a raw dict; a key
+    may be given once."""
     raw = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
@@ -65,8 +66,10 @@ def parse_config_text(text: str) -> dict:
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, _, value = stripped.partition("=")
-        raw[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        if key in raw:
+            raise ConfigError(f"line {lineno}: {key} is given twice")
+        raw[key] = value
     return raw
 
 

@@ -1,8 +1,9 @@
-"""The hardware cost of an inference, read off the schedule the array runs,
-plus waveform table assembly from captured phase traces.
+"""The hardware cost of an inference, read off the arrays.ArrayTopology it
+runs on, plus waveform table assembly from captured phase traces.
 
-`schedule_report` is the one source of every count: array cycles (schedule
-steps), ADCs and DACs, and from the cycles the latency, four phases of
+`schedule_report` is the one source of every count: array cycles (the steps
+of a convolution's left-to-right sweep, or the FC array's one cycle), ADCs
+and DACs, and from the cycles the latency, four phases of
 device.DEFAULT_PHASE_NS (a 350 ns cycle) each, and the energy,
 DEFAULT_ENERGY_PJ each. `charge_energy` sums |Q_n * V_n| over the CHARGE
 phase only: a lower bound, so 0.39 nJ for a traced FC cycle vs 0.9 nJ is expected.
@@ -10,7 +11,7 @@ phase only: a lower bound, so 0.39 nJ for a traced FC cycle vs 0.9 nJ is expecte
 
 from __future__ import annotations
 
-from .arrays import ArrayTopology, schedule_conv, schedule_to_dict
+from .arrays import ArrayTopology, build_conv_array
 from .device import DEFAULT_PHASE_NS, PHASES, SWITCH_NAMES
 
 # Energy of one 4-bank FC cycle, 0.9 nJ, in whole pJ so that any cycle count's nJ
@@ -22,13 +23,26 @@ def schedule_report(spec: ArrayTopology) -> dict:
     """JSON-ready account of the array `spec` and what one inference costs on
     it, with the latency and energy of its step_count array cycles.
 
-    A convolution array (kernel set) reports arrays.schedule_to_dict of the
-    schedule it runs. An FC array runs in one cycle in which each of its
-    `banks` reads every pixel in row-major order, as fc_forward does: one ADC
-    per bank and one DAC per (bank, pixel) voltage.
+    A convolution array (kernel set) sweeps its windows left to right: step c
+    reads window (r, c) on ADC lane r for each of its rows - kernel + 1 lanes,
+    with one DAC per kernel weight. An FC array runs in one cycle in which each
+    of its `banks` reads every pixel in row-major order, as fc_forward does:
+    one ADC per bank and one DAC per (bank, pixel) voltage.
     """
-    if spec.kernel:
-        report = schedule_to_dict(schedule_conv(spec.rows, spec.cols, spec.kernel))
+    if spec.kernel:  # build_conv_array checks the geometry and counts the lanes
+        topo = build_conv_array(spec.rows, spec.cols, spec.kernel)
+        steps = topo.cols - topo.kernel + 1
+        report = {
+            "rows": topo.rows,
+            "cols": topo.cols,
+            "kernel": topo.kernel,
+            "dac_count": topo.kernel ** 2,
+            "adc_count": topo.banks,
+            "step_count": steps,
+            "steps": [{"step": c, "windows": [{"row": r, "col": c, "adc": r}
+                                              for r in range(topo.banks)]}
+                      for c in range(steps)],
+        }
     else:
         pixels = [[r, c] for r in range(spec.rows) for c in range(spec.cols)]
         report = {

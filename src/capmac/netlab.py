@@ -271,8 +271,8 @@ def fc_output_volts(v: np.ndarray, c_i_flat: np.ndarray, params: SensorParams,
 
 
 def autoencoder_forward(m: dict, x: np.ndarray, params: SensorParams):
-    """(codes phi, normalized reconstruction, reconstructed series caps,
-    reconstructed induced caps) of the autoencoder with matrices m."""
+    """(codes phi, normalized reconstruction, reconstructed series caps in
+    [C_L, C_H], so below c0, and induced caps) of the autoencoder m."""
     _, c_l, span = encoder_caps(params)
     c0 = params.c0
     phi = sigmoid(_conditioned(x, m["encoder"], params))
@@ -307,8 +307,6 @@ def autoencoder_batch_loss(m, x, c_i, labels, params, binarize):
     c0 = params.c0
     c_i_flat = c_i.reshape(len(c_i), -1)
     phi, cnl_rec, c_rec, ci_rec = autoencoder_forward(m, x, params)
-    if np.any(c_rec >= c0):
-        raise AssertionError("reconstructed series capacitance reached c0")
     n = x.shape[1]
     loss = float(((ci_rec - c_i_flat) ** 2).sum() / ci_rec.size)
     d_ci = 2.0 / n * (ci_rec - c_i_flat)
@@ -503,16 +501,20 @@ def load_checkpoint(path) -> Checkpoint:
             try:
                 _, name, rows, cols = line.split()
                 rows, cols = int(rows), int(cols)
-                matrices[name] = np.array([[float(x) for x in row.split()]
-                                           for row in lines[i:i + rows]])
-                if matrices[name].shape != (rows, cols):
+                mat = np.array([[float(x) for x in row.split()] for row in lines[i:i + rows]])
+                if mat.shape != (rows, cols):
                     raise ValueError
             except ValueError:
                 raise ValueError(f"{path}: malformed matrix block {line!r}") from None
+            if name in matrices:
+                raise ValueError(f"{path}: line {i}: matrix {name} is given twice")
+            matrices[name] = mat
             i += rows
         else:  # header lines; a blank line keys "", which no field reads
-            key, _, value = line.partition(":")
-            fields[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in line.partition(":"))
+            if key and key in fields:
+                raise ValueError(f"{path}: line {i}: {key} is given twice")
+            fields[key] = value
     for key in field_keys(Checkpoint, "") + field_keys(SensorParams, "sensor."):
         if key not in fields:
             raise ValueError(f"{path}: missing checkpoint field {key!r}")

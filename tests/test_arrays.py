@@ -8,18 +8,24 @@ from hypothesis import strategies as st
 from capmac import arrays
 from capmac.arrays import (MAX_CONV_SIDE, ArrayTopology, array_inputs,
                            build_conv_array, build_fc_array, conv_forward, fc_forward,
-                           gather_windows, schedule_conv, schedule_to_dict)
+                           gather_windows, schedule_conv)
 from capmac.device import (NOISE_FLOOR_PF, SensorParams, mac, mac_phases,
                            series_capacitance)
+from capmac.metrics import schedule_report
 
 PARAMS = SensorParams()
 
 
 def resource_report(rows, cols, kernel):
-    """(dac_count, adc_count, step_count) that schedule_to_dict reports for
+    """(dac_count, adc_count, step_count) that schedule_report reports for
     a rows x cols convolution array."""
-    data = schedule_to_dict(schedule_conv(rows, cols, kernel))
+    data = schedule_report(build_conv_array(rows, cols, kernel))
     return data["dac_count"], data["adc_count"], data["step_count"]
+
+
+def sweep(rows, cols, kernel):
+    """The steps of a rows x cols convolution array's report."""
+    return schedule_report(build_conv_array(rows, cols, kernel))["steps"]
 
 
 def naive_cross_correlation(c_i_image, kernel_3x3, params):
@@ -87,6 +93,19 @@ class TestFcForward:
         with pytest.raises(ValueError):
             fc_forward(topo, np.full((3, 3), 100.0), np.zeros(shape), PARAMS)
 
+    def test_image_shape_error_names_shapes(self):
+        topo = build_fc_array(3, 3, 4)
+        with pytest.raises(ValueError, match=r"^image shape \(2, 3\) does not match 3x3 "
+                                             r"topology$"):
+            fc_forward(topo, np.full((2, 3), 100.0), np.zeros((4, 9)), PARAMS)
+
+    def test_conv_topology_refused_naming_kernel(self):
+        # Regression: a conv topology with (3, 9) weights used to fail only
+        # at the bank count, "9 weight rows for 3 banks".
+        with pytest.raises(ValueError, match="^kernel 3: fc_forward reads FC wiring"):
+            fc_forward(build_conv_array(5, 5, 3), np.full((5, 5), 100.0), np.zeros((3, 9)),
+                       PARAMS)
+
     def test_bank_count_mismatch(self):
         topo = build_fc_array(3, 3, 4)
         with pytest.raises(ValueError, match="3 weight rows for 4 banks"):
@@ -105,40 +124,39 @@ class TestFcForward:
 
 class TestScheduleConv:
     def test_5x5_paper_case(self):
-        sched = schedule_conv(5, 5, 3)
-        assert len(sched.steps) == 3
-        assert all(len(step) == 3 for step in sched.steps)
-        total = sum(len(step) for step in sched.steps)
+        steps = sweep(5, 5, 3)
+        assert len(steps) == 3
+        assert all(len(step["windows"]) == 3 for step in steps)
+        total = sum(len(step["windows"]) for step in steps)
         assert total == 9
 
     def test_kernel_equals_array(self):
-        sched = schedule_conv(3, 3, 3)
-        assert len(sched.steps) == 1
-        assert sched.steps[0] == (((0, 0), 0),)
+        steps = sweep(3, 3, 3)
+        assert len(steps) == 1
+        assert steps[0]["windows"] == [{"row": 0, "col": 0, "adc": 0}]
 
     def test_rejects_small_array(self):
         with pytest.raises(ValueError):
             schedule_conv(2, 5, 3)
 
     def test_adc_assignment_is_vertical_offset(self):
-        sched = schedule_conv(6, 4, 3)
-        for step in sched.steps:
-            for (orr, _occ), adc in step:
-                assert adc == orr
+        for step in sweep(6, 4, 3):
+            for window in step["windows"]:
+                assert window["adc"] == window["row"]
 
     @given(st.integers(min_value=3, max_value=12),
            st.integers(min_value=3, max_value=12))
     def test_window_enumeration(self, rows, cols):
-        sched = schedule_conv(rows, cols, 3)
-        assert len(sched.steps) == cols - 2
-        origins = [(orr, occ) for step in sched.steps for (orr, occ), _ in step]
+        steps = sweep(rows, cols, 3)
+        assert len(steps) == cols - 2
+        origins = [(w["row"], w["col"]) for step in steps for w in step["windows"]]
         # collectively exhaustive, each origin exactly once
         assert len(origins) == (rows - 2) * (cols - 2)
         assert len(set(origins)) == len(origins)
         assert set(origins) == {(r, c) for r in range(rows - 2) for c in range(cols - 2)}
         # within a step, ADC assignments are disjoint
-        for step in sched.steps:
-            adcs = [adc for _, adc in step]
+        for step in steps:
+            adcs = [w["adc"] for w in step["windows"]]
             assert len(set(adcs)) == len(adcs)
 
 
@@ -244,8 +262,7 @@ class TestResourceReport:
            st.integers(min_value=3, max_value=12))
     def test_consistent_with_schedule(self, rows, cols):
         dacs, adcs, steps = resource_report(rows, cols, 3)
-        sched = schedule_conv(rows, cols, 3)
-        assert steps == len(sched.steps)
+        assert steps == len(sweep(rows, cols, 3))
         assert dacs == 9
         assert adcs == rows - 2 == build_conv_array(rows, cols, 3).banks
 
@@ -267,14 +284,13 @@ def test_conv_geometry_rejected_naming_parameter(build, rows, cols, kernel, name
 
 
 def test_conv_geometry_bounds_accepted():
-    assert len(schedule_conv(MAX_CONV_SIDE, 3, 3).steps) == 1
+    assert len(sweep(MAX_CONV_SIDE, 3, 3)) == 1
     assert resource_report(1, MAX_CONV_SIDE, 1) == (1, 1, MAX_CONV_SIDE)
     assert build_conv_array(MAX_CONV_SIDE, MAX_CONV_SIDE, MAX_CONV_SIDE).banks == 1
 
 
 def test_schedule_json_dump():
-    sched = schedule_conv(5, 5, 3)
-    data = schedule_to_dict(sched)
+    data = schedule_report(build_conv_array(5, 5, 3))
     assert data["step_count"] == 3
     assert data["dac_count"] == 9
     assert data["adc_count"] == 3

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -89,6 +90,39 @@ class TestConfigParsing:
         c = build_config(fc_raw(tmp_path, **{"train.seed": "1"}))
         assert config_hash(a) == config_hash(b)
         assert config_hash(a) != config_hash(c)
+
+
+class TestRepeatedSettings:
+    """A key given twice is refused, naming the key and its second line;
+    --set and the train flags still override the config file."""
+
+    def test_repeated_key_refused(self):
+        # Regression: "train.seed = 1" then "train.seed = 2" gave seed 2.
+        with pytest.raises(ConfigError, match=r"^line 2: train\.seed is given twice$"):
+            parse_config_text("train.seed = 1\ntrain.seed = 2")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(netlab.field_keys(netlab.TrainConfig, "train.")
+                           + netlab.field_keys(SensorParams, "sensor.")),
+           st.booleans(), st.sampled_from(["0", "1", "true", "global", "0.5"]))
+    def test_any_repeated_setting_refused(self, key, first, value):
+        # The extra line goes before the real one (first) or after it.
+        lines = cli.canonical_config_lines(build_config({}))
+        at = next(i for i, line in enumerate(lines) if line.startswith(f"{key} = "))
+        lines.insert(at if first else at + 1, f"{key} = {value}")
+        with pytest.raises(ConfigError, match=f"^line {at + 2}: {re.escape(key)} is given "
+                                             f"twice$"):
+            parse_config_text("\n".join(lines))
+
+    def test_flags_still_override_the_config_file(self, tmp_path):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("train.seed = 1\ntrain.epochs = 9\n")
+        code = main(["train", "--config", str(cfgfile), "--set", "train.epochs=2",
+                     "--seed", "5", "--emit", "checkpoint",
+                     "--output-dir", str(tmp_path / "r")])
+        assert code == EXIT_OK
+        ckpt = load_checkpoint(tmp_path / "r" / "checkpoint.txt")
+        assert (ckpt.seed, ckpt.epoch) == (5, 2)
 
 
 _CONFIG_KEYS = sorted(set(cli._TRAIN_KEYS) | set(cli._SENSOR_KEYS) | set(cli._TOP_KEYS)
@@ -283,6 +317,15 @@ class TestMainExitCodes:
         default_hash = config_hash(build_config(fc_raw(tmp_path, emit="",
                                                        **{"train.epochs": "2"})))
         assert f"config_hash: {default_hash}" in lines
+
+    def test_misspelt_emit_is_2_naming_emit(self, tmp_path, capsys):
+        # An unknown emit name must not be dropped: the run would write no
+        # history and exit 0.
+        code = main(["train", "--arch", "fc_classifier", "--epochs", "1", "--emit",
+                     "histroy", "--output-dir", str(tmp_path / "r")])
+        assert code == EXIT_CONFIG
+        assert "config error: emit: 'histroy' is not one of" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_config_error_is_2(self, tmp_path, capsys):
         code = main(["train", "--arch", "fc_classifier",

@@ -91,6 +91,11 @@ class TestSampleBatch:
         assert len(batch) == 20
         assert all(s.c_i.shape == (3, 3) for s in batch)
 
+    def test_empty_batch_refused(self):
+        # Without the check the draw still fails, but naming the letter count.
+        with pytest.raises(ValueError, match="^batch size must be >= 1$"):
+            sample_batch(0, PARAMS, np.random.default_rng(0))
+
     def test_zero_noise_gives_identical_glyph_samples(self):
         params = SensorParams(noise_frac=0.0)
         rng = np.random.default_rng(0)

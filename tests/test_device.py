@@ -86,6 +86,12 @@ class TestMacEvaluate:
         with pytest.raises(ValueError, match="mismatch"):
             mac([62.0, 60.0], [[0.5]], 72.0)
 
+    def test_length_mismatch_names_shapes(self):
+        # numpy's own matmul error also says "mismatch", but names neither side.
+        with pytest.raises(ValueError, match=r"^length mismatch: capacitances of shape "
+                                             r"\(2,\) vs 1 weights$"):
+            mac([62.0, 60.0], [[0.5]], 72.0)
+
     def test_weight_range_enforced(self):
         with pytest.raises(ValueError, match="normalize"):
             mac([62.0], [[1.0001]], 72.0)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capmac.arrays import (build_conv_array, build_fc_array, fc_forward, schedule_conv,
-                           schedule_to_dict)
+from capmac.arrays import (ArrayTopology, build_conv_array, build_fc_array, fc_forward,
+                           gather_windows)
 from capmac.device import (DEFAULT_PHASE_NS, PHASES, SensorParams, mac_phases,
                            series_capacitance, write_trace_csv)
 from capmac.metrics import (assemble_waveform, charge_energy, schedule_report,
@@ -38,11 +38,10 @@ class TestLatency:
 
     @given(st.integers(min_value=3, max_value=12), st.integers(min_value=3, max_value=12))
     def test_one_cycle_per_schedule_step(self, rows, cols):
-        sched = schedule_conv(rows, cols, 3)
         report = schedule_report(build_conv_array(rows, cols, 3))
-        assert report["step_count"] == len(sched.steps)
-        assert report["latency_ns"] == 350.0 * len(sched.steps)
-        assert report["energy_nJ"] == pytest.approx(0.9 * len(sched.steps))
+        assert report["step_count"] == len(report["steps"])
+        assert report["latency_ns"] == 350.0 * len(report["steps"])
+        assert report["energy_nJ"] == pytest.approx(0.9 * len(report["steps"]))
 
 
 class TestEnergy:
@@ -171,5 +170,39 @@ class TestSummary:
         assert data["step_count"] == 3
         assert data["dac_count"] == 9
         assert data["adc_count"] == 3
-        assert data == {**schedule_to_dict(schedule_conv(5, 5, 3)),
+        steps = [{"step": c, "windows": [{"row": r, "col": c, "adc": r} for r in range(3)]}
+                 for c in range(3)]
+        assert data == {"rows": 5, "cols": 5, "kernel": 3, "dac_count": 9, "adc_count": 3,
+                        "step_count": 3, "steps": steps,
                         "latency_ns": 1050.0, "energy_nJ": 2.7}
+
+    def test_conv_report_ignores_hand_built_banks(self):
+        # A convolution array has one ADC lane per band of rows, whatever
+        # banks a hand-built topology states.
+        assert (schedule_report(ArrayTopology(5, 5, 7, 3))
+                == schedule_report(build_conv_array(5, 5, 3)))
+
+    def test_conv_report_refuses_geometry_naming_parameter(self):
+        with pytest.raises(ValueError, match=r"^rows must be in \[3, 256\] for a 3x3 kernel"):
+            schedule_report(ArrayTopology(2, 5, 3, 3))
+
+
+class TestSweepMatchesCompute:
+    """The report's sweep is the computation's: each step's windows are the
+    windows conv_forward reads (through gather_windows) at that column."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.data())
+    def test_report_windows_are_the_gathered_windows(self, rows, cols, data):
+        kernel = data.draw(st.integers(1, min(rows, cols)))
+        report = schedule_report(build_conv_array(rows, cols, kernel))
+        lanes, steps = rows - kernel + 1, cols - kernel + 1
+        # A window's origin is the first of its taps; windows run row-major.
+        taps = gather_windows(np.arange(rows * cols).reshape(1, rows, cols), kernel)[0]
+        origins = taps[:, 0].reshape(lanes, steps)
+        assert report["step_count"] == steps
+        assert [step["step"] for step in report["steps"]] == list(range(steps))
+        for c, step in enumerate(report["steps"]):
+            assert ([(w["row"], w["col"]) for w in step["windows"]]
+                    == [divmod(int(o), cols) for o in origins[:, c]])
+            assert [w["adc"] for w in step["windows"]] == list(range(lanes))

@@ -1,10 +1,12 @@
-"""Every mutant of tools/mutants.py still applies to the source it mutates.
+"""Every mutant of tools/mutants.py still applies to the source it mutates,
+and every derived raise-to-pass mutant leaves a module that compiles.
 
 The mutation harness itself takes minutes and stays out of the test suite;
 this check is cheap and catches a refactor that leaves a mutant stale.
 """
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -20,3 +22,14 @@ _spec.loader.exec_module(mutants)
 def test_mutant_text_occurs_once(name, module, old, new):
     source = (ROOT / "src" / "capmac" / module).read_text()
     assert source.count(old) == 1, f"{name}: its text occurs {source.count(old)} times in {module}"
+
+
+def test_raise_mutants_cover_each_raise_and_compile():
+    derived = mutants.raise_mutants()
+    sources = {path.name: path.read_text() for path in (ROOT / "src" / "capmac").glob("*.py")}
+    assert len(derived) == sum(len(re.findall(r"^\s*raise\b", text, re.M))
+                               for text in sources.values())
+    for name, module, old, new in derived:
+        assert sources[module].count(old) == 1, name
+        assert "raise" not in new.splitlines()[-1], name
+        compile(sources[module].replace(old, new), module, "exec")

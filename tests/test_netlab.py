@@ -4,14 +4,15 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes
 from hypothesis.extra.numpy import arrays as np_arrays
 
 from capmac import dataset, netlab, weights
 from capmac.arrays import build_conv_array, build_fc_array, conv_forward, fc_forward
-from capmac.device import SensorParams, series_capacitance
+from capmac.device import (MAX_CAPACITANCE_PF, MAX_CAPACITANCE_RATIO, MIN_C_IL_PF,
+                           SensorParams, series_capacitance)
 from capmac.netlab import (MODELS, Checkpoint, TrainConfig,
                            TrainingDiverged, array_inputs, autoencoder_batch_loss,
                            autoencoder_forward, cnn_batch_loss, cnn_logits,
@@ -387,6 +388,31 @@ class TestInversionIdentities:
         assert np.all(c_rec < PARAMS.c0)
         assert np.all(np.isfinite(ci_rec))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(math.log(MAX_CAPACITANCE_PF / MAX_CAPACITANCE_RATIO),
+                     math.log(MAX_CAPACITANCE_PF)),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    @example(math.log(MAX_CAPACITANCE_PF / MAX_CAPACITANCE_RATIO), 0.0, 1.0)
+    @example(math.log(MAX_CAPACITANCE_PF), 0.0, 1.0)
+    def test_saturated_reconstruction_below_c0_at_parameter_bounds(self, log_c0, low, high):
+        # c_rec = sigmoid * (C_H - C_L) + C_L is C_H at most, to rounding, and
+        # C_H = c0 r/(r + 1) with r = c_ih/c0 <= 1e9. So a decoder that drives the
+        # sigmoid to exactly 0 and 1 leaves c_rec some 1e-9 c0 below c0, at the
+        # bounds too: autoencoder_batch_loss needs no check of its own.
+        c0 = math.exp(log_c0)
+        most = min(MAX_CAPACITANCE_PF, MAX_CAPACITANCE_RATIO * c0)
+        c_il = MIN_C_IL_PF * (most / MIN_C_IL_PF) ** (low / 2)
+        c_ih = most if high == 1.0 else c_il * (most / c_il) ** high
+        assume(c_ih > c_il)
+        params = SensorParams(c0=c0, c_ih=c_ih, c_il=c_il)
+        x = array_inputs(AE_SPEC, np.full((2, 3, 3), c_ih), params)
+        decoder = np.where(np.arange(9) % 2, 1e4, -1e4)[:, None] * np.ones((9, 4))
+        _, cnl_rec, c_rec, ci_rec = autoencoder_forward(
+            {"encoder": np.zeros((4, 9)), "decoder": decoder}, x, params)
+        assert {0.0, 1.0} == set(cnl_rec.ravel().tolist())
+        assert np.all(c_rec < c0)
+        assert np.all(np.isfinite(ci_rec))
+
 
 class TestTrainers:
     def test_fc_trains_clean_task_quickly(self):
@@ -638,6 +664,58 @@ class TestCheckpointIo:
                                       hist.checkpoint.matrices["encoder"])
         np.testing.assert_array_equal(loaded.matrices["decoder"],
                                       hist.checkpoint.matrices["decoder"])
+
+    def test_headerless_file_named_not_a_checkpoint(self, tmp_path):
+        path = tmp_path / "ck.txt"
+        save_checkpoint(_zero_checkpoint("fc_classifier"), path)
+        path.write_text("\n".join(path.read_text().splitlines()[1:]) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a capmac "
+                                             f"checkpoint$"):
+            load_checkpoint(path)
+
+    def test_truncated_matrix_block_is_malformed(self, tmp_path):
+        path = tmp_path / "ck.txt"
+        save_checkpoint(_zero_checkpoint("fc_classifier"), path)
+        path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+        with pytest.raises(ValueError, match="malformed matrix block 'matrix weights 4 9'"):
+            load_checkpoint(path)
+
+    def test_repeated_header_line_refused(self, tmp_path):
+        # Regression: an extra "seed: 99" before the real line loaded with seed 0.
+        path = tmp_path / "ck.txt"
+        save_checkpoint(_zero_checkpoint("fc_classifier"), path)
+        lines = path.read_text().splitlines()
+        at = lines.index("seed: 0")
+        path.write_text("\n".join(lines[:at] + ["seed: 99"] + lines[at:]) + "\n")
+        with pytest.raises(ValueError, match=f"line {at + 2}: seed is given twice$"):
+            load_checkpoint(path)
+
+    def test_repeated_matrix_refused(self, tmp_path):
+        # Regression: a second "matrix weights 4 9" block replaced the first.
+        path = tmp_path / "ck.txt"
+        save_checkpoint(_zero_checkpoint("fc_classifier"), path)
+        lines = path.read_text().splitlines()
+        at = lines.index("matrix weights 4 9")
+        path.write_text("\n".join(lines + lines[at:at + 5]) + "\n")
+        with pytest.raises(ValueError, match=f"line {len(lines) + 1}: matrix weights is "
+                                             f"given twice$"):
+            load_checkpoint(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(netlab.field_keys(Checkpoint, "")
+                           + netlab.field_keys(SensorParams, "sensor.")),
+           st.booleans(), st.sampled_from(["0", "1", "true", "global", "fc_classifier"]))
+    def test_any_repeated_header_key_refused(self, tmp_path_factory, key, first, value):
+        # The extra line goes before the real one (first) or after it.
+        path = tmp_path_factory.getbasetemp() / "repeated.txt"
+        save_checkpoint(_zero_checkpoint("autoencoder"), path)
+        lines = path.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.partition(":")[0] == key)
+        lines.insert(at if first else at + 1, f"{key}: {value}")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f": line {at + 2}: {re.escape(key)} is given "
+                                             f"twice$"):
+            load_checkpoint(path)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.txt"
