@@ -54,32 +54,22 @@ class ExperimentConfig:
 _TRAIN_KEYS = netlab.field_keys(TrainConfig, "train.")
 _SENSOR_KEYS = netlab.field_keys(SensorParams, "sensor.")
 _TOP_KEYS = ("architecture", "output_dir", "emit")
+_CONFIG_KEYS = (*_TRAIN_KEYS, *_SENSOR_KEYS, *_TOP_KEYS)
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse `key = value` lines (# comments allowed) into a raw dict; a key
-    may be given once."""
-    raw = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, _, value = (part.strip() for part in stripped.partition("="))
-        if key in raw:
-            raise ConfigError(f"line {lineno}: {key} is given twice")
-        raw[key] = value
-    return raw
+    """Parse `key = value` lines (# comments and blank lines allowed) into a
+    raw dict by netlab.read_settings: each key known and given once."""
+    numbered = enumerate((line.split("#", 1)[0] for line in text.splitlines()), 1)
+    try:
+        return netlab.read_settings([(f"line {n}", line) for n, line in numbered
+                                     if line.strip()], "=", _CONFIG_KEYS)
+    except ValueError as exc:
+        raise ConfigError(exc) from None
 
 
 def build_config(raw: dict) -> ExperimentConfig:
-    """Validate a raw key/value mapping into an ExperimentConfig."""
-    known = set(_TRAIN_KEYS) | set(_SENSOR_KEYS) | set(_TOP_KEYS)
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"{key}: unknown configuration key")
-
+    """Validate a raw mapping of config keys into an ExperimentConfig."""
     architecture = raw.get("architecture", "fc_classifier")
     if architecture not in netlab.ARCHITECTURES:
         raise ConfigError(f"architecture: {architecture!r} is not one of "
@@ -124,10 +114,9 @@ def build_config(raw: dict) -> ExperimentConfig:
 def canonical_config_lines(config: ExperimentConfig) -> list[str]:
     """The experiment's identity: every setting except output_dir, so the
     same experiment hashes alike wherever it is written."""
-    pairs = {"architecture": config.architecture, "emit": ",".join(config.emit)}
-    for section, settings in (("train", config.train), ("sensor", config.sensor)):
-        pairs.update((f"{section}.{name}", text)
-                     for name, text in netlab.field_texts(settings).items())
+    pairs = {"architecture": config.architecture, "emit": ",".join(config.emit),
+             **netlab.field_texts(config.train, "train."),
+             **netlab.field_texts(config.sensor, "sensor.")}
     return [f"{k} = {pairs[k]}" for k in sorted(pairs)]
 
 
@@ -339,18 +328,9 @@ def _print_report(report: dict):
 # ---------------------------------------------------------------------------
 # command-line front end
 
-def _parse_set(items) -> dict:
-    raw = {}
-    for item in items or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, _, value = item.partition("=")
-        raw[key.strip()] = value.strip()
-    return raw
-
-
 def _apply_overrides(raw: dict, args) -> dict:
-    raw.update(_parse_set(args.set))
+    raw.update(netlab.read_settings([("--set", item) for item in args.set or []], "=",
+                                    _CONFIG_KEYS))
     for key, value in (("architecture", args.arch), ("train.seed", args.seed),
                        ("train.epochs", args.epochs), ("output_dir", args.output_dir),
                        ("emit", args.emit)):
@@ -371,7 +351,7 @@ def _cmd_train(args) -> int:
         return _usage_error(f"--config: {exc}", "config")
     try:
         config = build_config(_apply_overrides(parse_config_text(text), args))
-    except ConfigError as exc:
+    except ValueError as exc:  # a ConfigError, or a refused --set item
         return _usage_error(exc, "config")
     try:
         artifacts = run(config)
@@ -394,10 +374,8 @@ def _cmd_eval(args) -> int:
         if not 1 <= args.letters <= dataset.MAX_DRAW:
             raise ConfigError(f"--letters must be in [1, {dataset.MAX_DRAW}]")
         ckpt = load_checkpoint(args.checkpoint)
-        overrides = _parse_set(args.set)
-        for key in overrides:
-            if key not in _SENSOR_KEYS:
-                raise ConfigError(f"{key}: eval overrides are sensor.* only")
+        overrides = netlab.read_settings([("--set", item) for item in args.set or []], "=",
+                                         _SENSOR_KEYS)
         sensor = netlab.parse_fields(SensorParams, overrides, "sensor.")
         ckpt = dataclasses.replace(ckpt, params=dataclasses.replace(ckpt.params, **sensor))
     except (OSError, ValueError) as exc:

@@ -11,7 +11,7 @@ phase only: a lower bound, so 0.39 nJ for a traced FC cycle vs 0.9 nJ is expecte
 
 from __future__ import annotations
 
-from .arrays import ArrayTopology, build_conv_array
+from .arrays import ArrayTopology, build_conv_array, build_fc_array
 from .device import DEFAULT_PHASE_NS, PHASES, SWITCH_NAMES
 
 # Energy of one 4-bank FC cycle, 0.9 nJ, in whole pJ so that any cycle count's nJ
@@ -29,8 +29,9 @@ def schedule_report(spec: ArrayTopology) -> dict:
     of its `banks` reads every pixel in row-major order, as fc_forward does:
     one ADC per bank and one DAC per (bank, pixel) voltage.
     """
-    if spec.kernel:  # build_conv_array checks the geometry and counts the lanes
-        topo = build_conv_array(spec.rows, spec.cols, spec.kernel)
+    topo = (build_conv_array(spec.rows, spec.cols, spec.kernel) if spec.kernel
+            else build_fc_array(spec.rows, spec.cols, spec.banks))  # checked geometry
+    if topo.kernel:
         steps = topo.cols - topo.kernel + 1
         report = {
             "rows": topo.rows,
@@ -44,15 +45,15 @@ def schedule_report(spec: ArrayTopology) -> dict:
                       for c in range(steps)],
         }
     else:
-        pixels = [[r, c] for r in range(spec.rows) for c in range(spec.cols)]
+        pixels = [[r, c] for r in range(topo.rows) for c in range(topo.cols)]
         report = {
             "type": "fc_banks",
-            "rows": spec.rows,
-            "cols": spec.cols,
-            "banks": spec.banks,
-            "wiring": {str(m): pixels for m in range(spec.banks)},
-            "dac_count": spec.banks * len(pixels),
-            "adc_count": spec.banks,
+            "rows": topo.rows,
+            "cols": topo.cols,
+            "banks": topo.banks,
+            "wiring": {str(m): pixels for m in range(topo.banks)},
+            "dac_count": topo.banks * len(pixels),
+            "adc_count": topo.banks,
             "step_count": 1,
         }
     cycles = report["step_count"]

@@ -141,8 +141,8 @@ def _parse_bool(raw: str) -> bool:
 FIELD_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
 
 
-def field_texts(settings) -> dict:
-    """{field name: text} of each int, float, str or bool field of a
+def field_texts(settings, prefix: str) -> dict:
+    """{prefix + field name: text} of each int, float, str or bool field of a
     TrainConfig, SensorParams or Checkpoint, as configs and checkpoints write
     them: booleans in lower case, strings bare, numbers by repr."""
     texts = {}
@@ -151,7 +151,7 @@ def field_texts(settings) -> dict:
             value = getattr(settings, f.name)
             if isinstance(value, bool):
                 value = str(value).lower()
-            texts[f.name] = value if isinstance(value, str) else repr(value)
+            texts[prefix + f.name] = value if isinstance(value, str) else repr(value)
     return texts
 
 
@@ -173,6 +173,23 @@ def parse_fields(cls, texts: dict, prefix: str) -> dict:
             except ValueError:
                 raise ValueError(f"{key}: cannot parse {texts[key]!r}") from None
     return kwargs
+
+
+def read_settings(lines, sep: str, keys) -> dict:
+    """{key: value} of (where, text) settings lines, each text split at its
+    first `sep` and stripped. Raises ValueError naming `where` for a text
+    without `sep`, a key not in `keys` or a key an earlier line gave."""
+    settings = {}
+    for where, text in lines:
+        key, found, value = (part.strip() for part in text.partition(sep))
+        if not found:
+            raise ValueError(f"{where} expects KEY{sep}VALUE, got {text!r}")
+        if key not in keys:
+            raise ValueError(f"{where}: {key}: unknown configuration key")
+        if key in settings:
+            raise ValueError(f"{where}: {key} is given twice")
+        settings[key] = value
+    return settings
 
 
 def default_config(architecture: str, **overrides) -> TrainConfig:
@@ -476,8 +493,8 @@ def train(architecture: str, config: TrainConfig,
 
 def save_checkpoint(ckpt: Checkpoint, path):
     lines = ["capmac-checkpoint v1"]
-    lines += [f"{name}: {text}" for name, text in field_texts(ckpt).items()]
-    lines += [f"sensor.{name}: {text}" for name, text in field_texts(ckpt.params).items()]
+    header = {**field_texts(ckpt, ""), **field_texts(ckpt.params, "sensor.")}
+    lines += [f"{key}: {text}" for key, text in header.items()]
     for name in sorted(ckpt.matrices):
         mat = np.atleast_2d(np.asarray(ckpt.matrices[name], dtype=float))
         lines.append(f"matrix {name} {mat.shape[0]} {mat.shape[1]}")
@@ -488,34 +505,36 @@ def save_checkpoint(ckpt: Checkpoint, path):
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read save_checkpoint's file: header lines up to the first `matrix ` line,
+    read by read_settings, then matrix blocks only. Raises ValueError naming
+    the path for a wrong first line; a blank, `:`-less, unknown or repeated
+    header line; a missing or unparseable field; a malformed or repeated matrix
+    block; an unknown architecture, unfitting or non-finite matrices or a wrong beta."""
     with open(path) as fh:
         lines = [line.rstrip("\n") for line in fh]
     if not lines or lines[0] != "capmac-checkpoint v1":
         raise ValueError(f"{path}: not a capmac checkpoint")
-    fields, matrices = {}, {}
-    i = 1
+    i = next((n for n, line in enumerate(lines) if line.startswith("matrix ")), len(lines))
+    keys = field_keys(Checkpoint, "") + field_keys(SensorParams, "sensor.")
+    fields = read_settings([(f"{path}: line {n}", lines[n - 1]) for n in range(2, i + 1)],
+                           ":", keys)
+    matrices = {}
     while i < len(lines):
         line = lines[i]
         i += 1
-        if line.startswith("matrix "):
-            try:
-                _, name, rows, cols = line.split()
-                rows, cols = int(rows), int(cols)
-                mat = np.array([[float(x) for x in row.split()] for row in lines[i:i + rows]])
-                if mat.shape != (rows, cols):
-                    raise ValueError
-            except ValueError:
-                raise ValueError(f"{path}: malformed matrix block {line!r}") from None
-            if name in matrices:
-                raise ValueError(f"{path}: line {i}: matrix {name} is given twice")
-            matrices[name] = mat
-            i += rows
-        else:  # header lines; a blank line keys "", which no field reads
-            key, _, value = (part.strip() for part in line.partition(":"))
-            if key and key in fields:
-                raise ValueError(f"{path}: line {i}: {key} is given twice")
-            fields[key] = value
-    for key in field_keys(Checkpoint, "") + field_keys(SensorParams, "sensor."):
+        try:
+            word, name, rows, cols = line.split()
+            rows, cols = int(rows), int(cols)
+            mat = np.array([[float(x) for x in row.split()] for row in lines[i:i + rows]])
+            if word != "matrix" or mat.shape != (rows, cols):
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"{path}: malformed matrix block {line!r}") from None
+        if name in matrices:
+            raise ValueError(f"{path}: line {i}: matrix {name} is given twice")
+        matrices[name] = mat
+        i += rows
+    for key in keys:
         if key not in fields:
             raise ValueError(f"{path}: missing checkpoint field {key!r}")
     params = SensorParams(**parse_fields(SensorParams, fields, "sensor."))

@@ -57,7 +57,7 @@ class TestConfigParsing:
 
     def test_unknown_key_names_field(self):
         with pytest.raises(ConfigError, match="train.momentum"):
-            build_config({"train.momentum": "0.9"})
+            parse_config_text("train.momentum = 0.9")
 
     def test_bad_architecture(self):
         with pytest.raises(ConfigError, match="architecture"):
@@ -93,26 +93,72 @@ class TestConfigParsing:
 
 
 class TestRepeatedSettings:
-    """A key given twice is refused, naming the key and its second line;
-    --set and the train flags still override the config file."""
+    """A config line or --set item that repeats a key, names an unknown key or
+    has no '=' is refused, naming its place and the key; --set and the train
+    flags still override the config file."""
 
     def test_repeated_key_refused(self):
         # Regression: "train.seed = 1" then "train.seed = 2" gave seed 2.
         with pytest.raises(ConfigError, match=r"^line 2: train\.seed is given twice$"):
             parse_config_text("train.seed = 1\ntrain.seed = 2")
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.sampled_from(netlab.field_keys(netlab.TrainConfig, "train.")
-                           + netlab.field_keys(SensorParams, "sensor.")),
-           st.booleans(), st.sampled_from(["0", "1", "true", "global", "0.5"]))
-    def test_any_repeated_setting_refused(self, key, first, value):
-        # The extra line goes before the real one (first) or after it.
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["config", "train", "eval"]),
+           st.sampled_from(["repeat", "unknown key", "no separator"]), st.data())
+    def test_any_repeated_setting_refused(self, checkpoints, tmp_path_factory, source,
+                                          kind, data):
+        # One bad line goes in at any position of a valid config file or of
+        # the --set items of `capmac train` or `capmac eval` (sensor.* only).
         lines = cli.canonical_config_lines(build_config({}))
-        at = next(i for i, line in enumerate(lines) if line.startswith(f"{key} = "))
-        lines.insert(at if first else at + 1, f"{key} = {value}")
-        with pytest.raises(ConfigError, match=f"^line {at + 2}: {re.escape(key)} is given "
-                                             f"twice$"):
-            parse_config_text("\n".join(lines))
+        if source == "eval":
+            lines = [line for line in lines if line.startswith("sensor.")]
+        keys = [line.partition(" = ")[0] for line in lines]
+        key = data.draw(st.sampled_from(keys))
+        value = data.draw(st.sampled_from(["0", "1", "true", "global", "0.5"]))
+        at = data.draw(st.integers(0, len(lines)))
+        if kind == "repeat":
+            bad, line = f"{key} = {value}", max(at, keys.index(key) + 1) + 1
+        elif kind == "unknown key":
+            unknown = ["threads", "train.momentum", "sensor.gain"]
+            if source == "eval":
+                unknown += ["train.seed", "architecture"]
+            key = data.draw(st.sampled_from(unknown))
+            bad, line = f"{key} = {value}", at + 1
+        else:  # a blank config line is skipped, a blank --set item is not
+            bad = data.draw(st.sampled_from([key, f"{key}: {value}", "garbage"]
+                                            + [""] * (source != "config")))
+            line = at + 1
+        where = f"line {line}" if source == "config" else "--set"
+        message = {"repeat": f"{where}: {key} is given twice",
+                   "unknown key": f"{where}: {key}: unknown configuration key",
+                   "no separator": f"{where} expects KEY=VALUE, got {bad!r}"}[kind]
+        lines.insert(at, bad)
+        if source == "config":
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                parse_config_text("\n".join(lines))
+            return
+        outdir = tmp_path_factory.getbasetemp() / "refused"
+        argv = (["train", "--output-dir", str(outdir)] if source == "train"
+                else ["eval", checkpoints["fc_classifier"]])
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*argv, *(arg for item in lines for arg in ("--set", item))])
+        assert code == EXIT_CONFIG
+        kind_of_error = "config" if source == "train" else "usage"
+        assert err.getvalue() == f"{kind_of_error} error: {message}\n"
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("command,first,second", [
+        ("train", "train.seed=1", "train.seed=2"), ("eval", "sensor.c0=70", "sensor.c0=71")])
+    def test_repeated_set_item_exits_2(self, checkpoints, tmp_path, capsys, command, first,
+                                       second):
+        # Regression: the last of repeated --set items won.
+        argv = (["train", "--output-dir", str(tmp_path / "r")] if command == "train"
+                else ["eval", checkpoints["fc_classifier"]])
+        assert main([*argv, "--set", first, "--set", second]) == EXIT_CONFIG
+        key = first.partition("=")[0]
+        assert f"--set: {key} is given twice" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_flags_still_override_the_config_file(self, tmp_path):
         cfgfile = tmp_path / "exp.cfg"

@@ -182,6 +182,11 @@ class TestSummary:
         assert (schedule_report(ArrayTopology(5, 5, 7, 3))
                 == schedule_report(build_conv_array(5, 5, 3)))
 
+    def test_fc_report_refuses_a_bankless_array(self):
+        # Regression: ArrayTopology(5, 5, -1) reported dac_count -25.
+        with pytest.raises(ValueError, match="^need at least one bank$"):
+            schedule_report(ArrayTopology(5, 5, -1))
+
     def test_conv_report_refuses_geometry_naming_parameter(self):
         with pytest.raises(ValueError, match=r"^rows must be in \[3, 256\] for a 3x3 kernel"):
             schedule_report(ArrayTopology(2, 5, 3, 3))

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes
 from hypothesis.extra.numpy import arrays as np_arrays
 
-from capmac import dataset, netlab, weights
+from capmac import cli, dataset, netlab, weights
 from capmac.arrays import build_conv_array, build_fc_array, conv_forward, fc_forward
 from capmac.device import (MAX_CAPACITANCE_PF, MAX_CAPACITANCE_RATIO, MIN_C_IL_PF,
                            SensorParams, series_capacitance)
@@ -701,20 +702,50 @@ class TestCheckpointIo:
                                              f"given twice$"):
             load_checkpoint(path)
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(netlab.field_keys(Checkpoint, "")
-                           + netlab.field_keys(SensorParams, "sensor.")),
-           st.booleans(), st.sampled_from(["0", "1", "true", "global", "fc_classifier"]))
-    def test_any_repeated_header_key_refused(self, tmp_path_factory, key, first, value):
-        # The extra line goes before the real one (first) or after it.
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["repeat", "unknown key", "no separator"]), st.data())
+    def test_any_repeated_header_key_refused(self, tmp_path_factory, kind, data):
+        # One bad line goes in at any position after the first: a header line
+        # is refused naming its line and key, any line after the header
+        # belongs to no matrix block.
         path = tmp_path_factory.getbasetemp() / "repeated.txt"
         save_checkpoint(_zero_checkpoint("autoencoder"), path)
         lines = path.read_text().splitlines()
-        at = next(i for i, line in enumerate(lines) if line.partition(":")[0] == key)
-        lines.insert(at if first else at + 1, f"{key}: {value}")
+        key = data.draw(st.sampled_from(_HEADER_KEYS))
+        value = data.draw(st.sampled_from(["0", "1", "true", "global", "fc_classifier"]))
+        at = data.draw(st.integers(1, len(lines)))
+        if kind == "repeat":
+            bad, line = f"{key}: {value}", max(at, _HEADER_KEYS.index(key) + 2) + 1
+        elif kind == "unknown key":
+            key = data.draw(st.sampled_from(["foo", "threads", "train.seed", "matrix"]))
+            bad, line = f"{key}: {value}", at + 1
+        else:
+            bad = data.draw(st.sampled_from([key, f"{key} = {value}", "garbage", ""]))
+            line = at + 1
+        message = {"repeat": f"line {line}: {key} is given twice",
+                   "unknown key": f"line {line}: {key}: unknown configuration key",
+                   "no separator": f"line {line} expects KEY:VALUE, got {bad!r}"}[kind]
+        if at > len(_HEADER_KEYS) + 1:  # past the first matrix line
+            message = "malformed matrix block "
+        lines.insert(at, bad)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=f": line {at + 2}: {re.escape(key)} is given "
-                                             f"twice$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad,at,message", [
+        ("foo: bar", 3, "line 4: foo: unknown configuration key"),
+        ("garbage", 3, "line 4 expects KEY:VALUE, got 'garbage'"),
+        ("", 3, "line 4 expects KEY:VALUE, got ''"),
+        ("zzz: 1", None, "malformed matrix block 'zzz: 1'"),
+    ], ids=["unknown key", "no colon", "blank", "after the last matrix"])
+    def test_stray_line_refused_naming_path_and_line(self, tmp_path, bad, at, message):
+        # Regression: each of these loaded.
+        path = tmp_path / "ck.txt"
+        save_checkpoint(_zero_checkpoint("fc_classifier"), path)
+        lines = path.read_text().splitlines()
+        lines.insert(len(lines) if at is None else at, bad)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_checkpoint(path)
 
     def test_rejects_garbage(self, tmp_path):
@@ -771,7 +802,37 @@ _CHECKPOINT_LINES = st.one_of(
 )
 
 
+_TRAIN_CONFIGS = st.builds(
+    TrainConfig, batch_size=st.integers(1, dataset.MAX_DRAW),
+    learning_rate=st.floats(min_value=0, max_value=netlab.MAX_LEARNING_RATE,
+                            exclude_min=True),
+    epochs=st.integers(1, netlab.MAX_EPOCHS), seed=st.integers(0, 2 ** 63),
+    binarize=st.booleans(),
+    eval_per_glyph=st.integers(1, dataset.MAX_DRAW // dataset.NUM_GLYPHS))
+
+
 class TestCheckpointProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(_TRAIN_CONFIGS, checkpoints())
+    def test_written_settings_read_back_as_field_texts(self, tmp_path_factory, train_cfg,
+                                                        ckpt):
+        # The config lines and the checkpoint header that capmac writes go
+        # through the one reader and give back each section's field_texts.
+        config = cli.ExperimentConfig(ckpt.architecture, train_cfg, ckpt.params,
+                                      Path("run"))
+        lines = cli.canonical_config_lines(config)
+        read = netlab.read_settings([("config", line) for line in lines], "=",
+                                    cli._CONFIG_KEYS)
+        assert read == {"architecture": ckpt.architecture, "emit": "",
+                        **netlab.field_texts(train_cfg, "train."),
+                        **netlab.field_texts(ckpt.params, "sensor.")}
+        path = tmp_path_factory.getbasetemp() / "header.txt"
+        save_checkpoint(ckpt, path)
+        header = path.read_text().splitlines()[1:1 + len(_HEADER_KEYS)]
+        read = netlab.read_settings([("header", line) for line in header], ":", _HEADER_KEYS)
+        assert read == {**netlab.field_texts(ckpt, ""),
+                        **netlab.field_texts(ckpt.params, "sensor.")}
+
     @settings(max_examples=100, deadline=None)
     @given(checkpoints())
     def test_save_load_round_trip(self, tmp_path_factory, ckpt):

@@ -63,15 +63,17 @@ MUTANTS = (
     ("CHARGE phase raises CON", "device.py",
      '("charge", (0, 1, 0, 0))', '("charge", (0, 1, 1, 0))'),
     ("FC wiring written column-major", "metrics.py",
-     "pixels = [[r, c] for r in range(spec.rows) for c in range(spec.cols)]",
-     "pixels = [[r, c] for c in range(spec.cols) for r in range(spec.rows)]"),
+     "pixels = [[r, c] for r in range(topo.rows) for c in range(topo.cols)]",
+     "pixels = [[r, c] for c in range(topo.cols) for r in range(topo.rows)]"),
     ("conv topology forgets its kernel", "arrays.py",
      "return ArrayTopology(rows, cols, rows - kernel + 1, kernel)",
      "return ArrayTopology(rows, cols, rows - kernel + 1)"),
     ("FC report counts one bank per row", "metrics.py",
-     '"adc_count": spec.banks,', '"adc_count": spec.rows,'),
+     '"adc_count": topo.banks,\n            "step_count": 1,',
+     '"adc_count": topo.rows,\n            "step_count": 1,'),
     ("ADC count one per row", "metrics.py",
-     '"adc_count": topo.banks,', '"adc_count": topo.rows,'),
+     '"adc_count": topo.banks,\n            "step_count": steps,',
+     '"adc_count": topo.rows,\n            "step_count": steps,'),
     ("latency ignores the step count", "metrics.py",
      '"latency_ns": len(PHASES) * DEFAULT_PHASE_NS * cycles,',
      '"latency_ns": len(PHASES) * DEFAULT_PHASE_NS,'),
@@ -114,8 +116,8 @@ MUTANTS = (
      "    if ckpt.beta != beta:\n", "    if False:\n"),
     ("conv schedule/topology mismatch accepted", "arrays.py",
      "    if got != want:\n", "    if False:\n"),
-    ("repeated config key accepted", "cli.py",
-     "        if key in raw:\n", "        if False:\n"),
+    ("repeated config key accepted", "netlab.py",
+     "        if key in settings:\n", "        if False:\n"),
     ("fc_forward accepts a conv topology", "arrays.py",
      "    if topology.kernel:\n", "    if False:\n"),
 )
