@@ -10,7 +10,6 @@ error, 3 training divergence.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import json
@@ -76,20 +75,13 @@ def build_config(raw: dict) -> ExperimentConfig:
                           f"{', '.join(netlab.ARCHITECTURES)}")
 
     try:
-        train_kwargs = netlab.parse_fields(TrainConfig, raw, "train.")
-        sensor_kwargs = netlab.parse_fields(SensorParams, raw, "sensor.")
+        train = netlab.parse_fields(TrainConfig, raw, "train.", "train",
+                                    **vars(netlab.default_config(architecture)))
+        sensor = netlab.parse_fields(SensorParams, raw, "sensor.", "sensor")
     except ValueError as exc:
         raise ConfigError(exc) from None
-    try:
-        train = netlab.default_config(architecture, **train_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"train: {exc}") from None
     if train.binarize and not netlab.MODELS[architecture].binarizes:
         raise ConfigError(f"train.binarize: {architecture} trains no binarized weights")
-    try:
-        sensor = SensorParams(**sensor_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"sensor: {exc}") from None
 
     requested = [e for e in raw.get("emit", "").split(",") if e]
     for e in requested:
@@ -376,8 +368,8 @@ def _cmd_eval(args) -> int:
         ckpt = load_checkpoint(args.checkpoint)
         overrides = netlab.read_settings([("--set", item) for item in args.set or []], "=",
                                          _SENSOR_KEYS)
-        sensor = netlab.parse_fields(SensorParams, overrides, "sensor.")
-        ckpt = dataclasses.replace(ckpt, params=dataclasses.replace(ckpt.params, **sensor))
+        ckpt.params = netlab.parse_fields(SensorParams, overrides, "sensor.", "--set",
+                                          **vars(ckpt.params))
     except (OSError, ValueError) as exc:
         return _usage_error(exc)
     report = evaluate(ckpt, seed=args.seed, per_glyph=args.per_glyph,
@@ -391,7 +383,7 @@ def _cmd_trace(args) -> int:
         ckpt = load_checkpoint(args.checkpoint)
         glyph = dataset.Glyph(args.glyph)
         outputs, phases = capture_fc_traces(ckpt, glyph)
-    except (OSError, ValueError, ConfigError) as exc:
+    except (OSError, ValueError) as exc:
         return _usage_error(exc)
     outdir = Path(args.out)
     rows = metrics.assemble_waveform(phases)

@@ -160,19 +160,22 @@ def field_keys(cls, prefix: str) -> list[str]:
     return [prefix + f.name for f in dataclasses.fields(cls) if f.type in FIELD_PARSERS]
 
 
-def parse_fields(cls, texts: dict, prefix: str) -> dict:
-    """The inverse of field_texts: keyword arguments for `cls` from the keys
-    of field_keys(cls, prefix) that `texts` holds, each parsed by its field's
-    annotation. A malformed value raises ValueError naming its key."""
-    kwargs = {}
+def parse_fields(cls, texts: dict, prefix: str, where: str, **given):
+    """The inverse of field_texts: the checked cls(**given), each key of
+    field_keys(cls, prefix) that `texts` holds parsed by its field's
+    annotation and put over `given`. Raises ValueError beginning `<where>: `
+    for a value that does not parse (naming its key) or that cls refuses."""
     for f in dataclasses.fields(cls):
         key = prefix + f.name
         if f.type in FIELD_PARSERS and key in texts:
             try:
-                kwargs[f.name] = FIELD_PARSERS[f.type](texts[key])
+                given[f.name] = FIELD_PARSERS[f.type](texts[key])
             except ValueError:
-                raise ValueError(f"{key}: cannot parse {texts[key]!r}") from None
-    return kwargs
+                raise ValueError(f"{where}: {key}: cannot parse {texts[key]!r}") from None
+    try:
+        return cls(**given)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def read_settings(lines, sep: str, keys) -> dict:
@@ -506,12 +509,16 @@ def save_checkpoint(ckpt: Checkpoint, path):
 
 def load_checkpoint(path) -> Checkpoint:
     """Read save_checkpoint's file: header lines up to the first `matrix ` line,
-    read by read_settings, then matrix blocks only. Raises ValueError naming
-    the path for a wrong first line; a blank, `:`-less, unknown or repeated
-    header line; a missing or unparseable field; a malformed or repeated matrix
-    block; an unknown architecture, unfitting or non-finite matrices or a wrong beta."""
-    with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh]
+    read by read_settings, then matrix blocks only. Raises ValueError beginning
+    with the path for a byte that is not UTF-8; a wrong first line; a blank,
+    `:`-less, unknown or repeated header line; a missing, unparseable or
+    refused field; a malformed or repeated matrix block; an unknown
+    architecture, unfitting or non-finite matrices or a wrong beta."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [line.rstrip("\n") for line in fh]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not lines or lines[0] != "capmac-checkpoint v1":
         raise ValueError(f"{path}: not a capmac checkpoint")
     i = next((n for n, line in enumerate(lines) if line.startswith("matrix ")), len(lines))
@@ -537,9 +544,8 @@ def load_checkpoint(path) -> Checkpoint:
     for key in keys:
         if key not in fields:
             raise ValueError(f"{path}: missing checkpoint field {key!r}")
-    params = SensorParams(**parse_fields(SensorParams, fields, "sensor."))
-    ckpt = Checkpoint(**parse_fields(Checkpoint, fields, ""), params=params,
-                      matrices=matrices)
+    ckpt = parse_fields(Checkpoint, fields, "", str(path), matrices=matrices,
+                        params=parse_fields(SensorParams, fields, "sensor.", str(path)))
     if not math.isfinite(ckpt.beta):
         raise ValueError(f"{path}: beta must be finite, got {ckpt.beta!r}")
     model = MODELS.get(ckpt.architecture)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from capmac import arrays, cli, dataset, metrics, netlab
@@ -622,11 +622,60 @@ class TestInputErrors:
         ("sensor.noise_frac=1e306", "noise_frac"),
         ("sensor.c0=1e307", "c0 must be in"),
         ("sensor.c_ih=1e307", "c_ih must be in"),
+        ("sensor.c0=-1", f"usage error: --set: c0 must be in (0, {MAX_CAPACITANCE_PF}] pF"),
     ])
     def test_eval_bad_override_exits_2(self, checkpoints, capsys, setting, field):
         code = main(["eval", checkpoints["fc_classifier"], "--set", setting])
         assert code == EXIT_CONFIG
         assert field in capsys.readouterr().err
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["checkpoint", "eval", "train"]),
+           st.sampled_from(netlab.field_keys(SensorParams, "sensor.")),
+           st.sampled_from(["x", "", "-1", "0", "nan", "-inf", "1e400"]))
+    def test_any_bad_sensor_value_refused_naming_input(self, checkpoints, tmp_path_factory,
+                                                       source, key, value):
+        # Each value either does not parse or is one SensorParams refuses
+        # (noise_frac = 0 is the only valid one; it is skipped). The refusal
+        # begins with the input it came from and names the field.
+        assume(not (key == "sensor.noise_frac" and value == "0"))
+        if source == "checkpoint":
+            path = tmp_path_factory.getbasetemp() / "bad_sensor.txt"
+            lines = Path(checkpoints["fc_classifier"]).read_text().splitlines()
+            path.write_text("\n".join(f"{key}: {value}" if line.startswith(f"{key}:")
+                                      else line for line in lines) + "\n")
+            with pytest.raises(ValueError) as exc:
+                load_checkpoint(path)
+            message, where = str(exc.value), f"{path}: "
+        else:
+            outdir = tmp_path_factory.getbasetemp() / "refused"
+            argv = (["train", "--output-dir", str(outdir)] if source == "train"
+                    else ["eval", checkpoints["fc_classifier"]])
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([*argv, "--set", f"{key}={value}"])
+            assert code == EXIT_CONFIG
+            assert not outdir.exists()
+            message = err.getvalue()
+            where = ("config error: sensor: " if source == "train"
+                     else "usage error: --set: ")
+        assert message.startswith(where)
+        assert key.removeprefix("sensor.") in message[len(where):]
+
+    @pytest.mark.parametrize("command", ["eval", "trace"])
+    def test_non_utf8_checkpoint_exits_2_naming_file(self, checkpoints, tmp_path, capsys,
+                                                     command):
+        # Regression: the refusal named the codec and the byte, not the file.
+        lines = Path(checkpoints["fc_classifier"]).read_bytes().split(b"\n")
+        lines[2] = b"\xff" + lines[2]
+        path = tmp_path / "ck.txt"
+        path.write_bytes(b"\n".join(lines))
+        argv = (["eval", str(path)] if command == "eval"
+                else ["trace", "--checkpoint", str(path), "--out", str(tmp_path / "t")])
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"usage error: {path}: 'utf-8' codec can't decode byte 0xff")
+        assert not (tmp_path / "t").exists()
 
     @pytest.mark.parametrize("arch,flag,value", [
         ("fc_classifier", "--per-glyph", "0"),

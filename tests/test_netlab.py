@@ -643,6 +643,22 @@ class TestCheckpointIo:
         with pytest.raises(ValueError, match=f"{key}: cannot parse 'many'"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("line,message", [
+        ("seed: x", "seed: cannot parse 'x'"),
+        ("sensor.c0: -1.0", f"c0 must be in (0, {MAX_CAPACITANCE_PF}] pF"),
+        ("sensor.noise_mode: foo", "unknown noise_mode: 'foo'"),
+    ])
+    def test_refused_value_named_after_path(self, tmp_path, line, message):
+        # Regression: these gave the reason without the file's path.
+        path = tmp_path / "ck.txt"
+        save_checkpoint(_zero_checkpoint("fc_classifier"), path)
+        key = line.partition(":")[0]
+        lines = [line if old.partition(":")[0] == key else old
+                 for old in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_checkpoint(path)
+
     def test_unknown_architecture_rejected(self, tmp_path):
         path = tmp_path / "ck.txt"
         save_checkpoint(_zero_checkpoint("fc_classifier"), path)
