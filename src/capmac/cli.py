@@ -283,8 +283,7 @@ def evaluate(ckpt: Checkpoint, seed: int = 0,
               "accuracy": accuracy, "mean_outputs": mean_outputs}
     if ckpt.architecture == "autoencoder":
         sidx = rng.integers(0, dataset.NUM_GLYPHS, letters)
-        s_ci = dataset.noisy_letters(sidx, params, rng)
-        sflat = s_ci.reshape(letters, -1)
+        s_ci = dataset.noisy_letters(sidx, params, rng, model.spec.rows)
         _, _, s_rec, s_ci_rec = netlab.autoencoder_forward(
             ckpt.matrices, netlab.array_inputs(model.spec, s_ci, params), params)
         spred, sbits = netlab.classify_series_bits(s_rec, params)
@@ -292,8 +291,8 @@ def evaluate(ckpt: Checkpoint, seed: int = 0,
             {
                 "glyph": dataset.GLYPH_ORDER[g].value,
                 "predicted": dataset.GLYPH_ORDER[pg].value,
-                "mse": float(np.mean((s_ci_rec[i] - sflat[i]) ** 2)),
-                "bitmap": sbits[i].reshape(3, 3),
+                "mse": float(np.mean((s_ci_rec[i] - s_ci[i].ravel()) ** 2)),
+                "bitmap": sbits[i].reshape(model.spec.rows, model.spec.cols),
             }
             for i, (g, pg) in enumerate(zip(sidx, spred))
         ]

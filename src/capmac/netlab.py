@@ -205,6 +205,8 @@ def default_config(architecture: str, **overrides) -> TrainConfig:
 
 @dataclass
 class Checkpoint:
+    """A trained network; refuses any value that train never writes."""
+
     architecture: str
     seed: int
     epoch: int
@@ -212,6 +214,27 @@ class Checkpoint:
     binarize: bool
     params: SensorParams
     matrices: dict
+
+    def __post_init__(self):
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta!r}")
+        check_bound("seed", self.seed)
+        check_bound("epochs", self.epoch, "epoch")
+        model = MODELS.get(self.architecture)
+        if model is None:
+            raise ValueError(f"unknown architecture {self.architecture!r}")
+        if set(self.matrices) != set(model.matrices):
+            raise ValueError(f"matrices {sorted(self.matrices)} do not match "
+                             f"architecture {self.architecture}")
+        for name, shape in model.matrices.items():
+            if np.shape(self.matrices[name]) != shape:
+                raise ValueError(f"matrix {name} is {np.shape(self.matrices[name])}, "
+                                 f"{self.architecture} needs {shape}")
+            if not np.all(np.isfinite(self.matrices[name])):
+                raise ValueError(f"matrix {name} holds non-finite values")
+        beta = programmed_weights(self.matrices[next(iter(model.matrices))])[1]
+        if self.beta != beta:
+            raise ValueError(f"beta must be {beta!r}, got {self.beta!r}")
 
 
 @dataclass
@@ -471,23 +494,27 @@ def train(architecture: str, config: TrainConfig,
     mats = {name: rng.uniform(-1.0, 1.0, shape) for name, shape in model.matrices.items()}
     lr = config.learning_rate / config.batch_size
     history = TrainHistory()
-    for epoch in range(1, config.epochs + 1):
-        idx = rng.integers(0, dataset.NUM_GLYPHS, config.batch_size)
-        c_i = dataset.noisy_letters(idx, params, rng, model.spec.rows)
-        x = array_inputs(model.spec, c_i, params)
-        loss, grads = model.loss(mats, x, c_i, dataset.LABELS[idx], params, config.binarize)
-        mats = {name: m - lr * g for (name, m), g in zip(mats.items(), grads)}
-        _check_finite(epoch, history, loss, *grads, *mats.values())
-        accuracy, mean_outputs, checked = evaluate(
-            architecture, mats, params, config.binarize, erng, config.eval_per_glyph)
-        _check_finite(epoch, history, loss, *checked)
-        history.loss.append(loss)
-        history.accuracy.append(accuracy)
-        history.mean_outputs.append(mean_outputs)
-        # Each epoch makes a new dict of new matrices, so none is copied.
-        beta = programmed_weights(next(iter(mats.values())))[1]
-        history.checkpoint = Checkpoint(architecture, config.seed, epoch, beta,
-                                        config.binarize, params, mats)
+    try:
+        for epoch in range(1, config.epochs + 1):
+            idx = rng.integers(0, dataset.NUM_GLYPHS, config.batch_size)
+            c_i = dataset.noisy_letters(idx, params, rng, model.spec.rows)
+            x = array_inputs(model.spec, c_i, params)
+            loss, grads = model.loss(mats, x, c_i, dataset.LABELS[idx], params,
+                                     config.binarize)
+            stepped = {name: m - lr * g for (name, m), g in zip(mats.items(), grads)}
+            _check_finite(epoch, history, loss, *grads, *stepped.values())
+            accuracy, mean_outputs, checked = evaluate(
+                architecture, stepped, params, config.binarize, erng, config.eval_per_glyph)
+            _check_finite(epoch, history, loss, *checked)
+            history.loss.append(loss)
+            history.accuracy.append(accuracy)
+            history.mean_outputs.append(mean_outputs)
+            mats = stepped  # a new dict of new matrices, so none is copied
+    finally:  # one checkpoint per run, of the last good epoch's matrices
+        if history.epochs_run:
+            beta = programmed_weights(next(iter(mats.values())))[1]
+            history.checkpoint = Checkpoint(architecture, config.seed, history.epochs_run,
+                                            beta, config.binarize, params, mats)
     return history
 
 
@@ -511,9 +538,9 @@ def load_checkpoint(path) -> Checkpoint:
     """Read save_checkpoint's file: header lines up to the first `matrix ` line,
     read by read_settings, then matrix blocks only. Raises ValueError beginning
     with the path for a byte that is not UTF-8; a wrong first line; a blank,
-    `:`-less, unknown or repeated header line; a missing, unparseable or
-    refused field; a malformed or repeated matrix block; an unknown
-    architecture, unfitting or non-finite matrices or a wrong beta."""
+    `:`-less, unknown or repeated header line; a malformed or repeated matrix
+    block; a missing or unparseable field; or what Checkpoint or SensorParams
+    refuses."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [line.rstrip("\n") for line in fh]
@@ -544,27 +571,8 @@ def load_checkpoint(path) -> Checkpoint:
     for key in keys:
         if key not in fields:
             raise ValueError(f"{path}: missing checkpoint field {key!r}")
-    ckpt = parse_fields(Checkpoint, fields, "", str(path), matrices=matrices,
+    return parse_fields(Checkpoint, fields, "", str(path), matrices=matrices,
                         params=parse_fields(SensorParams, fields, "sensor.", str(path)))
-    if not math.isfinite(ckpt.beta):
-        raise ValueError(f"{path}: beta must be finite, got {ckpt.beta!r}")
-    model = MODELS.get(ckpt.architecture)
-    if model is None:
-        raise ValueError(f"{path}: unknown architecture {ckpt.architecture!r}")
-    if set(matrices) != set(model.matrices):
-        raise ValueError(f"{path}: matrices {sorted(matrices)} do not match "
-                         f"architecture {ckpt.architecture}")
-    for name, shape in model.matrices.items():
-        if matrices[name].shape != shape:
-            raise ValueError(f"{path}: matrix {name} is {matrices[name].shape}, "
-                             f"{ckpt.architecture} needs {shape}")
-        if not np.all(np.isfinite(matrices[name])):
-            raise ValueError(f"{path}: matrix {name} holds non-finite values")
-    first = next(iter(model.matrices))
-    beta = programmed_weights(matrices[first])[1]
-    if ckpt.beta != beta:
-        raise ValueError(f"{path}: beta must be {beta!r}, got {ckpt.beta!r}")
-    return ckpt
 
 
 def history_columns() -> list[str]:

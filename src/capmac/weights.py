@@ -28,8 +28,3 @@ def normalize_weights(bank: WeightBank) -> WeightBank:
     """Divide by beta = max |v| so the largest programmed voltage is +-1; an
     all-zero bank keeps its zeros with beta = 1."""
     return WeightBank(*programmed_weights(bank.v))
-
-
-def binarize_weights(bank: WeightBank) -> WeightBank:
-    """Map every weight to +1 or -1 (sign, with sign(0) = +1)."""
-    return WeightBank(programmed_weights(bank.v, binarize=True)[0], bank.beta)

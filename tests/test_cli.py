@@ -879,13 +879,44 @@ class TestInputErrors:
         assert f"{path}: malformed matrix block '{header}'" in capsys.readouterr().err
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(netlab.ARCHITECTURES),
+       st.one_of(st.tuples(st.just("seed"), st.integers(max_value=-1)),
+                 st.tuples(st.just("epoch"), st.one_of(
+                     st.integers(max_value=0), st.integers(min_value=netlab.MAX_EPOCHS + 1)))))
+def test_header_train_never_writes_is_refused(checkpoints, tmp_path_factory, arch, bad):
+    # Regression: a negative seed and an epoch below 1 or above MAX_EPOCHS
+    # loaded, and `capmac eval` scored the file and exited 0.
+    key, value = bad
+    message = {"seed": "seed must be in [0, inf]",
+               "epoch": "epoch must be in [1, 100000]"}[key]
+    good = load_checkpoint(checkpoints[arch])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        netlab.Checkpoint(**{**vars(good), key: value})
+    path = tmp_path_factory.getbasetemp() / "out_of_bounds.txt"
+    lines = Path(checkpoints[arch]).read_text().splitlines()
+    path.write_text("\n".join(f"{key}: {value}" if line.startswith(f"{key}: ") else line
+                              for line in lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_checkpoint(path)
+    outdir = tmp_path_factory.getbasetemp() / "out_of_bounds_trace"
+    for argv in (["eval", str(path)], ["trace", "--checkpoint", str(path),
+                                       "--out", str(outdir)]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(argv) == EXIT_CONFIG
+        assert err.getvalue() == f"usage error: {path}: {message}\n"
+    assert not outdir.exists()
+
+
 class TestEvaluate:
     def test_untrained_random_checkpoint_near_chance(self):
         rng = np.random.default_rng(0)
+        v = rng.uniform(-1, 1, (4, 9))
         ck = netlab.Checkpoint(
-            architecture="fc_classifier", seed=0, epoch=0, beta=1.0,
-            binarize=False, params=SensorParams(),
-            matrices={"weights": rng.uniform(-1, 1, (4, 9))})
+            architecture="fc_classifier", seed=0, epoch=1,
+            beta=netlab.programmed_weights(v)[1], binarize=False, params=SensorParams(),
+            matrices={"weights": v})
         accs = [evaluate(ck, seed=s)["accuracy"] for s in range(5)]
         assert 0.0 <= float(np.mean(accs)) <= 0.7
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import re
@@ -129,7 +130,9 @@ class TestFastPathEquivalence:
                      elements=st.floats(-1e3, 1e3)), st.booleans())
     def test_programmed_weights_equal_weight_bank_form(self, v, binarize):
         bank = weights.WeightBank(v)
-        want = weights.binarize_weights(bank) if binarize else weights.normalize_weights(bank)
+        # Binarized: the signs, with sign(0) = +1, and beta 1.
+        want = (weights.WeightBank(np.where(v >= 0, 1.0, -1.0)) if binarize
+                else weights.normalize_weights(bank))
         prog, beta = netlab.programmed_weights(v, binarize)
         _assert_bitwise_equal(prog, want.v)
         assert beta == want.beta
@@ -509,6 +512,65 @@ class TestTrainers:
         assert exc.value.history.checkpoint.epoch == 2
 
     @pytest.mark.parametrize("arch", sorted(MODELS))
+    @pytest.mark.parametrize("fault", ["loss", "score"])
+    def test_divergence_keeps_the_last_good_matrices(self, monkeypatch, arch, fault):
+        # NaN gradients at step 3, or NaN eval outputs at epoch 3: the
+        # checkpoint is a 2-epoch run's at the same seed, bit for bit, not the
+        # diverged or the stepped matrices.
+        cfg = default_config(arch, epochs=10, seed=0)
+        want = train(arch, dataclasses.replace(cfg, epochs=2)).checkpoint
+        model, calls = MODELS[arch], {"n": 0}
+
+        def nan_at_three(*args):
+            out = getattr(model, fault)(*args)
+            calls["n"] += 1
+            if calls["n"] < 3:
+                return out
+            if fault == "loss":
+                return out[0], tuple(np.full_like(g, np.nan) for g in out[1])
+            return *out[:2], tuple(np.full_like(c, np.nan) for c in out[2])
+
+        monkeypatch.setitem(MODELS, arch, dataclasses.replace(model, **{fault: nan_at_three}))
+        with pytest.raises(TrainingDiverged) as exc:
+            train(arch, cfg)
+        assert exc.value.epoch == 3
+        got = exc.value.history.checkpoint
+        fields = ("architecture", "seed", "epoch", "beta", "binarize", "params")
+        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+        assert list(got.matrices) == list(want.matrices)
+        for name, mat in want.matrices.items():
+            _assert_bitwise_equal(got.matrices[name], mat)
+
+    @pytest.mark.parametrize("diverge", [False, True])
+    def test_one_checkpoint_per_run(self, monkeypatch, diverge):
+        # A run builds its checkpoint once, at its end; a run that diverges
+        # at epoch 1 has no good epoch and builds none.
+        built = []
+
+        class Counted(Checkpoint):
+            def __post_init__(self):
+                built.append(self.epoch)
+                super().__post_init__()
+
+        model = MODELS["fc_classifier"]
+
+        def inf_grad(*args):
+            loss, (grad,) = model.loss(*args)
+            return loss, (np.full_like(grad, np.inf),)
+
+        monkeypatch.setattr(netlab, "Checkpoint", Counted)
+        if diverge:
+            monkeypatch.setitem(MODELS, "fc_classifier",
+                                dataclasses.replace(model, loss=inf_grad))
+        cfg = default_config("fc_classifier", epochs=5, seed=0)
+        if diverge:
+            with pytest.raises(TrainingDiverged):
+                train("fc_classifier", cfg)
+        else:
+            assert train("fc_classifier", cfg).checkpoint.epoch == 5
+        assert built == ([] if diverge else [5])
+
+    @pytest.mark.parametrize("arch", sorted(MODELS))
     def test_trains_at_the_recorded_params(self, arch):
         # Noise-free, the first loss is the loss of the clean letters that the
         # training stream picks, at the initial matrices it draws.
@@ -797,7 +859,7 @@ def checkpoints(draw):
     # The beta train writes: the divisor of the first matrix.
     beta = netlab.programmed_weights(next(iter(matrices.values())))[1]
     return Checkpoint(architecture=arch, seed=draw(st.integers(0, 2 ** 63)),
-                      epoch=draw(st.integers(0, 10 ** 6)), beta=beta,
+                      epoch=draw(st.integers(1, netlab.MAX_EPOCHS)), beta=beta,
                       binarize=draw(st.booleans()), params=params, matrices=matrices)
 
 
@@ -889,9 +951,8 @@ class TestCheckpointProperties:
         assert all(np.all(np.isfinite(m)) for m in ckpt.matrices.values())
 
     def test_rejects_misshapen_matrix(self, tmp_path):
-        ck = Checkpoint(architecture="autoencoder", seed=0, epoch=1, beta=1.0,
-                        binarize=False, params=PARAMS,
-                        matrices={"encoder": np.zeros((4, 9)), "decoder": np.zeros((9, 3))})
+        ck = _zero_checkpoint("autoencoder")
+        ck.matrices["decoder"] = np.zeros((9, 3))
         path = tmp_path / "ck.txt"
         save_checkpoint(ck, path)
         with pytest.raises(ValueError, match="decoder"):
@@ -900,8 +961,9 @@ class TestCheckpointProperties:
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_beta(self, tmp_path, beta):
         path = tmp_path / "ck.txt"
-        save_checkpoint(dataclasses.replace(_zero_checkpoint("fc_classifier"), beta=beta),
-                        path)
+        ck = _zero_checkpoint("fc_classifier")
+        ck.beta = beta
+        save_checkpoint(ck, path)
         with pytest.raises(ValueError, match="beta must be finite"):
             load_checkpoint(path)
 
@@ -911,7 +973,9 @@ class TestCheckpointProperties:
         # train writes the divisor of the first matrix; any other beta would
         # be recorded but never read.
         path = tmp_path_factory.getbasetemp() / "beta.txt"
-        save_checkpoint(dataclasses.replace(ckpt, beta=beta), path)
+        written = copy.copy(ckpt)
+        written.beta = beta
+        save_checkpoint(written, path)
         if beta == ckpt.beta:
             assert load_checkpoint(path).beta == beta
         else:
@@ -919,9 +983,8 @@ class TestCheckpointProperties:
                 load_checkpoint(path)
 
     def test_rejects_non_finite_matrix(self, tmp_path):
-        ck = Checkpoint(architecture="fc_classifier", seed=0, epoch=1, beta=1.0,
-                        binarize=False, params=PARAMS,
-                        matrices={"weights": np.full((4, 9), np.inf)})
+        ck = _zero_checkpoint("fc_classifier")
+        ck.matrices["weights"] = np.full((4, 9), np.inf)
         path = tmp_path / "ck.txt"
         save_checkpoint(ck, path)
         with pytest.raises(ValueError, match="non-finite"):

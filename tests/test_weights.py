@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays as np_arrays
 from capmac.arrays import build_fc_array, fc_forward
 from capmac.device import SensorParams
 from capmac.netlab import programmed_weights
-from capmac.weights import WeightBank, binarize_weights, normalize_weights
+from capmac.weights import WeightBank, normalize_weights
 
 
 class TestNormalizeWeights:
@@ -50,20 +50,20 @@ class TestNormalizeWeights:
 
 class TestBinarizeWeights:
     def test_sign_mapping(self):
-        bank = binarize_weights(WeightBank(np.array([[0.3, -0.7]])))
-        np.testing.assert_array_equal(bank.v, [[1.0, -1.0]])
+        signs, _ = programmed_weights(np.array([[0.3, -0.7]]), binarize=True)
+        np.testing.assert_array_equal(signs, [[1.0, -1.0]])
 
     def test_zero_maps_to_plus_one(self):
-        bank = binarize_weights(WeightBank(np.array([[0.0]])))
-        assert bank.v[0, 0] == 1.0
+        signs, _ = programmed_weights(np.array([[0.0]]), binarize=True)
+        assert signs[0, 0] == 1.0
 
     @given(np_arrays(float, (2, 5),
                      elements=st.floats(min_value=-10, max_value=10)))
     def test_idempotent(self, v):
-        once = binarize_weights(WeightBank(v))
-        twice = binarize_weights(once)
-        np.testing.assert_array_equal(once.v, twice.v)
-        assert set(np.unique(once.v)) <= {-1.0, 1.0}
+        once, _ = programmed_weights(v, binarize=True)
+        twice, _ = programmed_weights(once, binarize=True)
+        np.testing.assert_array_equal(once, twice)
+        assert set(np.unique(once)) <= {-1.0, 1.0}
 
 
 @given(st.one_of(np_arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 9)),
@@ -71,10 +71,11 @@ class TestBinarizeWeights:
                  st.builds(np.zeros, st.tuples(st.integers(1, 4), st.integers(1, 9)))),
        st.floats(0.5, 5.0))
 def test_banks_equal_programmed_weights(v, beta):
-    # Both wrappers are the trainer's one programming rule, bit for bit.
+    # The bank wrapper is the trainer's one programming rule, bit for bit;
+    # binarized, the rule programs the signs (sign(0) = +1) with beta 1.
     prog, divisor = programmed_weights(v)
     norm = normalize_weights(WeightBank(v, beta))
     assert norm.v.tobytes() == prog.tobytes() and norm.beta == divisor
-    signs = binarize_weights(WeightBank(v, beta))
-    assert signs.v.tobytes() == programmed_weights(v, binarize=True)[0].tobytes()
-    assert signs.beta == beta
+    signs, one = programmed_weights(v, binarize=True)
+    assert signs.tobytes() == np.where(v >= 0, 1.0, -1.0).tobytes()
+    assert one == 1.0

@@ -76,9 +76,15 @@ MUTANTS = (
     ("charge_energy reads the TRANSFER phase", "metrics.py",
      "abs(charge[1] * volts[1])", "abs(charge[2] * volts[2])"),
     ("finiteness check of gradients and weights dropped", "netlab.py",
-     "        _check_finite(epoch, history, loss, *grads, *mats.values())\n", ""),
+     "            _check_finite(epoch, history, loss, *grads, *stepped.values())\n", ""),
     ("finiteness check of eval outputs dropped", "netlab.py",
-     "        _check_finite(epoch, history, loss, *checked)\n", ""),
+     "            _check_finite(epoch, history, loss, *checked)\n", ""),
+    ("checkpoint seed unbounded", "netlab.py",
+     '        check_bound("seed", self.seed)\n', ""),
+    ("checkpoint epoch unbounded", "netlab.py",
+     '        check_bound("epochs", self.epoch, "epoch")\n', ""),
+    ("checkpoint of the stepped, not the last good, matrices", "netlab.py",
+     "            stepped = {name:", "            mats = stepped = {name:"),
     ("strict threshold in classify_series_bits", "netlab.py",
      "bits = (c_rec_series >= (c_h + c_l) / 2)", "bits = (c_rec_series > (c_h + c_l) / 2)"),
     ("noise clamp skipped", "device.py",
