@@ -34,10 +34,6 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration; the message names the field."""
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     architecture: str
@@ -60,39 +56,33 @@ def parse_config_text(text: str) -> dict:
     """Parse `key = value` lines (# comments and blank lines allowed) into a
     raw dict by netlab.read_settings: each key known and given once."""
     numbered = enumerate((line.split("#", 1)[0] for line in text.splitlines()), 1)
-    try:
-        return netlab.read_settings([(f"line {n}", line) for n, line in numbered
-                                     if line.strip()], "=", _CONFIG_KEYS)
-    except ValueError as exc:
-        raise ConfigError(exc) from None
+    return netlab.read_settings([(f"line {n}", line) for n, line in numbered
+                                 if line.strip()], "=", _CONFIG_KEYS)
 
 
 def build_config(raw: dict) -> ExperimentConfig:
     """Validate a raw mapping of config keys into an ExperimentConfig."""
     architecture = raw.get("architecture", "fc_classifier")
     if architecture not in netlab.ARCHITECTURES:
-        raise ConfigError(f"architecture: {architecture!r} is not one of "
-                          f"{', '.join(netlab.ARCHITECTURES)}")
+        raise ValueError(f"architecture: {architecture!r} is not one of "
+                         f"{', '.join(netlab.ARCHITECTURES)}")
 
-    try:
-        train = netlab.parse_fields(TrainConfig, raw, "train.", "train",
-                                    **vars(netlab.default_config(architecture)))
-        sensor = netlab.parse_fields(SensorParams, raw, "sensor.", "sensor")
-    except ValueError as exc:
-        raise ConfigError(exc) from None
+    train = netlab.parse_fields(TrainConfig, raw, "train.", "train",
+                                **vars(netlab.default_config(architecture)))
+    sensor = netlab.parse_fields(SensorParams, raw, "sensor.", "sensor")
     if train.binarize and not netlab.MODELS[architecture].binarizes:
-        raise ConfigError(f"train.binarize: {architecture} trains no binarized weights")
+        raise ValueError(f"train.binarize: {architecture} trains no binarized weights")
 
-    requested = [e for e in raw.get("emit", "").split(",") if e]
+    requested = [e.strip() for e in raw.get("emit", "").split(",") if e.strip()]
     for e in requested:
         if e not in EMIT_CHOICES:
-            raise ConfigError(f"emit: {e!r} is not one of {', '.join(EMIT_CHOICES)}")
+            raise ValueError(f"emit: {e!r} is not one of {', '.join(EMIT_CHOICES)}")
     # A set, so every spelling of the same artifacts hashes alike.
     emit = tuple(e for e in EMIT_CHOICES if e in requested)
     if "reconstruction" in emit and architecture != "autoencoder":
-        raise ConfigError("emit: reconstruction artifacts need architecture = autoencoder")
+        raise ValueError("emit: reconstruction artifacts need architecture = autoencoder")
     if "waveform" in emit and netlab.MODELS[architecture].spec.kernel:
-        raise ConfigError("emit: waveform capture covers the FC bank readout only")
+        raise ValueError("emit: waveform capture covers the FC bank readout only")
 
     return ExperimentConfig(
         architecture=architecture,
@@ -145,14 +135,14 @@ def write_pgm(matrix, path, lo: float, hi: float):
 # artifacts
 
 def capture_fc_traces(ckpt: Checkpoint, glyph: dataset.Glyph = dataset.Glyph.INV_Z):
-    """Run one array cycle on the clean image of `glyph`: (outputs, phases),
-    the bank outputs and the (charge, volts) of every unit per phase.
+    """Run one array cycle on the clean image of `glyph`: the (charge, volts)
+    of every unit per phase, as device.mac_phases returns them.
 
     The bank is programmed with the checkpoint's first matrix, binarized only
     for a network that trains binarized weights."""
     model = netlab.MODELS[ckpt.architecture]
     if model.spec.kernel:
-        raise ConfigError("waveform/trace capture covers FC bank readout only")
+        raise ValueError("waveform/trace capture covers FC bank readout only")
     params = ckpt.params
     grid = dataset.GRIDS[model.spec.rows][dataset.GLYPH_ORDER.index(glyph)]
     c_i = dataset.encode_capacitive(grid[None], params)
@@ -160,8 +150,7 @@ def capture_fc_traces(ckpt: Checkpoint, glyph: dataset.Glyph = dataset.Glyph.INV
     weights = netlab.programmed_weights(ckpt.matrices[first],
                                         ckpt.binarize and model.binarizes)[0]
     cs = netlab.array_inputs(model.spec, c_i, params)[0]
-    charge, volts = mac_phases(cs, weights, params.c0)
-    return volts[-1, :, 0].tolist(), (charge, volts)
+    return mac_phases(cs, weights, params.c0)
 
 
 def _json_text(report: dict) -> str:
@@ -239,8 +228,7 @@ def run(config: ExperimentConfig) -> list[tuple[str, str]]:
         save_checkpoint(history.checkpoint, path)
         add(path)
     if "waveform" in emit:
-        _, phases = capture_fc_traces(history.checkpoint)
-        rows = metrics.assemble_waveform(phases)
+        rows = metrics.assemble_waveform(capture_fc_traces(history.checkpoint))
         path = outdir / "waveform.csv"
         metrics.write_waveform_csv(rows, path)
         add(path)
@@ -279,7 +267,7 @@ def evaluate(ckpt: Checkpoint, seed: int = 0,
     rng = np.random.default_rng(seed)
     accuracy, mean_outputs, _ = netlab.evaluate(ckpt.architecture, ckpt.matrices, params,
                                                 ckpt.binarize, rng, per_glyph)
-    report = {"architecture": ckpt.architecture, "seed": seed,
+    report = {"architecture": ckpt.architecture,
               "accuracy": accuracy, "mean_outputs": mean_outputs}
     if ckpt.architecture == "autoencoder":
         sidx = rng.integers(0, dataset.NUM_GLYPHS, letters)
@@ -337,12 +325,12 @@ def _usage_error(message, kind: str = "usage") -> int:
 
 def _cmd_train(args) -> int:
     try:
-        text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+        text = Path(args.config).read_text(encoding="utf-8-sig") if args.config else ""
     except (OSError, UnicodeDecodeError) as exc:
         return _usage_error(f"--config: {exc}", "config")
     try:
         config = build_config(_apply_overrides(parse_config_text(text), args))
-    except ValueError as exc:  # a ConfigError, or a refused --set item
+    except ValueError as exc:
         return _usage_error(exc, "config")
     try:
         artifacts = run(config)
@@ -363,7 +351,7 @@ def _cmd_eval(args) -> int:
         netlab.check_bound("seed", args.seed, "--seed")
         netlab.check_bound("eval_per_glyph", args.per_glyph, "--per-glyph")
         if not 1 <= args.letters <= dataset.MAX_DRAW:
-            raise ConfigError(f"--letters must be in [1, {dataset.MAX_DRAW}]")
+            raise ValueError(f"--letters must be in [1, {dataset.MAX_DRAW}]")
         ckpt = load_checkpoint(args.checkpoint)
         overrides = netlab.read_settings([("--set", item) for item in args.set or []], "=",
                                          _SENSOR_KEYS)
@@ -381,7 +369,7 @@ def _cmd_trace(args) -> int:
     try:
         ckpt = load_checkpoint(args.checkpoint)
         glyph = dataset.Glyph(args.glyph)
-        outputs, phases = capture_fc_traces(ckpt, glyph)
+        phases = capture_fc_traces(ckpt, glyph)
     except (OSError, ValueError) as exc:
         return _usage_error(exc)
     outdir = Path(args.out)
@@ -392,7 +380,8 @@ def _cmd_trace(args) -> int:
         metrics.write_waveform_csv(rows, outdir / "waveform.csv")
     except OSError as exc:
         return _usage_error(f"--out: {exc}")
-    print(f"traced {args.glyph}: outputs " + " ".join(f"{u:+.4f}" for u in outputs))
+    print(f"traced {args.glyph}: outputs "
+          + " ".join(f"{u:+.4f}" for u in metrics.waveform_final_outputs(rows)))
     print(f"charge energy: {metrics.charge_energy(phases):.6f} nJ")
     print(f"wrote {outdir / 'trace.csv'} and {outdir / 'waveform.csv'}")
     return EXIT_OK

@@ -16,7 +16,6 @@ import importlib.util
 import io
 import os
 import platform
-import sys
 from pathlib import Path
 
 import numpy as np

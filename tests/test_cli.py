@@ -17,9 +17,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from capmac import arrays, cli, dataset, metrics, netlab
-from capmac.cli import (ConfigError, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK,
-                        build_config, config_hash, evaluate, main,
-                        parse_config_text, render_ascii, run, write_pgm)
+from capmac.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, build_config, config_hash,
+                        evaluate, main, parse_config_text, render_ascii, run, write_pgm)
 from capmac.device import (MAX_CAPACITANCE_PF, MAX_CAPACITANCE_RATIO, SensorParams,
                            series_capacitance)
 from capmac.netlab import (TrainingDiverged, default_config, load_checkpoint,
@@ -52,29 +51,29 @@ class TestConfigParsing:
                        "sensor.c0": "72"}
 
     def test_rejects_malformed_line(self):
-        with pytest.raises(ConfigError, match="line 1"):
+        with pytest.raises(ValueError, match="line 1"):
             parse_config_text("just words")
 
     def test_unknown_key_names_field(self):
-        with pytest.raises(ConfigError, match="train.momentum"):
+        with pytest.raises(ValueError, match="train.momentum"):
             parse_config_text("train.momentum = 0.9")
 
     def test_bad_architecture(self):
-        with pytest.raises(ConfigError, match="architecture"):
+        with pytest.raises(ValueError, match="architecture"):
             build_config({"architecture": "transformer"})
 
     def test_bad_value_names_field(self):
-        with pytest.raises(ConfigError, match="train.epochs"):
+        with pytest.raises(ValueError, match="train.epochs"):
             build_config({"train.epochs": "many"})
-        with pytest.raises(ConfigError, match="train"):
+        with pytest.raises(ValueError, match="train"):
             build_config({"train.epochs": "0"})
 
     def test_reconstruction_emit_needs_autoencoder(self):
-        with pytest.raises(ConfigError, match="reconstruction"):
+        with pytest.raises(ValueError, match="reconstruction"):
             build_config({"architecture": "fc_classifier", "emit": "reconstruction"})
 
     def test_waveform_emit_rejected_for_cnn(self):
-        with pytest.raises(ConfigError, match="waveform"):
+        with pytest.raises(ValueError, match="waveform"):
             build_config({"architecture": "cnn_classifier", "emit": "waveform"})
 
     def test_defaults_per_architecture(self):
@@ -99,7 +98,7 @@ class TestRepeatedSettings:
 
     def test_repeated_key_refused(self):
         # Regression: "train.seed = 1" then "train.seed = 2" gave seed 2.
-        with pytest.raises(ConfigError, match=r"^line 2: train\.seed is given twice$"):
+        with pytest.raises(ValueError, match=r"^line 2: train\.seed is given twice$"):
             parse_config_text("train.seed = 1\ntrain.seed = 2")
 
     @settings(max_examples=200, deadline=None)
@@ -134,7 +133,7 @@ class TestRepeatedSettings:
                    "no separator": f"{where} expects KEY=VALUE, got {bad!r}"}[kind]
         lines.insert(at, bad)
         if source == "config":
-            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 parse_config_text("\n".join(lines))
             return
         outdir = tmp_path_factory.getbasetemp() / "refused"
@@ -188,7 +187,7 @@ def test_config_fuzz_builds_or_raises_config_error(raw):
     text = "\n".join(f"{key} = {value}" for key, value in raw.items())
     try:
         cfg = build_config(parse_config_text(text))
-    except ConfigError:
+    except ValueError:
         return
     assert cfg.architecture in netlab.ARCHITECTURES
     assert all(np.isfinite([cfg.train.learning_rate, cfg.sensor.c0, cfg.sensor.c_ih,
@@ -199,11 +198,13 @@ def test_config_fuzz_builds_or_raises_config_error(raw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.sampled_from(cli.EMIT_CHOICES), max_size=12))
-def test_emit_spelling_leaves_config_hash_unchanged(names):
+@given(st.lists(st.sampled_from(cli.EMIT_CHOICES), max_size=12),
+       st.sampled_from([",", ", ", " ,", " , "]))
+def test_emit_spelling_leaves_config_hash_unchanged(names, separator):
     # Regression: "history,checkpoint", "checkpoint,history" and
-    # "history,checkpoint,history" write the same artifacts but hashed apart.
-    cfg = build_config({"architecture": "autoencoder", "emit": ",".join(names)})
+    # "history,checkpoint,history" write the same artifacts but hashed apart,
+    # and "history, checkpoint" was refused.
+    cfg = build_config({"architecture": "autoencoder", "emit": separator.join(names)})
     assert cfg.emit == tuple(e for e in cli.EMIT_CHOICES if e in names)
     alphabetical = build_config({"architecture": "autoencoder",
                                  "emit": ",".join(sorted(set(names)))})
@@ -423,8 +424,9 @@ class TestMainExitCodes:
         assert (tmp_path / "t" / "trace.csv").exists()
         assert (tmp_path / "t" / "waveform.csv").exists()
         out = capsys.readouterr().out.splitlines()
-        outputs, phases = cli.capture_fc_traces(
-            load_checkpoint(tmp_path / "r" / "checkpoint.txt"), dataset.Glyph.INV_Z)
+        phases = cli.capture_fc_traces(load_checkpoint(tmp_path / "r" / "checkpoint.txt"),
+                                       dataset.Glyph.INV_Z)
+        outputs = phases[1][-1, :, 0].tolist()
         assert out[0] == "traced invz: outputs " + " ".join(f"{u:+.4f}" for u in outputs)
         assert out[1] == f"charge energy: {metrics.charge_energy(phases):.6f} nJ"
 
@@ -692,7 +694,7 @@ class TestInputErrors:
     @given(st.sampled_from(["train.batch_size", "train.eval_per_glyph"]),
            st.integers(min_value=dataset.MAX_DRAW + 1, max_value=10 ** 40))
     def test_huge_sample_counts_rejected_naming_field(self, key, value):
-        with pytest.raises(ConfigError, match=key.split(".")[1]):
+        with pytest.raises(ValueError, match=key.split(".")[1]):
             build_config({key: str(value)})
 
     @pytest.mark.parametrize("key,most", [("train.batch_size", dataset.MAX_DRAW),
@@ -700,7 +702,7 @@ class TestInputErrors:
                                           ("train.epochs", netlab.MAX_EPOCHS)])
     def test_sample_count_limits(self, key, most):
         build_config({key: str(most)})
-        with pytest.raises(ConfigError, match=key.split(".")[1]):
+        with pytest.raises(ValueError, match=key.split(".")[1]):
             build_config({key: str(most + 1)})
 
     @settings(max_examples=50, deadline=None)
@@ -778,6 +780,18 @@ class TestInputErrors:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: --config: ")
         assert not (tmp_path / "r").exists()
+
+    def test_config_file_with_byte_order_mark_reads_alike(self, tmp_path, monkeypatch):
+        # Regression: a leading UTF-8 byte-order mark was read as part of the
+        # first key, so "architecture" was refused as an unknown key.
+        built = []
+        monkeypatch.setattr(cli, "run", lambda config: built.append(config) or [])
+        text = "architecture = autoencoder\ntrain.epochs = 2\n"
+        for name, data in (("plain.cfg", text.encode()), ("bom.cfg", text.encode("utf-8-sig"))):
+            (tmp_path / name).write_bytes(data)
+            assert main(["train", "--config", str(tmp_path / name)]) == EXIT_OK
+        assert built[0] == built[1]
+        assert built[0].architecture == "autoencoder"
 
     @settings(max_examples=60, deadline=None)
     @given(st.binary(max_size=200))

@@ -110,6 +110,10 @@ MUTANTS = (
     ("training draws at SensorParams() instead of params", "netlab.py",
      "        c_i = dataset.noisy_letters(idx, params, rng, model.spec.rows)\n",
      "        c_i = dataset.noisy_letters(idx, SensorParams(), rng, model.spec.rows)\n"),
+    ("emit items kept with their spaces", "cli.py",
+     "e.strip() for e", "e for e"),
+    ("--config byte-order mark kept", "cli.py",
+     '"utf-8-sig"', '"utf-8"'),
 )
 
 
