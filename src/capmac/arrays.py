@@ -70,8 +70,8 @@ def fc_forward(topology: ArrayTopology, c_i_image, weights, params: SensorParams
         raise ValueError(f"image shape {img.shape} does not match "
                          f"{topology.rows}x{topology.cols} topology")
     volts = mac(array_inputs(topology, img[None], params), weights, params.c0)[0]
-    if len(volts) != topology.banks:
-        raise ValueError(f"{len(volts)} weight rows for {topology.banks} banks")
+    if volts.shape != (topology.banks,):  # one matrix, not a stack of them
+        raise ValueError(f"{len(weights)} weight rows for {topology.banks} banks")
     return volts.tolist()
 
 
@@ -93,17 +93,17 @@ def _window_index(rows: int, cols: int, kernel: int) -> np.ndarray:
 
 
 def gather_windows(mat_batch: np.ndarray, kernel: int = 3) -> np.ndarray:
-    """(B, rows, cols) -> (B, n_windows, kernel^2) with row-major origins."""
-    b, rows, cols = mat_batch.shape
-    return np.take(mat_batch.reshape(b, -1), _window_index(rows, cols, kernel), axis=1)
+    """(..., rows, cols) -> (..., n_windows, kernel^2) with row-major origins."""
+    *lead, rows, cols = mat_batch.shape
+    return mat_batch.reshape(*lead, -1).take(_window_index(rows, cols, kernel), axis=-1)
 
 
 def array_inputs(topology: ArrayTopology, c_i, params: SensorParams) -> np.ndarray:
-    """What the array reads of images c_i[B, rows, cols]: their series
+    """What the array reads of images c_i[..., rows, cols]: their series
     capacitances, flattened per image for FC wiring, or gathered into the
     topology's kernel x kernel windows for a convolution."""
-    cs = series_capacitance(c_i, params.c0)
-    return gather_windows(cs, topology.kernel) if topology.kernel else cs.reshape(len(cs), -1)
+    cs, kernel = series_capacitance(c_i, params.c0), topology.kernel
+    return gather_windows(cs, kernel) if kernel else cs.reshape(*cs.shape[:-2], -1)
 
 
 def conv_forward(topology: ArrayTopology, schedule: ArrayTopology, c_i_image,

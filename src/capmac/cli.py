@@ -255,20 +255,21 @@ def evaluate(ckpt: Checkpoint, seed: int = 0,
              per_glyph: int = TrainConfig.eval_per_glyph, letters: int = 8) -> dict:
     """Fresh-batch evaluation of a checkpoint at its recorded params.
 
-    Reports the accuracy and per-class mean outputs of `netlab.evaluate` on
-    the stream `seed`. At train.seed + EVAL_SEED_OFFSET and the run's
-    train.eval_per_glyph (TrainConfig's is the default), these score the
-    letters of the run's first epoch evaluation: a one-epoch run's history
+    Reports the accuracy and per-class mean outputs of `netlab.evaluate`, of
+    one matrix set, on the stream `seed`. At train.seed + EVAL_SEED_OFFSET and
+    the run's train.eval_per_glyph (TrainConfig's is the default), these score
+    the letters of the run's first epoch evaluation: a one-epoch run's history
     row. The autoencoder then reconstructs `letters` noisy letters from the
     same stream and reports per-letter MSE and classify_series_bits' bitmaps.
     """
     model = netlab.MODELS[ckpt.architecture]
     params = ckpt.params
     rng = np.random.default_rng(seed)
-    accuracy, mean_outputs, _ = netlab.evaluate(ckpt.architecture, ckpt.matrices, params,
-                                                ckpt.binarize, rng, per_glyph)
+    idx, x = netlab.eval_letters(ckpt.architecture, params, rng, per_glyph)
+    stack = {name: mat[None] for name, mat in ckpt.matrices.items()}
+    acc, means, _ = netlab.evaluate(ckpt.architecture, stack, idx, x, params, ckpt.binarize)
     report = {"architecture": ckpt.architecture,
-              "accuracy": accuracy, "mean_outputs": mean_outputs}
+              "accuracy": float(acc[0]), "mean_outputs": means[0]}
     if ckpt.architecture == "autoencoder":
         sidx = rng.integers(0, dataset.NUM_GLYPHS, letters)
         s_ci = dataset.noisy_letters(sidx, params, rng, model.spec.rows)

@@ -72,17 +72,29 @@ def _letter_table(c_ih: float, c_il: float, noise_mode: str, resolution: int) ->
     return table
 
 
-def noisy_letters(idx, params: SensorParams, rng, resolution: int = 3) -> np.ndarray:
-    """Induced capacitances c_i[B, R, R] of the glyphs numbered `idx`, each
-    with a fresh noise realization drawn in one call. Deterministic for a
-    seeded rng."""
+def noisy_letters(idx, params: SensorParams, rng, resolution: int = 3, normals=None) -> np.ndarray:
+    """Induced capacitances c_i[..., R, R] of the glyphs numbered `idx`, of
+    any shape, each with a fresh noise realization drawn in one call (or
+    made of `normals`, see apply_noise). Deterministic for a seeded rng."""
     if resolution not in GRIDS:
         raise ValueError(f"unsupported resolution: {resolution}")
-    if not 1 <= len(idx) <= MAX_DRAW:
-        raise ValueError(f"a draw holds 1 to {MAX_DRAW} letters, got {len(idx)}")
+    if not 1 <= np.size(idx) <= MAX_DRAW:
+        raise ValueError(f"a draw holds 1 to {MAX_DRAW} letters, got {np.size(idx)}")
     clean, nominal = _letter_table(params.c_ih, params.c_il, params.noise_mode,
                                    resolution).take(idx, axis=1)
-    return apply_noise(clean, nominal, params.noise_frac, rng)
+    return apply_noise(clean, nominal, params.noise_frac, rng, normals)
+
+
+def letter_batches(count: int, size: int, params: SensorParams, rng, resolution: int = 3):
+    """(idx[count, size], c_i[count, size, R, R]) of `count` batches of `size` uniform
+    glyphs, in the RNG order of `count` integers-then-noisy_letters draws."""
+    idx = np.empty((count, size), dtype=np.int64)
+    normals = np.empty((count, size, resolution, resolution)) if params.noise_frac else None
+    for k in range(count):
+        idx[k] = rng.integers(0, NUM_GLYPHS, size)
+        if normals is not None:
+            rng.standard_normal(out=normals[k])
+    return idx, noisy_letters(idx, params, rng, resolution, normals)
 
 
 def sample_batch(size: int, params: SensorParams, rng, resolution: int = 3
@@ -105,12 +117,6 @@ def write_bitmap(path, grid):
         fh.write("\n".join(rows) + "\n")
 
 
-def read_bitmap(path) -> np.ndarray:
-    with open(path) as fh:
-        rows = [line.strip() for line in fh if line.strip()]
-    return np.array([[int(ch) for ch in row] for row in rows], dtype=np.uint8)
-
-
 def write_capacitance_csv(path, matrix):
     """Capacitance dump: one CSV row per pixel row, repr-formatted pF values."""
     mat = np.asarray(matrix, dtype=float)
@@ -118,8 +124,3 @@ def write_capacitance_csv(path, matrix):
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def read_capacitance_csv(path) -> np.ndarray:
-    with open(path) as fh:
-        rows = [line.strip() for line in fh if line.strip()]
-    return np.array([[float(v) for v in row.split(",")] for row in rows])

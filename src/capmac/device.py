@@ -110,12 +110,13 @@ def series_capacitance(c_i, c0):
     return float(out) if out.ndim == 0 else out
 
 
-def apply_noise(c_i_clean, nominal, noise_frac, rng):
+def apply_noise(c_i_clean, nominal, noise_frac, rng, normals=None):
     """Add Gaussian capacitance noise with sigma = noise_frac * nominal.
 
     `nominal` is the clean class value the rms noise is referenced to
     (broadcast against c_i_clean). Results are clamped at NOISE_FLOOR_PF so
-    the series formula stays defined. Deterministic for a seeded rng.
+    the series formula stays defined. Deterministic for a seeded rng. Given
+    `normals`, standard normals drawn already, it scales those in place.
     """
     if noise_frac < 0:
         raise ValueError("noise_frac must be >= 0")
@@ -123,7 +124,7 @@ def apply_noise(c_i_clean, nominal, noise_frac, rng):
     if noise_frac == 0:
         out = c_i_clean.copy()
     else:
-        out = rng.standard_normal(c_i_clean.shape)
+        out = rng.standard_normal(c_i_clean.shape) if normals is None else normals
         out *= noise_frac * np.asarray(nominal, dtype=float)
         out += c_i_clean
         np.maximum(out, NOISE_FLOOR_PF, out=out)
@@ -136,17 +137,18 @@ def mac(cs, v, c0: float = DEFAULT_C0):
     cs holds the series capacitances seen by the N units of a bank on its last
     axis, with any leading batch axes; v is the M x N matrix of weight
     voltages (|v| <= 1, the pre-normalized programming range), one row per
-    bank. Each bank runs the four phases: CHARGE stores Q_n = c_n v_n,
-    TRANSFER moves it onto c0 (plate at Q_n/c0), SUM shares the N charges
-    (common plate at sum(Q)/(N c0)). The rounding of the sum depends on the
-    shape matmul sees, so the leading axes are kept, never flattened: a
-    (B, W, N) call equals its B separate (W, N) calls bit for bit.
+    bank, or a stack (..., M, N) broadcast against cs[..., W, N]. Each bank
+    runs the four phases: CHARGE stores Q_n = c_n v_n, TRANSFER moves it onto
+    c0 (plate at Q_n/c0), SUM shares the N charges (common plate at
+    sum(Q)/(N c0)). The rounding of the sum depends on the shape matmul sees,
+    so the leading axes are kept, never flattened: a (B, W, N) call equals its
+    B separate (W, N) calls bit for bit, as a (K, M, N) stack its K slices.
     """
     cs = np.asarray(cs, dtype=float)
     v = np.asarray(v, dtype=float)
-    if v.ndim != 2:
+    if v.ndim < 2:
         raise ValueError(f"weight voltages must be an M x N matrix, got shape {v.shape}")
-    n = v.shape[1]
+    n = v.shape[-1]
     if cs.ndim < 1 or cs.shape[-1] != n:
         raise ValueError(f"length mismatch: capacitances of shape {cs.shape} "
                          f"vs {n} weights")
@@ -156,7 +158,7 @@ def mac(cs, v, c0: float = DEFAULT_C0):
         raise ValueError("capacitances must be positive")
     if not abs(v).max(initial=0.0) <= 1.0:
         raise ValueError("weight voltage outside [-1, 1]; normalize weights first")
-    return cs @ v.T / (n * c0)
+    return cs @ v.swapaxes(-1, -2) / (n * c0)
 
 
 def mac_phases(cs, v, c0: float = DEFAULT_C0):

@@ -12,6 +12,9 @@ read the simulator's fc_forward and conv_forward make too, computes it,
 x = array_inputs(spec, c_i, params), once per batch; every forward pass and
 batch loss takes x, and a loss also takes c_i for its targets.
 
+train draws and scores its epochs in chunks, with the RNG order, history,
+checkpoint and divergence epoch of an epoch-by-epoch loop, bit for bit.
+
 Forward paths, each reading the array through the same kernel, device.mac:
   fc_classifier  logits = beta * U, U = sum(C_n v'_mn) / (N c0) from the array
   autoencoder    U_m = (A - B) / C with A = sum(C_n V_mn) from the array,
@@ -52,6 +55,10 @@ MAX_EPOCHS = 100_000
 # below 1.2e10. Unbounded, alpha = 1e308 left beta = 7.3e306 in an FC
 # checkpoint: finite but useless, as any further product with it overflows.
 MAX_LEARNING_RATE = 1e6
+
+# The most floats of array_inputs that train reads at once, in a chunk of epochs'
+# batches or evaluations: 36 FC or autoencoder epochs at the defaults, 4 CNN epochs.
+CHUNK_FLOATS = 2 ** 15
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +277,12 @@ class TrainingDiverged(RuntimeError):
 def programmed_weights(v: np.ndarray, binarize: bool = False):
     """Latent weights -> (voltages programmed into the array, digital rescale
     beta): signs with beta = 1 when binarized, else v / max|v| with beta =
-    max|v|."""
+    max|v|, a float, or shape (..., 1, 1) for a stack v[..., M, N]."""
     v = np.asarray(v, dtype=float)
     if binarize:
         return np.where(v >= 0, 1.0, -1.0), 1.0
-    beta = float(abs(v).max()) or 1.0
+    beta = abs(v).max(axis=(-2, -1), keepdims=v.ndim > 2)
+    beta = np.where(beta == 0, 1.0, beta) if v.ndim > 2 else float(beta) or 1.0
     return v / beta, beta
 
 
@@ -295,7 +303,7 @@ def _conditioned(cs: np.ndarray, v: np.ndarray, params: SensorParams) -> np.ndar
     _, c_l, span = encoder_caps(params)
     prog, beta = programmed_weights(v)
     a = mac(cs, prog, params.c0) * (cs.shape[-1] * params.c0 * beta)
-    return (a - c_l * v.sum(axis=1)) / span
+    return (a - c_l * v.sum(axis=-1)[..., None, :]) / span
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +327,7 @@ def autoencoder_forward(m: dict, x: np.ndarray, params: SensorParams):
     _, c_l, span = encoder_caps(params)
     c0 = params.c0
     phi = sigmoid(_conditioned(x, m["encoder"], params))
-    cnl_rec = sigmoid(phi @ m["decoder"].T)
+    cnl_rec = sigmoid(phi @ m["decoder"].swapaxes(-1, -2))
     c_rec = cnl_rec * span + c_l
     ci_rec = c_rec * c0 / (c0 - c_rec)
     return phi, cnl_rec, c_rec, ci_rec
@@ -327,9 +335,10 @@ def autoencoder_forward(m: dict, x: np.ndarray, params: SensorParams):
 
 def cnn_logits(m: dict, x: np.ndarray, params: SensorParams):
     """(logits, sigmoid features h) of the conv classifier with matrices m,
-    from the windows x."""
-    h = sigmoid(_conditioned(x, m["kernel"].reshape(1, -1), params)[..., 0])
-    return h @ m["head"].T, h
+    from the windows x; stacked kernels (K, 1, 9) read x[K, S, W, 9]."""
+    kernel = m["kernel"][:, None] if m["kernel"].ndim > 2 else m["kernel"].reshape(1, -1)
+    h = sigmoid(_conditioned(x, kernel, params)[..., 0])
+    return h @ m["head"].swapaxes(-1, -2), h
 
 
 # Batch losses: (mean loss, summed gradients in matrix order).
@@ -384,44 +393,43 @@ def classify_series_bits(c_rec_series: np.ndarray, params: SensorParams):
     c_h, c_l, _ = encoder_caps(params)
     bits = (c_rec_series >= (c_h + c_l) / 2).astype(int)
     pats = dataset.GRIDS[3].reshape(dataset.NUM_GLYPHS, -1)
-    ham = (bits[:, None, :] != pats).sum(axis=2)
-    return ham.argmin(axis=1), bits
+    ham = (bits[..., None, :] != pats).sum(axis=-1)
+    return ham.argmin(axis=-1), bits
 
 
 def _mean_by_glyph(values: np.ndarray) -> np.ndarray:
-    """Per-glyph means of outputs laid out glyph-major, as
+    """Per-glyph means of outputs (..., S, outputs) laid out glyph-major, as
     np.repeat(np.arange(NUM_GLYPHS), per_glyph) draws them."""
-    by_glyph = values.reshape(dataset.NUM_GLYPHS, -1, values.shape[-1])
-    return by_glyph.sum(axis=1) / by_glyph.shape[1]
+    by_glyph = values.reshape(*values.shape[:-2], dataset.NUM_GLYPHS, -1, values.shape[-1])
+    return by_glyph.sum(axis=-2) / by_glyph.shape[-2]
 
 
-def evaluate(architecture: str, m: dict, params: SensorParams, binarize: bool,
-             rng, per_glyph: int):
-    """Score the matrices m of `architecture` on a noisy batch drawn from rng
-    at params, per_glyph letters of each glyph, glyph-major: (accuracy,
-    per-glyph mean outputs, the outputs that must stay finite)."""
-    model = MODELS[architecture]
+def eval_letters(architecture: str, params: SensorParams, rng, per_glyph: int, count: int = 1):
+    """(idx, x): the glyph numbers, per_glyph of each glyph-major, and the
+    array_inputs (count, S, ...) of `count` evaluations drawn in one call."""
+    spec = MODELS[architecture].spec
     idx = np.repeat(np.arange(dataset.NUM_GLYPHS), per_glyph)
-    c_i = dataset.noisy_letters(idx, params, rng, model.spec.rows)
-    pred, outputs, checked = model.score(m, array_inputs(model.spec, c_i, params),
-                                         params, binarize)
-    return float(np.count_nonzero(pred == idx) / len(idx)), _mean_by_glyph(outputs), checked
+    c_i = dataset.noisy_letters(idx[None].repeat(count, axis=0), params, rng, spec.rows)
+    return idx, array_inputs(spec, c_i, params)
+
+
+def evaluate(architecture: str, m: dict, idx, x, params: SensorParams, binarize: bool):
+    """Score K matrix sets m of `architecture`, stacked, on K evaluations
+    (idx, x) of eval_letters: (K accuracies, K per-glyph mean outputs, the
+    outputs that must stay finite), each with a leading axis of K."""
+    pred, outputs, checked = MODELS[architecture].score(m, x, params, binarize)
+    return (pred == idx).sum(axis=-1) / len(idx), _mean_by_glyph(outputs), checked
 
 
 # ---------------------------------------------------------------------------
 # the model table and the training loop
-
-def _check_finite(epoch, history, loss, *arrays):
-    if not (math.isfinite(loss) and all(np.isfinite(a).all() for a in arrays)):
-        raise TrainingDiverged(epoch, history)
-
 
 # Each architecture's scoring on what the array reads (array_inputs), given a
 # dict of its matrices.
 
 def _fc_score(m, x, params, binarize):
     volts, _ = _fc_pass(m["weights"], x, params, binarize)
-    return volts.argmax(axis=1), volts, (volts,)
+    return volts.argmax(axis=-1), volts, (volts,)
 
 
 def _autoencoder_score(m, x, params, binarize):
@@ -433,7 +441,7 @@ def _autoencoder_score(m, x, params, binarize):
 
 def _cnn_score(m, x, params, binarize):
     logits, _ = cnn_logits(m, x, params)
-    return logits.argmax(axis=1), logits, (logits,)
+    return logits.argmax(axis=-1), logits, (logits,)
 
 
 @dataclass(frozen=True)
@@ -484,32 +492,55 @@ def train(architecture: str, config: TrainConfig,
     records, compute the loss and the summed gradients through the array,
     update every matrix by M -= (alpha/S) * sum_p dL/dM, then `evaluate` at
     the same params on a separate stream. The FC classifier may train
-    binarized weights with a straight-through estimator. Raises
-    TrainingDiverged when the loss, a gradient, a matrix or an eval output
-    stops being finite.
+    binarized weights with a straight-through estimator. Chunks of epochs, as
+    many as CHUNK_FLOATS holds, draw their batches and evaluations in one call
+    each, in the RNG order of per-epoch draws, and score all their steps in
+    one call. Raises TrainingDiverged at the first epoch whose loss, gradient,
+    matrix or eval output is not finite; a step's exception propagates once
+    the epochs before it are scored, unless one of them diverged.
     """
     model = MODELS[architecture]
     rng = np.random.default_rng(config.seed)
     erng = np.random.default_rng(config.seed + EVAL_SEED_OFFSET)
     mats = {name: rng.uniform(-1.0, 1.0, shape) for name, shape in model.matrices.items()}
     lr = config.learning_rate / config.batch_size
-    history = TrainHistory()
+    spec, history = model.spec, TrainHistory()
+    letters = max(config.batch_size, dataset.NUM_GLYPHS * config.eval_per_glyph)
+    per_letter = array_inputs(spec, np.ones((1, spec.rows, spec.cols)), params).size
+    chunk = max(1, CHUNK_FLOATS // (letters * per_letter))
     try:
-        for epoch in range(1, config.epochs + 1):
-            idx = rng.integers(0, dataset.NUM_GLYPHS, config.batch_size)
-            c_i = dataset.noisy_letters(idx, params, rng, model.spec.rows)
-            x = array_inputs(model.spec, c_i, params)
-            loss, grads = model.loss(mats, x, c_i, dataset.LABELS[idx], params,
-                                     config.binarize)
-            stepped = {name: m - lr * g for (name, m), g in zip(mats.items(), grads)}
-            _check_finite(epoch, history, loss, *grads, *stepped.values())
-            accuracy, mean_outputs, checked = evaluate(
-                architecture, stepped, params, config.binarize, erng, config.eval_per_glyph)
-            _check_finite(epoch, history, loss, *checked)
-            history.loss.append(loss)
-            history.accuracy.append(accuracy)
-            history.mean_outputs.append(mean_outputs)
-            mats = stepped  # a new dict of new matrices, so none is copied
+        for start in range(0, config.epochs, chunk):
+            count = min(chunk, config.epochs - start)
+            idx, c_i = dataset.letter_batches(count, config.batch_size, params, rng, spec.rows)
+            x = array_inputs(spec, c_i, params)
+            e_idx, e_x = eval_letters(architecture, params, erng, config.eval_per_glyph, count)
+            steps, stop, stepped = [], None, mats
+            try:
+                for k in range(count):
+                    loss, grads = model.loss(stepped, x[k], c_i[k], dataset.LABELS[idx[k]],
+                                             params, config.binarize)
+                    stepped = {name: m - lr * g for (name, m), g in zip(stepped.items(), grads)}
+                    if not all(np.isfinite(a).all() for a in (*grads, *stepped.values())):
+                        raise TrainingDiverged(start + k + 1, history)
+                    steps.append((loss, stepped))
+            except Exception as exc:  # raised once the epochs before it are scored
+                stop = exc
+            if steps:
+                n = len(steps)
+                stack = {name: np.array([s[name] for _, s in steps]) for name in model.matrices}
+                accuracy, mean_outputs, checked = evaluate(
+                    architecture, stack, e_idx, e_x[:n], params, config.binarize)
+                losses = [loss for loss, _ in steps]  # checked here, with the outputs
+                finite = np.logical_and.reduce([np.isfinite(c).reshape(n, -1).all(1)
+                                                for c in (losses, *checked)])
+                good = n if finite.all() else int(finite.argmin())  # epochs before the first bad
+                history.loss += losses[:good]
+                history.accuracy += accuracy[:good].tolist()
+                history.mean_outputs += list(mean_outputs[:good])
+                mats = steps[good - 1][1] if good else mats
+                stop = TrainingDiverged(start + good + 1, history) if good < n else stop
+            if stop is not None:
+                raise stop
     finally:  # one checkpoint per run, of the last good epoch's matrices
         if history.epochs_run:
             beta = programmed_weights(next(iter(mats.values())))[1]

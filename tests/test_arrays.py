@@ -111,6 +111,12 @@ class TestFcForward:
         with pytest.raises(ValueError, match="3 weight rows for 4 banks"):
             fc_forward(topo, np.full((3, 3), 100.0), np.zeros((3, 9)), PARAMS)
 
+    def test_stack_of_weight_matrices_refused(self):
+        # device.mac reads a stack of matrices; a one-bank array cycle reads one.
+        topo = build_fc_array(3, 3, 1)
+        with pytest.raises(ValueError, match="^2 weight rows for 1 banks$"):
+            fc_forward(topo, np.full((3, 3), 100.0), np.zeros((2, 1, 9)), PARAMS)
+
     def test_trace_capture_per_bank(self):
         topo = build_fc_array(3, 3, 4)
         img = np.full((3, 3), 100.0)

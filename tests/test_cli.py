@@ -705,6 +705,21 @@ class TestInputErrors:
         with pytest.raises(ValueError, match=key.split(".")[1]):
             build_config({key: str(most + 1)})
 
+    @pytest.mark.parametrize("arch,letters,code", [
+        ("autoencoder", 1, EXIT_OK), ("fc_classifier", dataset.MAX_DRAW, EXIT_OK),
+        ("autoencoder", 0, EXIT_CONFIG), ("fc_classifier", dataset.MAX_DRAW + 1, EXIT_CONFIG)])
+    def test_eval_letters_bounds(self, checkpoints, capsys, arch, letters, code):
+        # 1 and MAX_DRAW are accepted (the FC classifier reconstructs none),
+        # the next integer beyond either is refused with the bound.
+        assert main(["eval", checkpoints[arch], "--letters", str(letters)]) == code
+        out, err = capsys.readouterr()
+        if code == EXIT_OK:
+            assert err == ""
+            assert ("reconstructed letters correct: " in out) == (arch == "autoencoder")
+            assert arch != "autoencoder" or out.count("\nletter ") == letters
+        else:
+            assert err == f"usage error: --letters must be in [1, {dataset.MAX_DRAW}]\n"
+
     @settings(max_examples=50, deadline=None)
     @given(st.sampled_from(["--per-glyph", "--letters"]),
            st.integers(min_value=dataset.MAX_DRAW + 1, max_value=10 ** 40))
@@ -1030,6 +1045,13 @@ class TestRenderAscii:
     def test_oversize_rejected(self):
         with pytest.raises(ValueError):
             render_ascii(np.zeros((17, 3)))
+
+    def test_16x16_is_the_largest_drawn(self):
+        assert render_ascii(np.ones((16, 16), dtype=int)) == "\n".join(["#" * 16] * 16)
+        for shape in ((17, 16), (16, 17)):
+            with pytest.raises(ValueError, match="^render_ascii draws 2-D 0/1 bitmaps up "
+                                                 "to 16x16$"):
+                render_ascii(np.ones(shape, dtype=int))
 
     @pytest.mark.parametrize("matrix", [np.full((3, 3), 500.0), [[0, 2]], [[0.5, 1]]])
     def test_rejects_values_other_than_0_and_1(self, matrix):

@@ -7,12 +7,26 @@ from hypothesis import strategies as st
 
 from capmac import dataset
 from capmac.dataset import (GLYPH_ORDER, GRIDS, LABELS, Glyph, encode_capacitive,
-                            noisy_letters, read_bitmap, read_capacitance_csv,
-                            sample_batch, write_bitmap, write_capacitance_csv)
+                            letter_batches, noisy_letters, sample_batch, write_bitmap,
+                            write_capacitance_csv)
 from capmac.device import NOISE_FLOOR_PF, SensorParams, apply_noise, series_capacitance
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PARAMS = SensorParams()
+
+
+def read_bitmap(path) -> np.ndarray:
+    """The inverse of dataset.write_bitmap."""
+    with open(path) as fh:
+        rows = [line.strip() for line in fh if line.strip()]
+    return np.array([[int(ch) for ch in row] for row in rows], dtype=np.uint8)
+
+
+def read_capacitance_csv(path) -> np.ndarray:
+    """The inverse of dataset.write_capacitance_csv."""
+    with open(path) as fh:
+        rows = [line.strip() for line in fh if line.strip()]
+    return np.array([[float(v) for v in row.split(",")] for row in rows])
 
 
 class TestLetterPatterns:
@@ -239,6 +253,37 @@ class TestNoisyLetters:
     def test_draw_size_bounded(self, size):
         with pytest.raises(ValueError, match="a draw holds"):
             noisy_letters(np.zeros(size, dtype=int), PARAMS, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("shape", [(dataset.MAX_DRAW,), (4, dataset.MAX_DRAW // 4)])
+    def test_draw_of_max_draw_letters_accepted(self, shape):
+        # The bound counts letters, whatever the shape of idx; one more is refused.
+        c_i = noisy_letters(np.zeros(shape, dtype=int), PARAMS, np.random.default_rng(0))
+        assert c_i.shape == (*shape, 3, 3)
+        over = np.zeros((shape[0], shape[-1] + 1) if len(shape) > 1 else dataset.MAX_DRAW + 1,
+                        dtype=int)
+        with pytest.raises(ValueError, match=f"^a draw holds 1 to {dataset.MAX_DRAW} "
+                                             f"letters, got {over.size}$"):
+            noisy_letters(over, PARAMS, np.random.default_rng(0))
+
+
+class TestLetterBatches:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 40), st.sampled_from([0.0, 0.2, 3.0]),
+           st.sampled_from(["per_class", "global"]), st.sampled_from([3, 5]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_equals_separate_draws(self, count, size, noise_frac, mode, resolution, seed):
+        # count batches drawn at once equal count (integers, noisy_letters)
+        # draws, bit for bit, and leave the stream where those leave it.
+        params = SensorParams(noise_frac=noise_frac, noise_mode=mode)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        idx, c_i = letter_batches(count, size, params, rng, resolution)
+        assert idx.shape == (count, size) and c_i.shape == (count, size, resolution, resolution)
+        for k in range(count):
+            want_idx = ref.integers(0, dataset.NUM_GLYPHS, size)
+            want = noisy_letters(want_idx, params, ref, resolution)
+            np.testing.assert_array_equal(idx[k], want_idx)
+            np.testing.assert_array_equal(c_i[k].view(np.uint64), want.view(np.uint64))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestFixtureIo:

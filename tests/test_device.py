@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capmac.dataset import noisy_letters
-from capmac.device import (MAX_CAPACITANCE_PF, MAX_NOISE_FRAC, MIN_C_IL_PF, PHASES,
-                           SensorParams, apply_noise, mac, mac_phases,
+from capmac.device import (MAX_CAPACITANCE_PF, MAX_CAPACITANCE_RATIO, MAX_NOISE_FRAC,
+                           MIN_C_IL_PF, PHASES, SensorParams, apply_noise, mac, mac_phases,
                            series_capacitance, write_trace_csv)
 
 SWITCHES = dict(PHASES)
@@ -171,6 +171,29 @@ class TestMacEvaluate:
         for i in range(b):
             np.testing.assert_array_equal(u[i], mac(cs[i], v, 72.0))
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 40), st.sampled_from([0, 1, 9]),
+           st.integers(1, 12), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+    def test_weight_stack_equals_per_slice_calls(self, k, b, w, n, m, seed):
+        # v (K, M, N) against cs (K, B, N), or v (K, 1, M, N) against the
+        # windows cs (K, B, W, N) of a convolution: slice k of the result is
+        # mac(cs[k], v[k]) bit for bit.
+        rng = np.random.default_rng(seed)
+        cs = rng.uniform(1.0, 500.0, (k, b, w, n) if w else (k, b, n))
+        v = rng.uniform(-1.0, 1.0, (k, m, n))
+        u = mac(cs, v[:, None] if w else v, 72.0)
+        assert u.shape == cs.shape[:-1] + (m,)
+        for i in range(k):
+            np.testing.assert_array_equal(u[i].view(np.uint64),
+                                          mac(cs[i], v[i], 72.0).view(np.uint64))
+
+    def test_weight_stack_keeps_the_value_checks(self):
+        cs = np.full((2, 3, 4), 50.0)
+        with pytest.raises(ValueError, match="normalize"):
+            mac(cs, np.stack([np.zeros((1, 4)), np.full((1, 4), 1.5)]), 72.0)
+        with pytest.raises(ValueError, match="length mismatch"):
+            mac(cs, np.zeros((2, 1, 5)), 72.0)
+
     def test_non_finite_inputs_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             mac([math.nan, 50.0], [[0.5, 0.5]], 72.0)
@@ -243,6 +266,15 @@ class TestSensorParams:
     def test_non_finite_rejected_naming_field(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             SensorParams(**{name: value})
+
+    @pytest.mark.parametrize("c0", [7.2e-8, 1e-4, 7.2e-4])
+    def test_c_ih_at_most_ratio_times_c0(self, c0):
+        # c_ih = MAX_CAPACITANCE_RATIO * c0 is accepted, the next float refused.
+        most = MAX_CAPACITANCE_RATIO * c0
+        assert SensorParams(c0=c0, c_ih=most).c_ih == most
+        with pytest.raises(ValueError, match=f"^c_ih must be at most "
+                                             f"{MAX_CAPACITANCE_RATIO:,.0f} times c0"):
+            SensorParams(c0=c0, c_ih=float(np.nextafter(most, math.inf)))
 
     def test_c_il_below_bound_rejected_naming_field(self):
         SensorParams(c0=1e-130, c_ih=1e-125, c_il=MIN_C_IL_PF)

@@ -138,6 +138,20 @@ class TestFastPathEquivalence:
         assert beta == want.beta
 
     @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 9), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    def test_programmed_weights_of_a_stack_equal_each_slice(self, k, m, n, binarize, seed):
+        rng = np.random.default_rng(seed)
+        v = rng.uniform(-3.0, 3.0, (k, m, n)) * (rng.random((k, 1, 1)) < 0.8)  # some zero
+        prog, beta = netlab.programmed_weights(v, binarize)
+        assert prog.shape == v.shape
+        for i in range(k):
+            want_prog, want_beta = netlab.programmed_weights(v[i], binarize)
+            assert type(want_beta) is float
+            _assert_bitwise_equal(prog[i], want_prog)
+            assert np.broadcast_to(beta, (k, 1, 1))[i, 0, 0] == want_beta
+
+    @settings(max_examples=50, deadline=None)
     @given(st.one_of(st.just(()), st.tuples(st.integers(1, 300))), st.integers(1, 9),
            st.integers(0, 2 ** 32 - 1))
     def test_cross_entropy_equals_np_mean_form(self, batch, classes, seed):
@@ -168,15 +182,21 @@ class TestFastPathEquivalence:
         model = MODELS[arch]
         m = {name: np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
              for name, shape in model.matrices.items()}
-        accuracy, _, _ = netlab.evaluate(arch, m, PARAMS, False,
-                                         np.random.default_rng(seed), per_glyph)
+        eval_idx, x = netlab.eval_letters(arch, PARAMS, np.random.default_rng(seed), per_glyph)
+        accuracy, _, _ = netlab.evaluate(arch, {name: a[None] for name, a in m.items()},
+                                         eval_idx, x, PARAMS, False)
         idx = np.repeat(np.arange(dataset.NUM_GLYPHS), per_glyph)
         c_i = dataset.noisy_letters(idx, PARAMS, np.random.default_rng(seed),
                                     model.spec.rows)
         pred, _, _ = model.score(m, array_inputs(model.spec, c_i, PARAMS), PARAMS, False)
-        # A numpy scalar here would be written as np.float64(...) in history.csv.
-        assert type(accuracy) is float
-        assert accuracy == float(np.mean(pred == idx))
+        assert accuracy.shape == (1,)
+        assert accuracy[0] == float(np.mean(pred == idx))
+
+    @pytest.mark.parametrize("arch", sorted(MODELS))
+    def test_history_holds_python_floats(self, arch):
+        # A numpy scalar would be written as np.float64(...) in history.csv.
+        hist = train(arch, default_config(arch, epochs=2, seed=0))
+        assert all(type(a) is float for a in hist.accuracy + hist.loss)
 
     @pytest.mark.parametrize("arch,binarize", [("fc_classifier", False),
                                                ("fc_classifier", True),
@@ -418,6 +438,172 @@ class TestInversionIdentities:
         assert np.all(np.isfinite(ci_rec))
 
 
+def _nan_from(model, fault, epoch):
+    """`model` with NaN gradients from the step of `epoch` on (fault "loss"),
+    or NaN checked outputs from the evaluation of `epoch` on (fault "score").
+    train scores the epochs of a chunk in one stacked call, so a score fault
+    counts epochs by the leading axis of the outputs, not by calls."""
+    seen = {"n": 0}
+
+    def faulty(*args):
+        out = getattr(model, fault)(*args)
+        first = seen["n"] + 1  # the epoch of the first step or slice here
+        seen["n"] += 1 if fault == "loss" else len(out[0])
+        if fault == "loss":
+            return out if first < epoch else (out[0], tuple(np.full_like(g, np.nan)
+                                                            for g in out[1]))
+        checked = tuple(c.copy() for c in out[2])
+        for c in checked:
+            c[max(epoch - first, 0):] = np.nan
+        return *out[:2], checked
+
+    return dataclasses.replace(model, **{fault: faulty})
+
+
+def _assert_same_checkpoint(got, want):
+    fields = ("architecture", "seed", "epoch", "beta", "binarize", "params")
+    assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+    assert list(got.matrices) == list(want.matrices)
+    for name, mat in want.matrices.items():
+        _assert_bitwise_equal(got.matrices[name], mat)
+
+
+def _per_epoch_train(arch, config, params):
+    """The epoch-by-epoch loop that train's chunks replace: (history, the last
+    good matrices, the epoch it diverged at or None). Each epoch draws its
+    batch, steps, then draws and scores its evaluation."""
+    model = MODELS[arch]
+    rng = np.random.default_rng(config.seed)
+    erng = np.random.default_rng(config.seed + netlab.EVAL_SEED_OFFSET)
+    mats = {name: rng.uniform(-1.0, 1.0, shape) for name, shape in model.matrices.items()}
+    lr = config.learning_rate / config.batch_size
+    eval_idx = np.repeat(np.arange(dataset.NUM_GLYPHS), config.eval_per_glyph)
+    history = netlab.TrainHistory()
+    for epoch in range(1, config.epochs + 1):
+        idx = rng.integers(0, dataset.NUM_GLYPHS, config.batch_size)
+        c_i = dataset.noisy_letters(idx, params, rng, model.spec.rows)
+        loss, grads = model.loss(mats, array_inputs(model.spec, c_i, params), c_i,
+                                 dataset.LABELS[idx], params, config.binarize)
+        stepped = {name: m - lr * g for (name, m), g in zip(mats.items(), grads)}
+        if not all(np.isfinite(a).all() for a in (loss, *grads, *stepped.values())):
+            return history, mats, epoch
+        e_ci = dataset.noisy_letters(eval_idx, params, erng, model.spec.rows)
+        pred, outputs, checked = model.score(stepped, array_inputs(model.spec, e_ci, params),
+                                             params, config.binarize)
+        if not all(np.isfinite(c).all() for c in checked):
+            return history, mats, epoch
+        history.loss.append(loss)
+        history.accuracy.append(float(np.count_nonzero(pred == eval_idx) / len(eval_idx)))
+        history.mean_outputs.append(
+            np.mean(outputs.reshape(dataset.NUM_GLYPHS, -1, outputs.shape[-1]), axis=1))
+        mats = stepped
+    return history, mats, None
+
+
+def _chunk_sizes(monkeypatch, arch, config, params=PARAMS):
+    """The number of epochs in each of train's chunks, read off its calls to
+    eval_letters."""
+    counts, draw = [], netlab.eval_letters
+
+    def spy(*args):
+        counts.append(args[-1])
+        return draw(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(netlab, "eval_letters", spy)
+        train(arch, config, params)
+    return counts
+
+
+class TestChunkedTraining:
+    """train draws and scores its epochs in chunks, and equals the loop that
+    does both epoch by epoch, bit for bit."""
+
+    @pytest.mark.parametrize("arch,per_glyph,want", [
+        ("fc_classifier", 25, 36), ("autoencoder", 25, 36), ("cnn_classifier", 25, 4),
+        ("fc_classifier", 455, 2), ("fc_classifier", 456, 1), ("autoencoder", 25_000, 1)])
+    def test_chunk_size_is_the_float_budget(self, monkeypatch, arch, per_glyph, want):
+        # 2**15 floats of array_inputs: 9 per FC letter, 81 per CNN letter.
+        cfg = default_config(arch, epochs=2 * want + 1, eval_per_glyph=per_glyph)
+        assert _chunk_sizes(monkeypatch, arch, cfg) == [want, want, 1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([("fc_classifier", False), ("fc_classifier", True),
+                            ("autoencoder", False), ("cnn_classifier", False)]),
+           st.sampled_from(["per_class", "global"]), st.sampled_from([0.0, 0.2]),
+           st.integers(1, 40), st.integers(1, 600), st.integers(1, 600),
+           st.integers(0, 2 ** 32 - 1))
+    @example(("fc_classifier", False), "per_class", 0.2, 40, 20, 25, 0)      # K 36
+    @example(("autoencoder", False), "global", 0.2, 37, 20, 25, 1)           # K 36
+    @example(("cnn_classifier", False), "per_class", 0.2, 10, 20, 25, 2)     # K 4
+    @example(("fc_classifier", True), "global", 0.0, 7, 500, 456, 3)         # K 1
+    @example(("cnn_classifier", False), "global", 0.0, 7, 1, 12, 4)          # K 33
+    def test_chunked_train_equals_per_epoch_loop(self, arch_binarize, mode, noise_frac,
+                                                 epochs, batch_size, per_glyph, seed):
+        arch, binarize = arch_binarize
+        params = SensorParams(noise_frac=noise_frac, noise_mode=mode)
+        cfg = default_config(arch, epochs=epochs, batch_size=batch_size,
+                             eval_per_glyph=per_glyph, seed=seed, binarize=binarize)
+        want, mats, diverged_at = _per_epoch_train(arch, cfg, params)
+        assert diverged_at is None
+        got = train(arch, cfg, params)
+        assert got.loss == want.loss
+        assert got.accuracy == want.accuracy
+        assert len(got.mean_outputs) == len(want.mean_outputs) == epochs
+        for g, w in zip(got.mean_outputs, want.mean_outputs):
+            _assert_bitwise_equal(g, w)
+        assert got.checkpoint.epoch == epochs
+        for name, mat in mats.items():
+            _assert_bitwise_equal(got.checkpoint.matrices[name], mat)
+
+    @pytest.mark.parametrize("fault", ["loss", "score"])
+    @pytest.mark.parametrize("arch,per_glyph", [("fc_classifier", 210), ("autoencoder", 210),
+                                                ("cnn_classifier", 25)])
+    def test_divergence_at_chunk_start_middle_and_end(self, monkeypatch, arch, per_glyph,
+                                                      fault):
+        # Chunks of 4 epochs; NaN from epoch d on, at the first, a middle and
+        # the last epoch of the second chunk: the run diverges at d with the
+        # history and checkpoint of a (d - 1)-epoch run, bit for bit.
+        cfg = default_config(arch, epochs=12, eval_per_glyph=per_glyph, seed=1)
+        assert _chunk_sizes(monkeypatch, arch, cfg) == [4, 4, 4]
+        model = MODELS[arch]
+        for d in (5, 6, 8):
+            want = train(arch, dataclasses.replace(cfg, epochs=d - 1))
+            with monkeypatch.context() as patch:
+                patch.setitem(MODELS, arch, _nan_from(model, fault, d))
+                with pytest.raises(TrainingDiverged) as exc:
+                    train(arch, cfg)
+            assert exc.value.epoch == d
+            got = exc.value.history
+            assert (got.loss, got.accuracy) == (want.loss, want.accuracy)
+            _assert_same_checkpoint(got.checkpoint, want.checkpoint)
+
+    @pytest.mark.parametrize("arch", sorted(MODELS))
+    def test_step_error_propagates_once_earlier_epochs_are_scored(self, monkeypatch, arch):
+        # Epoch 3's step raises inside its chunk: with epochs 1-2 scored
+        # finite the error propagates; with epoch 2's outputs NaN the run
+        # diverges at 2, as the epoch-by-epoch loop did before stepping on.
+        model = MODELS[arch]
+
+        def raising(*args):
+            if raising.calls == 2:
+                raise RuntimeError("step 3")
+            raising.calls += 1
+            return model.loss(*args)
+
+        cfg = default_config(arch, epochs=5, seed=0)
+        for fault_model, expect in ((model, RuntimeError),
+                                    (_nan_from(model, "score", 2), TrainingDiverged)):
+            raising.calls = 0
+            with monkeypatch.context() as patch:
+                patch.setitem(MODELS, arch, dataclasses.replace(fault_model, loss=raising))
+                with pytest.raises(expect) as exc:
+                    train(arch, cfg)
+            if expect is TrainingDiverged:
+                assert exc.value.epoch == 2
+                assert exc.value.history.checkpoint.epoch == 1
+
+
 class TestTrainers:
     def test_fc_trains_clean_task_quickly(self):
         """Every seed learns the clean task well inside the paper's budget.
@@ -519,27 +705,11 @@ class TestTrainers:
         # diverged or the stepped matrices.
         cfg = default_config(arch, epochs=10, seed=0)
         want = train(arch, dataclasses.replace(cfg, epochs=2)).checkpoint
-        model, calls = MODELS[arch], {"n": 0}
-
-        def nan_at_three(*args):
-            out = getattr(model, fault)(*args)
-            calls["n"] += 1
-            if calls["n"] < 3:
-                return out
-            if fault == "loss":
-                return out[0], tuple(np.full_like(g, np.nan) for g in out[1])
-            return *out[:2], tuple(np.full_like(c, np.nan) for c in out[2])
-
-        monkeypatch.setitem(MODELS, arch, dataclasses.replace(model, **{fault: nan_at_three}))
+        monkeypatch.setitem(MODELS, arch, _nan_from(MODELS[arch], fault, 3))
         with pytest.raises(TrainingDiverged) as exc:
             train(arch, cfg)
         assert exc.value.epoch == 3
-        got = exc.value.history.checkpoint
-        fields = ("architecture", "seed", "epoch", "beta", "binarize", "params")
-        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
-        assert list(got.matrices) == list(want.matrices)
-        for name, mat in want.matrices.items():
-            _assert_bitwise_equal(got.matrices[name], mat)
+        _assert_same_checkpoint(exc.value.history.checkpoint, want)
 
     @pytest.mark.parametrize("diverge", [False, True])
     def test_one_checkpoint_per_run(self, monkeypatch, diverge):
