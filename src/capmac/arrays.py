@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import SensorParams, mac, series_capacitance
+from .device import SensorParams, check_mac_values, mac, series_capacitance
 
 
 # The largest rows or cols of a convolution array: 50 times the paper's 5x5.
@@ -69,7 +69,9 @@ def fc_forward(topology: ArrayTopology, c_i_image, weights, params: SensorParams
     if img.shape != (topology.rows, topology.cols):
         raise ValueError(f"image shape {img.shape} does not match "
                          f"{topology.rows}x{topology.cols} topology")
-    volts = mac(array_inputs(topology, img[None], params), weights, params.c0)[0]
+    cs, v = array_inputs(topology, img[None], params), np.asarray(weights, dtype=float)
+    check_mac_values(cs, v, params.c0)
+    volts = mac(cs, v, params.c0)[0]
     if volts.shape != (topology.banks,):  # one matrix, not a stack of them
         raise ValueError(f"{len(weights)} weight rows for {topology.banks} banks")
     return volts.tolist()
@@ -123,5 +125,7 @@ def conv_forward(topology: ArrayTopology, schedule: ArrayTopology, c_i_image,
     ksz = topology.kernel
     if k.size != ksz ** 2:
         raise ValueError(f"kernel needs {ksz ** 2} weights, got {k.size}")
-    out = mac(array_inputs(topology, img[None], params), k, params.c0)[0, :, 0]
+    cs = array_inputs(topology, img[None], params)
+    check_mac_values(cs, k, params.c0)
+    out = mac(cs, k, params.c0)[0, :, 0]
     return out.reshape(topology.rows - ksz + 1, topology.cols - ksz + 1)

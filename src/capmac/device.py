@@ -136,13 +136,13 @@ def mac(cs, v, c0: float = DEFAULT_C0):
 
     cs holds the series capacitances seen by the N units of a bank on its last
     axis, with any leading batch axes; v is the M x N matrix of weight
-    voltages (|v| <= 1, the pre-normalized programming range), one row per
-    bank, or a stack (..., M, N) broadcast against cs[..., W, N]. Each bank
-    runs the four phases: CHARGE stores Q_n = c_n v_n, TRANSFER moves it onto
-    c0 (plate at Q_n/c0), SUM shares the N charges (common plate at
-    sum(Q)/(N c0)). The rounding of the sum depends on the shape matmul sees,
-    so the leading axes are kept, never flattened: a (B, W, N) call equals its
-    B separate (W, N) calls bit for bit, as a (K, M, N) stack its K slices.
+    voltages, one row per bank, or a stack (..., M, N) broadcast against
+    cs[..., W, N]. Each bank runs the four phases: CHARGE stores Q_n = c_n v_n,
+    TRANSFER moves it onto c0 (plate at Q_n/c0), SUM shares the N charges at
+    sum(Q)/(N c0). Matmul's rounding depends on the shape it sees, so leading
+    axes are kept: a (B, W, N) call equals its B (W, N) calls bit for bit, as a
+    (K, M, N) stack its K slices. mac checks shapes only; fc_forward, conv_forward
+    and mac_phases check values with check_mac_values, the package where it makes them.
     """
     cs = np.asarray(cs, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -154,11 +154,15 @@ def mac(cs, v, c0: float = DEFAULT_C0):
                          f"vs {n} weights")
     if n < 1:
         raise ValueError("need at least one unit")
+    return cs @ v.swapaxes(-1, -2) / (n * c0)
+
+
+def check_mac_values(cs: np.ndarray, v: np.ndarray, c0: float):
+    """Refuse float arrays cs, v or a c0 that mac cannot read: cs and c0 > 0, |v| <= 1."""
     if not (c0 > 0 and cs.min(initial=np.inf) > 0):
         raise ValueError("capacitances must be positive")
     if not abs(v).max(initial=0.0) <= 1.0:
         raise ValueError("weight voltage outside [-1, 1]; normalize weights first")
-    return cs @ v.swapaxes(-1, -2) / (n * c0)
 
 
 def mac_phases(cs, v, c0: float = DEFAULT_C0):
@@ -172,10 +176,10 @@ def mac_phases(cs, v, c0: float = DEFAULT_C0):
     (U = Q_n / c0); SUM shares the bank's charges, so every unit of bank m
     holds U_m = mac(cs, v, c0)[m] and Q = c0 U_m.
     """
-    cs = np.asarray(cs, dtype=float)
+    cs, v = np.asarray(cs, dtype=float), np.asarray(v, dtype=float)
     if cs.ndim != 1:
         raise ValueError("trace capture takes a single sample of N capacitances")
-    v = np.asarray(v, dtype=float)
+    check_mac_values(cs, v, c0)
     q = cs * v
     u_sum = np.broadcast_to(mac(cs, v, c0)[:, None], v.shape)
     zero = np.zeros_like(v)

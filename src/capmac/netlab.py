@@ -13,7 +13,9 @@ x = array_inputs(spec, c_i, params), once per batch; every forward pass and
 batch loss takes x, and a loss also takes c_i for its targets.
 
 train draws and scores its epochs in chunks, with the RNG order, history,
-checkpoint and divergence epoch of an epoch-by-epoch loop, bit for bit.
+checkpoint and divergence epoch of an epoch-by-epoch loop, bit for bit. device.mac
+checks only shapes here (noisy_letters keeps c_i > 0, programmed_weights |v| <= 1);
+a step tests only m - lr * g, non-finite wherever g is (m finite, lr >= 0).
 
 Forward paths, each reading the array through the same kernel, device.mac:
   fc_classifier  logits = beta * U, U = sum(C_n v'_mn) / (N c0) from the array
@@ -512,15 +514,15 @@ def train(architecture: str, config: TrainConfig,
         for start in range(0, config.epochs, chunk):
             count = min(chunk, config.epochs - start)
             idx, c_i = dataset.letter_batches(count, config.batch_size, params, rng, spec.rows)
-            x = array_inputs(spec, c_i, params)
+            x, labels = array_inputs(spec, c_i, params), dataset.LABELS[idx]
             e_idx, e_x = eval_letters(architecture, params, erng, config.eval_per_glyph, count)
             steps, stop, stepped = [], None, mats
             try:
                 for k in range(count):
-                    loss, grads = model.loss(stepped, x[k], c_i[k], dataset.LABELS[idx[k]],
-                                             params, config.binarize)
+                    loss, grads = model.loss(stepped, x[k], c_i[k], labels[k], params,
+                                             config.binarize)
                     stepped = {name: m - lr * g for (name, m), g in zip(stepped.items(), grads)}
-                    if not all(np.isfinite(a).all() for a in (*grads, *stepped.values())):
+                    if not all(np.isfinite(a).all() for a in stepped.values()):
                         raise TrainingDiverged(start + k + 1, history)
                     steps.append((loss, stepped))
             except Exception as exc:  # raised once the epochs before it are scored

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -226,6 +227,53 @@ class TestConvForward:
         with pytest.raises(ValueError, match=f"kernel needs 9 weights, got {weights}"):
             conv_forward(topo, schedule_conv(5, 5, 3), np.full((5, 5), 100.0),
                          np.zeros(weights), PARAMS)
+
+
+_POSITIVE = "^capacitances must be positive$"
+_NORMALIZE = r"^weight voltage outside \[-1, 1\]; normalize weights first$"
+
+
+class TestOutsideValues:
+    """fc_forward and conv_forward check the values they are given with
+    check_mac_values before any product, so no numpy warning precedes a
+    refusal; device.mac itself checks shapes only."""
+
+    @staticmethod
+    def forward(kind, pixel, weight, params=PARAMS):
+        """One readout with the centre pixel of the image and the centre weight
+        of the kernel (FC: of bank 2) set."""
+        if kind == "fc":
+            img, w = np.full((3, 3), 100.0), np.full((4, 9), 0.5)
+            img[1, 1], w[2, 4] = pixel, weight
+            return np.array(fc_forward(build_fc_array(3, 3, 4), img, w, params))
+        img, k = np.full((5, 5), 100.0), np.full(9, 0.5)
+        img[2, 2], k[4] = pixel, weight
+        return conv_forward(build_conv_array(5, 5, 3), schedule_conv(5, 5, 3), img, k, params)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["fc", "conv"])
+    @pytest.mark.parametrize("pixel,weight,c0,match", [
+        (math.nan, 0.5, 72.0, _POSITIVE),
+        (5e-324, 0.5, 1e-3, _POSITIVE),  # c_i c0 underflows to a zero capacitance
+        (100.0, math.nan, 72.0, _NORMALIZE),
+        (100.0, 1.5, 72.0, _NORMALIZE),
+        (100.0, -np.nextafter(1.0, 2.0), 72.0, _NORMALIZE),
+    ])
+    def test_refused_before_the_product(self, kind, pixel, weight, c0, match):
+        with pytest.raises(ValueError, match=match):
+            self.forward(kind, pixel, weight, SensorParams(c0=c0))
+
+    @pytest.mark.parametrize("kind", ["fc", "conv"])
+    @pytest.mark.parametrize("pixel,weight", [(5e-324, 1.0), (100.0, -1.0)])
+    def test_bounds_accepted(self, kind, pixel, weight):
+        assert np.isfinite(self.forward(kind, pixel, weight)).all()
+
+    def test_a_stack_out_of_range_gets_the_value_message(self):
+        # A stack breaks fc_forward's one-matrix rule too, but values are
+        # checked before the product and its shape.
+        with pytest.raises(ValueError, match=_NORMALIZE):
+            fc_forward(build_fc_array(3, 3, 1), np.full((3, 3), 100.0),
+                       np.stack([np.zeros((1, 9)), np.full((1, 9), 1.5)]), PARAMS)
 
 
 class TestSingleRead:

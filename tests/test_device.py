@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from capmac.dataset import noisy_letters
 from capmac.device import (MAX_CAPACITANCE_PF, MAX_CAPACITANCE_RATIO, MAX_NOISE_FRAC,
-                           MIN_C_IL_PF, PHASES, SensorParams, apply_noise, mac, mac_phases,
-                           series_capacitance, write_trace_csv)
+                           MIN_C_IL_PF, PHASES, SensorParams, apply_noise, check_mac_values,
+                           mac, mac_phases, series_capacitance, write_trace_csv)
 
 SWITCHES = dict(PHASES)
 
@@ -93,11 +93,12 @@ class TestMacEvaluate:
             mac([62.0, 60.0], [[0.5]], 72.0)
 
     def test_weight_range_enforced(self):
+        # mac checks shapes only; mac_phases checks the values it is given.
         with pytest.raises(ValueError, match="normalize"):
-            mac([62.0], [[1.0001]], 72.0)
+            mac_phases([62.0], [[1.0001]], 72.0)
         # the boundary itself is legal (binarized weights)
-        mac([62.0], [[1.0]], 72.0)
-        mac([62.0], [[-1.0]], 72.0)
+        mac_phases([62.0], [[1.0]], 72.0)
+        mac_phases([62.0], [[-1.0]], 72.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -189,18 +190,22 @@ class TestMacEvaluate:
 
     def test_weight_stack_keeps_the_value_checks(self):
         cs = np.full((2, 3, 4), 50.0)
+        stack = np.stack([np.zeros((1, 4)), np.full((1, 4), 1.5)])
         with pytest.raises(ValueError, match="normalize"):
-            mac(cs, np.stack([np.zeros((1, 4)), np.full((1, 4), 1.5)]), 72.0)
+            check_mac_values(cs, stack, 72.0)
+        with pytest.raises(ValueError, match="normalize"):
+            mac_phases(cs[0, 0], stack, 72.0)
         with pytest.raises(ValueError, match="length mismatch"):
             mac(cs, np.zeros((2, 1, 5)), 72.0)
 
+    @pytest.mark.filterwarnings("error")  # refused before any product
     def test_non_finite_inputs_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            mac([math.nan, 50.0], [[0.5, 0.5]], 72.0)
+            mac_phases([math.nan, 50.0], [[0.5, 0.5]], 72.0)
         with pytest.raises(ValueError, match="positive"):
-            mac([50.0], [[0.5]], math.nan)
+            mac_phases([50.0], [[0.5]], math.nan)
         with pytest.raises(ValueError, match="normalize"):
-            mac([50.0, 50.0], [[math.nan, 0.5]], 72.0)
+            mac_phases([50.0, 50.0], [[math.nan, 0.5]], 72.0)
 
     def test_weights_must_be_a_matrix(self):
         with pytest.raises(ValueError, match="M x N"):
@@ -219,6 +224,30 @@ class TestMacEvaluate:
             for volt, q in zip(volts[-1, m], charge[-1, m]):
                 assert volt == u[m]
                 assert q == c0 * u[m]
+
+
+class TestMacValueBounds:
+    """check_mac_values at its bounds, reached from outside through mac_phases:
+    a capacitance or c0 must exceed 0 and a weight voltage lie in [-1, 1]."""
+
+    @pytest.mark.filterwarnings("error")  # refused before the division by c0
+    @pytest.mark.parametrize("cs,c0", [([0.0, 50.0], 72.0), ([50.0, 0.0], 72.0),
+                                       ([50.0, 50.0], 0.0), ([50.0, 50.0], -0.0)])
+    def test_zero_capacitance_refused(self, cs, c0):
+        with pytest.raises(ValueError, match="^capacitances must be positive$"):
+            mac_phases(cs, [[0.5, 0.5]], c0)
+
+    def test_least_positive_capacitance_accepted(self):
+        charge, volts = mac_phases([5e-324, 50.0], [[1.0, 1.0]], 72.0)
+        assert charge[1, 0, 0] == 5e-324 and volts[-1, 0, 0] > 0
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_unit_weight_accepted_and_next_float_refused(self, sign):
+        _, volts = mac_phases([50.0], [[sign]], 72.0)
+        assert volts[1, 0, 0] == sign
+        with pytest.raises(ValueError, match=r"^weight voltage outside \[-1, 1\]; "
+                                             r"normalize weights first$"):
+            mac_phases([50.0], [[sign * np.nextafter(1.0, 2.0)]], 72.0)
 
 
 class TestApplyNoise:

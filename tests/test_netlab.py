@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes
 from hypothesis.extra.numpy import arrays as np_arrays
 
-from capmac import cli, dataset, netlab, weights
+import capmac
+from capmac import cli, dataset, device, netlab, weights
 from capmac.arrays import build_conv_array, build_fc_array, conv_forward, fc_forward
-from capmac.device import (MAX_CAPACITANCE_PF, MAX_CAPACITANCE_RATIO, MIN_C_IL_PF,
-                           SensorParams, series_capacitance)
+from capmac.device import (MAX_CAPACITANCE_PF, MAX_CAPACITANCE_RATIO, MAX_NOISE_FRAC,
+                           MIN_C_IL_PF, SensorParams, series_capacitance)
 from capmac.netlab import (MODELS, Checkpoint, TrainConfig,
                            TrainingDiverged, array_inputs, autoencoder_batch_loss,
                            autoencoder_forward, cnn_batch_loss, cnn_logits,
@@ -711,6 +712,30 @@ class TestTrainers:
         assert exc.value.epoch == 3
         _assert_same_checkpoint(exc.value.history.checkpoint, want)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")  # 0 * inf
+    @pytest.mark.parametrize("bad,learning_rate", [(math.nan, 10.0), (math.inf, 10.0),
+                                                   (-math.inf, 10.0), (math.inf, 5e-324)])
+    def test_binarized_run_diverges_at_a_non_finite_gradient(self, monkeypatch, bad,
+                                                             learning_rate):
+        # Sign weights hide a non-finite latent matrix from the eval outputs,
+        # so the step's test of m - lr * g alone finds it, also where lr
+        # underflows to 0 (0 * inf is NaN).
+        cfg = default_config("fc_classifier", epochs=10, seed=0, binarize=True,
+                             learning_rate=learning_rate)
+        want = train("fc_classifier", dataclasses.replace(cfg, epochs=2)).checkpoint
+        model, steps = MODELS["fc_classifier"], []
+
+        def loss(*args):
+            value, grads = model.loss(*args)
+            steps.append(value)
+            return value, tuple(np.full_like(g, bad) if len(steps) >= 3 else g for g in grads)
+
+        monkeypatch.setitem(MODELS, "fc_classifier", dataclasses.replace(model, loss=loss))
+        with pytest.raises(TrainingDiverged) as exc:
+            train("fc_classifier", cfg)
+        assert exc.value.epoch == 3
+        _assert_same_checkpoint(exc.value.history.checkpoint, want)
+
     @pytest.mark.parametrize("diverge", [False, True])
     def test_one_checkpoint_per_run(self, monkeypatch, diverge):
         # A run builds its checkpoint once, at its end; a run that diverges
@@ -1181,3 +1206,63 @@ class TestHistoryCsv:
         write_history_csv(train("fc_classifier", cfg), p1)
         write_history_csv(train("fc_classifier", cfg), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@st.composite
+def bounded_params(draw):
+    """Any SensorParams within its bounds: c_il from MIN_C_IL_PF, c_ih/c0 up
+    to MAX_CAPACITANCE_RATIO, noise_frac up to MAX_NOISE_FRAC, either mode."""
+    c_il = draw(st.floats(min_value=MIN_C_IL_PF, max_value=MAX_CAPACITANCE_PF,
+                          exclude_max=True))
+    c_ih = draw(st.floats(min_value=c_il, max_value=MAX_CAPACITANCE_PF, exclude_min=True))
+    c0 = draw(st.floats(min_value=c_ih / MAX_CAPACITANCE_RATIO, max_value=MAX_CAPACITANCE_PF))
+    noise_frac = draw(st.floats(min_value=0.0, max_value=MAX_NOISE_FRAC))
+    try:
+        return SensorParams(c0, c_ih, c_il, noise_frac,
+                            draw(st.sampled_from(["per_class", "global"])))
+    except ValueError:  # c_ih / MAX_CAPACITANCE_RATIO rounded below the bound
+        assume(False)
+
+
+class TestValuesMacReads:
+    """device.mac checks shapes only: what train, evaluate and capmac eval
+    hand it is kept in range where it is made, and check_mac_values is left
+    to the entry points that take outside values."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(bounded_params(), st.sampled_from([FC_SPEC, CNN_SPEC]),
+           st.integers(0, 2 ** 32 - 1))
+    @example(SensorParams(2e-149, 2e-140, MIN_C_IL_PF, 0.0), CNN_SPEC, 0)
+    @example(SensorParams(2e-149, 2e-140, MIN_C_IL_PF, MAX_NOISE_FRAC), FC_SPEC, 0)
+    @example(SensorParams(1e-3, MAX_CAPACITANCE_PF, MIN_C_IL_PF, MAX_NOISE_FRAC, "global"),
+             FC_SPEC, 1)
+    def test_array_inputs_of_noisy_letters_positive_and_finite(self, params, spec, seed):
+        idx = np.repeat(np.arange(dataset.NUM_GLYPHS), 5)
+        c_i = dataset.noisy_letters(idx, params, np.random.default_rng(seed), spec.rows)
+        x = array_inputs(spec, c_i, params)
+        assert np.isfinite(x).all() and (x > 0).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(array_shapes(min_dims=2, max_dims=4, max_side=5).flatmap(
+        lambda shape: np_arrays(float, shape, elements=_FINITE)), st.booleans())
+    def test_programmed_weights_in_unit_range(self, v, binarize):
+        prog = netlab.programmed_weights(v, binarize)[0]
+        assert prog.shape == v.shape and (abs(prog) <= 1.0).all()
+
+    def test_training_and_capmac_eval_never_check_values(self, monkeypatch):
+        calls, check = [], device.check_mac_values
+
+        def counting(*args):
+            calls.append(args)
+            return check(*args)
+
+        for name in ("arrays", "cli", "dataset", "device", "metrics", "netlab", "weights"):
+            module = getattr(capmac, name)
+            if hasattr(module, "check_mac_values"):
+                monkeypatch.setattr(module, "check_mac_values", counting)
+        for arch, binarize in [(arch, False) for arch in MODELS] + [("fc_classifier", True)]:
+            config = default_config(arch, epochs=5, eval_per_glyph=3, binarize=binarize)
+            cli.evaluate(train(arch, config).checkpoint, per_glyph=3)
+        assert calls == []
+        fc_forward(FC_SPEC, np.full((3, 3), 100.0), np.zeros((4, 9)), PARAMS)
+        assert len(calls) == 1  # the counter sees the entry points' calls

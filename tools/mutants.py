@@ -77,8 +77,7 @@ MUTANTS = (
     ("charge_energy reads the TRANSFER phase", "metrics.py",
      "abs(charge[1] * volts[1])", "abs(charge[2] * volts[2])"),
     ("finiteness check of gradients and weights dropped", "netlab.py",
-     "if not all(np.isfinite(a).all() for a in (*grads, *stepped.values())):",
-     "if False:"),
+     "if not all(np.isfinite(a).all() for a in stepped.values()):", "if False:"),
     ("finiteness check of eval outputs dropped", "netlab.py",
      "for c in (losses, *checked)]", "for c in (losses,)]"),
     ("finiteness check of the loss dropped", "netlab.py",
@@ -127,6 +126,15 @@ MUTANTS = (
      "e.strip() for e", "e for e"),
     ("--config byte-order mark kept", "cli.py",
      '"utf-8-sig"', '"utf-8"'),
+    ("fc_forward takes values unchecked", "arrays.py",
+     "    check_mac_values(cs, v, params.c0)\n", ""),
+    ("conv_forward takes values unchecked", "arrays.py",
+     "    check_mac_values(cs, k, params.c0)\n", ""),
+    ("mac_phases takes values unchecked", "device.py",
+     "    check_mac_values(cs, v, c0)\n", ""),
+    ("zero c0 accepted", "device.py", "c0 > 0 and", "c0 >= 0 and"),
+    ("zero capacitance accepted", "device.py",
+     "cs.min(initial=np.inf) > 0", "cs.min(initial=np.inf) >= 0"),
 )
 
 
