@@ -96,8 +96,8 @@ def _window_index(rows: int, cols: int, kernel: int) -> np.ndarray:
 
 def gather_windows(mat_batch: np.ndarray, kernel: int = 3) -> np.ndarray:
     """(..., rows, cols) -> (..., n_windows, kernel^2) with row-major origins."""
-    *lead, rows, cols = mat_batch.shape
-    return mat_batch.reshape(*lead, -1).take(_window_index(rows, cols, kernel), axis=-1)
+    index = _window_index(*mat_batch.shape[-2:], kernel)
+    return mat_batch.reshape(mat_batch.shape[:-2] + (-1,)).take(index, axis=-1)
 
 
 def array_inputs(topology: ArrayTopology, c_i, params: SensorParams) -> np.ndarray:
@@ -105,7 +105,7 @@ def array_inputs(topology: ArrayTopology, c_i, params: SensorParams) -> np.ndarr
     capacitances, flattened per image for FC wiring, or gathered into the
     topology's kernel x kernel windows for a convolution."""
     cs, kernel = series_capacitance(c_i, params.c0), topology.kernel
-    return gather_windows(cs, kernel) if kernel else cs.reshape(*cs.shape[:-2], -1)
+    return gather_windows(cs, kernel) if kernel else cs.reshape(cs.shape[:-2] + (-1,))
 
 
 def conv_forward(topology: ArrayTopology, schedule: ArrayTopology, c_i_image,

@@ -63,11 +63,10 @@ class CapacitiveSample:
 
 
 @functools.lru_cache(maxsize=16)
-def _letter_table(c_ih: float, c_il: float, noise_mode: str, resolution: int) -> np.ndarray:
-    """Read-only (clean capacitances, noise reference) of every glyph, stacked
-    as shape (2, NUM_GLYPHS, R, R): what each draw reads, built once."""
-    clean = np.where(GRIDS[resolution] > 0, c_ih, c_il).astype(float)
-    table = np.stack([clean, np.full_like(clean, c_ih) if noise_mode == "global" else clean])
+def _letter_table(c_ih: float, c_il: float, resolution: int) -> np.ndarray:
+    """Read-only clean capacitances of every glyph, shape (NUM_GLYPHS, R, R):
+    what each draw reads, built once."""
+    table = np.where(GRIDS[resolution] > 0, c_ih, c_il).astype(float)
     table.setflags(write=False)
     return table
 
@@ -80,8 +79,8 @@ def noisy_letters(idx, params: SensorParams, rng, resolution: int = 3, normals=N
         raise ValueError(f"unsupported resolution: {resolution}")
     if not 1 <= np.size(idx) <= MAX_DRAW:
         raise ValueError(f"a draw holds 1 to {MAX_DRAW} letters, got {np.size(idx)}")
-    clean, nominal = _letter_table(params.c_ih, params.c_il, params.noise_mode,
-                                   resolution).take(idx, axis=1)
+    clean = _letter_table(params.c_ih, params.c_il, resolution).take(idx, axis=0)
+    nominal = params.c_ih if params.noise_mode == "global" else clean
     return apply_noise(clean, nominal, params.noise_frac, rng, normals)
 
 

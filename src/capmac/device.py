@@ -101,12 +101,13 @@ def series_capacitance(c_i, c0):
 
     Accepts scalars or arrays. The exact result lies below both inputs, but
     rounds to the smaller once the larger is some 1e16 times it. Raises
-    ValueError for non-positive capacitance.
+    ValueError unless c0 and every c_i exceed 0, which refuses NaN and -0.0.
     """
     c_i = np.asarray(c_i, dtype=float)
-    if (c_i <= 0).any() or c0 <= 0:
+    if not (c0 > 0 and np.minimum.reduce(c_i, axis=None, initial=np.inf) > 0):
         raise ValueError("capacitances must be positive")
-    out = c_i * c0 / (c_i + c0)
+    out = c_i * c0
+    out /= c_i + c0
     return float(out) if out.ndim == 0 else out
 
 
@@ -159,9 +160,9 @@ def mac(cs, v, c0: float = DEFAULT_C0):
 
 def check_mac_values(cs: np.ndarray, v: np.ndarray, c0: float):
     """Refuse float arrays cs, v or a c0 that mac cannot read: cs and c0 > 0, |v| <= 1."""
-    if not (c0 > 0 and cs.min(initial=np.inf) > 0):
+    if not (c0 > 0 and np.minimum.reduce(cs, axis=None, initial=np.inf) > 0):
         raise ValueError("capacitances must be positive")
-    if not abs(v).max(initial=0.0) <= 1.0:
+    if not np.maximum.reduce(abs(v), axis=None, initial=0.0) <= 1.0:
         raise ValueError("weight voltage outside [-1, 1]; normalize weights first")
 
 

@@ -235,9 +235,9 @@ class TestNoisyLetters:
 
     def test_tables_reject_writes(self):
         noisy_letters([0], PARAMS, np.random.default_rng(0))
-        table = dataset._letter_table(PARAMS.c_ih, PARAMS.c_il, PARAMS.noise_mode, 3)
+        table = dataset._letter_table(PARAMS.c_ih, PARAMS.c_il, 3)
         with pytest.raises(ValueError, match="read-only"):
-            table[0, 0, 0, 0] = 1.0
+            table[0, 0, 0] = 1.0
 
     def test_labels_match_glyph_numbers(self):
         batch = sample_batch(20, PARAMS, np.random.default_rng(4))

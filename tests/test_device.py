@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes
+from hypothesis.extra.numpy import arrays as np_arrays
 
 from capmac.dataset import noisy_letters
 from capmac.device import (MAX_CAPACITANCE_PF, MAX_CAPACITANCE_RATIO, MAX_NOISE_FRAC,
@@ -248,6 +250,59 @@ class TestMacValueBounds:
         with pytest.raises(ValueError, match=r"^weight voltage outside \[-1, 1\]; "
                                              r"normalize weights first$"):
             mac_phases([50.0], [[sign * np.nextafter(1.0, 2.0)]], 72.0)
+
+
+# Values at the edges of the value checks: zeros of both signs, NaN, the
+# least subnormal, unit weights and the floats next to them.
+_EDGE_VALUES = [0.0, -0.0, math.nan, 5e-324, -5e-324, 0.5, 50.0, 1.0, -1.0,
+                float(np.nextafter(1.0, 0.0)), float(np.nextafter(1.0, 2.0)),
+                -float(np.nextafter(1.0, 2.0))]
+_EDGE_ARRAYS = np_arrays(float, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+                         elements=st.sampled_from(_EDGE_VALUES))
+_EDGE_C0 = st.sampled_from([0.0, -0.0, math.nan, 5e-324, 72.0])
+
+
+def _refusal(call, *args):
+    """The message of the ValueError that call(*args) raises, or None."""
+    try:
+        call(*args)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def _reference_series_check(c_i, c0):
+    """series_capacitance's check as ndarray methods, before it refused NaN."""
+    if (c_i <= 0).any() or c0 <= 0:
+        raise ValueError("capacitances must be positive")
+
+
+def _reference_mac_check(cs, v, c0):
+    """check_mac_values as ndarray methods, before its checks became reductions."""
+    if not (c0 > 0 and cs.min(initial=np.inf) > 0):
+        raise ValueError("capacitances must be positive")
+    if not abs(v).max(initial=0.0) <= 1.0:
+        raise ValueError("weight voltage outside [-1, 1]; normalize weights first")
+
+
+class TestValueChecksAsReductions:
+    """The value checks, written as ufunc reductions, refuse exactly what
+    their ndarray-method forms refused, with the same message and no numpy
+    warning; series_capacitance now also refuses NaN itself."""
+
+    @pytest.mark.filterwarnings("error")
+    @given(_EDGE_ARRAYS, _EDGE_C0)
+    def test_series_capacitance_refuses_as_before_and_nan(self, c_i, c0):
+        want = _refusal(_reference_series_check, c_i, c0)
+        if want is None and (np.isnan(c_i).any() or math.isnan(c0)):
+            want = "capacitances must be positive"
+        assert _refusal(series_capacitance, c_i, c0) == want
+
+    @pytest.mark.filterwarnings("error")
+    @given(_EDGE_ARRAYS, _EDGE_ARRAYS, _EDGE_C0)
+    def test_check_mac_values_refuses_as_before(self, cs, v, c0):
+        assert (_refusal(check_mac_values, cs, v, c0)
+                == _refusal(_reference_mac_check, cs, v, c0))
 
 
 class TestApplyNoise:

@@ -102,12 +102,14 @@ MUTANTS = (
     ("noise clamp skipped", "device.py",
      "        np.maximum(out, NOISE_FLOOR_PF, out=out)\n", ""),
     ("letter table ignores noise_mode", "dataset.py",
-     'np.full_like(clean, c_ih) if noise_mode == "global" else clean', "clean"),
+     'params.c_ih if params.noise_mode == "global" else clean', "clean"),
     ("letter table at resolution 3 for every resolution", "dataset.py",
      "np.where(GRIDS[resolution] > 0, c_ih, c_il)", "np.where(GRIDS[3] > 0, c_ih, c_il)"),
     ("window index keyed without cols", "arrays.py",
-     "_window_index(rows, cols, kernel)",
-     "_window_index(rows, gather_windows.__dict__.setdefault((rows, kernel), cols), kernel)"),
+     "index = _window_index(*mat_batch.shape[-2:], kernel)",
+     "rows, cols = mat_batch.shape[-2:]\n"
+     "    index = _window_index(rows, gather_windows.__dict__.setdefault((rows, kernel), cols),"
+     " kernel)"),
     ("training and eval streams swapped", "netlab.py",
      "    rng = np.random.default_rng(config.seed)\n"
      "    erng = np.random.default_rng(config.seed + EVAL_SEED_OFFSET)\n",
@@ -132,9 +134,16 @@ MUTANTS = (
      "    check_mac_values(cs, k, params.c0)\n", ""),
     ("mac_phases takes values unchecked", "device.py",
      "    check_mac_values(cs, v, c0)\n", ""),
-    ("zero c0 accepted", "device.py", "c0 > 0 and", "c0 >= 0 and"),
+    ("zero c0 accepted", "device.py",
+     "c0 > 0 and np.minimum.reduce(cs,", "c0 >= 0 and np.minimum.reduce(cs,"),
     ("zero capacitance accepted", "device.py",
-     "cs.min(initial=np.inf) > 0", "cs.min(initial=np.inf) >= 0"),
+     "np.minimum.reduce(cs, axis=None, initial=np.inf) > 0",
+     "np.minimum.reduce(cs, axis=None, initial=np.inf) >= 0"),
+    ("series formula takes a zero c0", "device.py",
+     "c0 > 0 and np.minimum.reduce(c_i,", "c0 >= 0 and np.minimum.reduce(c_i,"),
+    ("series formula takes a zero capacitance", "device.py",
+     "np.minimum.reduce(c_i, axis=None, initial=np.inf) > 0",
+     "np.minimum.reduce(c_i, axis=None, initial=np.inf) >= 0"),
 )
 
 
