@@ -116,7 +116,8 @@ def render_ascii(bitmap) -> str:
     Deciding which pixels are on is the caller's: a reconstruction's bits
     come from `netlab.classify_series_bits`."""
     bits = np.asarray(bitmap)
-    if bits.ndim != 2 or max(bits.shape) > 16 or not ((bits == 0) | (bits == 1)).all():
+    if (bits.ndim != 2 or max(bits.shape) > 16
+            or not np.logical_and.reduce((bits == 0) | (bits == 1), axis=None)):
         raise ValueError("render_ascii draws 2-D 0/1 bitmaps up to 16x16")
     return "\n".join("".join("#" if v else "." for v in row) for row in bits)
 
@@ -276,16 +277,17 @@ def evaluate(ckpt: Checkpoint, seed: int = 0,
         _, _, s_rec, s_ci_rec = netlab.autoencoder_forward(
             ckpt.matrices, netlab.array_inputs(model.spec, s_ci, params), params)
         spred, sbits = netlab.classify_series_bits(s_rec, params)
+        mse = np.add.reduce((s_ci_rec - s_ci.reshape(letters, -1)) ** 2, axis=-1) / s_ci[0].size
         report["letters"] = [
             {
                 "glyph": dataset.GLYPH_ORDER[g].value,
                 "predicted": dataset.GLYPH_ORDER[pg].value,
-                "mse": float(np.mean((s_ci_rec[i] - s_ci[i].ravel()) ** 2)),
+                "mse": float(mse[i]),
                 "bitmap": sbits[i].reshape(model.spec.rows, model.spec.cols),
             }
             for i, (g, pg) in enumerate(zip(sidx, spred))
         ]
-        report["letters_correct"] = int(np.sum(spred == sidx))
+        report["letters_correct"] = int(np.count_nonzero(spred == sidx))
     return report
 
 

@@ -175,17 +175,17 @@ def mac_phases(cs, v, c0: float = DEFAULT_C0):
     weight voltages, as for `mac`. CLEAR empties every unit (Q = U = 0);
     CHARGE stores Q_n = c_n v_n at U = v_n; TRANSFER moves it onto c0
     (U = Q_n / c0); SUM shares the bank's charges, so every unit of bank m
-    holds U_m = mac(cs, v, c0)[m] and Q = c0 U_m.
+    holds U_m = mac(cs, v, c0)[m] and Q = c0 U_m. charge, volts: the halves of one array.
     """
     cs, v = np.asarray(cs, dtype=float), np.asarray(v, dtype=float)
     if cs.ndim != 1:
         raise ValueError("trace capture takes a single sample of N capacitances")
     check_mac_values(cs, v, c0)
     q = cs * v
-    u_sum = np.broadcast_to(mac(cs, v, c0)[:, None], v.shape)
-    zero = np.zeros_like(v)
-    return (np.stack([zero, q, q, c0 * u_sum]),
-            np.stack([zero, v, q / c0, u_sum]))
+    u_sum = mac(cs, v, c0)[:, None]
+    charge, volts = np.zeros((2, len(PHASES)) + v.shape)
+    charge[1:3], charge[3], volts[1], volts[2], volts[3] = q, c0 * u_sum, v, q / c0, u_sum
+    return charge, volts
 
 
 def write_trace_csv(phases, path):

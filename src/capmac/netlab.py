@@ -239,7 +239,7 @@ class Checkpoint:
             if np.shape(self.matrices[name]) != shape:
                 raise ValueError(f"matrix {name} is {np.shape(self.matrices[name])}, "
                                  f"{self.architecture} needs {shape}")
-            if not np.all(np.isfinite(self.matrices[name])):
+            if not np.logical_and.reduce(np.isfinite(self.matrices[name]), axis=None):
                 raise ValueError(f"matrix {name} holds non-finite values")
         beta = programmed_weights(self.matrices[next(iter(model.matrices))])[1]
         if self.beta != beta:
@@ -283,7 +283,7 @@ def programmed_weights(v: np.ndarray, binarize: bool = False):
     v = np.asarray(v, dtype=float)
     if binarize:
         return np.where(v >= 0, 1.0, -1.0), 1.0
-    beta = abs(v).max(axis=(-2, -1), keepdims=v.ndim > 2)
+    beta = np.maximum.reduce(abs(v), axis=(-2, -1), keepdims=v.ndim > 2)
     beta = np.where(beta == 0, 1.0, beta) if v.ndim > 2 else float(beta) or 1.0
     return v / beta, beta
 
@@ -305,7 +305,7 @@ def _conditioned(cs: np.ndarray, v: np.ndarray, params: SensorParams) -> np.ndar
     _, c_l, span = encoder_caps(params)
     prog, beta = programmed_weights(v)
     a = mac(cs, prog, params.c0) * (cs.shape[-1] * params.c0 * beta)
-    return (a - c_l * v.sum(axis=-1)[..., None, :]) / span
+    return (a - c_l * np.add.reduce(v, axis=-1)[..., None, :]) / span
 
 
 # ---------------------------------------------------------------------------
@@ -389,28 +389,38 @@ def cnn_batch_loss(m, x, c_i, labels, params, binarize):
 # ---------------------------------------------------------------------------
 # evaluation helpers
 
+@functools.cache
+def _nearest_glyph():
+    """(table, place): the read-only nearest 3x3 glyph of each of the 2**9 bitmaps by
+    Hamming distance, ties -> lowest, at the bitmap's number sum(bits * place)."""
+    pats, place = dataset.GRIDS[3].reshape(dataset.NUM_GLYPHS, -1), 2 ** np.arange(8, -1, -1)
+    table = (np.arange(512)[:, None, None] // place % 2 != pats).sum(-1).argmin(-1)
+    for shared in (table, place):
+        shared.setflags(write=False)
+    return table, place
+
+
 def classify_series_bits(c_rec_series: np.ndarray, params: SensorParams):
-    """Threshold reconstructed series caps at (C_H + C_L)/2 and classify the
-    bitmaps by Hamming distance to the canonical glyphs (ties -> lowest)."""
+    """Threshold reconstructed series caps at (C_H + C_L)/2 and read each bitmap's glyph
+    from the 512-entry _nearest_glyph table (ties -> lowest); a 1-pixel row reads as 9."""
     c_h, c_l, _ = encoder_caps(params)
     bits = (c_rec_series >= (c_h + c_l) / 2).astype(int)
-    pats = dataset.GRIDS[3].reshape(dataset.NUM_GLYPHS, -1)
-    ham = (bits[..., None, :] != pats).sum(axis=-1)
-    return ham.argmin(axis=-1), bits
+    table, place = _nearest_glyph()
+    return table[np.add.reduce(bits * place, axis=-1)], bits
 
 
 def _mean_by_glyph(values: np.ndarray) -> np.ndarray:
     """Per-glyph means of outputs (..., S, outputs) laid out glyph-major, as
-    np.repeat(np.arange(NUM_GLYPHS), per_glyph) draws them."""
+    np.arange(NUM_GLYPHS).repeat(per_glyph) draws them."""
     by_glyph = values.reshape(*values.shape[:-2], dataset.NUM_GLYPHS, -1, values.shape[-1])
-    return by_glyph.sum(axis=-2) / by_glyph.shape[-2]
+    return np.add.reduce(by_glyph, axis=-2) / by_glyph.shape[-2]
 
 
 def eval_letters(architecture: str, params: SensorParams, rng, per_glyph: int, count: int = 1):
     """(idx, x): the glyph numbers, per_glyph of each glyph-major, and the
     array_inputs (count, S, ...) of `count` evaluations drawn in one call."""
     spec = MODELS[architecture].spec
-    idx = np.repeat(np.arange(dataset.NUM_GLYPHS), per_glyph)
+    idx = np.arange(dataset.NUM_GLYPHS).repeat(per_glyph)
     c_i = dataset.noisy_letters(idx[None].repeat(count, axis=0), params, rng, spec.rows)
     return idx, array_inputs(spec, c_i, params)
 
@@ -420,7 +430,7 @@ def evaluate(architecture: str, m: dict, idx, x, params: SensorParams, binarize:
     (idx, x) of eval_letters: (K accuracies, K per-glyph mean outputs, the
     outputs that must stay finite), each with a leading axis of K."""
     pred, outputs, checked = MODELS[architecture].score(m, x, params, binarize)
-    return (pred == idx).sum(axis=-1) / len(idx), _mean_by_glyph(outputs), checked
+    return np.add.reduce(pred == idx, axis=-1) / len(idx), _mean_by_glyph(outputs), checked
 
 
 # ---------------------------------------------------------------------------

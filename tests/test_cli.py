@@ -993,6 +993,48 @@ def test_training_eval_equals_capmac_eval(arch, binarize, seed, noise_frac):
                                   hist.mean_outputs[-1].view(np.uint64))
 
 
+# numpy's Python-level helpers that the read path (capmac trace and eval) once called.
+_NUMPY_WRAPPERS = ("stack", "broadcast_to", "zeros_like", "mean", "repeat", "all", "sum")
+
+
+def test_trace_and_eval_call_no_numpy_python_wrappers(checkpoints, tmp_path, monkeypatch,
+                                                      capsys):
+    calls = {name: 0 for name in _NUMPY_WRAPPERS}
+
+    def counting(name, wrapped):
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return wrapped(*args, **kwargs)
+        return count
+
+    for name in _NUMPY_WRAPPERS:
+        monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
+    for arch in ("fc_classifier", "autoencoder"):
+        assert main(["trace", "--checkpoint", checkpoints[arch],
+                     "--out", str(tmp_path / arch)]) == EXIT_OK
+    for arch in netlab.ARCHITECTURES:
+        assert main(["eval", checkpoints[arch], "--per-glyph", "5"]) == EXIT_OK
+    assert calls == dict.fromkeys(_NUMPY_WRAPPERS, 0)
+    np.sum([1.0])
+    assert calls["sum"] == 1  # the counters see a call through numpy's namespace
+
+
+def test_letter_mse_equals_per_letter_mean():
+    # cli.evaluate's one reduction over all letters gives each letter's
+    # np.mean of squared errors, bit for bit.
+    ckpt = netlab.train("autoencoder", default_config("autoencoder", epochs=3)).checkpoint
+    params, spec = ckpt.params, netlab.MODELS["autoencoder"].spec
+    report = evaluate(ckpt, seed=4, per_glyph=5, letters=40)
+    rng = np.random.default_rng(4)
+    netlab.eval_letters("autoencoder", params, rng, 5)
+    sidx = rng.integers(0, dataset.NUM_GLYPHS, 40)
+    s_ci = dataset.noisy_letters(sidx, params, rng, spec.rows)
+    *_, s_ci_rec = netlab.autoencoder_forward(
+        ckpt.matrices, netlab.array_inputs(spec, s_ci, params), params)
+    want = [float(np.mean((s_ci_rec[i] - s_ci[i].ravel()) ** 2)) for i in range(40)]
+    assert [entry["mse"] for entry in report["letters"]] == want
+
+
 def _bits(c_i, params=SensorParams()):
     """The bitmap `netlab.classify_series_bits` reads from induced
     capacitances c_i, in c_i's shape. Its threshold is per pixel, so each

@@ -404,3 +404,50 @@ def test_trace_csv_export(tmp_path):
     for r in rows:
         switches = tuple(level == "1" for level in r[2:6])
         assert switches == SWITCHES[r[1]]
+
+
+def _stacked_phases(cs, v, c0):
+    """mac_phases' (charge, volts) as two np.stack calls over zeros_like and a
+    broadcast_to view, before both became halves of one zeroed array."""
+    cs, v = np.asarray(cs, dtype=float), np.asarray(v, dtype=float)
+    q = cs * v
+    u_sum = np.broadcast_to(mac(cs, v, c0)[:, None], v.shape)
+    zero = np.zeros_like(v)
+    return (np.stack([zero, q, q, c0 * u_sum]),
+            np.stack([zero, v, q / c0, u_sum]))
+
+
+@st.composite
+def _traced_cycles(draw):
+    """(cs[N], v[M, N], c0) with M, N in [1, 9], weights of both signed zeros and units."""
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    cs = draw(np_arrays(float, n, elements=st.floats(1e-3, 1e3)))
+    v = draw(np_arrays(float, (m, n), elements=st.sampled_from([-1.0, -0.0, 0.0, 1.0])
+                       | st.floats(-1.0, 1.0)))
+    return cs, v, draw(st.floats(1e-3, 1e3))
+
+
+class TestPhasesAsOneArray:
+    """mac_phases fills one (2, 4, M, N) array: the same shapes, dtype and
+    bits as the two stacks it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_traced_cycles())
+    def test_bitwise_equal_to_stacks(self, cycle):
+        for got, want in zip(mac_phases(*cycle), _stacked_phases(*cycle)):
+            assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+            assert (got.view(np.uint64) == want.view(np.uint64)).all()
+
+    def test_charge_writes_leave_volts_unchanged(self):
+        charge, volts = mac_phases([62.937, 13.602], [[1.0, -1.0], [0.5, 0.25]], 72.0)
+        before = volts.copy()
+        charge[...] = np.nan
+        assert (volts.view(np.uint64) == before.view(np.uint64)).all()
+
+    def test_trace_csv_of_negative_zero_weight_as_before(self, tmp_path):
+        args = ([62.937, 13.602], [[-0.0, 1.0], [0.5, -0.0]], 72.0)
+        write_trace_csv(mac_phases(*args), tmp_path / "new.csv")
+        write_trace_csv(_stacked_phases(*args), tmp_path / "old.csv")
+        text = (tmp_path / "new.csv").read_text()
+        assert text == (tmp_path / "old.csv").read_text()
+        assert ",-0.0,-0.0," in text  # CHARGE Q = c * -0.0 at U = -0.0

@@ -1266,3 +1266,55 @@ class TestValuesMacReads:
         assert calls == []
         fc_forward(FC_SPEC, np.full((3, 3), 100.0), np.zeros((4, 9)), PARAMS)
         assert len(calls) == 1  # the counter sees the entry points' calls
+
+
+def _hamming_nearest(bits):
+    """The glyph nearest each bitmap row by Hamming distance, ties to the lowest:
+    classify_series_bits' rule before it read a table."""
+    pats = dataset.GRIDS[3].reshape(dataset.NUM_GLYPHS, -1)
+    return (bits[..., None, :] != pats).sum(-1).argmin(-1)
+
+
+_ALL_BITMAPS = (np.arange(512)[:, None] >> np.arange(8, -1, -1)) & 1
+
+
+class TestNearestGlyphTable:
+    """classify_series_bits reads each bitmap's glyph from a 512-entry table
+    built with the Hamming rule: the same glyphs, ties included."""
+
+    def test_every_bitmap_as_by_hamming_distance(self):
+        c_h, c_l, _ = encoder_caps(PARAMS)
+        pred, bits = netlab.classify_series_bits(np.where(_ALL_BITMAPS, c_h, c_l), PARAMS)
+        assert (bits == _ALL_BITMAPS).all()
+        assert pred.dtype == np.intp and (pred == _hamming_nearest(_ALL_BITMAPS)).all()
+        ham = (_ALL_BITMAPS[:, None, :] != dataset.GRIDS[3].reshape(1, 4, 9)).sum(-1)
+        ties = (ham == ham.min(-1, keepdims=True)).sum(-1) > 1
+        assert ties.sum() == 154
+
+    def test_table_read_only_and_built_once(self):
+        table, place = netlab._nearest_glyph()
+        assert not table.flags.writeable and not place.flags.writeable
+        assert netlab._nearest_glyph()[0] is table
+
+    @settings(max_examples=200, deadline=None)
+    @given(array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4).flatmap(
+        lambda lead: np_arrays(float, lead + (9,), elements=st.floats(0.0, 100.0))))
+    @example(np.zeros((0, 9)))
+    def test_any_stack_as_by_hamming_distance(self, c_rec):
+        pred, bits = netlab.classify_series_bits(c_rec, PARAMS)
+        want = _hamming_nearest(bits)
+        assert pred.shape == want.shape == c_rec.shape[:-1]
+        assert np.asarray(pred).dtype == np.asarray(want).dtype
+        assert (pred == want).all()
+
+    def test_one_pixel_rows_as_before(self):
+        c_h, c_l, _ = encoder_caps(PARAMS)
+        c_rec = np.array([[c_l], [c_h], [(c_h + c_l) / 2], [1.0]])
+        pred, bits = netlab.classify_series_bits(c_rec, PARAMS)
+        assert bits.tolist() == [[0], [1], [1], [0]]
+        assert pred.tolist() == _hamming_nearest(bits).tolist()
+
+    @pytest.mark.parametrize("pixels", [4, 16])
+    def test_other_pixel_counts_refused(self, pixels):
+        with pytest.raises(ValueError):
+            netlab.classify_series_bits(np.full((3, pixels), 50.0), PARAMS)

@@ -116,8 +116,12 @@ MUTANTS = (
      "    erng = np.random.default_rng(config.seed)\n"
      "    rng = np.random.default_rng(config.seed + EVAL_SEED_OFFSET)\n"),
     ("eval letters interleaved", "netlab.py",
-     "idx = np.repeat(np.arange(dataset.NUM_GLYPHS), per_glyph)",
+     "idx = np.arange(dataset.NUM_GLYPHS).repeat(per_glyph)",
      "idx = np.tile(np.arange(dataset.NUM_GLYPHS), per_glyph)"),
+    ("nearest-glyph table ties to the highest glyph", "netlab.py",
+     "!= pats).sum(-1).argmin(-1)", "!= pats).sum(-1)[:, ::-1].argmin(-1) * -1 + 3"),
+    ("TRANSFER volts written as q, not q/c0", "device.py",
+     "v, q / c0, u_sum", "v, q, u_sum"),
     ("diverged run drops its checkpoint", "cli.py",
      "        if history.checkpoint is not None:\n"
      '            emit.append("checkpoint")\n', ""),
