@@ -23,8 +23,7 @@ import numpy as np
 
 from . import __version__, arrays, dataset, metrics, netlab
 from .device import SensorParams, mac_phases, write_trace_csv
-from .netlab import (Checkpoint, TrainConfig, TrainingDiverged, load_checkpoint,
-                     save_checkpoint, write_history_csv)
+from .netlab import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint, write_history_csv
 
 EMIT_CHOICES = ("history", "waveform", "reconstruction", "schedule", "checkpoint")
 
@@ -196,13 +195,13 @@ def write_manifest(config: ExperimentConfig, artifacts: list, diverged_at: int |
     path.write_text("\n".join(lines) + "\n")
 
 
-def run(config: ExperimentConfig) -> list[tuple[str, str]]:
+def run(config: ExperimentConfig) -> tuple[list[tuple[str, str]], int | None]:
     """Train per config, write the requested artifacts and the manifest, and
-    return the artifacts' (name, sha256) pairs in the order written.
+    return the artifacts' (name, sha256) pairs in the order written, with the
+    epoch the run diverged at or None.
 
     A diverged run writes only its last-good state: the checkpoint, emitted
-    or not, and history.csv if requested. It then raises TrainingDiverged
-    after the manifest, so callers can map it to an exit status.
+    or not, and history.csv if requested.
     """
     outdir = config.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
@@ -211,11 +210,9 @@ def run(config: ExperimentConfig) -> list[tuple[str, str]]:
     def add(path: Path):
         artifacts.append((path.name, hashlib.sha256(path.read_bytes()).hexdigest()))
 
-    emit, diverged = config.emit, None
-    try:
-        history = netlab.train(config.architecture, config.train, config.sensor)
-    except TrainingDiverged as exc:
-        history, diverged = exc.history, exc
+    history = netlab.train(config.architecture, config.train, config.sensor)
+    emit, diverged_at = config.emit, history.diverged_at
+    if diverged_at is not None:
         emit = ["history"] if "history" in emit and history.epochs_run else []
         if history.checkpoint is not None:
             emit.append("checkpoint")
@@ -242,11 +239,8 @@ def run(config: ExperimentConfig) -> list[tuple[str, str]]:
         for path in _emit_reconstructions(history.checkpoint, outdir):
             add(path)
 
-    write_manifest(config, artifacts, None if diverged is None else diverged.epoch,
-                   outdir / "manifest.txt")
-    if diverged is not None:
-        raise diverged
-    return artifacts
+    write_manifest(config, artifacts, diverged_at, outdir / "manifest.txt")
+    return artifacts, diverged_at
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +330,13 @@ def _cmd_train(args) -> int:
     except ValueError as exc:
         return _usage_error(exc, "config")
     try:
-        artifacts = run(config)
-    except TrainingDiverged as exc:
-        print(f"training diverged at epoch {exc.epoch}; last-good checkpoint "
-              f"written to {config.output_dir}", file=sys.stderr)
-        return EXIT_DIVERGED
+        artifacts, diverged_at = run(config)
     except OSError as exc:  # run writes nothing outside output_dir
         return _usage_error(f"output_dir: {exc}", "config")
+    if diverged_at is not None:
+        print(f"training diverged at epoch {diverged_at}; last-good checkpoint "
+              f"written to {config.output_dir}", file=sys.stderr)
+        return EXIT_DIVERGED
     print(f"run complete: {len(artifacts)} artifacts in {config.output_dir}")
     for name, digest in artifacts:
         print(f"  {name} sha256 {digest[:16]}...")

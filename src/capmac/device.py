@@ -181,6 +181,8 @@ def mac_phases(cs, v, c0: float = DEFAULT_C0):
     if cs.ndim != 1:
         raise ValueError("trace capture takes a single sample of N capacitances")
     check_mac_values(cs, v, c0)
+    if v.ndim != 2:
+        raise ValueError("trace capture takes one M x N weight matrix")
     q = cs * v
     u_sum = mac(cs, v, c0)[:, None]
     charge, volts = np.zeros((2, len(PHASES)) + v.shape)

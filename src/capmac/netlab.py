@@ -254,23 +254,11 @@ class TrainHistory:
     accuracy: list = field(default_factory=list)
     mean_outputs: list = field(default_factory=list)  # (glyphs, outputs) per epoch
     checkpoint: Checkpoint | None = None
+    diverged_at: int | None = None  # the first epoch whose values were not finite
 
     @property
     def epochs_run(self) -> int:
         return len(self.loss)
-
-
-class TrainingDiverged(RuntimeError):
-    """Raised when an epoch's loss, gradients, updated weights or evaluation
-    outputs stop being finite; carries the history up to (and the checkpoint
-    of) the last good epoch. Finite but huge weights are not detected here;
-    TrainConfig prevents them at config time by bounding the learning rate."""
-
-    def __init__(self, epoch: int, history: TrainHistory):
-        super().__init__(f"training diverged at epoch {epoch}: non-finite "
-                         "loss, gradient, weight or output")
-        self.epoch = epoch
-        self.history = history
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +495,11 @@ def train(architecture: str, config: TrainConfig,
     binarized weights with a straight-through estimator. Chunks of epochs, as
     many as CHUNK_FLOATS holds, draw their batches and evaluations in one call
     each, in the RNG order of per-epoch draws, and score all their steps in
-    one call. Raises TrainingDiverged at the first epoch whose loss, gradient,
-    matrix or eval output is not finite; a step's exception propagates once
-    the epochs before it are scored, unless one of them diverged.
+    one call. A run stops at the first epoch whose loss, gradient, matrix or
+    eval output is not finite (finite but huge weights are not caught; the
+    learning-rate bound prevents them) and sets `diverged_at` to it, keeping
+    the history and checkpoint of the epochs before it. A step's exception
+    propagates once the epochs before it are scored, unless one diverged.
     """
     model = MODELS[architecture]
     rng = np.random.default_rng(config.seed)
@@ -520,44 +510,46 @@ def train(architecture: str, config: TrainConfig,
     letters = max(config.batch_size, dataset.NUM_GLYPHS * config.eval_per_glyph)
     per_letter = array_inputs(spec, np.ones((1, spec.rows, spec.cols)), params).size
     chunk = max(1, CHUNK_FLOATS // (letters * per_letter))
-    try:
-        for start in range(0, config.epochs, chunk):
-            count = min(chunk, config.epochs - start)
-            idx, c_i = dataset.letter_batches(count, config.batch_size, params, rng, spec.rows)
-            x, labels = array_inputs(spec, c_i, params), dataset.LABELS[idx]
-            e_idx, e_x = eval_letters(architecture, params, erng, config.eval_per_glyph, count)
-            steps, stop, stepped = [], None, mats
-            try:
-                for k in range(count):
-                    loss, grads = model.loss(stepped, x[k], c_i[k], labels[k], params,
-                                             config.binarize)
-                    stepped = {name: m - lr * g for (name, m), g in zip(stepped.items(), grads)}
-                    if not all(np.isfinite(a).all() for a in stepped.values()):
-                        raise TrainingDiverged(start + k + 1, history)
-                    steps.append((loss, stepped))
-            except Exception as exc:  # raised once the epochs before it are scored
-                stop = exc
-            if steps:
-                n = len(steps)
-                stack = {name: np.array([s[name] for _, s in steps]) for name in model.matrices}
-                accuracy, mean_outputs, checked = evaluate(
-                    architecture, stack, e_idx, e_x[:n], params, config.binarize)
-                losses = [loss for loss, _ in steps]  # checked here, with the outputs
-                finite = np.logical_and.reduce([np.isfinite(c).reshape(n, -1).all(1)
-                                                for c in (losses, *checked)])
-                good = n if finite.all() else int(finite.argmin())  # epochs before the first bad
-                history.loss += losses[:good]
-                history.accuracy += accuracy[:good].tolist()
-                history.mean_outputs += list(mean_outputs[:good])
-                mats = steps[good - 1][1] if good else mats
-                stop = TrainingDiverged(start + good + 1, history) if good < n else stop
-            if stop is not None:
-                raise stop
-    finally:  # one checkpoint per run, of the last good epoch's matrices
-        if history.epochs_run:
-            beta = programmed_weights(next(iter(mats.values())))[1]
-            history.checkpoint = Checkpoint(architecture, config.seed, history.epochs_run,
-                                            beta, config.binarize, params, mats)
+    for start in range(0, config.epochs, chunk):
+        count = min(chunk, config.epochs - start)
+        idx, c_i = dataset.letter_batches(count, config.batch_size, params, rng, spec.rows)
+        x, labels = array_inputs(spec, c_i, params), dataset.LABELS[idx]
+        e_idx, e_x = eval_letters(architecture, params, erng, config.eval_per_glyph, count)
+        steps, stop, stepped = [], None, mats
+        try:
+            for k in range(count):
+                loss, grads = model.loss(stepped, x[k], c_i[k], labels[k], params,
+                                         config.binarize)
+                stepped = {name: m - lr * g for (name, m), g in zip(stepped.items(), grads)}
+                if not all(np.isfinite(a).all() for a in stepped.values()):
+                    history.diverged_at = start + k + 1
+                    break
+                steps.append((loss, stepped))
+        except Exception as exc:  # raised once the epochs before it are scored
+            stop = exc
+        if steps:
+            n = len(steps)
+            stack = {name: np.array([s[name] for _, s in steps]) for name in model.matrices}
+            accuracy, mean_outputs, checked = evaluate(
+                architecture, stack, e_idx, e_x[:n], params, config.binarize)
+            losses = [loss for loss, _ in steps]  # checked here, with the outputs
+            finite = np.logical_and.reduce([np.isfinite(c).reshape(n, -1).all(1)
+                                            for c in (losses, *checked)])
+            good = n if finite.all() else int(finite.argmin())  # epochs before the first bad
+            history.loss += losses[:good]
+            history.accuracy += accuracy[:good].tolist()
+            history.mean_outputs += list(mean_outputs[:good])
+            mats = steps[good - 1][1] if good else mats
+            if good < n:
+                history.diverged_at = start + good + 1
+        if history.diverged_at is not None:
+            break
+        if stop is not None:
+            raise stop
+    if history.epochs_run:  # one checkpoint per run, of the last good epoch's matrices
+        beta = programmed_weights(next(iter(mats.values())))[1]
+        history.checkpoint = Checkpoint(architecture, config.seed, history.epochs_run,
+                                        beta, config.binarize, params, mats)
     return history
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -21,8 +22,7 @@ from capmac.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, build_config, confi
                         evaluate, main, parse_config_text, render_ascii, run, write_pgm)
 from capmac.device import (MAX_CAPACITANCE_PF, MAX_CAPACITANCE_RATIO, SensorParams,
                            series_capacitance)
-from capmac.netlab import (TrainingDiverged, default_config, load_checkpoint,
-                           save_checkpoint, write_history_csv)
+from capmac.netlab import default_config, load_checkpoint, save_checkpoint, write_history_csv
 
 LOG_CAPACITANCE = st.floats(min_value=math.log(5e-324), max_value=math.log(MAX_CAPACITANCE_PF))
 
@@ -214,7 +214,8 @@ def test_emit_spelling_leaves_config_hash_unchanged(names, separator):
 class TestRun:
     def test_emits_requested_artifacts_and_manifest(self, tmp_path):
         cfg = build_config(fc_raw(tmp_path))
-        artifacts = run(cfg)
+        artifacts, diverged_at = run(cfg)
+        assert diverged_at is None
         outdir = tmp_path / "run"
         assert (outdir / "history.csv").exists()
         assert (outdir / "checkpoint.txt").exists()
@@ -231,9 +232,8 @@ class TestRun:
     def test_empty_emit_writes_manifest_only(self, tmp_path):
         raw = fc_raw(tmp_path)
         raw["emit"] = ""
-        artifacts = run(build_config(raw))
+        assert run(build_config(raw)) == ([], None)
         outdir = tmp_path / "run"
-        assert artifacts == []
         assert sorted(p.name for p in outdir.iterdir()) == ["manifest.txt"]
 
     def test_history_row_count_matches_epochs(self, tmp_path):
@@ -247,8 +247,9 @@ class TestRun:
         raw1["output_dir"] = str(tmp_path / "a")
         raw2 = fc_raw(tmp_path)
         raw2["output_dir"] = str(tmp_path / "b")
-        a1 = run(build_config(raw1))
-        a2 = run(build_config(raw2))
+        a1, diverged_1 = run(build_config(raw1))
+        a2, diverged_2 = run(build_config(raw2))
+        assert diverged_1 is diverged_2 is None
         for name in ("history.csv", "checkpoint.txt"):
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
@@ -305,12 +306,11 @@ class TestRun:
 
     def test_divergence_exit_path(self, tmp_path, monkeypatch):
         def diverge(architecture, config, params):
-            raise TrainingDiverged(1, netlab.TrainHistory())
+            return netlab.TrainHistory(diverged_at=1)
 
         monkeypatch.setattr(netlab, "train", diverge)
         cfg = build_config(fc_raw(tmp_path))
-        with pytest.raises(TrainingDiverged):
-            run(cfg)
+        assert run(cfg) == ([], 1)
         text = (tmp_path / "run" / "manifest.txt").read_text()
         assert "diverged_at_epoch: 1" in text
 
@@ -325,11 +325,12 @@ class TestRun:
         hist = netlab.train("fc_classifier", default_config("fc_classifier", epochs=2, seed=0))
 
         def diverge(architecture, config, params):
-            raise TrainingDiverged(3, hist)
+            return dataclasses.replace(hist, diverged_at=3)
 
         monkeypatch.setattr(netlab, "train", diverge)
-        with pytest.raises(TrainingDiverged):
-            run(build_config(fc_raw(tmp_path, emit=emit)))
+        artifacts, diverged_at = run(build_config(fc_raw(tmp_path, emit=emit)))
+        assert diverged_at == 3
+        assert sorted(name for name, _ in artifacts) == written
         outdir = tmp_path / "run"
         assert sorted(p.name for p in outdir.iterdir()) == written + ["manifest.txt"]
         lines = (outdir / "manifest.txt").read_text().splitlines()
@@ -383,7 +384,7 @@ class TestMainExitCodes:
 
     def test_divergence_is_3(self, tmp_path, monkeypatch, capsys):
         def diverge(architecture, config, params):
-            raise TrainingDiverged(2, netlab.TrainHistory())
+            return netlab.TrainHistory(diverged_at=2)
 
         monkeypatch.setattr(netlab, "train", diverge)
         code = main(["train", "--arch", "fc_classifier",
@@ -532,8 +533,17 @@ class TestInputErrors:
                          "--set", "train.learning_rate=1e308",
                          "--emit", "history,checkpoint"])
         assert code == EXIT_DIVERGED
-        assert "training diverged at epoch 1" in capsys.readouterr().err
-        assert "diverged_at_epoch: 1" in (out / "manifest.txt").read_text().splitlines()
+        assert capsys.readouterr().err == ("training diverged at epoch 1; last-good "
+                                           f"checkpoint written to {out}\n")
+        # No epoch was good: the manifest is the only file, and it lists no artifact.
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.txt"]
+        config = build_config({"architecture": "cnn_classifier", "output_dir": str(out),
+                               "train.learning_rate": "1e308",
+                               "emit": "history,checkpoint"})
+        lines = (out / "manifest.txt").read_text().splitlines()
+        assert lines[lines.index(f"numpy: {np.__version__}") + 1:] == [
+            f"architecture: {config.architecture}", f"seed: {config.train.seed}",
+            f"config_hash: {config_hash(config)}", "diverged_at_epoch: 1"]
 
     @pytest.mark.parametrize("c0,c_ih", [("1e-12", "1e5"), ("1e-300", "1e6")])
     def test_series_capacitance_at_c0_exits_2(self, tmp_path, capsys, c0, c_ih):
@@ -800,7 +810,7 @@ class TestInputErrors:
         # Regression: a leading UTF-8 byte-order mark was read as part of the
         # first key, so "architecture" was refused as an unknown key.
         built = []
-        monkeypatch.setattr(cli, "run", lambda config: built.append(config) or [])
+        monkeypatch.setattr(cli, "run", lambda config: built.append(config) or ([], None))
         text = "architecture = autoencoder\ntrain.epochs = 2\n"
         for name, data in (("plain.cfg", text.encode()), ("bom.cfg", text.encode("utf-8-sig"))):
             (tmp_path / name).write_bytes(data)

@@ -217,6 +217,14 @@ class TestMacEvaluate:
         with pytest.raises(ValueError, match="single sample"):
             mac_phases(np.full((2, 3), 50.0), np.zeros((1, 3)), 72.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("v", [[[[1.0, 0.0], [0.0, 1.0]]], np.zeros((1, 3, 2))])
+    def test_trace_refuses_a_weight_stack(self, v):
+        # Regression: a (1, 2, 2) stack put bank 1's SUM volts into bank 0's
+        # second unit, and a (1, 3, 2) stack met only numpy's broadcast error.
+        with pytest.raises(ValueError, match="^trace capture takes one M x N weight matrix$"):
+            mac_phases([10.0, 20.0], v, 72.0)
+
     def test_trace_has_one_bank_per_weight_row(self):
         c, v, c0 = [50.0, 20.0, 35.0], [[0.5, -0.25, 1.0], [-1.0, 0.75, 0.0]], 72.0
         charge, volts = mac_phases(c, v, c0)

@@ -17,7 +17,7 @@ from capmac.arrays import build_conv_array, build_fc_array, conv_forward, fc_for
 from capmac.device import (MAX_CAPACITANCE_PF, MAX_CAPACITANCE_RATIO, MAX_NOISE_FRAC,
                            MIN_C_IL_PF, SensorParams, series_capacitance)
 from capmac.netlab import (MODELS, Checkpoint, TrainConfig,
-                           TrainingDiverged, array_inputs, autoencoder_batch_loss,
+                           array_inputs, autoencoder_batch_loss,
                            autoencoder_forward, cnn_batch_loss, cnn_logits,
                            cross_entropy, default_config, encoder_caps,
                            fc_batch_loss, fc_output_volts, gather_windows,
@@ -548,6 +548,7 @@ class TestChunkedTraining:
         want, mats, diverged_at = _per_epoch_train(arch, cfg, params)
         assert diverged_at is None
         got = train(arch, cfg, params)
+        assert got.diverged_at == diverged_at
         assert got.loss == want.loss
         assert got.accuracy == want.accuracy
         assert len(got.mean_outputs) == len(want.mean_outputs) == epochs
@@ -572,10 +573,8 @@ class TestChunkedTraining:
             want = train(arch, dataclasses.replace(cfg, epochs=d - 1))
             with monkeypatch.context() as patch:
                 patch.setitem(MODELS, arch, _nan_from(model, fault, d))
-                with pytest.raises(TrainingDiverged) as exc:
-                    train(arch, cfg)
-            assert exc.value.epoch == d
-            got = exc.value.history
+                got = train(arch, cfg)
+            assert got.diverged_at == d
             assert (got.loss, got.accuracy) == (want.loss, want.accuracy)
             _assert_same_checkpoint(got.checkpoint, want.checkpoint)
 
@@ -593,16 +592,17 @@ class TestChunkedTraining:
             return model.loss(*args)
 
         cfg = default_config(arch, epochs=5, seed=0)
-        for fault_model, expect in ((model, RuntimeError),
-                                    (_nan_from(model, "score", 2), TrainingDiverged)):
-            raising.calls = 0
-            with monkeypatch.context() as patch:
-                patch.setitem(MODELS, arch, dataclasses.replace(fault_model, loss=raising))
-                with pytest.raises(expect) as exc:
-                    train(arch, cfg)
-            if expect is TrainingDiverged:
-                assert exc.value.epoch == 2
-                assert exc.value.history.checkpoint.epoch == 1
+        raising.calls = 0
+        with monkeypatch.context() as patch:
+            patch.setitem(MODELS, arch, dataclasses.replace(model, loss=raising))
+            with pytest.raises(RuntimeError, match="^step 3$"):
+                train(arch, cfg)
+        raising.calls = 0
+        monkeypatch.setitem(MODELS, arch,
+                            dataclasses.replace(_nan_from(model, "score", 2), loss=raising))
+        got = train(arch, cfg)
+        assert got.diverged_at == 2
+        assert got.checkpoint.epoch == 1
 
 
 class TestTrainers:
@@ -692,11 +692,10 @@ class TestTrainers:
         monkeypatch.setitem(netlab.MODELS, "fc_classifier",
                             dataclasses.replace(model, loss=exploding))
         cfg = default_config("fc_classifier", epochs=10, seed=0)
-        with pytest.raises(TrainingDiverged) as exc:
-            train("fc_classifier", cfg)
-        assert exc.value.epoch == 3
-        assert exc.value.history.epochs_run == 2
-        assert exc.value.history.checkpoint.epoch == 2
+        got = train("fc_classifier", cfg)
+        assert got.diverged_at == 3
+        assert got.epochs_run == 2
+        assert got.checkpoint.epoch == 2
 
     @pytest.mark.parametrize("arch", sorted(MODELS))
     @pytest.mark.parametrize("fault", ["loss", "score"])
@@ -707,10 +706,9 @@ class TestTrainers:
         cfg = default_config(arch, epochs=10, seed=0)
         want = train(arch, dataclasses.replace(cfg, epochs=2)).checkpoint
         monkeypatch.setitem(MODELS, arch, _nan_from(MODELS[arch], fault, 3))
-        with pytest.raises(TrainingDiverged) as exc:
-            train(arch, cfg)
-        assert exc.value.epoch == 3
-        _assert_same_checkpoint(exc.value.history.checkpoint, want)
+        got = train(arch, cfg)
+        assert got.diverged_at == 3
+        _assert_same_checkpoint(got.checkpoint, want)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")  # 0 * inf
     @pytest.mark.parametrize("bad,learning_rate", [(math.nan, 10.0), (math.inf, 10.0),
@@ -731,10 +729,9 @@ class TestTrainers:
             return value, tuple(np.full_like(g, bad) if len(steps) >= 3 else g for g in grads)
 
         monkeypatch.setitem(MODELS, "fc_classifier", dataclasses.replace(model, loss=loss))
-        with pytest.raises(TrainingDiverged) as exc:
-            train("fc_classifier", cfg)
-        assert exc.value.epoch == 3
-        _assert_same_checkpoint(exc.value.history.checkpoint, want)
+        got = train("fc_classifier", cfg)
+        assert got.diverged_at == 3
+        _assert_same_checkpoint(got.checkpoint, want)
 
     @pytest.mark.parametrize("diverge", [False, True])
     def test_one_checkpoint_per_run(self, monkeypatch, diverge):
@@ -758,11 +755,11 @@ class TestTrainers:
             monkeypatch.setitem(MODELS, "fc_classifier",
                                 dataclasses.replace(model, loss=inf_grad))
         cfg = default_config("fc_classifier", epochs=5, seed=0)
+        got = train("fc_classifier", cfg)
         if diverge:
-            with pytest.raises(TrainingDiverged):
-                train("fc_classifier", cfg)
+            assert (got.diverged_at, got.checkpoint) == (1, None)
         else:
-            assert train("fc_classifier", cfg).checkpoint.epoch == 5
+            assert (got.diverged_at, got.checkpoint.epoch) == (None, 5)
         assert built == ([] if diverge else [5])
 
     @pytest.mark.parametrize("arch", sorted(MODELS))
@@ -845,10 +842,9 @@ class TestTrainers:
 
         monkeypatch.setitem(netlab.MODELS, "fc_classifier",
                             dataclasses.replace(model, loss=inf_grad))
-        with pytest.raises(TrainingDiverged, match="non-finite") as exc:
-            train("fc_classifier", default_config("fc_classifier", epochs=5, seed=0))
-        assert exc.value.epoch == 1
-        assert exc.value.history.checkpoint is None
+        got = train("fc_classifier", default_config("fc_classifier", epochs=5, seed=0))
+        assert got.diverged_at == 1
+        assert got.checkpoint is None
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_cnn_outputs_diverge(self, monkeypatch):
@@ -857,10 +853,9 @@ class TestTrainers:
         # config refuses such a rate, so lift the bound to reach the check.
         monkeypatch.setattr(netlab, "MAX_LEARNING_RATE", 1e308)
         cfg = default_config("cnn_classifier", learning_rate=1e308, seed=0)
-        with pytest.raises(TrainingDiverged) as exc:
-            train("cnn_classifier", cfg)
-        assert exc.value.epoch == 1
-        assert exc.value.history.epochs_run == 0
+        got = train("cnn_classifier", cfg)
+        assert got.diverged_at == 1
+        assert got.epochs_run == 0
 
 
 _HEADER_KEYS = ["architecture", "seed", "epoch", "beta", "binarize", "sensor.c0",

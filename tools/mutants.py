@@ -125,6 +125,14 @@ MUTANTS = (
     ("diverged run drops its checkpoint", "cli.py",
      "        if history.checkpoint is not None:\n"
      '            emit.append("checkpoint")\n', ""),
+    ("diverged run exits 0", "cli.py",
+     "if diverged_at is not None:\n        print(", "if False:\n        print("),
+    ("non-finite step not recorded as divergence", "netlab.py",
+     "history.diverged_at = start + k + 1", "pass"),
+    ("non-finite score not recorded as divergence", "netlab.py",
+     "history.diverged_at = start + good + 1", "pass"),
+    ("diverged run trains on", "netlab.py",
+     "        if history.diverged_at is not None:\n            break\n", ""),
     ("training draws at SensorParams() instead of params", "netlab.py",
      "dataset.letter_batches(count, config.batch_size, params, rng, spec.rows)",
      "dataset.letter_batches(count, config.batch_size, SensorParams(), rng, spec.rows)"),
@@ -148,6 +156,18 @@ MUTANTS = (
     ("series formula takes a zero capacitance", "device.py",
      "np.minimum.reduce(c_i, axis=None, initial=np.inf) > 0",
      "np.minimum.reduce(c_i, axis=None, initial=np.inf) >= 0"),
+    # Boundary mutants: each refuses a value at the bound its message accepts.
+    ("16x16 bitmap refused", "cli.py",
+     "max(bits.shape) > 16", "max(bits.shape) >= 16"),
+    ("eval --letters 1 refused", "cli.py",
+     "1 <= args.letters", "1 < args.letters"),
+    ("eval --letters MAX_DRAW refused", "cli.py",
+     "args.letters <= dataset.MAX_DRAW", "args.letters < dataset.MAX_DRAW"),
+    ("noisy_letters draw of MAX_DRAW refused", "dataset.py",
+     "np.size(idx) <= MAX_DRAW", "np.size(idx) < MAX_DRAW"),
+    ("c_ih at MAX_CAPACITANCE_RATIO * c0 refused", "device.py",
+     "self.c_ih > MAX_CAPACITANCE_RATIO * self.c0",
+     "self.c_ih >= MAX_CAPACITANCE_RATIO * self.c0"),
 )
 
 
