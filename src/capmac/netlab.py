@@ -14,8 +14,9 @@ batch loss takes x, and a loss also takes c_i for its targets.
 
 train draws and scores its epochs in chunks, with the RNG order, history,
 checkpoint and divergence epoch of an epoch-by-epoch loop, bit for bit. device.mac
-checks only shapes here (noisy_letters keeps c_i > 0, programmed_weights |v| <= 1);
-a step tests only m - lr * g, non-finite wherever g is (m finite, lr >= 0).
+checks only shapes here (noisy_letters keeps c_i > 0, programmed_weights |v| <= 1).
+NaN and inf flow through a chunk unwarned to one test of its losses, outputs and
+each m - lr * g, non-finite wherever g is (m finite, lr >= 0).
 
 Forward paths, each reading the array through the same kernel, device.mac:
   fc_classifier  logits = beta * U, U = sum(C_n v'_mn) / (N c0) from the array
@@ -67,10 +68,9 @@ CHUNK_FLOATS = 2 ** 15
 # activations and losses
 
 def softmax(u):
-    """Row-wise softmax with max subtraction for stability."""
+    """Row-wise softmax with max subtraction for stability. A row holding NaN
+    or +inf comes out all NaN; the other rows are unaffected."""
     u = np.asarray(u, dtype=float)
-    if not np.isfinite(u).all():
-        raise ValueError("softmax input must be finite")
     shifted = u - u.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
@@ -495,11 +495,11 @@ def train(architecture: str, config: TrainConfig,
     binarized weights with a straight-through estimator. Chunks of epochs, as
     many as CHUNK_FLOATS holds, draw their batches and evaluations in one call
     each, in the RNG order of per-epoch draws, and score all their steps in
-    one call. A run stops at the first epoch whose loss, gradient, matrix or
-    eval output is not finite (finite but huge weights are not caught; the
-    learning-rate bound prevents them) and sets `diverged_at` to it, keeping
-    the history and checkpoint of the epochs before it. A step's exception
-    propagates once the epochs before it are scored, unless one diverged.
+    one call, letting NaN and inf through. One test of the chunk's losses, stepped
+    matrices and eval outputs finds the first epoch with a non-finite value (finite
+    but huge weights are not caught; the learning-rate bound prevents them): the run
+    stops there, sets `diverged_at` to it and keeps the history and checkpoint of
+    the epochs before it. A step's exception propagates at once, before its chunk is scored.
     """
     model = MODELS[architecture]
     rng = np.random.default_rng(config.seed)
@@ -515,37 +515,27 @@ def train(architecture: str, config: TrainConfig,
         idx, c_i = dataset.letter_batches(count, config.batch_size, params, rng, spec.rows)
         x, labels = array_inputs(spec, c_i, params), dataset.LABELS[idx]
         e_idx, e_x = eval_letters(architecture, params, erng, config.eval_per_glyph, count)
-        steps, stop, stepped = [], None, mats
-        try:
+        steps, stepped = [], mats
+        with np.errstate(all="ignore"):  # NaN and inf flow on to the one test below
             for k in range(count):
                 loss, grads = model.loss(stepped, x[k], c_i[k], labels[k], params,
                                          config.binarize)
                 stepped = {name: m - lr * g for (name, m), g in zip(stepped.items(), grads)}
-                if not all(np.isfinite(a).all() for a in stepped.values()):
-                    history.diverged_at = start + k + 1
-                    break
                 steps.append((loss, stepped))
-        except Exception as exc:  # raised once the epochs before it are scored
-            stop = exc
-        if steps:
-            n = len(steps)
             stack = {name: np.array([s[name] for _, s in steps]) for name in model.matrices}
             accuracy, mean_outputs, checked = evaluate(
-                architecture, stack, e_idx, e_x[:n], params, config.binarize)
-            losses = [loss for loss, _ in steps]  # checked here, with the outputs
-            finite = np.logical_and.reduce([np.isfinite(c).reshape(n, -1).all(1)
-                                            for c in (losses, *checked)])
-            good = n if finite.all() else int(finite.argmin())  # epochs before the first bad
-            history.loss += losses[:good]
-            history.accuracy += accuracy[:good].tolist()
-            history.mean_outputs += list(mean_outputs[:good])
-            mats = steps[good - 1][1] if good else mats
-            if good < n:
-                history.diverged_at = start + good + 1
-        if history.diverged_at is not None:
+                architecture, stack, e_idx, e_x, params, config.binarize)
+        losses = [loss for loss, _ in steps]
+        finite = np.logical_and.reduce([np.isfinite(c).reshape(count, -1).all(1)
+                                        for c in (losses, *stack.values(), *checked)])
+        good = count if finite.all() else int(finite.argmin())  # epochs before the first bad
+        history.loss += losses[:good]
+        history.accuracy += accuracy[:good].tolist()
+        history.mean_outputs += list(mean_outputs[:good])
+        mats = steps[good - 1][1] if good else mats
+        if good < count:
+            history.diverged_at = start + good + 1
             break
-        if stop is not None:
-            raise stop
     if history.epochs_run:  # one checkpoint per run, of the last good epoch's matrices
         beta = programmed_weights(next(iter(mats.values())))[1]
         history.checkpoint = Checkpoint(architecture, config.seed, history.epochs_run,

@@ -528,10 +528,8 @@ class TestInputErrors:
         # outputs overflow for real.
         monkeypatch.setattr(netlab, "MAX_LEARNING_RATE", 1e308)
         out = tmp_path / "r"
-        with np.errstate(all="ignore"):
-            code = main(["train", "--arch", "cnn_classifier", "--output-dir", str(out),
-                         "--set", "train.learning_rate=1e308",
-                         "--emit", "history,checkpoint"])
+        code = main(["train", "--arch", "cnn_classifier", "--output-dir", str(out),
+                     "--set", "train.learning_rate=1e308", "--emit", "history,checkpoint"])
         assert code == EXIT_DIVERGED
         assert capsys.readouterr().err == ("training diverged at epoch 1; last-good "
                                            f"checkpoint written to {out}\n")
@@ -577,7 +575,7 @@ class TestInputErrors:
         c_il, c_ih = sorted(min(math.exp(x), MAX_CAPACITANCE_PF) for x in (log_a, log_b))
         c0 = min(c_ih / math.exp(log_ratio), MAX_CAPACITANCE_PF)
         err = io.StringIO()
-        with tempfile.TemporaryDirectory() as out, np.errstate(all="ignore"), \
+        with tempfile.TemporaryDirectory() as out, \
                 contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["train", "--arch", arch, "--epochs", "2", "--output-dir", out,
                          "--emit", "history,checkpoint",
@@ -594,7 +592,7 @@ class TestInputErrors:
     def test_any_sensor_ratio_trains_or_exits_cleanly(self, log_c0, log_c_ih):
         c0 = min(math.exp(log_c0), MAX_CAPACITANCE_PF)
         c_ih = min(math.exp(log_c_ih), MAX_CAPACITANCE_PF)
-        with tempfile.TemporaryDirectory() as out, np.errstate(all="ignore"), \
+        with tempfile.TemporaryDirectory() as out, \
                 contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(["train", "--arch", "autoencoder", "--epochs", "2",
@@ -821,7 +819,7 @@ class TestInputErrors:
     @settings(max_examples=60, deadline=None)
     @given(st.binary(max_size=200))
     def test_any_config_file_bytes_train_or_exit_cleanly(self, contents):
-        with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"), \
+        with tempfile.TemporaryDirectory() as tmp, \
                 contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             cfgfile = Path(tmp) / "exp.cfg"

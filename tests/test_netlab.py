@@ -45,9 +45,11 @@ class TestSoftmax:
         assert np.sum(p) == pytest.approx(1.0, abs=1e-12)
         assert np.all(p > 0) and np.all(p < 1.0 + 1e-15)
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            softmax(np.array([np.nan, 0.0]))
+    def test_nan_row_gives_nan_and_leaves_the_other_rows(self):
+        u = np.array([[0.5, np.nan, -1.0, 2.0], [3.0, 1.0, 0.0, -1.0], [0.0, 0.0, 1.0, 4.0]])
+        p = softmax(u)
+        assert np.isnan(p[0]).all()
+        _assert_bitwise_equal(p[1:], softmax(u[1:]))
 
 
 class TestSigmoid:
@@ -439,8 +441,8 @@ class TestInversionIdentities:
         assert np.all(np.isfinite(ci_rec))
 
 
-def _nan_from(model, fault, epoch):
-    """`model` with NaN gradients from the step of `epoch` on (fault "loss"),
+def _nan_from(model, fault, epoch, value=np.nan):
+    """`model` with gradients `value` from the step of `epoch` on (fault "loss"),
     or NaN checked outputs from the evaluation of `epoch` on (fault "score").
     train scores the epochs of a chunk in one stacked call, so a score fault
     counts epochs by the leading axis of the outputs, not by calls."""
@@ -451,7 +453,7 @@ def _nan_from(model, fault, epoch):
         first = seen["n"] + 1  # the epoch of the first step or slice here
         seen["n"] += 1 if fault == "loss" else len(out[0])
         if fault == "loss":
-            return out if first < epoch else (out[0], tuple(np.full_like(g, np.nan)
+            return out if first < epoch else (out[0], tuple(np.full_like(g, value)
                                                             for g in out[1]))
         checked = tuple(c.copy() for c in out[2])
         for c in checked:
@@ -533,30 +535,48 @@ class TestChunkedTraining:
                             ("autoencoder", False), ("cnn_classifier", False)]),
            st.sampled_from(["per_class", "global"]), st.sampled_from([0.0, 0.2]),
            st.integers(1, 40), st.integers(1, 600), st.integers(1, 600),
-           st.integers(0, 2 ** 32 - 1))
-    @example(("fc_classifier", False), "per_class", 0.2, 40, 20, 25, 0)      # K 36
-    @example(("autoencoder", False), "global", 0.2, 37, 20, 25, 1)           # K 36
-    @example(("cnn_classifier", False), "per_class", 0.2, 10, 20, 25, 2)     # K 4
-    @example(("fc_classifier", True), "global", 0.0, 7, 500, 456, 3)         # K 1
-    @example(("cnn_classifier", False), "global", 0.0, 7, 1, 12, 4)          # K 33
+           st.integers(0, 2 ** 32 - 1),
+           st.none() | st.tuples(st.integers(1, 40), st.sampled_from([math.nan, math.inf,
+                                                                      -math.inf])))
+    @example(("fc_classifier", False), "per_class", 0.2, 40, 20, 25, 0, None)   # K 36
+    @example(("autoencoder", False), "global", 0.2, 37, 20, 25, 1, None)        # K 36
+    @example(("cnn_classifier", False), "per_class", 0.2, 10, 20, 25, 2, None)  # K 4
+    @example(("fc_classifier", True), "global", 0.0, 7, 500, 456, 3, None)      # K 1
+    @example(("cnn_classifier", False), "global", 0.0, 7, 1, 12, 4, None)       # K 33
+    @example(("fc_classifier", True), "per_class", 0.2, 40, 20, 25, 5, (37, math.inf))
+    @example(("autoencoder", False), "global", 0.2, 37, 20, 25, 6, (20, -math.inf))
+    @example(("cnn_classifier", False), "per_class", 0.2, 10, 20, 25, 7, (5, math.nan))
+    @example(("cnn_classifier", False), "global", 0.0, 7, 1, 12, 8, (1, math.inf))
     def test_chunked_train_equals_per_epoch_loop(self, arch_binarize, mode, noise_frac,
-                                                 epochs, batch_size, per_glyph, seed):
+                                                 epochs, batch_size, per_glyph, seed, fault):
+        # With a fault, every step's gradients from epoch d on hold its value:
+        # both loops diverge at d (if the run gets there), with the same history
+        # and last good checkpoint.
         arch, binarize = arch_binarize
         params = SensorParams(noise_frac=noise_frac, noise_mode=mode)
         cfg = default_config(arch, epochs=epochs, batch_size=batch_size,
                              eval_per_glyph=per_glyph, seed=seed, binarize=binarize)
-        want, mats, diverged_at = _per_epoch_train(arch, cfg, params)
-        assert diverged_at is None
-        got = train(arch, cfg, params)
+        runs = []
+        for loop in (_per_epoch_train, train):
+            with pytest.MonkeyPatch.context() as patch:
+                if fault is not None:
+                    patch.setitem(MODELS, arch, _nan_from(MODELS[arch], "loss", *fault))
+                runs.append(loop(arch, cfg, params))
+        (want, mats, diverged_at), got = runs
+        assert diverged_at == (fault[0] if fault and fault[0] <= epochs else None)
         assert got.diverged_at == diverged_at
+        good = epochs if diverged_at is None else diverged_at - 1
         assert got.loss == want.loss
         assert got.accuracy == want.accuracy
-        assert len(got.mean_outputs) == len(want.mean_outputs) == epochs
+        assert len(got.mean_outputs) == len(want.mean_outputs) == good
         for g, w in zip(got.mean_outputs, want.mean_outputs):
             _assert_bitwise_equal(g, w)
-        assert got.checkpoint.epoch == epochs
-        for name, mat in mats.items():
-            _assert_bitwise_equal(got.checkpoint.matrices[name], mat)
+        if good:
+            assert got.checkpoint.epoch == good
+            for name, mat in mats.items():
+                _assert_bitwise_equal(got.checkpoint.matrices[name], mat)
+        else:
+            assert got.checkpoint is None
 
     @pytest.mark.parametrize("fault", ["loss", "score"])
     @pytest.mark.parametrize("arch,per_glyph", [("fc_classifier", 210), ("autoencoder", 210),
@@ -579,10 +599,9 @@ class TestChunkedTraining:
             _assert_same_checkpoint(got.checkpoint, want.checkpoint)
 
     @pytest.mark.parametrize("arch", sorted(MODELS))
-    def test_step_error_propagates_once_earlier_epochs_are_scored(self, monkeypatch, arch):
-        # Epoch 3's step raises inside its chunk: with epochs 1-2 scored
-        # finite the error propagates; with epoch 2's outputs NaN the run
-        # diverges at 2, as the epoch-by-epoch loop did before stepping on.
+    def test_step_error_propagates_at_once(self, monkeypatch, arch):
+        # Epoch 3's step raises inside its chunk: the error leaves train as
+        # it is, and the chunk's floating-point error state is undone.
         model = MODELS[arch]
 
         def raising(*args):
@@ -591,18 +610,12 @@ class TestChunkedTraining:
             raising.calls += 1
             return model.loss(*args)
 
-        cfg = default_config(arch, epochs=5, seed=0)
         raising.calls = 0
-        with monkeypatch.context() as patch:
-            patch.setitem(MODELS, arch, dataclasses.replace(model, loss=raising))
-            with pytest.raises(RuntimeError, match="^step 3$"):
-                train(arch, cfg)
-        raising.calls = 0
-        monkeypatch.setitem(MODELS, arch,
-                            dataclasses.replace(_nan_from(model, "score", 2), loss=raising))
-        got = train(arch, cfg)
-        assert got.diverged_at == 2
-        assert got.checkpoint.epoch == 1
+        monkeypatch.setitem(MODELS, arch, dataclasses.replace(model, loss=raising))
+        before = np.geterr()
+        with pytest.raises(RuntimeError, match="^step 3$"):
+            train(arch, default_config(arch, epochs=5, seed=0))
+        assert np.geterr() == before
 
 
 class TestTrainers:
@@ -710,14 +723,13 @@ class TestTrainers:
         assert got.diverged_at == 3
         _assert_same_checkpoint(got.checkpoint, want)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")  # 0 * inf
     @pytest.mark.parametrize("bad,learning_rate", [(math.nan, 10.0), (math.inf, 10.0),
                                                    (-math.inf, 10.0), (math.inf, 5e-324)])
     def test_binarized_run_diverges_at_a_non_finite_gradient(self, monkeypatch, bad,
                                                              learning_rate):
         # Sign weights hide a non-finite latent matrix from the eval outputs,
-        # so the step's test of m - lr * g alone finds it, also where lr
-        # underflows to 0 (0 * inf is NaN).
+        # so the test of the stepped matrices m - lr * g alone finds it, also
+        # where lr underflows to 0 (0 * inf is NaN), with no warning.
         cfg = default_config("fc_classifier", epochs=10, seed=0, binarize=True,
                              learning_rate=learning_rate)
         want = train("fc_classifier", dataclasses.replace(cfg, epochs=2)).checkpoint
@@ -846,11 +858,11 @@ class TestTrainers:
         assert got.diverged_at == 1
         assert got.checkpoint is None
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_cnn_outputs_diverge(self, monkeypatch):
         # At alpha = 1e308 the weights stay finite (about 1e307), but the
-        # digital rescale N*c0*beta of the next forward pass overflows. The
-        # config refuses such a rate, so lift the bound to reach the check.
+        # digital rescale N*c0*beta of the next forward pass overflows, with
+        # no warning. The config refuses such a rate, so lift the bound to
+        # reach the check.
         monkeypatch.setattr(netlab, "MAX_LEARNING_RATE", 1e308)
         cfg = default_config("cnn_classifier", learning_rate=1e308, seed=0)
         got = train("cnn_classifier", cfg)

@@ -77,11 +77,13 @@ MUTANTS = (
     ("charge_energy reads the TRANSFER phase", "metrics.py",
      "abs(charge[1] * volts[1])", "abs(charge[2] * volts[2])"),
     ("finiteness check of gradients and weights dropped", "netlab.py",
-     "if not all(np.isfinite(a).all() for a in stepped.values()):", "if False:"),
+     "(losses, *stack.values(), *checked)", "(losses, *checked)"),
     ("finiteness check of eval outputs dropped", "netlab.py",
-     "for c in (losses, *checked)]", "for c in (losses,)]"),
+     "(losses, *stack.values(), *checked)", "(losses, *stack.values())"),
     ("finiteness check of the loss dropped", "netlab.py",
-     "for c in (losses, *checked)", "for c in checked"),
+     "(losses, *stack.values(), *checked)", "(*stack.values(), *checked)"),
+    ("divergence warns", "netlab.py",
+     'with np.errstate(all="ignore"):', "with np.errstate():"),
     ("checkpoint seed unbounded", "netlab.py",
      '        check_bound("seed", self.seed)\n', ""),
     ("checkpoint epoch unbounded", "netlab.py",
@@ -89,8 +91,8 @@ MUTANTS = (
     ("checkpoint of the stepped, not the last good, matrices", "netlab.py",
      "mats = steps[good - 1][1] if good else mats", "mats = steps[-1][1]"),
     ("the last bad epoch of a chunk taken instead of the first", "netlab.py",
-     "good = n if finite.all() else int(finite.argmin())",
-     "good = n if finite.all() else n - 1 - int(finite[::-1].argmin())"),
+     "good = count if finite.all() else int(finite.argmin())",
+     "good = count if finite.all() else count - 1 - int(finite[::-1].argmin())"),
     ("each epoch scored with the previous epoch's matrices", "netlab.py",
      "steps.append((loss, stepped))",
      "steps.append((loss, steps[-1][1] if steps else mats))"),
@@ -127,12 +129,11 @@ MUTANTS = (
      '            emit.append("checkpoint")\n', ""),
     ("diverged run exits 0", "cli.py",
      "if diverged_at is not None:\n        print(", "if False:\n        print("),
-    ("non-finite step not recorded as divergence", "netlab.py",
-     "history.diverged_at = start + k + 1", "pass"),
     ("non-finite score not recorded as divergence", "netlab.py",
      "history.diverged_at = start + good + 1", "pass"),
     ("diverged run trains on", "netlab.py",
-     "        if history.diverged_at is not None:\n            break\n", ""),
+     "            history.diverged_at = start + good + 1\n            break\n",
+     "            history.diverged_at = start + good + 1\n"),
     ("training draws at SensorParams() instead of params", "netlab.py",
      "dataset.letter_batches(count, config.batch_size, params, rng, spec.rows)",
      "dataset.letter_batches(count, config.batch_size, SensorParams(), rng, spec.rows)"),
