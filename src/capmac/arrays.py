@@ -94,18 +94,21 @@ def _window_index(rows: int, cols: int, kernel: int) -> np.ndarray:
     return index
 
 
-def gather_windows(mat_batch: np.ndarray, kernel: int = 3) -> np.ndarray:
-    """(..., rows, cols) -> (..., n_windows, kernel^2) with row-major origins."""
+def gather_windows(mat_batch: np.ndarray, kernel: int = 3, out=None) -> np.ndarray:
+    """(..., rows, cols) -> (..., n_windows, kernel^2) with row-major origins, into
+    `out` if given (mode "clip": the index is in range, and "raise" buffers out)."""
     index = _window_index(*mat_batch.shape[-2:], kernel)
-    return mat_batch.reshape(mat_batch.shape[:-2] + (-1,)).take(index, axis=-1)
+    return mat_batch.reshape(mat_batch.shape[:-2] + (-1,)).take(index, -1, out, "clip")
 
 
-def array_inputs(topology: ArrayTopology, c_i, params: SensorParams) -> np.ndarray:
-    """What the array reads of images c_i[..., rows, cols]: their series
-    capacitances, flattened per image for FC wiring, or gathered into the
-    topology's kernel x kernel windows for a convolution."""
-    cs, kernel = series_capacitance(c_i, params.c0), topology.kernel
-    return gather_windows(cs, kernel) if kernel else cs.reshape(cs.shape[:-2] + (-1,))
+def array_inputs(topology: ArrayTopology, c_i, params: SensorParams, out=None) -> np.ndarray:
+    """What the array reads of images c_i[..., rows, cols]: their series capacitances,
+    flattened per image for FC wiring, or gathered into the topology's kernel x kernel
+    windows for a convolution. Written into `out` if given, which may overwrite c_i."""
+    if topology.kernel:
+        return gather_windows(series_capacitance(c_i, params.c0), topology.kernel, out)
+    c_i = np.asarray(c_i, dtype=float)
+    return series_capacitance(c_i.reshape(c_i.shape[:-2] + (-1,)), params.c0, out)
 
 
 def conv_forward(topology: ArrayTopology, schedule: ArrayTopology, c_i_image,

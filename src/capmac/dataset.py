@@ -72,9 +72,9 @@ def _letter_table(c_ih: float, c_il: float, resolution: int) -> np.ndarray:
 
 
 def noisy_letters(idx, params: SensorParams, rng, resolution: int = 3, normals=None) -> np.ndarray:
-    """Induced capacitances c_i[..., R, R] of the glyphs numbered `idx`, of
-    any shape, each with a fresh noise realization drawn in one call (or
-    made of `normals`, see apply_noise). Deterministic for a seeded rng."""
+    """Induced capacitances c_i[..., R, R] of the glyphs numbered `idx`, of any
+    shape, each with a fresh noise realization drawn in one call, or made of
+    `normals` (see apply_noise) that idx broadcasts to. Deterministic for a seeded rng."""
     if resolution not in GRIDS:
         raise ValueError(f"unsupported resolution: {resolution}")
     if not 1 <= np.size(idx) <= MAX_DRAW:

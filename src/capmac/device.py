@@ -96,19 +96,20 @@ class SensorParams:
             raise ValueError(f"unknown noise_mode: {self.noise_mode!r}")
 
 
-def series_capacitance(c_i, c0):
+def series_capacitance(c_i, c0, out=None):
     """Series combination c_i*c0/(c_i + c0) of the induced and sensor caps.
 
     Accepts scalars or arrays. The exact result lies below both inputs, but
     rounds to the smaller once the larger is some 1e16 times it. Raises
     ValueError unless c0 and every c_i exceed 0, which refuses NaN and -0.0.
+    Given `out`, an array of c_i's shape, writes the result there and c_i + c0 over c_i.
     """
     c_i = np.asarray(c_i, dtype=float)
     if not (c0 > 0 and np.minimum.reduce(c_i, axis=None, initial=np.inf) > 0):
         raise ValueError("capacitances must be positive")
-    out = c_i * c0
-    out /= c_i + c0
-    return float(out) if out.ndim == 0 else out
+    cs = c_i * c0 if out is None else np.multiply(c_i, c0, out=out)
+    cs /= c_i + c0 if out is None else np.add(c_i, c0, out=c_i)
+    return float(cs) if cs.ndim == 0 else cs
 
 
 def apply_noise(c_i_clean, nominal, noise_frac, rng, normals=None):
@@ -117,13 +118,13 @@ def apply_noise(c_i_clean, nominal, noise_frac, rng, normals=None):
     `nominal` is the clean class value the rms noise is referenced to
     (broadcast against c_i_clean). Results are clamped at NOISE_FLOOR_PF so
     the series formula stays defined. Deterministic for a seeded rng. Given
-    `normals`, standard normals drawn already, it scales those in place.
+    `normals` drawn already (unread if noise_frac is 0), it writes over them.
     """
     if noise_frac < 0:
         raise ValueError("noise_frac must be >= 0")
     c_i_clean = np.asarray(c_i_clean, dtype=float)
     if noise_frac == 0:
-        out = c_i_clean.copy()
+        out = np.positive(c_i_clean, out=normals)  # a copy, into normals if given
     else:
         out = rng.standard_normal(c_i_clean.shape) if normals is None else normals
         out *= noise_frac * np.asarray(nominal, dtype=float)
@@ -155,7 +156,7 @@ def mac(cs, v, c0: float = DEFAULT_C0):
                          f"vs {n} weights")
     if n < 1:
         raise ValueError("need at least one unit")
-    return cs @ v.swapaxes(-1, -2) / (n * c0)
+    return np.divide(u := cs @ v.swapaxes(-1, -2), n * c0, out=u)
 
 
 def check_mac_values(cs: np.ndarray, v: np.ndarray, c0: float):

@@ -12,11 +12,11 @@ read the simulator's fc_forward and conv_forward make too, computes it,
 x = array_inputs(spec, c_i, params), once per batch; every forward pass and
 batch loss takes x, and a loss also takes c_i for its targets.
 
-train draws and scores its epochs in chunks, with the RNG order, history,
-checkpoint and divergence epoch of an epoch-by-epoch loop, bit for bit. device.mac
-checks only shapes here (noisy_letters keeps c_i > 0, programmed_weights |v| <= 1).
-NaN and inf flow through a chunk unwarned to one test of its losses, outputs and
-each m - lr * g, non-finite wherever g is (m finite, lr >= 0).
+train draws and scores its epochs in chunks, with the RNG order, history, checkpoint and
+divergence epoch of an epoch-by-epoch loop, bit for bit. Eval draws fill two per-run arrays;
+nothing returned aliases them. device.mac checks only shapes here (noisy_letters keeps
+c_i > 0, programmed_weights |v| <= 1). NaN and inf flow through a chunk unwarned to one test
+of its losses, outputs and each m - lr * g, non-finite wherever g is (m finite, lr >= 0).
 
 Forward paths, each reading the array through the same kernel, device.mac:
   fc_classifier  logits = beta * U, U = sum(C_n v'_mn) / (N c0) from the array
@@ -76,14 +76,16 @@ def softmax(u):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def sigmoid(z):
+def sigmoid(z, out=None):
     """Numerically stable logistic function, elementwise: with e = exp(-|z|),
     1/(1 + e) where z >= 0 and e/(1 + e) elsewhere, in one division. e <= 1,
-    so nothing overflows."""
+    so nothing overflows. Written into `out` if given, which may be z."""
     z = np.asarray(z, dtype=float)
-    e = np.exp(-np.abs(z))
-    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
-    return float(out) if out.ndim == 0 else out
+    pos, e = z >= 0, np.abs(z, out=np.empty_like(z) if out is None else out)
+    d = np.exp(np.negative(e, out=e), out=e) + 1.0
+    np.copyto(e, 1.0, where=pos)
+    e /= d
+    return float(e) if e.ndim == 0 else e
 
 
 def cross_entropy(p, y):
@@ -311,23 +313,26 @@ def fc_output_volts(v: np.ndarray, c_i_flat: np.ndarray, params: SensorParams,
     return _fc_pass(v, series_capacitance(c_i_flat, params.c0), params, binarize)[0]
 
 
+def _reconstruct(m: dict, x: np.ndarray, params: SensorParams):
+    """autoencoder_forward's (phi, cnl_rec, c_rec), without the induced caps."""
+    _, c_l, span = encoder_caps(params)
+    phi = sigmoid(u := _conditioned(x, m["encoder"], params), u)
+    cnl_rec = sigmoid(z := phi @ m["decoder"].swapaxes(-1, -2), z)
+    return phi, cnl_rec, np.add(c_rec := cnl_rec * span, c_l, out=c_rec)
+
+
 def autoencoder_forward(m: dict, x: np.ndarray, params: SensorParams):
     """(codes phi, normalized reconstruction, reconstructed series caps in
     [C_L, C_H], so below c0, and induced caps) of the autoencoder m."""
-    _, c_l, span = encoder_caps(params)
-    c0 = params.c0
-    phi = sigmoid(_conditioned(x, m["encoder"], params))
-    cnl_rec = sigmoid(phi @ m["decoder"].swapaxes(-1, -2))
-    c_rec = cnl_rec * span + c_l
-    ci_rec = c_rec * c0 / (c0 - c_rec)
-    return phi, cnl_rec, c_rec, ci_rec
+    phi, cnl_rec, c_rec = _reconstruct(m, x, params)
+    return phi, cnl_rec, c_rec, c_rec * params.c0 / (params.c0 - c_rec)
 
 
 def cnn_logits(m: dict, x: np.ndarray, params: SensorParams):
     """(logits, sigmoid features h) of the conv classifier with matrices m,
     from the windows x; stacked kernels (K, 1, 9) read x[K, S, W, 9]."""
     kernel = m["kernel"][:, None] if m["kernel"].ndim > 2 else m["kernel"].reshape(1, -1)
-    h = sigmoid(_conditioned(x, kernel, params)[..., 0])
+    h = sigmoid(u := _conditioned(x, kernel, params)[..., 0], u)
     return h @ m["head"].swapaxes(-1, -2), h
 
 
@@ -404,13 +409,16 @@ def _mean_by_glyph(values: np.ndarray) -> np.ndarray:
     return np.add.reduce(by_glyph, axis=-2) / by_glyph.shape[-2]
 
 
-def eval_letters(architecture: str, params: SensorParams, rng, per_glyph: int, count: int = 1):
-    """(idx, x): the glyph numbers, per_glyph of each glyph-major, and the
-    array_inputs (count, S, ...) of `count` evaluations drawn in one call."""
+def eval_letters(architecture: str, params: SensorParams, rng, per_glyph: int, count=1, out=None):
+    """(idx, x): the glyph numbers, per_glyph of each glyph-major, and the array_inputs
+    x (count, S, ...) of `count` evaluations drawn in one call, into out = (c_i, x) if given."""
     spec = MODELS[architecture].spec
     idx = np.arange(dataset.NUM_GLYPHS).repeat(per_glyph)
-    c_i = dataset.noisy_letters(idx[None].repeat(count, axis=0), params, rng, spec.rows)
-    return idx, array_inputs(spec, c_i, params)
+    c_i, x = out or (np.empty((count, idx.size, spec.rows, spec.cols)), None)
+    if params.noise_frac:
+        rng.standard_normal(out=c_i)
+    dataset.noisy_letters(idx, params, rng, spec.rows, c_i)  # idx broadcast over count
+    return idx, array_inputs(spec, c_i, params, x)
 
 
 def evaluate(architecture: str, m: dict, idx, x, params: SensorParams, binarize: bool):
@@ -435,7 +443,7 @@ def _fc_score(m, x, params, binarize):
 def _autoencoder_score(m, x, params, binarize):
     """Glyphs read by threshold-classifying the reconstruction; the codes
     phi are the shown outputs."""
-    phi, _, c_rec, _ = autoencoder_forward(m, x, params)
+    phi, c_rec = _reconstruct(m, x, params)[::2]  # cnl_rec freed before classifying
     return classify_series_bits(c_rec, params)[0], phi, (phi, c_rec)
 
 
@@ -488,18 +496,18 @@ def train(architecture: str, config: TrainConfig,
           params: SensorParams = SensorParams()) -> TrainHistory:
     """Train one architecture with the analog array in the forward path.
 
-    Per epoch: draw S noisy letters at `params`, the ones the checkpoint
-    records, compute the loss and the summed gradients through the array,
-    update every matrix by M -= (alpha/S) * sum_p dL/dM, then `evaluate` at
-    the same params on a separate stream. The FC classifier may train
-    binarized weights with a straight-through estimator. Chunks of epochs, as
-    many as CHUNK_FLOATS holds, draw their batches and evaluations in one call
-    each, in the RNG order of per-epoch draws, and score all their steps in
-    one call, letting NaN and inf through. One test of the chunk's losses, stepped
-    matrices and eval outputs finds the first epoch with a non-finite value (finite
-    but huge weights are not caught; the learning-rate bound prevents them): the run
-    stops there, sets `diverged_at` to it and keeps the history and checkpoint of
-    the epochs before it. A step's exception propagates at once, before its chunk is scored.
+    Per epoch: draw S noisy letters at `params`, the ones the checkpoint records, compute
+    the loss and the summed gradients through the array, update every matrix by
+    M -= (alpha/S) * sum_p dL/dM, then `evaluate` at the same params on a separate stream.
+    The FC classifier may train binarized weights with a straight-through estimator. Chunks
+    of epochs, as many as CHUNK_FLOATS holds, draw their batches and evaluations in one call
+    each, in the RNG order of per-epoch draws (the evaluations' images and array_inputs into
+    two arrays made once per run, which no returned value aliases), and score all their
+    steps in one call, letting NaN and inf through. One test of the chunk's losses, stepped
+    matrices and eval outputs finds the first epoch with a non-finite value (finite but huge
+    weights are not caught; the learning-rate bound prevents them): the run stops there,
+    sets `diverged_at` to it and keeps the history and checkpoint of the epochs before it.
+    A step's exception propagates at once, before its chunk is scored.
     """
     model = MODELS[architecture]
     rng = np.random.default_rng(config.seed)
@@ -507,14 +515,17 @@ def train(architecture: str, config: TrainConfig,
     mats = {name: rng.uniform(-1.0, 1.0, shape) for name, shape in model.matrices.items()}
     lr = config.learning_rate / config.batch_size
     spec, history = model.spec, TrainHistory()
-    letters = max(config.batch_size, dataset.NUM_GLYPHS * config.eval_per_glyph)
-    per_letter = array_inputs(spec, np.ones((1, spec.rows, spec.cols)), params).size
-    chunk = max(1, CHUNK_FLOATS // (letters * per_letter))
+    evals = dataset.NUM_GLYPHS * config.eval_per_glyph
+    per_letter = array_inputs(spec, np.ones((1, spec.rows, spec.cols)), params)[0]
+    chunk = max(1, CHUNK_FLOATS // (max(config.batch_size, evals) * per_letter.size))
+    e_out = [np.empty((min(chunk, config.epochs), evals) + shape)
+             for shape in ((spec.rows, spec.cols), per_letter.shape)]
     for start in range(0, config.epochs, chunk):
         count = min(chunk, config.epochs - start)
         idx, c_i = dataset.letter_batches(count, config.batch_size, params, rng, spec.rows)
         x, labels = array_inputs(spec, c_i, params), dataset.LABELS[idx]
-        e_idx, e_x = eval_letters(architecture, params, erng, config.eval_per_glyph, count)
+        e_idx, e_x = eval_letters(architecture, params, erng, config.eval_per_glyph, count,
+                                  out=[a[:count] for a in e_out])
         steps, stepped = [], mats
         with np.errstate(all="ignore"):  # NaN and inf flow on to the one test below
             for k in range(count):

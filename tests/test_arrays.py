@@ -374,6 +374,9 @@ class TestGatherWindows:
             np.testing.assert_array_equal(got, want)
             # A strided result would change the order of the sums built on it.
             assert got.flags.c_contiguous
+            out = np.full_like(want, np.nan, dtype=float)
+            assert gather_windows(mat, kernel, out) is out
+            np.testing.assert_array_equal(out, want)
 
     def test_cached_index_rejects_writes(self):
         gather_windows(np.ones((1, 5, 5)), 3)

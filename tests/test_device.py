@@ -39,6 +39,14 @@ class TestSeriesCapacitance:
         assert out.shape == (2,)
         assert out[0] == pytest.approx(62.937, abs=5e-4)
 
+    @given(np_arrays(float, array_shapes(min_dims=1, max_dims=3),
+                     elements=st.floats(1e-3, 1e6)), st.floats(1e-3, 1e6))
+    def test_out_takes_the_result_and_c_i_the_sum(self, c_i, c0):
+        want, given_c_i, out = series_capacitance(c_i, c0), c_i.copy(), np.empty_like(c_i)
+        assert series_capacitance(given_c_i, c0, out) is out
+        np.testing.assert_array_equal(out.view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(given_c_i, c_i + c0)
+
     @given(st.floats(min_value=1e-3, max_value=1e4),
            st.floats(min_value=1e-3, max_value=1e4))
     def test_below_both_inputs(self, c_i, c0):

@@ -2,7 +2,13 @@ import copy
 import dataclasses
 import math
 import re
+import statistics
 from pathlib import Path
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 import numpy as np
 import pytest
@@ -104,6 +110,9 @@ class TestFastPathEquivalence:
     @given(np_arrays(float, st.integers(1, 40), elements=st.floats(allow_nan=False)))
     def test_sigmoid_equals_masked_form(self, z):
         _assert_bitwise_equal(sigmoid(z), _masked_sigmoid(z))
+        in_place = z.copy()
+        assert sigmoid(in_place, in_place) is in_place
+        _assert_bitwise_equal(in_place, _masked_sigmoid(z))
 
     @given(st.one_of(st.floats(), np_arrays(float, array_shapes(min_dims=0, max_dims=3),
                                             elements=st.floats())))
@@ -508,9 +517,9 @@ def _chunk_sizes(monkeypatch, arch, config, params=PARAMS):
     eval_letters."""
     counts, draw = [], netlab.eval_letters
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         counts.append(args[-1])
-        return draw(*args)
+        return draw(*args, **kwargs)
 
     with monkeypatch.context() as patch:
         patch.setattr(netlab, "eval_letters", spy)
@@ -518,9 +527,75 @@ def _chunk_sizes(monkeypatch, arch, config, params=PARAMS):
     return counts
 
 
+def _allocating_eval_draw(arch, params, rng, per_glyph, count):
+    """The eval draw into new arrays: every letter's clean values taken from
+    the glyph table, then noised and read by array_inputs."""
+    spec = MODELS[arch].spec
+    idx = np.arange(dataset.NUM_GLYPHS).repeat(per_glyph)
+    c_i = dataset.noisy_letters(idx[None].repeat(count, axis=0), params, rng, spec.rows)
+    return idx, array_inputs(spec, c_i, params)
+
+
 class TestChunkedTraining:
     """train draws and scores its epochs in chunks, and equals the loop that
     does both epoch by epoch, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(netlab.ARCHITECTURES), st.integers(1, 40), st.integers(0, 3),
+           st.integers(1, 5), st.sampled_from(["per_class", "global"]),
+           st.sampled_from([0.0, 0.2]), st.integers(0, 2 ** 32 - 1))
+    def test_in_place_eval_draw_equals_allocating_draw(self, arch, per_glyph, spare, count,
+                                                       mode, noise_frac, seed):
+        # Two draws in a row from one stream, as two chunks make them: into
+        # new arrays, and into the first `count` rows of arrays with `spare`
+        # more rows (NaN-filled) that the first draw leaves behind.
+        params = SensorParams(noise_frac=noise_frac, noise_mode=mode)
+        spec = MODELS[arch].spec
+        want_rng = np.random.default_rng(seed)
+        want = [_allocating_eval_draw(arch, params, want_rng, per_glyph, count)
+                for _ in range(2)]
+        rows = (count + spare, dataset.NUM_GLYPHS * per_glyph)
+        run = [np.full(rows + (spec.rows, spec.cols), np.nan),
+               np.full(rows + want[0][1].shape[2:], np.nan)]
+        for out in (None, [a[:count] for a in run]):
+            rng = np.random.default_rng(seed)
+            for want_idx, want_x in want:
+                idx, x = netlab.eval_letters(arch, params, rng, per_glyph, count, out=out)
+                np.testing.assert_array_equal(idx, want_idx)
+                _assert_bitwise_equal(x, want_x)
+            assert rng.bit_generator.state == want_rng.bit_generator.state
+        assert np.shares_memory(x, run[1])
+        assert np.isnan(run[1][count:]).all()
+
+    @pytest.mark.parametrize("arch", sorted(MODELS))
+    def test_one_pair_of_eval_arrays_per_run_and_nothing_returned_aliases_it(
+            self, monkeypatch, arch):
+        outs, draw = [], netlab.eval_letters
+
+        def spy(*args, out=None):
+            outs.append(out)
+            return draw(*args, out=out)
+
+        monkeypatch.setattr(netlab, "eval_letters", spy)
+        got = train(arch, default_config(arch, epochs=40, seed=2))
+        bases = {id(a.base): a.base for out in outs for a in out}
+        assert len(outs) > 1 and len(bases) == 2
+        returned = [*got.mean_outputs, *got.checkpoint.matrices.values()]
+        assert not any(np.shares_memory(r, b) for r in returned for b in bases.values())
+
+    @pytest.mark.skipif(resource is None, reason="needs the resource module")
+    def test_a_warm_fc_run_faults_few_pages(self):
+        # Eval arrays made anew in every chunk were handed back to the system
+        # by the allocator and faulted in again by the next: about 1,100 minor
+        # page faults per run at the defaults, against a few with the run's own arrays.
+        cfg = default_config("fc_classifier")
+        train("fc_classifier", cfg)
+        faults = []
+        for _ in range(5):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            train("fc_classifier", cfg)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert statistics.median(faults) < 300, faults
 
     @pytest.mark.parametrize("arch,per_glyph,want", [
         ("fc_classifier", 25, 36), ("autoencoder", 25, 36), ("cnn_classifier", 25, 4),

@@ -45,8 +45,10 @@ MUTANTS = (
     ("reconstruction classified on induced caps", "cli.py",
      "netlab.classify_series_bits(c_rec, params)", "netlab.classify_series_bits(ci_rec, params)"),
     ("naive sigmoid", "netlab.py",
-     "out = np.where(z >= 0, 1.0, e) / (1.0 + e)",
-     "out = 1.0 / (1.0 + np.exp(-z))"),
+     "    d = np.exp(np.negative(e, out=e), out=e) + 1.0\n"
+     "    np.copyto(e, 1.0, where=pos)\n"
+     "    e /= d\n",
+     "    e = 1.0 / (1.0 + np.exp(-z))\n"),
     ("interleaved glyph mean", "netlab.py",
      "values.reshape(*values.shape[:-2], dataset.NUM_GLYPHS, -1, values.shape[-1])",
      "values.reshape(*values.shape[:-2], -1, dataset.NUM_GLYPHS, values.shape[-1])"
@@ -55,8 +57,11 @@ MUTANTS = (
      'volts, _ = _fc_pass(m["weights"], x, params, binarize)',
      'volts, _ = _fc_pass(m["weights"], x, params, False)'),
     ("array inputs scaled by 1+2e-16", "arrays.py",
-     "cs, kernel = series_capacitance(c_i, params.c0), topology.kernel",
-     "cs, kernel = series_capacitance(c_i, params.c0) * (1 + 2e-16), topology.kernel"),
+     "c_i.reshape(c_i.shape[:-2] + (-1,)), params.c0, out)",
+     "c_i.reshape(c_i.shape[:-2] + (-1,)), params.c0, out) * (1 + 2e-16)"),
+    ("conv array inputs scaled by 1+2e-16", "arrays.py",
+     "gather_windows(series_capacitance(c_i, params.c0),",
+     "gather_windows(series_capacitance(c_i, params.c0) * (1 + 2e-16),"),
     ("CHARGE phase raises CON", "device.py",
      '("charge", (0, 1, 0, 0))', '("charge", (0, 1, 1, 0))'),
     ("FC wiring written column-major", "metrics.py",
@@ -120,6 +125,10 @@ MUTANTS = (
     ("eval letters interleaved", "netlab.py",
      "idx = np.arange(dataset.NUM_GLYPHS).repeat(per_glyph)",
      "idx = np.tile(np.arange(dataset.NUM_GLYPHS), per_glyph)"),
+    ("later chunks reuse the first chunk's eval normals", "netlab.py",
+     "    if params.noise_frac:\n        rng.standard_normal(out=c_i)\n",
+     "    if params.noise_frac and (out is None or eval_letters.__dict__.setdefault(\n"
+     "            id(c_i.base), c_i) is c_i):\n        rng.standard_normal(out=c_i)\n"),
     ("nearest-glyph table ties to the highest glyph", "netlab.py",
      "!= pats).sum(-1).argmin(-1)", "!= pats).sum(-1)[:, ::-1].argmin(-1) * -1 + 3"),
     ("TRANSFER volts written as q, not q/c0", "device.py",
