@@ -138,8 +138,8 @@ def capture_fc_traces(ckpt: Checkpoint, glyph: dataset.Glyph = dataset.Glyph.INV
     """Run one array cycle on the clean image of `glyph`: the (charge, volts)
     of every unit per phase, as device.mac_phases returns them.
 
-    The bank is programmed with the checkpoint's first matrix, binarized only
-    for a network that trains binarized weights."""
+    The bank is programmed with the checkpoint's first matrix, binarized if
+    the checkpoint is."""
     model = netlab.MODELS[ckpt.architecture]
     if model.spec.kernel:
         raise ValueError("waveform/trace capture covers FC bank readout only")
@@ -147,8 +147,7 @@ def capture_fc_traces(ckpt: Checkpoint, glyph: dataset.Glyph = dataset.Glyph.INV
     grid = dataset.GRIDS[model.spec.rows][dataset.GLYPH_ORDER.index(glyph)]
     c_i = dataset.encode_capacitive(grid[None], params)
     first = next(iter(model.matrices))
-    weights = netlab.programmed_weights(ckpt.matrices[first],
-                                        ckpt.binarize and model.binarizes)[0]
+    weights = netlab.programmed_weights(ckpt.matrices[first], ckpt.binarize)[0]
     cs = netlab.array_inputs(model.spec, c_i, params)[0]
     return mac_phases(cs, weights, params.c0)
 
@@ -266,8 +265,7 @@ def evaluate(ckpt: Checkpoint, seed: int = 0,
     report = {"architecture": ckpt.architecture,
               "accuracy": float(acc[0]), "mean_outputs": means[0]}
     if ckpt.architecture == "autoencoder":
-        sidx = rng.integers(0, dataset.NUM_GLYPHS, letters)
-        s_ci = dataset.noisy_letters(sidx, params, rng, model.spec.rows)
+        (sidx,), (s_ci,) = dataset.letter_batches(1, letters, params, rng, model.spec.rows)
         _, _, s_rec, s_ci_rec = netlab.autoencoder_forward(
             ckpt.matrices, netlab.array_inputs(model.spec, s_ci, params), params)
         spred, sbits = netlab.classify_series_bits(s_rec, params)
@@ -347,8 +345,7 @@ def _cmd_eval(args) -> int:
     try:
         netlab.check_bound("seed", args.seed, "--seed")
         netlab.check_bound("eval_per_glyph", args.per_glyph, "--per-glyph")
-        if not 1 <= args.letters <= dataset.MAX_DRAW:
-            raise ValueError(f"--letters must be in [1, {dataset.MAX_DRAW}]")
+        netlab.check_bound("batch_size", args.letters, "--letters")
         ckpt = load_checkpoint(args.checkpoint)
         overrides = netlab.read_settings([("--set", item) for item in args.set or []], "=",
                                          _SENSOR_KEYS)

@@ -4,7 +4,6 @@ and 5x5, capacitive encoding, and seeded noisy batch generation."""
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,15 +61,6 @@ class CapacitiveSample:
     label: np.ndarray
 
 
-@functools.lru_cache(maxsize=16)
-def _letter_table(c_ih: float, c_il: float, resolution: int) -> np.ndarray:
-    """Read-only clean capacitances of every glyph, shape (NUM_GLYPHS, R, R):
-    what each draw reads, built once."""
-    table = np.where(GRIDS[resolution] > 0, c_ih, c_il).astype(float)
-    table.setflags(write=False)
-    return table
-
-
 def noisy_letters(idx, params: SensorParams, rng, resolution: int = 3, normals=None) -> np.ndarray:
     """Induced capacitances c_i[..., R, R] of the glyphs numbered `idx`, of any
     shape, each with a fresh noise realization drawn in one call, or made of
@@ -79,7 +69,7 @@ def noisy_letters(idx, params: SensorParams, rng, resolution: int = 3, normals=N
         raise ValueError(f"unsupported resolution: {resolution}")
     if not 1 <= np.size(idx) <= MAX_DRAW:
         raise ValueError(f"a draw holds 1 to {MAX_DRAW} letters, got {np.size(idx)}")
-    clean = _letter_table(params.c_ih, params.c_il, resolution).take(idx, axis=0)
+    clean = encode_capacitive(GRIDS[resolution], params).take(idx, axis=0)
     nominal = params.c_ih if params.noise_mode == "global" else clean
     return apply_noise(clean, nominal, params.noise_frac, rng, normals)
 
@@ -98,15 +88,12 @@ def letter_batches(count: int, size: int, params: SensorParams, rng, resolution:
 
 def sample_batch(size: int, params: SensorParams, rng, resolution: int = 3
                  ) -> list[CapacitiveSample]:
-    """Draw `size` letters uniformly with replacement, each with a fresh
-    noise realization: the draws of `noisy_letters` as sample objects.
-    Deterministic for a seeded rng. Training and evaluation call
-    noisy_letters; this stays for the benchmark's readout set-up."""
+    """The one batch of `letter_batches(1, size, ...)` as sample objects, for
+    the benchmark's readout set-up. Deterministic for a seeded rng."""
     if size < 1:
         raise ValueError("batch size must be >= 1")
-    idx = rng.integers(0, NUM_GLYPHS, size)
-    return [CapacitiveSample(c_i=c_i, label=LABELS[i])
-            for c_i, i in zip(noisy_letters(idx, params, rng, resolution), idx)]
+    (idx,), (c_i,) = letter_batches(1, size, params, rng, resolution)
+    return [CapacitiveSample(c_i=c, label=LABELS[i]) for c, i in zip(c_i, idx)]
 
 
 def write_bitmap(path, grid):

@@ -234,6 +234,8 @@ class Checkpoint:
         model = MODELS.get(self.architecture)
         if model is None:
             raise ValueError(f"unknown architecture {self.architecture!r}")
+        if self.binarize and not model.binarizes:
+            raise ValueError(f"binarize: {self.architecture} trains no binarized weights")
         if set(self.matrices) != set(model.matrices):
             raise ValueError(f"matrices {sorted(self.matrices)} do not match "
                              f"architecture {self.architecture}")
@@ -499,17 +501,20 @@ def train(architecture: str, config: TrainConfig,
     Per epoch: draw S noisy letters at `params`, the ones the checkpoint records, compute
     the loss and the summed gradients through the array, update every matrix by
     M -= (alpha/S) * sum_p dL/dM, then `evaluate` at the same params on a separate stream.
-    The FC classifier may train binarized weights with a straight-through estimator. Chunks
-    of epochs, as many as CHUNK_FLOATS holds, draw their batches and evaluations in one call
-    each, in the RNG order of per-epoch draws (the evaluations' images and array_inputs into
-    two arrays made once per run, which no returned value aliases), and score all their
-    steps in one call, letting NaN and inf through. One test of the chunk's losses, stepped
-    matrices and eval outputs finds the first epoch with a non-finite value (finite but huge
-    weights are not caught; the learning-rate bound prevents them): the run stops there,
-    sets `diverged_at` to it and keeps the history and checkpoint of the epochs before it.
-    A step's exception propagates at once, before its chunk is scored.
+    Only the FC classifier may train binarized weights, with a straight-through estimator;
+    binarize elsewhere raises ValueError before any draw. Chunks of epochs, as many as
+    CHUNK_FLOATS holds, draw their batches and evaluations in one call each, in the RNG
+    order of per-epoch draws (the evaluations' images and array_inputs into two arrays made
+    once per run, which no returned value aliases), and score all their steps in one call,
+    letting NaN and inf through. One test of the chunk's losses, stepped matrices and eval
+    outputs finds the first epoch with a non-finite value (finite but huge weights are not
+    caught; the learning-rate bound prevents them): the run stops there, sets `diverged_at`
+    to it and keeps the history and checkpoint of the epochs before it. A step's exception
+    propagates at once, before its chunk is scored.
     """
     model = MODELS[architecture]
+    if config.binarize and not model.binarizes:
+        raise ValueError(f"binarize: {architecture} trains no binarized weights")
     rng = np.random.default_rng(config.seed)
     erng = np.random.default_rng(config.seed + EVAL_SEED_OFFSET)
     mats = {name: rng.uniform(-1.0, 1.0, shape) for name, shape in model.matrices.items()}

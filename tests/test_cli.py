@@ -764,17 +764,19 @@ class TestInputErrors:
         assert "train.binarize" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
-    def test_trace_programs_autoencoder_encoder_normalized(self, checkpoints, tmp_path,
-                                                           capsys):
+    def test_binarized_autoencoder_checkpoint_refused(self, checkpoints, tmp_path, capsys):
+        # Regression: trace programmed such a checkpoint's encoder unbinarized
+        # and eval scored it; no run writes one.
         ck = load_checkpoint(checkpoints["autoencoder"])
         ck.binarize = True
         path = tmp_path / "ck.txt"
         netlab.save_checkpoint(ck, path)
-        outputs = []
-        for ckpt in (checkpoints["autoencoder"], str(path)):
-            assert main(["trace", "--checkpoint", ckpt, "--out", str(tmp_path)]) == EXIT_OK
-            outputs.append(capsys.readouterr().out.splitlines()[0])
-        assert outputs[0] == outputs[1]
+        for argv in (["trace", "--checkpoint", str(path), "--out", str(tmp_path / "t")],
+                     ["eval", str(path)]):
+            assert main(argv) == EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                f"usage error: {path}: binarize: autoencoder trains no binarized weights\n")
+        assert not (tmp_path / "t").exists()
 
     @pytest.mark.parametrize("via_config", [False, True])
     def test_train_unwritable_output_dir_exits_2(self, tmp_path, capsys, via_config):

@@ -233,12 +233,6 @@ class TestNoisyLetters:
         again = noisy_letters(idx, params, np.random.default_rng(3), 5)
         np.testing.assert_array_equal(again, want)
 
-    def test_tables_reject_writes(self):
-        noisy_letters([0], PARAMS, np.random.default_rng(0))
-        table = dataset._letter_table(PARAMS.c_ih, PARAMS.c_il, 3)
-        with pytest.raises(ValueError, match="read-only"):
-            table[0, 0, 0] = 1.0
-
     def test_labels_match_glyph_numbers(self):
         batch = sample_batch(20, PARAMS, np.random.default_rng(4))
         idx = np.random.default_rng(4).integers(0, 4, 20)

@@ -752,6 +752,16 @@ class TestTrainers:
         pred, _ = netlab.classify_series_bits(c_rec, PARAMS)
         np.testing.assert_array_equal(pred, [0, 1, 2, 3])
 
+    @pytest.mark.parametrize("arch", [a for a in sorted(MODELS) if not MODELS[a].binarizes])
+    def test_binarize_refused_before_any_draw(self, monkeypatch, arch):
+        # Regression: the autoencoder trained and wrote `binarize: true`.
+        def draw(*args):
+            raise AssertionError("drew letters before refusing binarize")
+
+        monkeypatch.setattr(netlab.dataset, "letter_batches", draw)
+        with pytest.raises(ValueError, match=f"^binarize: {arch} trains no binarized"):
+            train(arch, default_config(arch, epochs=2, binarize=True))
+
     def test_binarized_forward_uses_signs(self):
         cfg = default_config("fc_classifier", epochs=3, seed=1, binarize=True)
         hist = train("fc_classifier", cfg)
@@ -998,6 +1008,15 @@ class TestCheckpointIo:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("arch", [a for a in sorted(MODELS) if not MODELS[a].binarizes])
+    def test_binarize_refused_for_a_network_that_cannot_binarize(self, tmp_path, arch):
+        path = tmp_path / "ck.txt"
+        save_checkpoint(_zero_checkpoint(arch), path)
+        path.write_text(path.read_text().replace("binarize: false", "binarize: true"))
+        message = f"binarize: {arch} trains no binarized weights"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_checkpoint(path)
+
     def test_unknown_architecture_rejected(self, tmp_path):
         path = tmp_path / "ck.txt"
         save_checkpoint(_zero_checkpoint("fc_classifier"), path)
@@ -1137,7 +1156,8 @@ def checkpoints(draw):
     beta = netlab.programmed_weights(next(iter(matrices.values())))[1]
     return Checkpoint(architecture=arch, seed=draw(st.integers(0, 2 ** 63)),
                       epoch=draw(st.integers(1, netlab.MAX_EPOCHS)), beta=beta,
-                      binarize=draw(st.booleans()), params=params, matrices=matrices)
+                      binarize=MODELS[arch].binarizes and draw(st.booleans()),
+                      params=params, matrices=matrices)
 
 
 _CHECKPOINT_LINES = st.one_of(

@@ -111,7 +111,7 @@ MUTANTS = (
     ("letter table ignores noise_mode", "dataset.py",
      'params.c_ih if params.noise_mode == "global" else clean', "clean"),
     ("letter table at resolution 3 for every resolution", "dataset.py",
-     "np.where(GRIDS[resolution] > 0, c_ih, c_il)", "np.where(GRIDS[3] > 0, c_ih, c_il)"),
+     "encode_capacitive(GRIDS[resolution], params)", "encode_capacitive(GRIDS[3], params)"),
     ("window index keyed without cols", "arrays.py",
      "index = _window_index(*mat_batch.shape[-2:], kernel)",
      "rows, cols = mat_batch.shape[-2:]\n"
@@ -169,10 +169,10 @@ MUTANTS = (
     # Boundary mutants: each refuses a value at the bound its message accepts.
     ("16x16 bitmap refused", "cli.py",
      "max(bits.shape) > 16", "max(bits.shape) >= 16"),
-    ("eval --letters 1 refused", "cli.py",
-     "1 <= args.letters", "1 < args.letters"),
-    ("eval --letters MAX_DRAW refused", "cli.py",
-     "args.letters <= dataset.MAX_DRAW", "args.letters < dataset.MAX_DRAW"),
+    ("eval --letters 1 refused", "netlab.py",
+     "least <= value <= most", "least < value <= most"),
+    ("eval --letters MAX_DRAW refused", "netlab.py",
+     "least <= value <= most", "least <= value < most"),
     ("noisy_letters draw of MAX_DRAW refused", "dataset.py",
      "np.size(idx) <= MAX_DRAW", "np.size(idx) < MAX_DRAW"),
     ("c_ih at MAX_CAPACITANCE_RATIO * c0 refused", "device.py",
