@@ -4,12 +4,13 @@ reproducibility manifest.
 The CLI is a thin shell over the library; every run is reproducible by
 calling the same functions with the same config. Exit codes: 0 success, 1
 stdout closed early by its reader (`capmac eval ... | head`), 2 config/usage
-error, 3 training divergence.
+error, 3 training divergence. `main` maps every refusal to exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -313,24 +314,21 @@ def _apply_overrides(raw: dict, args) -> dict:
     return raw
 
 
-def _usage_error(message, kind: str = "usage") -> int:
-    print(f"{kind} error: {message}", file=sys.stderr)
-    return EXIT_CONFIG
+@contextlib.contextmanager
+def _path_of(name: str, *also):
+    """Re-raise a file-system error, or one of `also`, as `name`'s ValueError."""
+    try:
+        yield
+    except (OSError, *also) as exc:
+        raise ValueError(f"{name}: {exc}") from exc
 
 
 def _cmd_train(args) -> int:
-    try:
+    with _path_of("--config", UnicodeDecodeError):
         text = Path(args.config).read_text(encoding="utf-8-sig") if args.config else ""
-    except (OSError, UnicodeDecodeError) as exc:
-        return _usage_error(f"--config: {exc}", "config")
-    try:
-        config = build_config(_apply_overrides(parse_config_text(text), args))
-    except ValueError as exc:
-        return _usage_error(exc, "config")
-    try:
+    config = build_config(_apply_overrides(parse_config_text(text), args))
+    with _path_of("output_dir"):  # run writes nothing outside output_dir
         artifacts, diverged_at = run(config)
-    except OSError as exc:  # run writes nothing outside output_dir
-        return _usage_error(f"output_dir: {exc}", "config")
     if diverged_at is not None:
         print(f"training diverged at epoch {diverged_at}; last-good checkpoint "
               f"written to {config.output_dir}", file=sys.stderr)
@@ -342,38 +340,27 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    try:
-        netlab.check_bound("seed", args.seed, "--seed")
-        netlab.check_bound("eval_per_glyph", args.per_glyph, "--per-glyph")
-        netlab.check_bound("batch_size", args.letters, "--letters")
-        ckpt = load_checkpoint(args.checkpoint)
-        overrides = netlab.read_settings([("--set", item) for item in args.set or []], "=",
-                                         _SENSOR_KEYS)
-        ckpt.params = netlab.parse_fields(SensorParams, overrides, "sensor.", "--set",
-                                          **vars(ckpt.params))
-    except (OSError, ValueError) as exc:
-        return _usage_error(exc)
-    report = evaluate(ckpt, seed=args.seed, per_glyph=args.per_glyph,
-                      letters=args.letters)
-    _print_report(report)
+    netlab.check_bound("seed", args.seed, "--seed")
+    netlab.check_bound("eval_per_glyph", args.per_glyph, "--per-glyph")
+    netlab.check_bound("batch_size", args.letters, "--letters")
+    ckpt = load_checkpoint(args.checkpoint)
+    overrides = netlab.read_settings([("--set", item) for item in args.set or []], "=",
+                                     _SENSOR_KEYS)
+    ckpt.params = netlab.parse_fields(SensorParams, overrides, "sensor.", "--set",
+                                      **vars(ckpt.params))
+    _print_report(evaluate(ckpt, seed=args.seed, per_glyph=args.per_glyph,
+                           letters=args.letters))
     return EXIT_OK
 
 
 def _cmd_trace(args) -> int:
-    try:
-        ckpt = load_checkpoint(args.checkpoint)
-        glyph = dataset.Glyph(args.glyph)
-        phases = capture_fc_traces(ckpt, glyph)
-    except (OSError, ValueError) as exc:
-        return _usage_error(exc)
+    phases = capture_fc_traces(load_checkpoint(args.checkpoint), dataset.Glyph(args.glyph))
     outdir = Path(args.out)
     rows = metrics.assemble_waveform(phases)
-    try:
+    with _path_of("--out"):
         outdir.mkdir(parents=True, exist_ok=True)
         write_trace_csv(phases, outdir / "trace.csv")
         metrics.write_waveform_csv(rows, outdir / "waveform.csv")
-    except OSError as exc:
-        return _usage_error(f"--out: {exc}")
     print(f"traced {args.glyph}: outputs "
           + " ".join(f"{u:+.4f}" for u in metrics.waveform_final_outputs(rows)))
     print(f"charge energy: {metrics.charge_energy(phases):.6f} nJ")
@@ -386,14 +373,12 @@ def _cmd_schedule(args) -> int:
         report = metrics.schedule_report(arrays.build_conv_array(args.rows, args.cols,
                                                                  args.kernel))
     except ValueError as exc:  # the message begins with the flag's name
-        return _usage_error(f"--{exc}")
+        raise ValueError(f"--{exc}") from None
     if not args.out:
         sys.stdout.write(_json_text(report))
         return EXIT_OK
-    try:
+    with _path_of("--out"):
         Path(args.out).write_text(_json_text(report))
-    except OSError as exc:
-        return _usage_error(f"--out: {exc}")
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -401,7 +386,7 @@ def _cmd_schedule(args) -> int:
 def _cmd_fixtures(args) -> int:
     outdir = Path(args.out)
     params = SensorParams()
-    try:
+    with _path_of("--out"):
         outdir.mkdir(parents=True, exist_ok=True)
         for r, grids in dataset.GRIDS.items():
             for glyph, grid in zip(dataset.GLYPH_ORDER, grids):
@@ -409,8 +394,6 @@ def _cmd_fixtures(args) -> int:
                 dataset.write_bitmap(outdir / f"{stem}.txt", grid)
                 dataset.write_capacitance_csv(outdir / f"{stem}_capacitance.csv",
                                               dataset.encode_capacitive(grid, params))
-    except OSError as exc:
-        return _usage_error(f"--out: {exc}")
     print(f"wrote canonical glyph fixtures to {outdir}")
     return EXIT_OK
 
@@ -467,6 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; map every refusal, its ValueError or OSError, to exit 2."""
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
@@ -475,6 +459,10 @@ def main(argv=None) -> int:
         # Point stdout at devnull so the flush at exit does not raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED_STDOUT
+    except (ValueError, OSError) as exc:
+        kind = "config" if args.command == "train" else "usage"
+        print(f"{kind} error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return code
 
 

@@ -45,6 +45,11 @@ for _shared in (*GRIDS.values(), LABELS):
 MAX_DRAW = 100_000
 
 
+def _check_draw(letters: int):
+    if not 1 <= letters <= MAX_DRAW:
+        raise ValueError(f"a draw holds 1 to {MAX_DRAW} letters, got {letters}")
+
+
 def encode_capacitive(grid, params: SensorParams) -> np.ndarray:
     """Map binary bitmaps, one or a stack, to induced capacitances (pF):
     inside -> c_ih, outside -> c_il."""
@@ -67,8 +72,7 @@ def noisy_letters(idx, params: SensorParams, rng, resolution: int = 3, normals=N
     `normals` (see apply_noise) that idx broadcasts to. Deterministic for a seeded rng."""
     if resolution not in GRIDS:
         raise ValueError(f"unsupported resolution: {resolution}")
-    if not 1 <= np.size(idx) <= MAX_DRAW:
-        raise ValueError(f"a draw holds 1 to {MAX_DRAW} letters, got {np.size(idx)}")
+    _check_draw(np.size(idx))
     clean = encode_capacitive(GRIDS[resolution], params).take(idx, axis=0)
     nominal = params.c_ih if params.noise_mode == "global" else clean
     return apply_noise(clean, nominal, params.noise_frac, rng, normals)
@@ -77,6 +81,7 @@ def noisy_letters(idx, params: SensorParams, rng, resolution: int = 3, normals=N
 def letter_batches(count: int, size: int, params: SensorParams, rng, resolution: int = 3):
     """(idx[count, size], c_i[count, size, R, R]) of `count` batches of `size` uniform
     glyphs, in the RNG order of `count` integers-then-noisy_letters draws."""
+    _check_draw(count * size)
     idx = np.empty((count, size), dtype=np.int64)
     normals = np.empty((count, size, resolution, resolution)) if params.noise_frac else None
     for k in range(count):

@@ -806,6 +806,16 @@ class TestInputErrors:
         assert capsys.readouterr().err.startswith("config error: --config: ")
         assert not (tmp_path / "r").exists()
 
+    def test_train_refusal_outside_any_flag_reaches_main(self, tmp_path, capsys):
+        # Regression: a NUL byte in output_dir, which only a config file can
+        # carry, raised ValueError from Path.mkdir out of main as a traceback.
+        cfgfile = tmp_path / "nul.cfg"
+        cfgfile.write_bytes(b"output_dir = " + bytes(tmp_path / "a") + b"\0b\n")
+        assert main(["train", "--config", str(cfgfile), "--epochs", "1"]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: ") and err.count("\n") == 1 and err.endswith("\n")
+
     def test_config_file_with_byte_order_mark_reads_alike(self, tmp_path, monkeypatch):
         # Regression: a leading UTF-8 byte-order mark was read as part of the
         # first key, so "architecture" was refused as an unknown key.

@@ -279,6 +279,16 @@ class TestLetterBatches:
             np.testing.assert_array_equal(c_i[k].view(np.uint64), want.view(np.uint64))
         assert rng.bit_generator.state == ref.bit_generator.state
 
+    def test_oversized_draw_refused_before_it_draws(self):
+        # Regression: the integers and normals were drawn before noisy_letters
+        # checked the size, so a refused draw still advanced the stream.
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"^a draw holds 1 to {dataset.MAX_DRAW} "
+                                             f"letters, got {dataset.MAX_DRAW + 1}$"):
+            letter_batches(1, dataset.MAX_DRAW + 1, PARAMS, rng)
+        assert rng.bit_generator.state == state
+
 
 class TestFixtureIo:
     def test_bitmap_round_trip(self, tmp_path):
