@@ -120,8 +120,8 @@ def apply_noise(c_i_clean, nominal, noise_frac, rng, normals=None):
     the series formula stays defined. Deterministic for a seeded rng. Given
     `normals` drawn already (unread if noise_frac is 0), it writes over them.
     """
-    if noise_frac < 0:
-        raise ValueError("noise_frac must be >= 0")
+    if not 0 <= noise_frac < math.inf:
+        raise ValueError(f"noise_frac must be finite and >= 0, got {noise_frac!r}")
     c_i_clean = np.asarray(c_i_clean, dtype=float)
     if noise_frac == 0:
         out = np.positive(c_i_clean, out=normals)  # a copy, into normals if given

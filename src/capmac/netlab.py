@@ -13,10 +13,10 @@ x = array_inputs(spec, c_i, params), once per batch; every forward pass and
 batch loss takes x, and a loss also takes c_i for its targets.
 
 train draws and scores its epochs in chunks, with the RNG order, history, checkpoint and
-divergence epoch of an epoch-by-epoch loop, bit for bit. Eval draws fill two per-run arrays;
-nothing returned aliases them. device.mac checks only shapes here (noisy_letters keeps
-c_i > 0, programmed_weights |v| <= 1). NaN and inf flow through a chunk unwarned to one test
-of its losses, outputs and each m - lr * g, non-finite wherever g is (m finite, lr >= 0).
+divergence epoch of an epoch-by-epoch loop, bit for bit. Steps write into per-chunk stacks, eval
+draws into two per-run arrays; nothing returned aliases them. device.mac checks shapes only
+(noisy_letters keeps c_i > 0, programmed_weights |v| <= 1). NaN and inf flow unwarned to one
+test of a chunk's losses, outputs and each m - lr * g, non-finite where g is (m finite, lr >= 0).
 
 Forward paths, each reading the array through the same kernel, device.mac:
   fc_classifier  logits = beta * U, U = sum(C_n v'_mn) / (N c0) from the array
@@ -89,11 +89,12 @@ def sigmoid(z, out=None):
 
 
 def cross_entropy(p, y):
-    """-sum(y log p) over the last axis, averaged over a leading batch axis
-    if there is one, with the log argument floored at 1e-12."""
-    p = np.asarray(p, dtype=float)
-    per_sample = (-(y * np.log(np.maximum(p, LOG_FLOOR)))).sum(axis=-1)
-    return float(per_sample.sum() / per_sample.size)
+    """-sum(y log p) over the last axis, log argument floored at 1e-12, averaged over
+    the batch axis before it if any: a float, or one value per slice of the axes before."""
+    p = np.array(p, dtype=float, copy=None, ndmin=2)  # a 1-D p is a batch of one
+    per_sample = np.add.reduce(-(y * np.log(np.maximum(p, LOG_FLOOR))), axis=-1)
+    mean = np.add.reduce(per_sample, axis=-1) / per_sample.shape[-1]
+    return float(mean) if mean.ndim == 0 else mean
 
 
 # ---------------------------------------------------------------------------
@@ -332,20 +333,18 @@ def autoencoder_forward(m: dict, x: np.ndarray, params: SensorParams):
 
 def cnn_logits(m: dict, x: np.ndarray, params: SensorParams):
     """(logits, sigmoid features h) of the conv classifier with matrices m,
-    from the windows x; stacked kernels (K, 1, 9) read x[K, S, W, 9]."""
-    kernel = m["kernel"][:, None] if m["kernel"].ndim > 2 else m["kernel"].reshape(1, -1)
+    from the windows x; stacked kernels (..., 1, 9) read x[..., S, W, 9]."""
+    kernel = m["kernel"][..., None, :, :] if m["kernel"].ndim > 2 else m["kernel"].reshape(1, -1)
     h = sigmoid(u := _conditioned(x, kernel, params)[..., 0], u)
     return h @ m["head"].swapaxes(-1, -2), h
 
-
-# Batch losses: (mean loss, summed gradients in matrix order).
 
 def fc_batch_loss(m, x, c_i, labels, params, binarize):
     """Mean cross-entropy of the FC classifier and the gradient with respect
     to the latent weights (straight-through when binarized)."""
     u, beta = _fc_pass(m["weights"], x, params, binarize)
     p = softmax(u * beta)
-    grad = (p - labels).T @ x / (x.shape[1] * params.c0)
+    grad = (p - labels).swapaxes(-1, -2) @ x / (x.shape[-1] * params.c0)
     return cross_entropy(p, labels), (grad,)
 
 
@@ -354,30 +353,30 @@ def autoencoder_batch_loss(m, x, c_i, labels, params, binarize):
     c_i, and the gradients for encoder voltages and decoder weights."""
     _, c_l, span = encoder_caps(params)
     c0 = params.c0
-    c_i_flat = c_i.reshape(len(c_i), -1)
     phi, cnl_rec, c_rec, ci_rec = autoencoder_forward(m, x, params)
-    n = x.shape[1]
-    loss = float(((ci_rec - c_i_flat) ** 2).sum() / ci_rec.size)
-    d_ci = 2.0 / n * (ci_rec - c_i_flat)
+    n = x.shape[-1]
+    err = ci_rec - c_i.reshape(c_i.shape[:-2] + (-1,))
+    loss = np.add.reduce(err ** 2, axis=(-2, -1)) / (err.shape[-2] * n)
+    d_ci = 2.0 / n * err
     d_z = d_ci * c0 ** 2 / (c0 - c_rec) ** 2 * span * cnl_rec * (1 - cnl_rec)
-    grad_dec = d_z.T @ phi
+    grad_dec = d_z.swapaxes(-1, -2) @ phi
     d_u = (d_z @ m["decoder"]) * phi * (1 - phi)
     cnl = (x - c_l) / span
-    grad_enc = d_u.T @ cnl
-    return loss, (grad_enc, grad_dec)
+    grad_enc = d_u.swapaxes(-1, -2) @ cnl
+    return float(loss) if loss.ndim == 0 else loss, (grad_enc, grad_dec)
 
 
 def cnn_batch_loss(m, x, c_i, labels, params, binarize):
     """Mean cross-entropy of the conv classifier and the gradients for the
-    kernel voltages and the digital head."""
+    kernel voltages, (..., 9), and the digital head."""
     _, c_l, span = encoder_caps(params)
     logits, h = cnn_logits(m, x, params)
     p = softmax(logits)
     d_logit = p - labels
-    grad_head = d_logit.T @ h
+    grad_head = d_logit.swapaxes(-1, -2) @ h
     d_u = (d_logit @ m["head"]) * h * (1 - h)
     win_cnl = (x - c_l) / span
-    grad_k = np.einsum("sj,sjk->k", d_u, win_cnl)
+    grad_k = np.einsum("...sj,...sjk->...k", d_u, win_cnl)
     return cross_entropy(p, labels), (grad_k, grad_head)
 
 
@@ -458,15 +457,15 @@ def _cnn_score(m, x, params, binarize):
 class Model:
     """What the training loop and the evaluator know of one architecture.
 
-    `matrices` maps each matrix name to its shape, in initialization order;
-    the first is the one programmed into the array, and a checkpoint's beta
-    is its divisor in programmed_weights. Both functions take the dict m of
-    matrices by name and x = array_inputs(spec, c_i, params), what the array
-    reads of the images c_i[B, R, R]. `loss(m, x, c_i, labels, params, binarize)` gives the mean
-    loss and the summed gradients in matrix order; `score(m, x, params,
-    binarize)` gives the predicted glyphs, the outputs shown per glyph and
-    the outputs that must stay finite. Only a model that `binarizes` may
-    train and program its first matrix as signs.
+    `matrices` maps each matrix name to its shape, in initialization order; the first is the
+    one programmed into the array, and a checkpoint's beta is its divisor in programmed_weights.
+    Both functions take the dict m of matrices by name and x = array_inputs(spec, c_i, params),
+    what the array reads of the images c_i[..., B, R, R], with any leading axes every matrix
+    shares, and give results with them, each slice bit for bit its unstacked call. `loss(m, x,
+    c_i, labels, params, binarize)` gives the mean loss (a float unstacked) and the summed
+    gradients in matrix order; `score(m, x, params, binarize)` gives the predicted glyphs, the
+    outputs shown per glyph and the outputs that must stay finite. Only a model that
+    `binarizes` may train and program its first matrix as signs.
     """
 
     spec: ArrayTopology  # the array the network runs on
@@ -498,19 +497,20 @@ def train(architecture: str, config: TrainConfig,
           params: SensorParams = SensorParams()) -> TrainHistory:
     """Train one architecture with the analog array in the forward path.
 
-    Per epoch: draw S noisy letters at `params`, the ones the checkpoint records, compute
-    the loss and the summed gradients through the array, update every matrix by
-    M -= (alpha/S) * sum_p dL/dM, then `evaluate` at the same params on a separate stream.
-    Only the FC classifier may train binarized weights, with a straight-through estimator;
-    binarize elsewhere raises ValueError before any draw. Chunks of epochs, as many as
-    CHUNK_FLOATS holds, draw their batches and evaluations in one call each, in the RNG
-    order of per-epoch draws (the evaluations' images and array_inputs into two arrays made
-    once per run, which no returned value aliases), and score all their steps in one call,
-    letting NaN and inf through. One test of the chunk's losses, stepped matrices and eval
-    outputs finds the first epoch with a non-finite value (finite but huge weights are not
-    caught; the learning-rate bound prevents them): the run stops there, sets `diverged_at`
-    to it and keeps the history and checkpoint of the epochs before it. A step's exception
-    propagates at once, before its chunk is scored.
+    Per epoch: draw S noisy letters at `params`, the ones the checkpoint records, compute the
+    loss and the summed gradients through the array, update every matrix by
+    M -= (alpha/S) * sum_p dL/dM, then `evaluate` at the same params on a separate stream. Only
+    the FC classifier may train binarized weights, with a straight-through estimator; binarize
+    elsewhere raises ValueError before any draw. Chunks of epochs, as many as CHUNK_FLOATS
+    holds, draw their batches and evaluations in one call each, in the RNG order of per-epoch
+    draws (the evaluations' images and array_inputs into two arrays made once per run, which no
+    returned value aliases). Step k writes its loss and matrices in place, at k of the chunk's
+    (count,) and (count, M, N) stacks, which one call scores as they are, letting NaN and inf
+    through. One test of the chunk's losses, stepped matrices and eval outputs finds the first
+    epoch with a non-finite value (finite but huge weights are not caught; the learning-rate
+    bound prevents them): the run stops there, sets `diverged_at` to it and keeps the history
+    and checkpoint of the epochs before it. A step's exception propagates at once, before its
+    chunk is scored.
     """
     model = MODELS[architecture]
     if config.binarize and not model.binarizes:
@@ -531,24 +531,23 @@ def train(architecture: str, config: TrainConfig,
         x, labels = array_inputs(spec, c_i, params), dataset.LABELS[idx]
         e_idx, e_x = eval_letters(architecture, params, erng, config.eval_per_glyph, count,
                                   out=[a[:count] for a in e_out])
-        steps, stepped = [], mats
+        losses, stepped = np.empty(count), mats
+        stack = {name: np.empty((count,) + shape) for name, shape in model.matrices.items()}
         with np.errstate(all="ignore"):  # NaN and inf flow on to the one test below
             for k in range(count):
-                loss, grads = model.loss(stepped, x[k], c_i[k], labels[k], params,
-                                         config.binarize)
-                stepped = {name: m - lr * g for (name, m), g in zip(stepped.items(), grads)}
-                steps.append((loss, stepped))
-            stack = {name: np.array([s[name] for _, s in steps]) for name in model.matrices}
+                losses[k], grads = model.loss(stepped, x[k], c_i[k], labels[k], params,
+                                              config.binarize)
+                stepped = {name: np.subtract(m, lr * g, out=stack[name][k])
+                           for (name, m), g in zip(stepped.items(), grads)}
             accuracy, mean_outputs, checked = evaluate(
                 architecture, stack, e_idx, e_x, params, config.binarize)
-        losses = [loss for loss, _ in steps]
         finite = np.logical_and.reduce([np.isfinite(c).reshape(count, -1).all(1)
                                         for c in (losses, *stack.values(), *checked)])
         good = count if finite.all() else int(finite.argmin())  # epochs before the first bad
-        history.loss += losses[:good]
+        history.loss += losses[:good].tolist()
         history.accuracy += accuracy[:good].tolist()
         history.mean_outputs += list(mean_outputs[:good])
-        mats = steps[good - 1][1] if good else mats
+        mats = {name: s[good - 1].copy() for name, s in stack.items()} if good else mats
         if good < count:
             history.diverged_at = start + good + 1
             break

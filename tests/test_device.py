@@ -341,9 +341,10 @@ class TestApplyNoise:
         draws = apply_noise(np.full(50_000, 16.77), 16.77, 3.0, rng)
         assert draws.min() >= 0.01
 
-    def test_negative_noise_frac_rejected(self):
+    @pytest.mark.parametrize("noise_frac", [-0.1, math.nan, math.inf])
+    def test_negative_noise_frac_rejected(self, noise_frac):
         with pytest.raises(ValueError):
-            apply_noise(500.0, 500.0, -0.1, np.random.default_rng(0))
+            apply_noise(500.0, 500.0, noise_frac, np.random.default_rng(0))
 
 
 class TestSensorParams:

@@ -163,6 +163,35 @@ class TestFastPathEquivalence:
             _assert_bitwise_equal(prog[i], want_prog)
             assert np.broadcast_to(beta, (k, 1, 1))[i, 0, 0] == want_beta
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([("fc_classifier", False), ("fc_classifier", True),
+                            ("autoencoder", False), ("cnn_classifier", False)]),
+           st.integers(1, 8), st.integers(1, 40), st.sampled_from(["per_class", "global"]),
+           st.integers(0, 2 ** 32 - 1))
+    @example(("autoencoder", False), 2, 20, "per_class", 0)
+    @example(("fc_classifier", True), 8, 20, "global", 1)
+    @example(("cnn_classifier", False), 8, 20, "per_class", 2)
+    def test_stacked_loss_equals_each_slice(self, arch_binarize, k, batch_size, mode, seed):
+        # K matrix sets and K batches in one call: each slice's loss and
+        # gradients are its own unstacked call's, bit for bit.
+        arch, binarize = arch_binarize
+        model, params = MODELS[arch], SensorParams(noise_mode=mode)
+        rng = np.random.default_rng(seed)
+        m = {name: rng.uniform(-1.0, 1.0, (k,) + shape)
+             for name, shape in model.matrices.items()}
+        idx, c_i = dataset.letter_batches(k, batch_size, params, rng, model.spec.rows)
+        batch = array_inputs(model.spec, c_i, params), c_i, dataset.LABELS[idx]
+        loss, grads = model.loss(m, *batch, params, binarize)
+        assert loss.shape == (k,)
+        for i in range(k):
+            want_loss, want_grads = model.loss({name: a[i] for name, a in m.items()},
+                                               *(a[i] for a in batch), params, binarize)
+            assert type(want_loss) is float
+            _assert_bitwise_equal(loss[i], np.array(want_loss))
+            assert len(grads) == len(want_grads) == len(m)
+            for got, want in zip(grads, want_grads):
+                _assert_bitwise_equal(got[i], want)
+
     @settings(max_examples=50, deadline=None)
     @given(st.one_of(st.just(()), st.tuples(st.integers(1, 300))), st.integers(1, 9),
            st.integers(0, 2 ** 32 - 1))

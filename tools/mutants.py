@@ -38,10 +38,10 @@ TIMEOUT_S = 600
 # (name, module under src/capmac, original text, mutated text)
 MUTANTS = (
     ("gradient sign flipped", "netlab.py",
-     "m - lr * g for", "m + lr * g for"),
+     "np.subtract(m, lr * g,", "np.add(m, lr * g,"),
     ("FC gradient divided by S", "netlab.py",
-     "grad = (p - labels).T @ x / (x.shape[1] * params.c0)",
-     "grad = (p - labels).T @ x / (x.shape[0] * x.shape[1] * params.c0)"),
+     "grad = (p - labels).swapaxes(-1, -2) @ x / (x.shape[-1] * params.c0)",
+     "grad = (p - labels).swapaxes(-1, -2) @ x / (x.shape[-2] * x.shape[-1] * params.c0)"),
     ("reconstruction classified on induced caps", "cli.py",
      "netlab.classify_series_bits(c_rec, params)", "netlab.classify_series_bits(ci_rec, params)"),
     ("naive sigmoid", "netlab.py",
@@ -94,13 +94,19 @@ MUTANTS = (
     ("checkpoint epoch unbounded", "netlab.py",
      '        check_bound("epochs", self.epoch, "epoch")\n', ""),
     ("checkpoint of the stepped, not the last good, matrices", "netlab.py",
-     "mats = steps[good - 1][1] if good else mats", "mats = steps[-1][1]"),
+     "s[good - 1].copy() for name, s in stack.items()} if good else mats",
+     "s[-1].copy() for name, s in stack.items()}"),
     ("the last bad epoch of a chunk taken instead of the first", "netlab.py",
      "good = count if finite.all() else int(finite.argmin())",
      "good = count if finite.all() else count - 1 - int(finite[::-1].argmin())"),
     ("each epoch scored with the previous epoch's matrices", "netlab.py",
-     "steps.append((loss, stepped))",
-     "steps.append((loss, steps[-1][1] if steps else mats))"),
+     "architecture, stack, e_idx, e_x,",
+     "architecture, {name: np.concatenate([mats[name][None], s[:-1]])\n"
+     "                               for name, s in stack.items()}, e_idx, e_x,"),
+    # Stacked only: an unstacked call has one slice, so only stacked calls see it.
+    ("autoencoder loss averaged over every slice at once", "netlab.py",
+     "np.add.reduce(err ** 2, axis=(-2, -1)) / (err.shape[-2] * n)",
+     "np.add.reduce(err ** 2, axis=None) / err.size"),
     ("the final partial chunk dropped", "netlab.py",
      "for start in range(0, config.epochs, chunk):",
      "for start in range(0, config.epochs - config.epochs % chunk, chunk):"),
