@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import SensorParams, check_mac_values, mac, series_capacitance
+from .device import SensorParams, check_weight_volts, mac, series_capacitance
 
 
 # The largest rows or cols of a convolution array: 50 times the paper's 5x5.
@@ -70,7 +70,7 @@ def fc_forward(topology: ArrayTopology, c_i_image, weights, params: SensorParams
         raise ValueError(f"image shape {img.shape} does not match "
                          f"{topology.rows}x{topology.cols} topology")
     cs, v = array_inputs(topology, img[None], params), np.asarray(weights, dtype=float)
-    check_mac_values(cs, v, params.c0)
+    check_weight_volts(v)
     volts = mac(cs, v, params.c0)[0]
     if volts.shape != (topology.banks,):  # one matrix, not a stack of them
         raise ValueError(f"{len(weights)} weight rows for {topology.banks} banks")
@@ -129,6 +129,6 @@ def conv_forward(topology: ArrayTopology, schedule: ArrayTopology, c_i_image,
     if k.size != ksz ** 2:
         raise ValueError(f"kernel needs {ksz ** 2} weights, got {k.size}")
     cs = array_inputs(topology, img[None], params)
-    check_mac_values(cs, k, params.c0)
+    check_weight_volts(k)
     out = mac(cs, k, params.c0)[0, :, 0]
     return out.reshape(topology.rows - ksz + 1, topology.cols - ksz + 1)

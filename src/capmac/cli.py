@@ -117,9 +117,9 @@ def render_ascii(bitmap) -> str:
     come from `netlab.classify_series_bits`."""
     bits = np.asarray(bitmap)
     if (bits.ndim != 2 or max(bits.shape) > 16
-            or not np.logical_and.reduce((bits == 0) | (bits == 1), axis=None)):
+            or not set().union(*(rows := bits.tolist())) <= {0, 1}):
         raise ValueError("render_ascii draws 2-D 0/1 bitmaps up to 16x16")
-    return "\n".join("".join("#" if v else "." for v in row) for row in bits)
+    return "\n".join("".join(["#" if v else "." for v in row]) for row in rows)
 
 
 def write_pgm(matrix, path, lo: float, hi: float):
@@ -296,8 +296,7 @@ def _print_report(report: dict):
         for i, entry in enumerate(report["letters"]):
             print(f"letter {i}: true={entry['glyph']} predicted={entry['predicted']} "
                   f"mse={entry['mse']:.1f}")
-            print("\n".join("  " + line for line in
-                            render_ascii(entry["bitmap"]).splitlines()))
+            print("  " + render_ascii(entry["bitmap"]).replace("\n", "\n  "))
 
 
 # ---------------------------------------------------------------------------
@@ -356,15 +355,16 @@ def _cmd_eval(args) -> int:
 def _cmd_trace(args) -> int:
     phases = capture_fc_traces(load_checkpoint(args.checkpoint), dataset.Glyph(args.glyph))
     outdir = Path(args.out)
-    rows = metrics.assemble_waveform(phases)
+    trace, wave = outdir / "trace.csv", outdir / "waveform.csv"
+    rows = metrics.assemble_waveform(phases)  # refuses an empty trace before mkdir
     with _path_of("--out"):
         outdir.mkdir(parents=True, exist_ok=True)
-        write_trace_csv(phases, outdir / "trace.csv")
-        metrics.write_waveform_csv(rows, outdir / "waveform.csv")
+        write_trace_csv(phases, trace)
+        metrics.write_waveform_csv(rows, wave)
     print(f"traced {args.glyph}: outputs "
-          + " ".join(f"{u:+.4f}" for u in metrics.waveform_final_outputs(rows)))
+          + " ".join(f"{u:+.4f}" for u in phases[1][-1, :, 0].tolist()))  # SUM volts
     print(f"charge energy: {metrics.charge_energy(phases):.6f} nJ")
-    print(f"wrote {outdir / 'trace.csv'} and {outdir / 'waveform.csv'}")
+    print(f"wrote {trace} and {wave}")
     return EXIT_OK
 
 

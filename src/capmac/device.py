@@ -6,10 +6,17 @@ Units are pF for capacitance, V for voltage and pC for charge throughout
 
 The switch model is behavioral: transmission gates are ideal, with no charge
 injection, leakage or RC settling.
+
+Entry points refuse outside values before any product, so no numpy warning precedes a refusal:
+`series_capacitance` unless c0 > 0 and each c_i * c0 is a positive finite float; `apply_noise` a
+noise_frac or sigma that is negative, NaN or above MAX_NOISE_FRAC * MAX_CAPACITANCE_PF;
+`check_mac_values` (for `mac_phases`) cs or c0 not above 0 and, as `check_weight_volts` alone (for
+`arrays.fc_forward` and `conv_forward`), a weight voltage outside [-1, 1].
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -101,11 +108,13 @@ def series_capacitance(c_i, c0, out=None):
 
     Accepts scalars or arrays. The exact result lies below both inputs, but
     rounds to the smaller once the larger is some 1e16 times it. Raises
-    ValueError unless c0 and every c_i exceed 0, which refuses NaN and -0.0.
+    ValueError unless c0 > 0 and each c_i * c0 is a positive finite float, as each result then is.
     Given `out`, an array of c_i's shape, writes the result there and c_i + c0 over c_i.
     """
     c_i = np.asarray(c_i, dtype=float)
-    if not (c0 > 0 and np.minimum.reduce(c_i, axis=None, initial=np.inf) > 0):
+    lo = float(np.minimum.reduce(c_i, axis=None, initial=np.inf))
+    hi = float(np.maximum.reduce(c_i, axis=None, initial=0.0))
+    if not ((c0f := float(c0)) > 0 and lo * c0f > 0 and hi * c0f < math.inf):
         raise ValueError("capacitances must be positive")
     cs = c_i * c0 if out is None else np.multiply(c_i, c0, out=out)
     cs /= c_i + c0 if out is None else np.add(c_i, c0, out=c_i)
@@ -115,13 +124,16 @@ def series_capacitance(c_i, c0, out=None):
 def apply_noise(c_i_clean, nominal, noise_frac, rng, normals=None):
     """Add Gaussian capacitance noise with sigma = noise_frac * nominal.
 
-    `nominal` is the clean class value the rms noise is referenced to
-    (broadcast against c_i_clean). Results are clamped at NOISE_FLOOR_PF so
-    the series formula stays defined. Deterministic for a seeded rng. Given
-    `normals` drawn already (unread if noise_frac is 0), it writes over them.
+    `nominal` is the clean class value the rms noise is referenced to (broadcast against
+    c_i_clean). Results are clamped at NOISE_FLOOR_PF so the series formula stays defined.
+    Deterministic for a seeded rng. Given `normals` drawn already (unread if noise_frac is 0),
+    it writes over them. It refuses a sigma above the most SensorParams allows (draws stay finite).
     """
     if not 0 <= noise_frac < math.inf:
         raise ValueError(f"noise_frac must be finite and >= 0, got {noise_frac!r}")
+    sigma = float(noise_frac) * float(np.maximum.reduce(np.abs(nominal), axis=None, initial=0.0))
+    if not sigma <= MAX_NOISE_FRAC * MAX_CAPACITANCE_PF:
+        raise ValueError(f"noise sigma must be at most {MAX_NOISE_FRAC * MAX_CAPACITANCE_PF:g} pF")
     c_i_clean = np.asarray(c_i_clean, dtype=float)
     if noise_frac == 0:
         out = np.positive(c_i_clean, out=normals)  # a copy, into normals if given
@@ -143,8 +155,7 @@ def mac(cs, v, c0: float = DEFAULT_C0):
     TRANSFER moves it onto c0 (plate at Q_n/c0), SUM shares the N charges at
     sum(Q)/(N c0). Matmul's rounding depends on the shape it sees, so leading
     axes are kept: a (B, W, N) call equals its B (W, N) calls bit for bit, as a
-    (K, M, N) stack its K slices. mac checks shapes only; fc_forward, conv_forward
-    and mac_phases check values with check_mac_values, the package where it makes them.
+    (K, M, N) stack its K slices. mac checks shapes only (values: see the module docstring).
     """
     cs = np.asarray(cs, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -159,12 +170,17 @@ def mac(cs, v, c0: float = DEFAULT_C0):
     return np.divide(u := cs @ v.swapaxes(-1, -2), n * c0, out=u)
 
 
+def check_weight_volts(v: np.ndarray):
+    """Refuse a float array v of weight voltages outside [-1, 1], NaN included."""
+    if not np.maximum.reduce(abs(v), axis=None, initial=0.0) <= 1.0:
+        raise ValueError("weight voltage outside [-1, 1]; normalize weights first")
+
+
 def check_mac_values(cs: np.ndarray, v: np.ndarray, c0: float):
     """Refuse float arrays cs, v or a c0 that mac cannot read: cs and c0 > 0, |v| <= 1."""
     if not (c0 > 0 and np.minimum.reduce(cs, axis=None, initial=np.inf) > 0):
         raise ValueError("capacitances must be positive")
-    if not np.maximum.reduce(abs(v), axis=None, initial=0.0) <= 1.0:
-        raise ValueError("weight voltage outside [-1, 1]; normalize weights first")
+    check_weight_volts(v)
 
 
 def mac_phases(cs, v, c0: float = DEFAULT_C0):
@@ -191,17 +207,22 @@ def mac_phases(cs, v, c0: float = DEFAULT_C0):
     return charge, volts
 
 
+@functools.lru_cache(maxsize=16)
+def _trace_frame(banks: int, units: int) -> tuple:
+    """(head, tail) of each trace.csv row of a banks x units cycle in file order:
+    the text before the unit's charge and after its voltage."""
+    return tuple((f"{i},{phase},{','.join(map(str, levels))},", f",{k * DEFAULT_PHASE_NS!r}\n")
+                 for _ in range(banks) for k, (phase, levels) in enumerate(PHASES)
+                 for i in range(units))
+
+
 def write_trace_csv(phases, path):
     """Export a captured MAC cycle, the (charge, volts) pair of mac_phases,
     as CSV for waveform reconstruction: bank by bank, phase-major and unit
     by unit, each phase starting DEFAULT_PHASE_NS after the one before."""
     charge, volts = phases
-    lines = ["unit_index,phase,CL,MUL,CON,ADD,charge_pC,voltage_V,time_ns"]
-    for m in range(charge.shape[1]):
-        for k, (phase, levels) in enumerate(PHASES):
-            switches = ",".join(map(str, levels))
-            start = k * DEFAULT_PHASE_NS
-            lines += [f"{i},{phase},{switches},{q!r},{u!r},{start!r}" for i, (q, u)
-                      in enumerate(zip(charge[k, m].tolist(), volts[k, m].tolist()))]
+    q, u = (a.swapaxes(0, 1).ravel().tolist() for a in (charge, volts))  # bank-major
+    rows = [f"{head}{a!r},{b!r}{tail}"
+            for (head, tail), a, b in zip(_trace_frame(*charge.shape[1:]), q, u)]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("unit_index,phase,CL,MUL,CON,ADD,charge_pC,voltage_V,time_ns\n" + "".join(rows))

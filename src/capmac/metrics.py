@@ -104,8 +104,6 @@ def waveform_final_outputs(rows) -> list[float]:
 
 
 def write_waveform_csv(rows, path):
-    lines = ["time_ns,signal,value"]
-    for t, signal, value in rows:
-        lines.append(f"{t!r},{signal},{value!r}")
+    text = "".join([f"{t!r},{signal},{value!r}\n" for t, signal, value in rows])
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("time_ns,signal,value\n" + text)

@@ -12,11 +12,8 @@ read the simulator's fc_forward and conv_forward make too, computes it,
 x = array_inputs(spec, c_i, params), once per batch; every forward pass and
 batch loss takes x, and a loss also takes c_i for its targets.
 
-train draws and scores its epochs in chunks, with the RNG order, history, checkpoint and
-divergence epoch of an epoch-by-epoch loop, bit for bit. Steps write into per-chunk stacks, eval
-draws into two per-run arrays; nothing returned aliases them. device.mac checks shapes only
-(noisy_letters keeps c_i > 0, programmed_weights |v| <= 1). NaN and inf flow unwarned to one
-test of a chunk's losses, outputs and each m - lr * g, non-finite where g is (m finite, lr >= 0).
+train steps its epochs in chunks, bit for bit as an epoch-by-epoch loop (see train). device.mac
+checks shapes only: noisy_letters keeps c_i > 0 and programmed_weights |v| <= 1.
 
 Forward paths, each reading the array through the same kernel, device.mac:
   fc_classifier  logits = beta * U, U = sum(C_n v'_mn) / (N c0) from the array
@@ -367,8 +364,8 @@ def autoencoder_batch_loss(m, x, c_i, labels, params, binarize):
 
 
 def cnn_batch_loss(m, x, c_i, labels, params, binarize):
-    """Mean cross-entropy of the conv classifier and the gradients for the
-    kernel voltages, (..., 9), and the digital head."""
+    """Mean cross-entropy of the conv classifier and the gradients for the kernel
+    voltages, (..., 1, 9) for a stack and (9,) unstacked, and the digital head."""
     _, c_l, span = encoder_caps(params)
     logits, h = cnn_logits(m, x, params)
     p = softmax(logits)
@@ -377,6 +374,7 @@ def cnn_batch_loss(m, x, c_i, labels, params, binarize):
     d_u = (d_logit @ m["head"]) * h * (1 - h)
     win_cnl = (x - c_l) / span
     grad_k = np.einsum("...sj,...sjk->...k", d_u, win_cnl)
+    grad_k = grad_k[..., None, :] if m["kernel"].ndim > 2 else grad_k
     return cross_entropy(p, labels), (grad_k, grad_head)
 
 
@@ -480,17 +478,15 @@ class Model:
 # The paper's alpha and epoch counts for the classifier and the autoencoder;
 # the CNN rate is a repo calibration.
 MODELS = {
-    "fc_classifier": Model(build_fc_array(3, 3, 4), 10.0, 350,
-                           {"weights": (4, 9)}, fc_batch_loss, _fc_score,
-                           binarizes=True),
-    "autoencoder": Model(build_fc_array(3, 3, 4), 4e-4, 40,
-                         {"encoder": (4, 9), "decoder": (9, 4)},
+    "fc_classifier": Model(build_fc_array(3, 3, 4), 10.0, 350, {"weights": (4, 9)},
+                           fc_batch_loss, _fc_score, binarizes=True),
+    "autoencoder": Model(build_fc_array(3, 3, 4), 4e-4, 40, {"encoder": (4, 9), "decoder": (9, 4)},
                          autoencoder_batch_loss, _autoencoder_score),
-    "cnn_classifier": Model(build_conv_array(5, 5, 3), 1.0, 60,
-                            {"kernel": (1, 9), "head": (4, 9)},
+    "cnn_classifier": Model(build_conv_array(5, 5, 3), 1.0, 60, {"kernel": (1, 9), "head": (4, 9)},
                             cnn_batch_loss, _cnn_score),
 }
 ARCHITECTURES = tuple(MODELS)
+_CHECKPOINT_KEYS = (*field_keys(Checkpoint, ""), *field_keys(SensorParams, "sensor."))
 
 
 def train(architecture: str, config: TrainConfig,
@@ -589,9 +585,8 @@ def load_checkpoint(path) -> Checkpoint:
     if not lines or lines[0] != "capmac-checkpoint v1":
         raise ValueError(f"{path}: not a capmac checkpoint")
     i = next((n for n, line in enumerate(lines) if line.startswith("matrix ")), len(lines))
-    keys = field_keys(Checkpoint, "") + field_keys(SensorParams, "sensor.")
     fields = read_settings([(f"{path}: line {n}", lines[n - 1]) for n in range(2, i + 1)],
-                           ":", keys)
+                           ":", _CHECKPOINT_KEYS)
     matrices = {}
     while i < len(lines):
         line = lines[i]
@@ -599,7 +594,7 @@ def load_checkpoint(path) -> Checkpoint:
         try:
             word, name, rows, cols = line.split()
             rows, cols = int(rows), int(cols)
-            mat = np.array([[float(x) for x in row.split()] for row in lines[i:i + rows]])
+            mat = np.array([row.split() for row in lines[i:i + rows]], dtype=float)
             if word != "matrix" or mat.shape != (rows, cols):
                 raise ValueError
         except ValueError:
@@ -608,7 +603,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise ValueError(f"{path}: line {i}: matrix {name} is given twice")
         matrices[name] = mat
         i += rows
-    for key in keys:
+    for key in _CHECKPOINT_KEYS:
         if key not in fields:
             raise ValueError(f"{path}: missing checkpoint field {key!r}")
     return parse_fields(Checkpoint, fields, "", str(path), matrices=matrices,

@@ -234,9 +234,10 @@ _NORMALIZE = r"^weight voltage outside \[-1, 1\]; normalize weights first$"
 
 
 class TestOutsideValues:
-    """fc_forward and conv_forward check the values they are given with
-    check_mac_values before any product, so no numpy warning precedes a
-    refusal; device.mac itself checks shapes only."""
+    """fc_forward and conv_forward check the values they are given before any
+    product, the pixels in series_capacitance and the weights with
+    check_weight_volts, so no numpy warning precedes a refusal; device.mac
+    itself checks shapes only."""
 
     @staticmethod
     def forward(kind, pixel, weight, params=PARAMS):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes
 from hypothesis.extra.numpy import arrays as np_arrays
 
+from capmac.arrays import build_conv_array, build_fc_array, conv_forward, fc_forward
 from capmac.dataset import noisy_letters
 from capmac.device import (MAX_CAPACITANCE_PF, MAX_CAPACITANCE_RATIO, MAX_NOISE_FRAC,
                            MIN_C_IL_PF, PHASES, SensorParams, apply_noise, check_mac_values,
@@ -309,8 +311,10 @@ class TestValueChecksAsReductions:
     @pytest.mark.filterwarnings("error")
     @given(_EDGE_ARRAYS, _EDGE_C0)
     def test_series_capacitance_refuses_as_before_and_nan(self, c_i, c0):
+        # Refused now too: a product c_i * c0 that underflows to 0 (5e-324 * 0.5).
         want = _refusal(_reference_series_check, c_i, c0)
-        if want is None and (np.isnan(c_i).any() or math.isnan(c0)):
+        if want is None and (np.isnan(c_i).any() or math.isnan(c0)
+                             or (c_i * c0 == 0).any()):
             want = "capacitances must be positive"
         assert _refusal(series_capacitance, c_i, c0) == want
 
@@ -319,6 +323,58 @@ class TestValueChecksAsReductions:
     def test_check_mac_values_refuses_as_before(self, cs, v, c0):
         assert (_refusal(check_mac_values, cs, v, c0)
                 == _refusal(_reference_mac_check, cs, v, c0))
+
+
+# Outside values that once met the arithmetic unchecked: infinities, NaN, both
+# zeros, the least subnormal, 1e307 (whose product with 72 pF overflows) and
+# the largest float, beside ordinary capacitances of both signs.
+_OUTSIDE = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e307, sys.float_info.max,
+            0.5, 72.0, -72.0]
+
+
+class TestOutsideValuesRefusedOrFinite:
+    """Each entry point that takes outside values gives a ValueError or finite
+    values, and never a warning (the suite makes a RuntimeWarning an error)."""
+
+    @staticmethod
+    def refused_or_finite(call, refused: bool, match: str):
+        if refused:
+            with pytest.raises(ValueError, match=match):
+                call()
+        else:
+            got = np.asarray(call())
+            assert np.isfinite(got).all()
+            return got
+
+    @given(st.sampled_from(_OUTSIDE), st.sampled_from(_OUTSIDE))
+    def test_series_capacitance(self, c_i, c0):
+        cells = np.array([50.0, c_i])
+        refused = not (c0 > 0 and all(0 < c * c0 < math.inf for c in cells.tolist()))
+        cs = self.refused_or_finite(lambda: series_capacitance(cells, c0), refused,
+                                    "^capacitances must be positive$")
+        assert refused or (cs > 0).all()
+
+    @given(st.sampled_from(["fc", "conv"]), st.sampled_from(_OUTSIDE),
+           st.sampled_from(_OUTSIDE))
+    def test_forwards(self, kind, pixel, weight):
+        img, w = np.full((5, 5), 100.0), np.full((4, 25) if kind == "fc" else 9, 0.5)
+        img[2, 2], w.flat[12 if kind == "fc" else 4] = pixel, weight
+        spec = build_fc_array(5, 5, 4) if kind == "fc" else build_conv_array(5, 5, 3)
+        call = ((lambda: fc_forward(spec, img, w, SensorParams())) if kind == "fc" else
+                (lambda: conv_forward(spec, spec, img, w, SensorParams())))
+        self.refused_or_finite(call, not 0 < pixel * 72.0 < math.inf or not abs(weight) <= 1.0,
+                               "^(capacitances must be positive|weight voltage outside)")
+
+    @given(st.sampled_from([v for v in _OUTSIDE if math.isfinite(v)]),
+           st.sampled_from(_OUTSIDE), st.sampled_from([0.0, 0.2, MAX_NOISE_FRAC]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_apply_noise(self, clean, nominal, noise_frac, seed):
+        # The regression: apply_noise(np.ones(3), inf, 0.2, rng) gave [inf 0.01 inf].
+        self.refused_or_finite(
+            lambda: apply_noise(np.full(3, clean), nominal, noise_frac,
+                                np.random.default_rng(seed)),
+            not noise_frac * abs(nominal) <= MAX_NOISE_FRAC * MAX_CAPACITANCE_PF,
+            "^noise sigma must be at most")
 
 
 class TestApplyNoise:

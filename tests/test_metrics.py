@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays as np_arrays
 
 from capmac.arrays import (ArrayTopology, build_conv_array, build_fc_array, fc_forward,
                            gather_windows)
-from capmac.device import (DEFAULT_PHASE_NS, PHASES, SensorParams, mac_phases,
+from capmac.device import (DEFAULT_PHASE_NS, PHASES, SWITCH_NAMES, SensorParams, mac_phases,
                            series_capacitance, write_trace_csv)
 from capmac.metrics import (assemble_waveform, charge_energy, schedule_report,
                             waveform_final_outputs, write_waveform_csv)
@@ -142,6 +145,61 @@ class TestAssembleWaveform:
         lines = path.read_text().splitlines()
         assert lines[0] == "time_ns,signal,value"
         assert len(lines) == len(rows) + 1
+
+
+def _reference_trace_text(phases):
+    """write_trace_csv's text as its per-line loop wrote it, before the rows'
+    constant parts became a per-shape frame."""
+    charge, volts = phases
+    lines = ["unit_index,phase,CL,MUL,CON,ADD,charge_pC,voltage_V,time_ns"]
+    for m in range(charge.shape[1]):
+        for k, (phase, levels) in enumerate(PHASES):
+            switches = ",".join(map(str, levels))
+            start = k * DEFAULT_PHASE_NS
+            lines += [f"{i},{phase},{switches},{q!r},{u!r},{start!r}" for i, (q, u)
+                      in enumerate(zip(charge[k, m].tolist(), volts[k, m].tolist()))]
+    return "\n".join(lines) + "\n"
+
+
+def _reference_waveform_text(phases):
+    """write_waveform_csv(assemble_waveform(phases))'s text as their per-row
+    loops wrote it."""
+    finals = phases[1][-1, :, 0].tolist()
+    lines = ["time_ns,signal,value"]
+    for k, (phase, levels) in enumerate(PHASES + PHASES[-1:]):
+        t0 = k * DEFAULT_PHASE_NS
+        rows = [(t0, name, float(level)) for name, level in zip(SWITCH_NAMES, levels)]
+        rows += [(t0, f"U{m + 1}", u if phase == "sum" else 0.0) for m, u in enumerate(finals)]
+        lines += [f"{t!r},{signal},{value!r}" for t, signal, value in rows]
+    return "\n".join(lines) + "\n"
+
+
+# Every float class the writers repr: both zeros, NaN, infinities, subnormals.
+_TRACE_VALUES = (st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                                  -2.5e-310, 1.0, -1.0, 62.937])
+                 | st.floats(allow_nan=True, allow_infinity=True))
+
+
+class TestWritersAsBefore:
+    """The trace and waveform CSVs are byte for byte what the per-line loops wrote."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 16), st.data())
+    def test_trace_and_waveform_text_unchanged(self, tmp_path_factory, banks, units, data):
+        both = data.draw(np_arrays(float, (2, len(PHASES), banks, units), elements=_TRACE_VALUES))
+        phases = (both[0], both[1])
+        path = tmp_path_factory.getbasetemp() / "writers.csv"
+        write_trace_csv(phases, path)
+        assert path.read_text() == _reference_trace_text(phases)
+        write_waveform_csv(assemble_waveform(phases), path)
+        assert path.read_text() == _reference_waveform_text(phases)
+
+    def test_a_shape_seen_again_writes_its_own_values(self, tmp_path):
+        # The frame is cached per shape; the values are not.
+        for scale in (1.0, -3.0):
+            phases = mac_phases([62.937, 13.602], [[0.5 * scale / 3, -0.25]], 72.0)
+            write_trace_csv(phases, tmp_path / "t.csv")
+            assert (tmp_path / "t.csv").read_text() == _reference_trace_text(phases)
 
 
 class TestSummary:

@@ -189,8 +189,27 @@ class TestFastPathEquivalence:
             assert type(want_loss) is float
             _assert_bitwise_equal(loss[i], np.array(want_loss))
             assert len(grads) == len(want_grads) == len(m)
-            for got, want in zip(grads, want_grads):
-                _assert_bitwise_equal(got[i], want)
+            # A stacked gradient slice has its matrix's shape: (1, 9) for the
+            # CNN kernel, whose unstacked gradient is (9,).
+            for got, want, mat in zip(grads, want_grads, m.values()):
+                _assert_bitwise_equal(got[i], want.reshape(mat.shape[1:]))
+
+    def test_stacked_cnn_step_keeps_the_kernel_shape(self):
+        # Regression: a (3, 9) kernel gradient made m - lr * g of a K = 3
+        # stack of (1, 9) kernels a (3, 3, 9) array.
+        model, rng = MODELS["cnn_classifier"], np.random.default_rng(3)
+        m = {name: rng.uniform(-1.0, 1.0, (3,) + shape) for name, shape in model.matrices.items()}
+        idx, c_i = dataset.letter_batches(3, 20, PARAMS, rng, CNN_SPEC.rows)
+        batch = array_inputs(CNN_SPEC, c_i, PARAMS), c_i, dataset.LABELS[idx]
+        _, grads = model.loss(m, *batch, PARAMS, False)
+        stepped = {name: m[name] - 0.05 * g for name, g in zip(m, grads)}
+        assert stepped["kernel"].shape == (3, 1, 9) and stepped["head"].shape == (3, 4, 9)
+        for i in range(3):
+            one = {name: a[i] for name, a in m.items()}
+            _, want = model.loss(one, *(a[i] for a in batch), PARAMS, False)
+            assert want[0].shape == (9,)  # unstacked, as before
+            for name, g in zip(m, want):
+                _assert_bitwise_equal(stepped[name][i], one[name] - 0.05 * g)
 
     @settings(max_examples=50, deadline=None)
     @given(st.one_of(st.just(()), st.tuples(st.integers(1, 300))), st.integers(1, 9),
@@ -1084,6 +1103,31 @@ class TestCheckpointIo:
         with pytest.raises(ValueError, match="malformed matrix block 'matrix weights 4 9'"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("row", ["0.0 " * 8, "0.0 " * 10, "0.0 " * 8 + "x",
+                                     "0.0 " * 8 + "0x10", "0.0 " * 8 + "1__0"],
+                             ids=["8 of 9", "10 of 9", "word", "hex", "double underscore"])
+    def test_ragged_or_non_numeric_row_is_malformed(self, tmp_path, row):
+        path = tmp_path / "ck.txt"
+        save_checkpoint(_zero_checkpoint("fc_classifier"), path)
+        lines = path.read_text().splitlines()
+        lines[lines.index("matrix weights 4 9") + 2] = row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: malformed matrix "
+                                             f"block 'matrix weights 4 9'$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("token", ["1_000", "\u0661\u0662", "-0.0", "1e-320", " +2.5 "])
+    def test_matrix_tokens_read_as_float_reads_them(self, tmp_path, token):
+        # The decoder is not the programmed matrix, so no beta depends on it.
+        path = tmp_path / "ck.txt"
+        save_checkpoint(_zero_checkpoint("autoencoder"), path)
+        lines = path.read_text().splitlines()
+        at = lines.index("matrix decoder 9 4") + 1
+        lines[at] = f"{token} 0.0 0.0 0.0"
+        path.write_text("\n".join(lines) + "\n")
+        got = load_checkpoint(path).matrices["decoder"][0, 0]
+        assert np.array(got).view(np.uint64) == np.array(float(token)).view(np.uint64)
+
     def test_repeated_header_line_refused(self, tmp_path):
         # Regression: an extra "seed: 99" before the real line loaded with seed 0.
         path = tmp_path / "ck.txt"
@@ -1357,7 +1401,7 @@ def bounded_params(draw):
 
 class TestValuesMacReads:
     """device.mac checks shapes only: what train, evaluate and capmac eval
-    hand it is kept in range where it is made, and check_mac_values is left
+    hand it is kept in range where it is made, and the value checks are left
     to the entry points that take outside values."""
 
     @settings(max_examples=200, deadline=None)
@@ -1381,16 +1425,19 @@ class TestValuesMacReads:
         assert prog.shape == v.shape and (abs(prog) <= 1.0).all()
 
     def test_training_and_capmac_eval_never_check_values(self, monkeypatch):
-        calls, check = [], device.check_mac_values
+        calls = []
 
-        def counting(*args):
-            calls.append(args)
-            return check(*args)
+        def counting(check):
+            def counted(*args):
+                calls.append(args)
+                return check(*args)
+            return counted
 
         for name in ("arrays", "cli", "dataset", "device", "metrics", "netlab", "weights"):
             module = getattr(capmac, name)
-            if hasattr(module, "check_mac_values"):
-                monkeypatch.setattr(module, "check_mac_values", counting)
+            for check in ("check_mac_values", "check_weight_volts"):
+                if hasattr(module, check):
+                    monkeypatch.setattr(module, check, counting(getattr(device, check)))
         for arch, binarize in [(arch, False) for arch in MODELS] + [("fc_classifier", True)]:
             config = default_config(arch, epochs=5, eval_per_glyph=3, binarize=binarize)
             cli.evaluate(train(arch, config).checkpoint, per_glyph=3)

@@ -137,6 +137,10 @@ MUTANTS = (
      "            id(c_i.base), c_i) is c_i):\n        rng.standard_normal(out=c_i)\n"),
     ("nearest-glyph table ties to the highest glyph", "netlab.py",
      "!= pats).sum(-1).argmin(-1)", "!= pats).sum(-1)[:, ::-1].argmin(-1) * -1 + 3"),
+    ("trace rows stamped one phase late", "device.py",
+     "{k * DEFAULT_PHASE_NS!r}", "{(k + 1) * DEFAULT_PHASE_NS!r}"),
+    ("stacked CNN kernel gradient flattened", "netlab.py",
+     '    grad_k = grad_k[..., None, :] if m["kernel"].ndim > 2 else grad_k\n', ""),
     ("TRANSFER volts written as q, not q/c0", "device.py",
      "v, q / c0, u_sum", "v, q, u_sum"),
     ("diverged run drops its checkpoint", "cli.py",
@@ -163,9 +167,9 @@ MUTANTS = (
     ("a refusal exits 1", "cli.py",
      "return EXIT_CONFIG", "return EXIT_CLOSED_STDOUT"),
     ("fc_forward takes values unchecked", "arrays.py",
-     "    check_mac_values(cs, v, params.c0)\n", ""),
+     "    check_weight_volts(v)\n", ""),
     ("conv_forward takes values unchecked", "arrays.py",
-     "    check_mac_values(cs, k, params.c0)\n", ""),
+     "    check_weight_volts(k)\n", ""),
     ("mac_phases takes values unchecked", "device.py",
      "    check_mac_values(cs, v, c0)\n", ""),
     ("zero c0 accepted", "device.py",
@@ -174,10 +178,11 @@ MUTANTS = (
      "np.minimum.reduce(cs, axis=None, initial=np.inf) > 0",
      "np.minimum.reduce(cs, axis=None, initial=np.inf) >= 0"),
     ("series formula takes a zero c0", "device.py",
-     "c0 > 0 and np.minimum.reduce(c_i,", "c0 >= 0 and np.minimum.reduce(c_i,"),
+     "(c0f := float(c0)) > 0 and lo * c0f > 0", "(c0f := float(c0)) >= 0 and lo * c0f >= 0"),
     ("series formula takes a zero capacitance", "device.py",
-     "np.minimum.reduce(c_i, axis=None, initial=np.inf) > 0",
-     "np.minimum.reduce(c_i, axis=None, initial=np.inf) >= 0"),
+     "lo * c0f > 0", "lo * c0f >= 0"),
+    ("series guard misses overflow", "device.py",
+     " and hi * c0f < math.inf", ""),
     # Boundary mutants: each refuses a value at the bound its message accepts.
     ("16x16 bitmap refused", "cli.py",
      "max(bits.shape) > 16", "max(bits.shape) >= 16"),
