@@ -10,8 +10,9 @@ injection, leakage or RC settling.
 Entry points refuse outside values before any product, so no numpy warning precedes a refusal:
 `series_capacitance` unless c0 > 0 and each c_i * c0 is a positive finite float; `apply_noise` a
 noise_frac or sigma that is negative, NaN or above MAX_NOISE_FRAC * MAX_CAPACITANCE_PF;
-`check_mac_values` (for `mac_phases`) cs or c0 not above 0 and, as `check_weight_volts` alone (for
-`arrays.fc_forward` and `conv_forward`), a weight voltage outside [-1, 1].
+`mac_phases` unless 0 < c0 < inf, cs > 0 and 2 N max(cs) / min(c0, 1) is finite (before rounding,
+every cycle value is at most half that); `check_weight_volts` (for it, `arrays.fc_forward` and
+`conv_forward`) a weight voltage outside [-1, 1], NaN included.
 """
 
 from __future__ import annotations
@@ -176,13 +177,6 @@ def check_weight_volts(v: np.ndarray):
         raise ValueError("weight voltage outside [-1, 1]; normalize weights first")
 
 
-def check_mac_values(cs: np.ndarray, v: np.ndarray, c0: float):
-    """Refuse float arrays cs, v or a c0 that mac cannot read: cs and c0 > 0, |v| <= 1."""
-    if not (c0 > 0 and np.minimum.reduce(cs, axis=None, initial=np.inf) > 0):
-        raise ValueError("capacitances must be positive")
-    check_weight_volts(v)
-
-
 def mac_phases(cs, v, c0: float = DEFAULT_C0):
     """The MAC cycle of one sample, phase by phase: (charge, volts), the
     charge Q (pC) and plate voltage U (V) of every unit at the end of each
@@ -197,7 +191,10 @@ def mac_phases(cs, v, c0: float = DEFAULT_C0):
     cs, v = np.asarray(cs, dtype=float), np.asarray(v, dtype=float)
     if cs.ndim != 1:
         raise ValueError("trace capture takes a single sample of N capacitances")
-    check_mac_values(cs, v, c0)
+    if not (0 < (c0 := float(c0)) < math.inf and float(np.minimum.reduce(cs, initial=np.inf)) > 0
+            and 2 * float(np.maximum.reduce(cs, initial=0.0)) * len(cs) / min(c0, 1) < math.inf):
+        raise ValueError("capacitances must be positive")
+    check_weight_volts(v)
     if v.ndim != 2:
         raise ValueError("trace capture takes one M x N weight matrix")
     q = cs * v

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes
 from hypothesis.extra.numpy import arrays as np_arrays
@@ -11,8 +11,8 @@ from hypothesis.extra.numpy import arrays as np_arrays
 from capmac.arrays import build_conv_array, build_fc_array, conv_forward, fc_forward
 from capmac.dataset import noisy_letters
 from capmac.device import (MAX_CAPACITANCE_PF, MAX_CAPACITANCE_RATIO, MAX_NOISE_FRAC,
-                           MIN_C_IL_PF, PHASES, SensorParams, apply_noise, check_mac_values,
-                           mac, mac_phases, series_capacitance, write_trace_csv)
+                           MIN_C_IL_PF, PHASES, SensorParams, apply_noise, mac, mac_phases,
+                           series_capacitance, write_trace_csv)
 
 SWITCHES = dict(PHASES)
 
@@ -204,8 +204,6 @@ class TestMacEvaluate:
         cs = np.full((2, 3, 4), 50.0)
         stack = np.stack([np.zeros((1, 4)), np.full((1, 4), 1.5)])
         with pytest.raises(ValueError, match="normalize"):
-            check_mac_values(cs, stack, 72.0)
-        with pytest.raises(ValueError, match="normalize"):
             mac_phases(cs[0, 0], stack, 72.0)
         with pytest.raises(ValueError, match="length mismatch"):
             mac(cs, np.zeros((2, 1, 5)), 72.0)
@@ -247,8 +245,8 @@ class TestMacEvaluate:
 
 
 class TestMacValueBounds:
-    """check_mac_values at its bounds, reached from outside through mac_phases:
-    a capacitance or c0 must exceed 0 and a weight voltage lie in [-1, 1]."""
+    """mac_phases's value rule at its bounds: a capacitance or c0 must exceed 0,
+    c0 and every cycle value stay finite, and a weight voltage lie in [-1, 1]."""
 
     @pytest.mark.filterwarnings("error")  # refused before the division by c0
     @pytest.mark.parametrize("cs,c0", [([0.0, 50.0], 72.0), ([50.0, 0.0], 72.0),
@@ -256,6 +254,15 @@ class TestMacValueBounds:
     def test_zero_capacitance_refused(self, cs, c0):
         with pytest.raises(ValueError, match="^capacitances must be positive$"):
             mac_phases(cs, [[0.5, 0.5]], c0)
+
+    @pytest.mark.parametrize("cs,v,c0", [
+        ([math.inf, 50.0], [[0.0, 0.5]], 72.0),  # inf x 0 in CHARGE
+        ([1e307, 50.0], [[1.0, 0.5]], 1e-3),  # cs / c0 overflowed
+        ([sys.float_info.max], [[1.0]], 72.0),  # c0 U rounds past the largest float
+        ([50.0, 50.0], [[0.5, 0.5]], math.inf)])
+    def test_infinite_or_overflowing_cycle_refused(self, cs, v, c0):
+        with pytest.raises(ValueError, match="^capacitances must be positive$"):
+            mac_phases(cs, v, c0)
 
     def test_least_positive_capacitance_accepted(self):
         charge, volts = mac_phases([5e-324, 50.0], [[1.0, 1.0]], 72.0)
@@ -279,6 +286,18 @@ _EDGE_ARRAYS = np_arrays(float, array_shapes(min_dims=0, max_dims=3, min_side=0,
                          elements=st.sampled_from(_EDGE_VALUES))
 _EDGE_C0 = st.sampled_from([0.0, -0.0, math.nan, 5e-324, 72.0])
 
+# Outside values that once met the arithmetic unchecked: infinities, NaN, both
+# zeros, the least subnormal, 1e307 (whose product with 72 pF overflows) and
+# the largest float, beside ordinary capacitances of both signs.
+_OUTSIDE = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e307, sys.float_info.max,
+            0.5, 72.0, -72.0]
+
+# (cs, v) of one mac_phases call: N in 1-3 capacitances and an M x N weight matrix, M in 0-3.
+_MAC_INPUTS = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    np_arrays(float, n, elements=st.sampled_from(_EDGE_VALUES + _OUTSIDE)),
+    np_arrays(float, st.tuples(st.integers(0, 3), st.just(n)),
+              elements=st.sampled_from(_EDGE_VALUES))))
+
 
 def _refusal(call, *args):
     """The message of the ValueError that call(*args) raises, or None."""
@@ -296,7 +315,7 @@ def _reference_series_check(c_i, c0):
 
 
 def _reference_mac_check(cs, v, c0):
-    """check_mac_values as ndarray methods, before its checks became reductions."""
+    """mac_phases's former value check as ndarray methods, before it used reductions."""
     if not (c0 > 0 and cs.min(initial=np.inf) > 0):
         raise ValueError("capacitances must be positive")
     if not abs(v).max(initial=0.0) <= 1.0:
@@ -318,18 +337,19 @@ class TestValueChecksAsReductions:
             want = "capacitances must be positive"
         assert _refusal(series_capacitance, c_i, c0) == want
 
-    @pytest.mark.filterwarnings("error")
-    @given(_EDGE_ARRAYS, _EDGE_ARRAYS, _EDGE_C0)
-    def test_check_mac_values_refuses_as_before(self, cs, v, c0):
-        assert (_refusal(check_mac_values, cs, v, c0)
-                == _refusal(_reference_mac_check, cs, v, c0))
-
-
-# Outside values that once met the arithmetic unchecked: infinities, NaN, both
-# zeros, the least subnormal, 1e307 (whose product with 72 pF overflows) and
-# the largest float, beside ordinary capacitances of both signs.
-_OUTSIDE = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e307, sys.float_info.max,
-            0.5, 72.0, -72.0]
+    @given(_MAC_INPUTS, st.sampled_from([0.0, -0.0, math.nan, 5e-324, 1e-3, 72.0, math.inf]))
+    @example((np.array([sys.float_info.max]), np.ones((1, 1))), 72.0)  # c0 U rounds to inf
+    def test_mac_phases_refuses_as_before_and_overflow(self, cs_v, c0):
+        # Refused now too: an infinite c0, and a cs or c0 whose cycle values
+        # could overflow, with a factor 2 to spare for rounding.
+        (cs, v), positive = cs_v, "capacitances must be positive"
+        want = _refusal(_reference_mac_check, cs, v, c0)
+        if want != positive and not (c0 < math.inf
+                                     and 2 * float(cs.max()) * len(cs) / min(c0, 1) < math.inf):
+            want = positive
+        assert _refusal(mac_phases, cs, v, c0) == want
+        if want is None:
+            assert all(np.isfinite(a).all() for a in mac_phases(cs, v, c0))
 
 
 class TestOutsideValuesRefusedOrFinite:
