@@ -162,6 +162,7 @@ def _emit_reconstructions(ckpt: Checkpoint, outdir: Path) -> list[Path]:
     params = ckpt.params
     spec = netlab.MODELS[ckpt.architecture].spec
     written = []
+    # One forward per letter: a batch of four rounds the MAC unlike four one-letter calls.
     for glyph, grid in zip(dataset.GLYPH_ORDER, dataset.GRIDS[spec.rows]):
         c_i = dataset.encode_capacitive(grid[None], params)
         x = netlab.array_inputs(spec, c_i, params)

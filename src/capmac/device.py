@@ -156,7 +156,8 @@ def mac(cs, v, c0: float = DEFAULT_C0):
     TRANSFER moves it onto c0 (plate at Q_n/c0), SUM shares the N charges at
     sum(Q)/(N c0). Matmul's rounding depends on the shape it sees, so leading
     axes are kept: a (B, W, N) call equals its B (W, N) calls bit for bit, as a
-    (K, M, N) stack its K slices. mac checks shapes only (values: see the module docstring).
+    (K, M, N) stack its K slices, but not its W one-row (1, N) calls. mac checks
+    shapes only (values: see the module docstring).
     """
     cs = np.asarray(cs, dtype=float)
     v = np.asarray(v, dtype=float)

@@ -31,35 +31,28 @@ def schedule_report(spec: ArrayTopology) -> dict:
     """
     topo = (build_conv_array(spec.rows, spec.cols, spec.kernel) if spec.kernel
             else build_fc_array(spec.rows, spec.cols, spec.banks))  # checked geometry
+    steps = topo.cols - topo.kernel + 1 if topo.kernel else 1
+    report = {
+        "rows": topo.rows,
+        "cols": topo.cols,
+        "adc_count": topo.banks,
+        "step_count": steps,
+        "latency_ns": len(PHASES) * DEFAULT_PHASE_NS * steps,
+        "energy_nJ": DEFAULT_ENERGY_PJ * steps / 1000,
+    }
     if topo.kernel:
-        steps = topo.cols - topo.kernel + 1
-        report = {
-            "rows": topo.rows,
-            "cols": topo.cols,
-            "kernel": topo.kernel,
-            "dac_count": topo.kernel ** 2,
-            "adc_count": topo.banks,
-            "step_count": steps,
-            "steps": [{"step": c, "windows": [{"row": r, "col": c, "adc": r}
-                                              for r in range(topo.banks)]}
-                      for c in range(steps)],
-        }
-    else:
-        pixels = [[r, c] for r in range(topo.rows) for c in range(topo.cols)]
-        report = {
+        return {**report,
+                "kernel": topo.kernel,
+                "dac_count": topo.kernel ** 2,
+                "steps": [{"step": c, "windows": [{"row": r, "col": c, "adc": r}
+                                                  for r in range(topo.banks)]}
+                          for c in range(steps)]}
+    pixels = [[r, c] for r in range(topo.rows) for c in range(topo.cols)]
+    return {**report,
             "type": "fc_banks",
-            "rows": topo.rows,
-            "cols": topo.cols,
             "banks": topo.banks,
             "wiring": {str(m): pixels for m in range(topo.banks)},
-            "dac_count": topo.banks * len(pixels),
-            "adc_count": topo.banks,
-            "step_count": 1,
-        }
-    cycles = report["step_count"]
-    return {**report,
-            "latency_ns": len(PHASES) * DEFAULT_PHASE_NS * cycles,
-            "energy_nJ": DEFAULT_ENERGY_PJ * cycles / 1000}
+            "dac_count": topo.banks * len(pixels)}
 
 
 def charge_energy(phases) -> float:
@@ -96,10 +89,7 @@ def assemble_waveform(phases):
 
 def waveform_final_outputs(rows) -> list[float]:
     """The last value of each U_m signal in a waveform table."""
-    finals = {}
-    for t, signal, value in rows:
-        if signal.startswith("U"):
-            finals[signal] = value
+    finals = {signal: value for _, signal, value in rows if signal.startswith("U")}
     return [finals[f"U{m + 1}"] for m in range(len(finals))]
 
 

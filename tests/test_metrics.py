@@ -8,10 +8,11 @@ from hypothesis.extra.numpy import arrays as np_arrays
 
 from capmac.arrays import (ArrayTopology, build_conv_array, build_fc_array, fc_forward,
                            gather_windows)
+from capmac.cli import _json_text
 from capmac.device import (DEFAULT_PHASE_NS, PHASES, SWITCH_NAMES, SensorParams, mac_phases,
                            series_capacitance, write_trace_csv)
-from capmac.metrics import (assemble_waveform, charge_energy, schedule_report,
-                            waveform_final_outputs, write_waveform_csv)
+from capmac.metrics import (DEFAULT_ENERGY_PJ, assemble_waveform, charge_energy,
+                            schedule_report, waveform_final_outputs, write_waveform_csv)
 from capmac.netlab import MODELS
 
 PARAMS = SensorParams()
@@ -248,6 +249,60 @@ class TestSummary:
     def test_conv_report_refuses_geometry_naming_parameter(self):
         with pytest.raises(ValueError, match=r"^rows must be in \[3, 256\] for a 3x3 kernel"):
             schedule_report(ArrayTopology(2, 5, 3, 3))
+
+
+def _reference_schedule_report(spec):
+    """schedule_report as it was written before both wirings shared one
+    report skeleton: each branch stating its own counts."""
+    topo = (build_conv_array(spec.rows, spec.cols, spec.kernel) if spec.kernel
+            else build_fc_array(spec.rows, spec.cols, spec.banks))  # checked geometry
+    if topo.kernel:
+        steps = topo.cols - topo.kernel + 1
+        report = {
+            "rows": topo.rows,
+            "cols": topo.cols,
+            "kernel": topo.kernel,
+            "dac_count": topo.kernel ** 2,
+            "adc_count": topo.banks,
+            "step_count": steps,
+            "steps": [{"step": c, "windows": [{"row": r, "col": c, "adc": r}
+                                              for r in range(topo.banks)]}
+                      for c in range(steps)],
+        }
+    else:
+        pixels = [[r, c] for r in range(topo.rows) for c in range(topo.cols)]
+        report = {
+            "type": "fc_banks",
+            "rows": topo.rows,
+            "cols": topo.cols,
+            "banks": topo.banks,
+            "wiring": {str(m): pixels for m in range(topo.banks)},
+            "dac_count": topo.banks * len(pixels),
+            "adc_count": topo.banks,
+            "step_count": 1,
+        }
+    cycles = report["step_count"]
+    return {**report,
+            "latency_ns": len(PHASES) * DEFAULT_PHASE_NS * cycles,
+            "energy_nJ": DEFAULT_ENERGY_PJ * cycles / 1000}
+
+
+@st.composite
+def _topologies(draw):
+    """An FC topology, or a convolution one with hand-built banks that the
+    report must ignore."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    kernel = draw(st.one_of(st.just(0), st.integers(1, min(rows, cols))))
+    return ArrayTopology(rows, cols, draw(st.integers(1, 8)), kernel)
+
+
+class TestReportAsBefore:
+    @settings(max_examples=300, deadline=None)
+    @given(_topologies())
+    def test_report_text_is_the_two_branch_text(self, spec):
+        # Compared as printed text: an int that became a float would compare
+        # equal as a value but print differently.
+        assert _json_text(schedule_report(spec)) == _json_text(_reference_schedule_report(spec))
 
 
 class TestSweepMatchesCompute:

@@ -70,14 +70,10 @@ MUTANTS = (
     ("conv topology forgets its kernel", "arrays.py",
      "return ArrayTopology(rows, cols, rows - kernel + 1, kernel)",
      "return ArrayTopology(rows, cols, rows - kernel + 1)"),
-    ("FC report counts one bank per row", "metrics.py",
-     '"adc_count": topo.banks,\n            "step_count": 1,',
-     '"adc_count": topo.rows,\n            "step_count": 1,'),
     ("ADC count one per row", "metrics.py",
-     '"adc_count": topo.banks,\n            "step_count": steps,',
-     '"adc_count": topo.rows,\n            "step_count": steps,'),
+     '"adc_count": topo.banks,', '"adc_count": topo.rows,'),
     ("latency ignores the step count", "metrics.py",
-     '"latency_ns": len(PHASES) * DEFAULT_PHASE_NS * cycles,',
+     '"latency_ns": len(PHASES) * DEFAULT_PHASE_NS * steps,',
      '"latency_ns": len(PHASES) * DEFAULT_PHASE_NS,'),
     ("charge_energy reads the TRANSFER phase", "metrics.py",
      "abs(charge[1] * volts[1])", "abs(charge[2] * volts[2])"),
