@@ -146,7 +146,7 @@ def apply_noise(c_i_clean, nominal, noise_frac, rng, normals=None):
     return float(out) if out.ndim == 0 else out
 
 
-def mac(cs, v, c0: float = DEFAULT_C0):
+def mac(cs, v, c0: float):
     """Charge-domain MAC of M banks: U[..., m] = sum_n cs[..., n] v[m, n] / (N c0).
 
     cs holds the series capacitances seen by the N units of a bank on its last
@@ -178,7 +178,7 @@ def check_weight_volts(v: np.ndarray):
         raise ValueError("weight voltage outside [-1, 1]; normalize weights first")
 
 
-def mac_phases(cs, v, c0: float = DEFAULT_C0):
+def mac_phases(cs, v, c0: float):
     """The MAC cycle of one sample, phase by phase: (charge, volts), the
     charge Q (pC) and plate voltage U (V) of every unit at the end of each
     phase, both of shape (4, M, N) with the phases in the order of PHASES.

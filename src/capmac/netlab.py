@@ -10,7 +10,7 @@ C_n = c_i c0 / (c_i + c0) of each pixel, flattened per image for the FC banks
 and gathered into 3x3 windows for the convolution. arrays.array_inputs, the
 read the simulator's fc_forward and conv_forward make too, computes it,
 x = array_inputs(spec, c_i, params), once per batch; every forward pass and
-batch loss takes x, and a loss also takes c_i for its targets.
+training step takes x, and a step also takes c_i for its targets and gives what its loss reads.
 
 train steps its epochs in chunks, bit for bit as an epoch-by-epoch loop (see train). device.mac
 checks shapes only: noisy_letters keeps c_i > 0 and programmed_weights |v| <= 1.
@@ -68,9 +68,8 @@ def softmax(u):
     """Row-wise softmax with max subtraction for stability. A row holding NaN
     or +inf comes out all NaN; the other rows are unaffected."""
     u = np.asarray(u, dtype=float)
-    shifted = u - u.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(e := u - np.maximum.reduce(u, axis=-1, keepdims=True), out=e)
+    return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=e)
 
 
 def sigmoid(z, out=None):
@@ -299,7 +298,7 @@ def _conditioned(cs: np.ndarray, v: np.ndarray, params: SensorParams) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# forward passes and batch losses
+# forward passes, training steps and losses
 
 def _fc_pass(v, cs, params, binarize):
     """(U, beta): array output voltages and the digital rescale."""
@@ -336,35 +335,39 @@ def cnn_logits(m: dict, x: np.ndarray, params: SensorParams):
     return h @ m["head"].swapaxes(-1, -2), h
 
 
-def fc_batch_loss(m, x, c_i, labels, params, binarize):
-    """Mean cross-entropy of the FC classifier and the gradient with respect
+def fc_step(m, x, c_i, labels, params, binarize):
+    """Softmax probabilities of the FC classifier and the gradient with respect
     to the latent weights (straight-through when binarized)."""
     u, beta = _fc_pass(m["weights"], x, params, binarize)
     p = softmax(u * beta)
     grad = (p - labels).swapaxes(-1, -2) @ x / (x.shape[-1] * params.c0)
-    return cross_entropy(p, labels), (grad,)
+    return p, (grad,)
 
 
-def autoencoder_batch_loss(m, x, c_i, labels, params, binarize):
-    """Mean reconstruction MSE (in induced-capacitance units) of the images
-    c_i, and the gradients for encoder voltages and decoder weights."""
+def autoencoder_step(m, x, c_i, labels, params, binarize):
+    """Reconstruction error (in induced-capacitance units) of the images c_i,
+    and the gradients for encoder voltages and decoder weights."""
     _, c_l, span = encoder_caps(params)
     c0 = params.c0
     phi, cnl_rec, c_rec, ci_rec = autoencoder_forward(m, x, params)
-    n = x.shape[-1]
     err = ci_rec - c_i.reshape(c_i.shape[:-2] + (-1,))
-    loss = np.add.reduce(err ** 2, axis=(-2, -1)) / (err.shape[-2] * n)
-    d_ci = 2.0 / n * err
+    d_ci = 2.0 / x.shape[-1] * err
     d_z = d_ci * c0 ** 2 / (c0 - c_rec) ** 2 * span * cnl_rec * (1 - cnl_rec)
     grad_dec = d_z.swapaxes(-1, -2) @ phi
     d_u = (d_z @ m["decoder"]) * phi * (1 - phi)
     cnl = (x - c_l) / span
     grad_enc = d_u.swapaxes(-1, -2) @ cnl
-    return float(loss) if loss.ndim == 0 else loss, (grad_enc, grad_dec)
+    return err, (grad_enc, grad_dec)
 
 
-def cnn_batch_loss(m, x, c_i, labels, params, binarize):
-    """Mean cross-entropy of the conv classifier and the gradients for the kernel
+def mean_square(err, labels):
+    """Mean of err ** 2 over each (B, N) slice (labels unread): the autoencoder's MSE loss."""
+    loss = np.add.reduce(err ** 2, axis=(-2, -1)) / (err.shape[-2] * err.shape[-1])
+    return float(loss) if loss.ndim == 0 else loss
+
+
+def cnn_step(m, x, c_i, labels, params, binarize):
+    """Softmax probabilities of the conv classifier and the gradients for the kernel
     voltages, (..., 1, 9) for a stack and (9,) unstacked, and the digital head."""
     _, c_l, span = encoder_caps(params)
     logits, h = cnn_logits(m, x, params)
@@ -375,7 +378,7 @@ def cnn_batch_loss(m, x, c_i, labels, params, binarize):
     win_cnl = (x - c_l) / span
     grad_k = np.einsum("...sj,...sjk->...k", d_u, win_cnl)
     grad_k = grad_k[..., None, :] if m["kernel"].ndim > 2 else grad_k
-    return cross_entropy(p, labels), (grad_k, grad_head)
+    return p, (grad_k, grad_head)
 
 
 # ---------------------------------------------------------------------------
@@ -457,19 +460,20 @@ class Model:
 
     `matrices` maps each matrix name to its shape, in initialization order; the first is the
     one programmed into the array, and a checkpoint's beta is its divisor in programmed_weights.
-    Both functions take the dict m of matrices by name and x = array_inputs(spec, c_i, params),
+    step and score take the dict m of matrices by name and x = array_inputs(spec, c_i, params),
     what the array reads of the images c_i[..., B, R, R], with any leading axes every matrix
-    shares, and give results with them, each slice bit for bit its unstacked call. `loss(m, x,
-    c_i, labels, params, binarize)` gives the mean loss (a float unstacked) and the summed
-    gradients in matrix order; `score(m, x, params, binarize)` gives the predicted glyphs, the
-    outputs shown per glyph and the outputs that must stay finite. Only a model that
-    `binarizes` may train and program its first matrix as signs.
+    shares; all three functions keep those axes, each slice bit for bit its unstacked call.
+    `step(m, x, c_i, labels, params, binarize)` gives out, what `loss(out, labels)` reads for
+    the mean loss (a float unstacked), and the summed gradients in matrix order; `score(m, x,
+    params, binarize)` the predicted glyphs, the outputs shown per glyph and the outputs that
+    must stay finite. Only a model that `binarizes` may train and program its first matrix as signs.
     """
 
     spec: ArrayTopology  # the array the network runs on
     learning_rate: float
     epochs: int
     matrices: dict
+    step: Callable
     loss: Callable
     score: Callable
     binarizes: bool = False
@@ -479,11 +483,11 @@ class Model:
 # the CNN rate is a repo calibration.
 MODELS = {
     "fc_classifier": Model(build_fc_array(3, 3, 4), 10.0, 350, {"weights": (4, 9)},
-                           fc_batch_loss, _fc_score, binarizes=True),
+                           fc_step, cross_entropy, _fc_score, binarizes=True),
     "autoencoder": Model(build_fc_array(3, 3, 4), 4e-4, 40, {"encoder": (4, 9), "decoder": (9, 4)},
-                         autoencoder_batch_loss, _autoencoder_score),
+                         autoencoder_step, mean_square, _autoencoder_score),
     "cnn_classifier": Model(build_conv_array(5, 5, 3), 1.0, 60, {"kernel": (1, 9), "head": (4, 9)},
-                            cnn_batch_loss, _cnn_score),
+                            cnn_step, cross_entropy, _cnn_score),
 }
 ARCHITECTURES = tuple(MODELS)
 _CHECKPOINT_KEYS = (*field_keys(Checkpoint, ""), *field_keys(SensorParams, "sensor."))
@@ -493,20 +497,20 @@ def train(architecture: str, config: TrainConfig,
           params: SensorParams = SensorParams()) -> TrainHistory:
     """Train one architecture with the analog array in the forward path.
 
-    Per epoch: draw S noisy letters at `params`, the ones the checkpoint records, compute the
-    loss and the summed gradients through the array, update every matrix by
+    Per epoch: draw S noisy letters at `params`, the ones the checkpoint records, step through
+    the array to what the loss reads and the summed gradients, update every matrix by
     M -= (alpha/S) * sum_p dL/dM, then `evaluate` at the same params on a separate stream. Only
     the FC classifier may train binarized weights, with a straight-through estimator; binarize
     elsewhere raises ValueError before any draw. Chunks of epochs, as many as CHUNK_FLOATS
     holds, draw their batches and evaluations in one call each, in the RNG order of per-epoch
     draws (the evaluations' images and array_inputs into two arrays made once per run, which no
-    returned value aliases). Step k writes its loss and matrices in place, at k of the chunk's
-    (count,) and (count, M, N) stacks, which one call scores as they are, letting NaN and inf
-    through. One test of the chunk's losses, stepped matrices and eval outputs finds the first
-    epoch with a non-finite value (finite but huge weights are not caught; the learning-rate
-    bound prevents them): the run stops there, sets `diverged_at` to it and keeps the history
-    and checkpoint of the epochs before it. A step's exception propagates at once, before its
-    chunk is scored.
+    returned value aliases). Step k writes its out and matrices in place, at k of the chunk's
+    (count, ...) and (count, M, N) stacks; one call of the model's loss and one of evaluate
+    score them as they are, letting NaN and inf through. One test of the chunk's losses,
+    stepped matrices and eval outputs finds the first epoch with a non-finite value (finite but
+    huge weights are not caught; the learning-rate bound prevents them): the run stops there,
+    sets `diverged_at` to it and keeps the history and checkpoint of the epochs before it. A
+    step's exception propagates at once, before its chunk is scored.
     """
     model = MODELS[architecture]
     if config.binarize and not model.binarizes:
@@ -527,14 +531,16 @@ def train(architecture: str, config: TrainConfig,
         x, labels = array_inputs(spec, c_i, params), dataset.LABELS[idx]
         e_idx, e_x = eval_letters(architecture, params, erng, config.eval_per_glyph, count,
                                   out=[a[:count] for a in e_out])
-        losses, stepped = np.empty(count), mats
+        stepped = mats
         stack = {name: np.empty((count,) + shape) for name, shape in model.matrices.items()}
         with np.errstate(all="ignore"):  # NaN and inf flow on to the one test below
             for k in range(count):
-                losses[k], grads = model.loss(stepped, x[k], c_i[k], labels[k], params,
-                                              config.binarize)
+                out, grads = model.step(stepped, x[k], c_i[k], labels[k], params, config.binarize)
+                outs = outs if k else np.empty((count,) + out.shape)  # shaped by step 0
+                outs[k] = out
                 stepped = {name: np.subtract(m, lr * g, out=stack[name][k])
                            for (name, m), g in zip(stepped.items(), grads)}
+            losses = model.loss(outs, labels)
             accuracy, mean_outputs, checked = evaluate(
                 architecture, stack, e_idx, e_x, params, config.binarize)
         finite = np.logical_and.reduce([np.isfinite(c).reshape(count, -1).all(1)

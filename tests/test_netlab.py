@@ -23,11 +23,10 @@ from capmac.arrays import build_conv_array, build_fc_array, conv_forward, fc_for
 from capmac.device import (MAX_CAPACITANCE_PF, MAX_CAPACITANCE_RATIO, MAX_NOISE_FRAC,
                            MIN_C_IL_PF, SensorParams, series_capacitance)
 from capmac.netlab import (MODELS, Checkpoint, TrainConfig,
-                           array_inputs, autoencoder_batch_loss,
-                           autoencoder_forward, cnn_batch_loss, cnn_logits,
-                           cross_entropy, default_config, encoder_caps,
-                           fc_batch_loss, fc_output_volts, gather_windows,
-                           history_columns, load_checkpoint, save_checkpoint,
+                           array_inputs, autoencoder_forward, autoencoder_step,
+                           cnn_logits, cnn_step, cross_entropy, default_config,
+                           encoder_caps, fc_output_volts, fc_step, gather_windows,
+                           history_columns, load_checkpoint, mean_square, save_checkpoint,
                            sigmoid, softmax, train, write_history_csv)
 
 PARAMS = SensorParams()
@@ -50,6 +49,12 @@ class TestSoftmax:
         np.testing.assert_allclose(p, naive, rtol=1e-12)
         assert np.sum(p) == pytest.approx(1.0, abs=1e-12)
         assert np.all(p > 0) and np.all(p < 1.0 + 1e-15)
+
+    def test_extreme_logits_stay_finite(self):
+        # exp(1000) overflows: the max shift keeps every exponent at or below 0.
+        p = softmax(np.array([[1000.0, 0.0, -1000.0, 999.0], [-1e300, -1e300, 0.0, 1e300]]))
+        np.testing.assert_allclose(p, [[1 / (1 + math.e ** -1), 0.0, 0.0,
+                                        1 / (1 + math.e)], [0.0, 0.0, 0.0, 1.0]], rtol=1e-15)
 
     def test_nan_row_gives_nan_and_leaves_the_other_rows(self):
         u = np.array([[0.5, np.nan, -1.0, 2.0], [3.0, 1.0, 0.0, -1.0], [0.0, 0.0, 1.0, 4.0]])
@@ -181,12 +186,15 @@ class TestFastPathEquivalence:
              for name, shape in model.matrices.items()}
         idx, c_i = dataset.letter_batches(k, batch_size, params, rng, model.spec.rows)
         batch = array_inputs(model.spec, c_i, params), c_i, dataset.LABELS[idx]
-        loss, grads = model.loss(m, *batch, params, binarize)
+        out, grads = model.step(m, *batch, params, binarize)
+        loss = model.loss(out, batch[2])
         assert loss.shape == (k,)
         for i in range(k):
-            want_loss, want_grads = model.loss({name: a[i] for name, a in m.items()},
-                                               *(a[i] for a in batch), params, binarize)
+            want_out, want_grads = model.step({name: a[i] for name, a in m.items()},
+                                              *(a[i] for a in batch), params, binarize)
+            want_loss = model.loss(want_out, batch[2][i])
             assert type(want_loss) is float
+            _assert_bitwise_equal(out[i], want_out)
             _assert_bitwise_equal(loss[i], np.array(want_loss))
             assert len(grads) == len(want_grads) == len(m)
             # A stacked gradient slice has its matrix's shape: (1, 9) for the
@@ -201,12 +209,12 @@ class TestFastPathEquivalence:
         m = {name: rng.uniform(-1.0, 1.0, (3,) + shape) for name, shape in model.matrices.items()}
         idx, c_i = dataset.letter_batches(3, 20, PARAMS, rng, CNN_SPEC.rows)
         batch = array_inputs(CNN_SPEC, c_i, PARAMS), c_i, dataset.LABELS[idx]
-        _, grads = model.loss(m, *batch, PARAMS, False)
+        _, grads = model.step(m, *batch, PARAMS, False)
         stepped = {name: m[name] - 0.05 * g for name, g in zip(m, grads)}
         assert stepped["kernel"].shape == (3, 1, 9) and stepped["head"].shape == (3, 4, 9)
         for i in range(3):
             one = {name: a[i] for name, a in m.items()}
-            _, want = model.loss(one, *(a[i] for a in batch), PARAMS, False)
+            _, want = model.step(one, *(a[i] for a in batch), PARAMS, False)
             assert want[0].shape == (9,)  # unstacked, as before
             for name, g in zip(m, want):
                 _assert_bitwise_equal(stepped[name][i], one[name] - 0.05 * g)
@@ -231,7 +239,7 @@ class TestFastPathEquivalence:
              for name, shape in MODELS["autoencoder"].matrices.items()}
         c_i, labels = _random_instance(rng, size=size)
         x = array_inputs(AE_SPEC, c_i, PARAMS)
-        loss, _ = autoencoder_batch_loss(m, x, c_i, labels, PARAMS, False)
+        loss = mean_square(autoencoder_step(m, x, c_i, labels, PARAMS, False)[0], labels)
         ci_rec = autoencoder_forward(m, x, PARAMS)[3]
         assert loss == float(np.mean((ci_rec - c_i.reshape(size, -1)) ** 2))
 
@@ -351,7 +359,8 @@ class TestGradients:
             v0 = rng.uniform(-1.5, 1.5, (4, 9))
 
             def loss(v):
-                return fc_batch_loss({"weights": v}, x, c_i, labels, PARAMS, False)
+                p, grads = fc_step({"weights": v}, x, c_i, labels, PARAMS, False)
+                return cross_entropy(p, labels), grads
 
             _, (grad,) = loss(v0)
             fd = _fd_gradient(lambda v: loss(v)[0], v0)
@@ -366,8 +375,9 @@ class TestGradients:
             w0 = rng.uniform(-1, 1, (9, 4))
 
             def loss(v, w):
-                return autoencoder_batch_loss({"encoder": v, "decoder": w}, x, c_i,
+                err, grads = autoencoder_step({"encoder": v, "decoder": w}, x, c_i,
                                               labels, PARAMS, False)
+                return mean_square(err, labels), grads
 
             _, (g_enc, g_dec) = loss(v0, w0)
             fd_enc = _fd_gradient(lambda v: loss(v, w0)[0], v0)
@@ -384,8 +394,8 @@ class TestGradients:
             f0 = rng.uniform(-1, 1, (4, 9))
 
             def loss(k, f):
-                return cnn_batch_loss({"kernel": k, "head": f}, x, c_i, labels,
-                                      PARAMS, False)
+                p, grads = cnn_step({"kernel": k, "head": f}, x, c_i, labels, PARAMS, False)
+                return cross_entropy(p, labels), grads
 
             _, (g_k, g_f) = loss(k0, f0)
             fd_k = _fd_gradient(lambda k: loss(k, f0)[0], k0)
@@ -482,7 +492,7 @@ class TestInversionIdentities:
         # c_rec = sigmoid * (C_H - C_L) + C_L is C_H at most, to rounding, and
         # C_H = c0 r/(r + 1) with r = c_ih/c0 <= 1e9. So a decoder that drives the
         # sigmoid to exactly 0 and 1 leaves c_rec some 1e-9 c0 below c0, at the
-        # bounds too: autoencoder_batch_loss needs no check of its own.
+        # bounds too: autoencoder_step needs no check of its own.
         c0 = math.exp(log_c0)
         most = min(MAX_CAPACITANCE_PF, MAX_CAPACITANCE_RATIO * c0)
         c_il = MIN_C_IL_PF * (most / MIN_C_IL_PF) ** (low / 2)
@@ -499,14 +509,14 @@ class TestInversionIdentities:
 
 
 def _nan_from(model, fault, epoch, value=np.nan):
-    """`model` with gradients `value` from the step of `epoch` on (fault "loss"),
-    or NaN checked outputs from the evaluation of `epoch` on (fault "score").
-    train scores the epochs of a chunk in one stacked call, so a score fault
-    counts epochs by the leading axis of the outputs, not by calls."""
-    seen = {"n": 0}
+    """`model` with loss gradients `value` from the step of `epoch` on (fault
+    "loss"), or NaN checked outputs from the evaluation of `epoch` on (fault
+    "score"). train scores the epochs of a chunk in one stacked call, so a score
+    fault counts epochs by the leading axis of the outputs, not by calls."""
+    seen, patched = {"n": 0}, "step" if fault == "loss" else "score"
 
     def faulty(*args):
-        out = getattr(model, fault)(*args)
+        out = getattr(model, patched)(*args)
         first = seen["n"] + 1  # the epoch of the first step or slice here
         seen["n"] += 1 if fault == "loss" else len(out[0])
         if fault == "loss":
@@ -517,7 +527,7 @@ def _nan_from(model, fault, epoch, value=np.nan):
             c[max(epoch - first, 0):] = np.nan
         return *out[:2], checked
 
-    return dataclasses.replace(model, **{fault: faulty})
+    return dataclasses.replace(model, **{patched: faulty})
 
 
 def _assert_same_checkpoint(got, want):
@@ -542,8 +552,9 @@ def _per_epoch_train(arch, config, params):
     for epoch in range(1, config.epochs + 1):
         idx = rng.integers(0, dataset.NUM_GLYPHS, config.batch_size)
         c_i = dataset.noisy_letters(idx, params, rng, model.spec.rows)
-        loss, grads = model.loss(mats, array_inputs(model.spec, c_i, params), c_i,
-                                 dataset.LABELS[idx], params, config.binarize)
+        out, grads = model.step(mats, array_inputs(model.spec, c_i, params), c_i,
+                                dataset.LABELS[idx], params, config.binarize)
+        loss = model.loss(out, dataset.LABELS[idx])
         stepped = {name: m - lr * g for (name, m), g in zip(mats.items(), grads)}
         if not all(np.isfinite(a).all() for a in (loss, *grads, *stepped.values())):
             return history, mats, epoch
@@ -665,7 +676,8 @@ class TestChunkedTraining:
     @example(("autoencoder", False), "global", 0.2, 37, 20, 25, 1, None)        # K 36
     @example(("cnn_classifier", False), "per_class", 0.2, 10, 20, 25, 2, None)  # K 4
     @example(("fc_classifier", True), "global", 0.0, 7, 500, 456, 3, None)      # K 1
-    @example(("cnn_classifier", False), "global", 0.0, 7, 1, 12, 4, None)       # K 33
+    @example(("fc_classifier", False), "per_class", 0.2, 5, 20, 455, 9, None)   # K 2
+    @example(("cnn_classifier", False), "global", 0.0, 17, 1, 12, 4, None)      # K 8
     @example(("fc_classifier", True), "per_class", 0.2, 40, 20, 25, 5, (37, math.inf))
     @example(("autoencoder", False), "global", 0.2, 37, 20, 25, 6, (20, -math.inf))
     @example(("cnn_classifier", False), "per_class", 0.2, 10, 20, 25, 7, (5, math.nan))
@@ -722,6 +734,21 @@ class TestChunkedTraining:
             _assert_same_checkpoint(got.checkpoint, want.checkpoint)
 
     @pytest.mark.parametrize("arch", sorted(MODELS))
+    def test_one_loss_call_per_chunk(self, monkeypatch, arch):
+        # The steps of a chunk write what their losses read; one call scores them all.
+        model, calls = MODELS[arch], []
+
+        def loss(out, labels):
+            calls.append(len(out))
+            return model.loss(out, labels)
+
+        monkeypatch.setitem(MODELS, arch, dataclasses.replace(model, loss=loss))
+        cfg = default_config(arch)
+        chunks = _chunk_sizes(monkeypatch, arch, cfg)
+        assert calls == chunks and sum(chunks) == cfg.epochs
+        assert len(calls) == {"fc_classifier": 10, "autoencoder": 2, "cnn_classifier": 15}[arch]
+
+    @pytest.mark.parametrize("arch", sorted(MODELS))
     def test_step_error_propagates_at_once(self, monkeypatch, arch):
         # Epoch 3's step raises inside its chunk: the error leaves train as
         # it is, and the chunk's floating-point error state is undone.
@@ -731,10 +758,10 @@ class TestChunkedTraining:
             if raising.calls == 2:
                 raise RuntimeError("step 3")
             raising.calls += 1
-            return model.loss(*args)
+            return model.step(*args)
 
         raising.calls = 0
-        monkeypatch.setitem(MODELS, arch, dataclasses.replace(model, loss=raising))
+        monkeypatch.setitem(MODELS, arch, dataclasses.replace(model, step=raising))
         before = np.geterr()
         with pytest.raises(RuntimeError, match="^step 3$"):
             train(arch, default_config(arch, epochs=5, seed=0))
@@ -800,6 +827,28 @@ class TestTrainers:
         pred, _ = netlab.classify_series_bits(c_rec, PARAMS)
         np.testing.assert_array_equal(pred, [0, 1, 2, 3])
 
+    @pytest.mark.parametrize("arch", sorted(MODELS))
+    def test_doubled_capacitances_train_the_same_run(self, monkeypatch, arch):
+        # Every capacitance enters a run as a ratio, so doubling c0, c_ih, c_il and
+        # NOISE_FLOOR_PF changes no bit of it. The autoencoder's loss is in
+        # induced-capacitance units: 4 times the base loss, at a quarter of the rate.
+        base = SensorParams()
+        doubled = SensorParams(c0=2 * base.c0, c_ih=2 * base.c_ih, c_il=2 * base.c_il)
+        scale = 4.0 if arch == "autoencoder" else 1.0
+        for epochs, seed in ((e, s) for e in range(1, 6) for s in range(3)):
+            cfg = default_config(arch, epochs=epochs, seed=seed)
+            want = train(arch, cfg, base)
+            with monkeypatch.context() as patch:
+                patch.setattr(device, "NOISE_FLOOR_PF", 2 * device.NOISE_FLOOR_PF)
+                got = train(arch, dataclasses.replace(
+                    cfg, learning_rate=cfg.learning_rate / scale), doubled)
+            assert got.loss == [scale * loss for loss in want.loss]
+            assert (got.accuracy, got.diverged_at) == (want.accuracy, want.diverged_at)
+            for g, w in zip(got.mean_outputs, want.mean_outputs, strict=True):
+                _assert_bitwise_equal(g, w)
+            for name, mat in want.checkpoint.matrices.items():
+                _assert_bitwise_equal(got.checkpoint.matrices[name], mat)
+
     @pytest.mark.parametrize("arch", [a for a in sorted(MODELS) if not MODELS[a].binarizes])
     def test_binarize_refused_before_any_draw(self, monkeypatch, arch):
         # Regression: the autoencoder trained and wrote `binarize: true`.
@@ -831,12 +880,13 @@ class TestTrainers:
 
         def exploding(m, *args):
             calls["n"] += 1
+            out, grads = model.step(m, *args)
             if calls["n"] >= 3:
-                return float("nan"), (np.zeros_like(m["weights"]),)
-            return model.loss(m, *args)
+                return np.full_like(out, np.nan), (np.zeros_like(m["weights"]),)
+            return out, grads
 
         monkeypatch.setitem(netlab.MODELS, "fc_classifier",
-                            dataclasses.replace(model, loss=exploding))
+                            dataclasses.replace(model, step=exploding))
         cfg = default_config("fc_classifier", epochs=10, seed=0)
         got = train("fc_classifier", cfg)
         assert got.diverged_at == 3
@@ -868,12 +918,12 @@ class TestTrainers:
         want = train("fc_classifier", dataclasses.replace(cfg, epochs=2)).checkpoint
         model, steps = MODELS["fc_classifier"], []
 
-        def loss(*args):
-            value, grads = model.loss(*args)
-            steps.append(value)
-            return value, tuple(np.full_like(g, bad) if len(steps) >= 3 else g for g in grads)
+        def step(*args):
+            out, grads = model.step(*args)
+            steps.append(out)
+            return out, tuple(np.full_like(g, bad) if len(steps) >= 3 else g for g in grads)
 
-        monkeypatch.setitem(MODELS, "fc_classifier", dataclasses.replace(model, loss=loss))
+        monkeypatch.setitem(MODELS, "fc_classifier", dataclasses.replace(model, step=step))
         got = train("fc_classifier", cfg)
         assert got.diverged_at == 3
         _assert_same_checkpoint(got.checkpoint, want)
@@ -892,13 +942,13 @@ class TestTrainers:
         model = MODELS["fc_classifier"]
 
         def inf_grad(*args):
-            loss, (grad,) = model.loss(*args)
-            return loss, (np.full_like(grad, np.inf),)
+            out, (grad,) = model.step(*args)
+            return out, (np.full_like(grad, np.inf),)
 
         monkeypatch.setattr(netlab, "Checkpoint", Counted)
         if diverge:
             monkeypatch.setitem(MODELS, "fc_classifier",
-                                dataclasses.replace(model, loss=inf_grad))
+                                dataclasses.replace(model, step=inf_grad))
         cfg = default_config("fc_classifier", epochs=5, seed=0)
         got = train("fc_classifier", cfg)
         if diverge:
@@ -919,9 +969,9 @@ class TestTrainers:
         m = {name: rng.uniform(-1.0, 1.0, shape) for name, shape in model.matrices.items()}
         idx = rng.integers(0, dataset.NUM_GLYPHS, cfg.batch_size)
         c_i = dataset.encode_capacitive(dataset.GRIDS[model.spec.rows][idx], params)
-        loss, _ = model.loss(m, array_inputs(model.spec, c_i, params), c_i,
-                             dataset.LABELS[idx], params, False)
-        assert hist.loss[0] == loss
+        out, _ = model.step(m, array_inputs(model.spec, c_i, params), c_i,
+                            dataset.LABELS[idx], params, False)
+        assert hist.loss[0] == model.loss(out, dataset.LABELS[idx])
         assert hist.checkpoint.params == params
 
     @pytest.mark.parametrize("arch,binarize", [("fc_classifier", False),
@@ -982,11 +1032,11 @@ class TestTrainers:
         model = netlab.MODELS["fc_classifier"]
 
         def inf_grad(*args):
-            loss, (grad,) = model.loss(*args)
-            return loss, (np.full_like(grad, np.inf),)
+            out, (grad,) = model.step(*args)
+            return out, (np.full_like(grad, np.inf),)
 
         monkeypatch.setitem(netlab.MODELS, "fc_classifier",
-                            dataclasses.replace(model, loss=inf_grad))
+                            dataclasses.replace(model, step=inf_grad))
         got = train("fc_classifier", default_config("fc_classifier", epochs=5, seed=0))
         assert got.diverged_at == 1
         assert got.checkpoint is None

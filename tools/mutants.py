@@ -101,8 +101,18 @@ MUTANTS = (
      "                               for name, s in stack.items()}, e_idx, e_x,"),
     # Stacked only: an unstacked call has one slice, so only stacked calls see it.
     ("autoencoder loss averaged over every slice at once", "netlab.py",
-     "np.add.reduce(err ** 2, axis=(-2, -1)) / (err.shape[-2] * n)",
+     "np.add.reduce(err ** 2, axis=(-2, -1)) / (err.shape[-2] * err.shape[-1])",
      "np.add.reduce(err ** 2, axis=None) / err.size"),
+    ("every epoch of a chunk scored on its first step's output", "netlab.py",
+     "                outs[k] = out\n", "                outs[k] = outs[0] if k else out\n"),
+    ("softmax without the max shift", "netlab.py",
+     "np.exp(e := u - np.maximum.reduce(u, axis=-1, keepdims=True), out=e)",
+     "np.exp(e := u - 0.0, out=e)"),
+    # A run at doubled capacitances kills these; every test at SensorParams() misses them.
+    ("FC gradient at a fixed c0 of 72 pF", "netlab.py",
+     "x.shape[-1] * params.c0", "x.shape[-1] * 72.0"),
+    ("autoencoder step at a fixed c0 of 72 pF", "netlab.py",
+     "    c0 = params.c0\n", "    c0 = 72.0\n"),
     ("the final partial chunk dropped", "netlab.py",
      "for start in range(0, config.epochs, chunk):",
      "for start in range(0, config.epochs - config.epochs % chunk, chunk):"),
