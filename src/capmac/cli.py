@@ -2,9 +2,10 @@
 reproducibility manifest.
 
 The CLI is a thin shell over the library; every run is reproducible by
-calling the same functions with the same config. Exit codes: 0 success, 1
-stdout closed early by its reader (`capmac eval ... | head`), 2 config/usage
-error, 3 training divergence. `main` maps every refusal to exit 2.
+calling the same functions with the same config. Artifacts are texts, and
+`write_artifact` is the one place capmac writes a file. Exit codes: 0
+success, 1 stdout closed early by its reader (`capmac eval ... | head`), 2
+config/usage error, 3 training divergence. `main` maps every refusal to exit 2.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, arrays, dataset, metrics, netlab
-from .device import SensorParams, mac_phases, write_trace_csv
-from .netlab import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint, write_history_csv
+from .device import SensorParams, mac_phases, trace_text
+from .netlab import Checkpoint, TrainConfig, checkpoint_text, history_text, load_checkpoint
 
 EMIT_CHOICES = ("history", "waveform", "reconstruction", "schedule", "checkpoint")
 
@@ -122,18 +123,24 @@ def render_ascii(bitmap) -> str:
     return "\n".join("".join(["#" if v else "." for v in row]) for row in rows)
 
 
-def write_pgm(matrix, path, lo: float, hi: float):
+def pgm_text(matrix, lo: float, hi: float) -> str:
     """8-bit ASCII PGM of a capacitance matrix scaled from [lo, hi]."""
     mat = np.asarray(matrix, dtype=float)
     gray = np.clip(np.rint(255 * (mat - lo) / (hi - lo)), 0, 255).astype(int)
     lines = ["P2", f"{mat.shape[1]} {mat.shape[0]}", "255"]
     lines += [" ".join(str(v) for v in row) for row in gray]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # artifacts
+
+def write_artifact(path: Path, text: str) -> str:
+    """Write `text` to `path` as UTF-8; return the sha256 of the bytes written."""
+    data = text.encode()
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
+
 
 def capture_fc_traces(ckpt: Checkpoint, glyph: dataset.Glyph = dataset.Glyph.INV_Z):
     """Run one array cycle on the clean image of `glyph`: the (charge, volts)
@@ -158,28 +165,26 @@ def _json_text(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _emit_reconstructions(ckpt: Checkpoint, outdir: Path) -> list[Path]:
+def _reconstruction_texts(ckpt: Checkpoint) -> list[tuple[str, str]]:
+    """(name, text) of the bitmap and the PGM of each letter's reconstruction."""
     params = ckpt.params
     spec = netlab.MODELS[ckpt.architecture].spec
-    written = []
+    texts = []
     # One forward per letter: a batch of four rounds the MAC unlike four one-letter calls.
     for glyph, grid in zip(dataset.GLYPH_ORDER, dataset.GRIDS[spec.rows]):
         c_i = dataset.encode_capacitive(grid[None], params)
         x = netlab.array_inputs(spec, c_i, params)
         *_, c_rec, ci_rec = netlab.autoencoder_forward(ckpt.matrices, x, params)
         _, bits = netlab.classify_series_bits(c_rec, params)
-        txt = outdir / f"reconstruction_{glyph.value}.txt"
-        txt.write_text(render_ascii(bits.reshape(grid.shape)) + "\n")
-        pgm = outdir / f"reconstruction_{glyph.value}.pgm"
-        write_pgm(ci_rec.reshape(grid.shape), pgm, lo=params.c_il, hi=params.c_ih)
-        written += [txt, pgm]
-    return written
+        stem = f"reconstruction_{glyph.value}"
+        texts += [(f"{stem}.txt", render_ascii(bits.reshape(grid.shape)) + "\n"),
+                  (f"{stem}.pgm", pgm_text(ci_rec.reshape(grid.shape), params.c_il, params.c_ih))]
+    return texts
 
 
-def write_manifest(config: ExperimentConfig, artifacts: list, diverged_at: int | None,
-                   path: Path):
-    """Write the manifest: the software that produced the run (outside the
-    config hash and digests), the experiment and each artifact's digest."""
+def manifest_text(config: ExperimentConfig, artifacts: list, diverged_at: int | None) -> str:
+    """The manifest: the software that produced the run (outside the config
+    hash and digests), the experiment and each artifact's (name, digest)."""
     lines = [
         "capmac-manifest v1",
         f"tool_version: {__version__}",
@@ -193,7 +198,7 @@ def write_manifest(config: ExperimentConfig, artifacts: list, diverged_at: int |
         lines.append(f"diverged_at_epoch: {diverged_at}")
     for name, digest in artifacts:
         lines.append(f"artifact: {name} sha256 {digest}")
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def run(config: ExperimentConfig) -> tuple[list[tuple[str, str]], int | None]:
@@ -206,11 +211,6 @@ def run(config: ExperimentConfig) -> tuple[list[tuple[str, str]], int | None]:
     """
     outdir = config.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    artifacts = []
-
-    def add(path: Path):
-        artifacts.append((path.name, hashlib.sha256(path.read_bytes()).hexdigest()))
-
     history = netlab.train(config.architecture, config.train, config.sensor)
     emit, diverged_at = config.emit, history.diverged_at
     if diverged_at is not None:
@@ -218,29 +218,22 @@ def run(config: ExperimentConfig) -> tuple[list[tuple[str, str]], int | None]:
         if history.checkpoint is not None:
             emit.append("checkpoint")
 
+    texts = []
     if "history" in emit:
-        path = outdir / "history.csv"
-        write_history_csv(history, path)
-        add(path)
+        texts.append(("history.csv", history_text(history)))
     if "checkpoint" in emit:
-        path = outdir / "checkpoint.txt"
-        save_checkpoint(history.checkpoint, path)
-        add(path)
+        texts.append(("checkpoint.txt", checkpoint_text(history.checkpoint)))
     if "waveform" in emit:
         rows = metrics.assemble_waveform(capture_fc_traces(history.checkpoint))
-        path = outdir / "waveform.csv"
-        metrics.write_waveform_csv(rows, path)
-        add(path)
+        texts.append(("waveform.csv", metrics.waveform_text(rows)))
     if "schedule" in emit:
-        path = outdir / "schedule.json"
         spec = netlab.MODELS[config.architecture].spec
-        path.write_text(_json_text(metrics.schedule_report(spec)))
-        add(path)
+        texts.append(("schedule.json", _json_text(metrics.schedule_report(spec))))
     if "reconstruction" in emit:
-        for path in _emit_reconstructions(history.checkpoint, outdir):
-            add(path)
+        texts += _reconstruction_texts(history.checkpoint)
 
-    write_manifest(config, artifacts, diverged_at, outdir / "manifest.txt")
+    artifacts = [(name, write_artifact(outdir / name, text)) for name, text in texts]
+    write_artifact(outdir / "manifest.txt", manifest_text(config, artifacts, diverged_at))
     return artifacts, diverged_at
 
 
@@ -360,8 +353,8 @@ def _cmd_trace(args) -> int:
     rows = metrics.assemble_waveform(phases)  # refuses an empty trace before mkdir
     with _path_of("--out"):
         outdir.mkdir(parents=True, exist_ok=True)
-        write_trace_csv(phases, trace)
-        metrics.write_waveform_csv(rows, wave)
+        write_artifact(trace, trace_text(phases))
+        write_artifact(wave, metrics.waveform_text(rows))
     print(f"traced {args.glyph}: outputs "
           + " ".join(f"{u:+.4f}" for u in phases[1][-1, :, 0].tolist()))  # SUM volts
     print(f"charge energy: {metrics.charge_energy(phases):.6f} nJ")
@@ -379,7 +372,7 @@ def _cmd_schedule(args) -> int:
         sys.stdout.write(_json_text(report))
         return EXIT_OK
     with _path_of("--out"):
-        Path(args.out).write_text(_json_text(report))
+        write_artifact(Path(args.out), _json_text(report))
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -392,9 +385,9 @@ def _cmd_fixtures(args) -> int:
         for r, grids in dataset.GRIDS.items():
             for glyph, grid in zip(dataset.GLYPH_ORDER, grids):
                 stem = f"glyph_{glyph.value}_{r}"
-                dataset.write_bitmap(outdir / f"{stem}.txt", grid)
-                dataset.write_capacitance_csv(outdir / f"{stem}_capacitance.csv",
-                                              dataset.encode_capacitive(grid, params))
+                write_artifact(outdir / f"{stem}.txt", dataset.bitmap_text(grid))
+                write_artifact(outdir / f"{stem}_capacitance.csv",
+                               dataset.capacitance_text(dataset.encode_capacitive(grid, params)))
     print(f"wrote canonical glyph fixtures to {outdir}")
     return EXIT_OK
 

@@ -101,17 +101,12 @@ def sample_batch(size: int, params: SensorParams, rng, resolution: int = 3
     return [CapacitiveSample(c_i=c, label=LABELS[i]) for c, i in zip(c_i, idx)]
 
 
-def write_bitmap(path, grid):
+def bitmap_text(grid) -> str:
     """Plain-text bitmap fixture format: one row of 0/1 characters per line."""
-    rows = ["".join(str(int(v)) for v in row) for row in np.asarray(grid)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+    return "\n".join(["".join(str(int(v)) for v in row) for row in np.asarray(grid)]) + "\n"
 
 
-def write_capacitance_csv(path, matrix):
+def capacitance_text(matrix) -> str:
     """Capacitance dump: one CSV row per pixel row, repr-formatted pF values."""
-    mat = np.asarray(matrix, dtype=float)
-    lines = [",".join(repr(float(v)) for v in row) for row in mat]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join([",".join(map(repr, r)) for r in np.asarray(matrix, float).tolist()]) + "\n"
 

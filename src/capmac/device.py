@@ -2,7 +2,9 @@
 charge-domain multiply-accumulate unit.
 
 Units are pF for capacitance, V for voltage and pC for charge throughout
-(pF * V = pC), so no unit conversions appear in the math.
+(pF * V = pC), so no unit conversions appear in the math. NOISE_FLOOR_PF is the
+one absolute capacitance: every other enters as a ratio, so a run is unit-free
+only where no pixel clamps at it.
 
 The switch model is behavioral: transmission gates are ideal, with no charge
 injection, leakage or RC settling.
@@ -214,13 +216,11 @@ def _trace_frame(banks: int, units: int) -> tuple:
                  for i in range(units))
 
 
-def write_trace_csv(phases, path):
-    """Export a captured MAC cycle, the (charge, volts) pair of mac_phases,
-    as CSV for waveform reconstruction: bank by bank, phase-major and unit
-    by unit, each phase starting DEFAULT_PHASE_NS after the one before."""
+def trace_text(phases) -> str:
+    """A captured MAC cycle, the (charge, volts) pair of mac_phases, as CSV
+    for waveform reconstruction: bank by bank, phase-major and unit by unit,
+    each phase starting DEFAULT_PHASE_NS after the one before."""
     charge, volts = phases
     q, u = (a.swapaxes(0, 1).ravel().tolist() for a in (charge, volts))  # bank-major
-    rows = [f"{head}{a!r},{b!r}{tail}"
-            for (head, tail), a, b in zip(_trace_frame(*charge.shape[1:]), q, u)]
-    with open(path, "w") as fh:
-        fh.write("unit_index,phase,CL,MUL,CON,ADD,charge_pC,voltage_V,time_ns\n" + "".join(rows))
+    return "unit_index,phase,CL,MUL,CON,ADD,charge_pC,voltage_V,time_ns\n" + "".join([
+        f"{h}{a!r},{b!r}{t}" for (h, t), a, b in zip(_trace_frame(*charge.shape[1:]), q, u)])

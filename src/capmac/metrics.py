@@ -93,7 +93,7 @@ def waveform_final_outputs(rows) -> list[float]:
     return [finals[f"U{m + 1}"] for m in range(len(finals))]
 
 
-def write_waveform_csv(rows, path):
-    text = "".join([f"{t!r},{signal},{value!r}\n" for t, signal, value in rows])
-    with open(path, "w") as fh:
-        fh.write("time_ns,signal,value\n" + text)
+def waveform_text(rows) -> str:
+    """A waveform table of assemble_waveform as CSV, one row per sample."""
+    return "time_ns,signal,value\n" + "".join([f"{t!r},{signal},{value!r}\n"
+                                                for t, signal, value in rows])

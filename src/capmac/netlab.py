@@ -563,21 +563,20 @@ def train(architecture: str, config: TrainConfig,
 # ---------------------------------------------------------------------------
 # checkpoint and history serialization
 
-def save_checkpoint(ckpt: Checkpoint, path):
-    lines = ["capmac-checkpoint v1"]
+def checkpoint_text(ckpt: Checkpoint) -> str:
+    """A checkpoint's file text: the header lines, then each matrix block by name."""
     header = {**field_texts(ckpt, ""), **field_texts(ckpt.params, "sensor.")}
-    lines += [f"{key}: {text}" for key, text in header.items()]
+    lines = ["capmac-checkpoint v1", *[f"{key}: {text}" for key, text in header.items()]]
     for name in sorted(ckpt.matrices):
         mat = np.atleast_2d(np.asarray(ckpt.matrices[name], dtype=float))
         lines.append(f"matrix {name} {mat.shape[0]} {mat.shape[1]}")
         for row in mat:
             lines.append(" ".join(repr(float(x)) for x in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read save_checkpoint's file: header lines up to the first `matrix ` line,
+    """Read a file of checkpoint_text: header lines up to the first `matrix ` line,
     read by read_settings, then matrix blocks only. Raises ValueError beginning
     with the path for a byte that is not UTF-8; a wrong first line; a blank,
     `:`-less, unknown or repeated header line; a malformed or repeated matrix
@@ -621,12 +620,11 @@ def history_columns() -> list[str]:
         f"u{m + 1}_{glyph.value}" for glyph in dataset.GLYPH_ORDER for m in range(4)]
 
 
-def write_history_csv(history: TrainHistory, path):
+def history_text(history: TrainHistory) -> str:
     """Per-epoch CSV: loss, accuracy and the per-class mean outputs."""
     lines = [",".join(history_columns())]
     for epoch, (loss, acc, mo) in enumerate(
             zip(history.loss, history.accuracy, history.mean_outputs), 1):
         lines.append(",".join([str(epoch), repr(loss), repr(acc),
                                *map(repr, mo.ravel().tolist())]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import dataclasses
 import hashlib
@@ -19,10 +20,10 @@ from hypothesis import strategies as st
 
 from capmac import arrays, cli, dataset, metrics, netlab
 from capmac.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, build_config, config_hash,
-                        evaluate, main, parse_config_text, render_ascii, run, write_pgm)
+                        evaluate, main, parse_config_text, pgm_text, render_ascii, run)
 from capmac.device import (MAX_CAPACITANCE_PF, MAX_CAPACITANCE_RATIO, SensorParams,
                            series_capacitance)
-from capmac.netlab import default_config, load_checkpoint, save_checkpoint, write_history_csv
+from capmac.netlab import checkpoint_text, default_config, history_text, load_checkpoint
 
 LOG_CAPACITANCE = st.floats(min_value=math.log(5e-324), max_value=math.log(MAX_CAPACITANCE_PF))
 
@@ -229,6 +230,19 @@ class TestRun:
         assert f"python: {platform.python_version()}" in lines
         assert f"numpy: {np.__version__}" in lines
 
+    def test_manifest_lists_the_digest_of_each_file_written(self, tmp_path):
+        raw = {"architecture": "autoencoder", "output_dir": str(tmp_path / "ae"),
+               "emit": ",".join(cli.EMIT_CHOICES), "train.epochs": "2"}
+        artifacts, _ = run(build_config(raw))
+        outdir = tmp_path / "ae"
+        lines = (outdir / "manifest.txt").read_text().splitlines()
+        listed = [tuple(line.split()[1::2]) for line in lines if line.startswith("artifact: ")]
+        assert listed == artifacts
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(
+            [name for name, _ in artifacts] + ["manifest.txt"])
+        for name, digest in artifacts:
+            assert digest == hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+
     def test_empty_emit_writes_manifest_only(self, tmp_path):
         raw = fc_raw(tmp_path)
         raw["emit"] = ""
@@ -338,8 +352,8 @@ class TestRun:
         listed = dict(line.split()[1::2] for line in lines if line.startswith("artifact: "))
         assert listed == {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
                           for name in written}
-        save_checkpoint(hist.checkpoint, tmp_path / "want_checkpoint.txt")
-        write_history_csv(hist, tmp_path / "want_history.csv")
+        (tmp_path / "want_checkpoint.txt").write_text(checkpoint_text(hist.checkpoint))
+        (tmp_path / "want_history.csv").write_text(history_text(hist))
         for name in written:
             assert (outdir / name).read_bytes() == (tmp_path / f"want_{name}").read_bytes()
 
@@ -770,7 +784,7 @@ class TestInputErrors:
         ck = load_checkpoint(checkpoints["autoencoder"])
         ck.binarize = True
         path = tmp_path / "ck.txt"
-        netlab.save_checkpoint(ck, path)
+        path.write_text(netlab.checkpoint_text(ck))
         for argv in (["trace", "--checkpoint", str(path), "--out", str(tmp_path / "t")],
                      ["eval", str(path)]):
             assert main(argv) == EXIT_CONFIG
@@ -894,7 +908,7 @@ class TestInputErrors:
         ck = load_checkpoint(checkpoints["autoencoder"])
         ck.matrices["decoder"] = ck.matrices["decoder"][:, :3]
         path = tmp_path / "ck.txt"
-        netlab.save_checkpoint(ck, path)
+        path.write_text(netlab.checkpoint_text(ck))
         code = main(["eval", str(path)])
         assert code == EXIT_CONFIG
         assert "decoder" in capsys.readouterr().err
@@ -1121,10 +1135,48 @@ class TestRenderAscii:
             render_ascii(matrix)
 
 
-def test_write_pgm_scaling(tmp_path):
+def test_write_pgm_scaling():
     mat = np.array([[16.77, 500.0]])
-    path = tmp_path / "x.pgm"
-    write_pgm(mat, path, lo=16.77, hi=500.0)
-    lines = path.read_text().splitlines()
+    lines = pgm_text(mat, lo=16.77, hi=500.0).splitlines()
     assert lines[:3] == ["P2", "2 1", "255"]
     assert lines[3] == "0 255"
+
+
+def _file_writes(node, where=""):
+    """(enclosing function, line) of each call under `node` that writes a file:
+    `open` (or `.open`) with a w, a or x mode, `.write_text` or `.write_bytes`."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = f"{where}.{node.name}" if where else node.name
+    if isinstance(node, ast.Call):
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        modes = [a.value for a in [*node.args, *(k.value for k in node.keywords)]
+                 if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+        if (name in ("write_text", "write_bytes") and isinstance(node.func, ast.Attribute)
+                or name == "open" and any(set(m) <= set("rwxabt+") and set(m) & set("wax")
+                                          for m in modes)):
+            yield where, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _file_writes(child, where)
+
+
+def test_capmac_writes_files_in_write_artifact_only():
+    # One function decides how an artifact reaches disk: its encoding, its
+    # write mode and the digest of the bytes it wrote.
+    sites = [(path.name, *site) for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+             for site in _file_writes(ast.parse(path.read_text()))]
+    assert [(module, where) for module, where, _ in sites] == [("cli.py", "write_artifact")], sites
+
+
+def test_file_writes_finds_each_kind_of_write():
+    source = """
+def f(path):
+    open(path, "w")
+    open(path, mode="ab")
+    path.open("x")
+    path.write_text("data.txt")
+    path.write_bytes(b"")
+    open(path)
+    open("data.txt")
+    os.open(os.devnull, os.O_WRONLY)
+"""
+    assert [line for _, line in _file_writes(ast.parse(source))] == [3, 4, 5, 6, 7]

@@ -6,26 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capmac import dataset
-from capmac.dataset import (GLYPH_ORDER, GRIDS, LABELS, Glyph, encode_capacitive,
-                            letter_batches, noisy_letters, sample_batch, write_bitmap,
-                            write_capacitance_csv)
+from capmac.dataset import (GLYPH_ORDER, GRIDS, LABELS, Glyph, bitmap_text, capacitance_text,
+                            encode_capacitive, letter_batches, noisy_letters, sample_batch)
 from capmac.device import NOISE_FLOOR_PF, SensorParams, apply_noise, series_capacitance
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PARAMS = SensorParams()
 
 
-def read_bitmap(path) -> np.ndarray:
-    """The inverse of dataset.write_bitmap."""
-    with open(path) as fh:
-        rows = [line.strip() for line in fh if line.strip()]
+def read_bitmap(text: str) -> np.ndarray:
+    """The inverse of dataset.bitmap_text."""
+    rows = [line.strip() for line in text.splitlines() if line.strip()]
     return np.array([[int(ch) for ch in row] for row in rows], dtype=np.uint8)
 
 
-def read_capacitance_csv(path) -> np.ndarray:
-    """The inverse of dataset.write_capacitance_csv."""
-    with open(path) as fh:
-        rows = [line.strip() for line in fh if line.strip()]
+def read_capacitance_csv(text: str) -> np.ndarray:
+    """The inverse of dataset.capacitance_text."""
+    rows = [line.strip() for line in text.splitlines() if line.strip()]
     return np.array([[float(v) for v in row.split(",")] for row in rows])
 
 
@@ -66,7 +63,7 @@ class TestLetterPatterns:
     @pytest.mark.parametrize("resolution", [3, 5])
     def test_matches_frozen_fixtures(self, resolution):
         for glyph, grid in zip(GLYPH_ORDER, GRIDS[resolution]):
-            fixture = read_bitmap(FIXTURES / f"glyph_{glyph.value}_{resolution}.txt")
+            fixture = read_bitmap((FIXTURES / f"glyph_{glyph.value}_{resolution}.txt").read_text())
             np.testing.assert_array_equal(grid, fixture)
 
 
@@ -291,14 +288,10 @@ class TestLetterBatches:
 
 
 class TestFixtureIo:
-    def test_bitmap_round_trip(self, tmp_path):
+    def test_bitmap_round_trip(self):
         grid = GRIDS[3][3]
-        path = tmp_path / "z.txt"
-        write_bitmap(path, grid)
-        np.testing.assert_array_equal(read_bitmap(path), grid)
+        np.testing.assert_array_equal(read_bitmap(bitmap_text(grid)), grid)
 
-    def test_capacitance_csv_round_trip(self, tmp_path):
+    def test_capacitance_csv_round_trip(self):
         c_i = encode_capacitive(GRIDS[3][1], PARAMS)
-        path = tmp_path / "l.csv"
-        write_capacitance_csv(path, c_i)
-        np.testing.assert_array_equal(read_capacitance_csv(path), c_i)
+        np.testing.assert_array_equal(read_capacitance_csv(capacitance_text(c_i)), c_i)

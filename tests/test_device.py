@@ -12,7 +12,7 @@ from capmac.arrays import build_conv_array, build_fc_array, conv_forward, fc_for
 from capmac.dataset import noisy_letters
 from capmac.device import (MAX_CAPACITANCE_PF, MAX_CAPACITANCE_RATIO, MAX_NOISE_FRAC,
                            MIN_C_IL_PF, PHASES, SensorParams, apply_noise, mac, mac_phases,
-                           series_capacitance, write_trace_csv)
+                           series_capacitance, trace_text)
 
 SWITCHES = dict(PHASES)
 
@@ -481,10 +481,8 @@ class TestSensorParams:
         assert np.isfinite(cs).all() and (cs > 0).all()
 
 
-def test_trace_csv_export(tmp_path):
-    path = tmp_path / "trace.csv"
-    write_trace_csv(mac_phases([62.937, 13.602], [[1.0, -1.0]], 72.0), path)
-    lines = path.read_text().splitlines()
+def test_trace_csv_export():
+    lines = trace_text(mac_phases([62.937, 13.602], [[1.0, -1.0]], 72.0)).splitlines()
     assert lines[0] == "unit_index,phase,CL,MUL,CON,ADD,charge_pC,voltage_V,time_ns"
     assert len(lines) == 9
     rows = [line.split(",") for line in lines[1:]]
@@ -537,10 +535,8 @@ class TestPhasesAsOneArray:
         charge[...] = np.nan
         assert (volts.view(np.uint64) == before.view(np.uint64)).all()
 
-    def test_trace_csv_of_negative_zero_weight_as_before(self, tmp_path):
+    def test_trace_csv_of_negative_zero_weight_as_before(self):
         args = ([62.937, 13.602], [[-0.0, 1.0], [0.5, -0.0]], 72.0)
-        write_trace_csv(mac_phases(*args), tmp_path / "new.csv")
-        write_trace_csv(_stacked_phases(*args), tmp_path / "old.csv")
-        text = (tmp_path / "new.csv").read_text()
-        assert text == (tmp_path / "old.csv").read_text()
+        text = trace_text(mac_phases(*args))
+        assert text == trace_text(_stacked_phases(*args))
         assert ",-0.0,-0.0," in text  # CHARGE Q = c * -0.0 at U = -0.0

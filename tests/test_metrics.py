@@ -10,9 +10,9 @@ from capmac.arrays import (ArrayTopology, build_conv_array, build_fc_array, fc_f
                            gather_windows)
 from capmac.cli import _json_text
 from capmac.device import (DEFAULT_PHASE_NS, PHASES, SWITCH_NAMES, SensorParams, mac_phases,
-                           series_capacitance, write_trace_csv)
+                           series_capacitance, trace_text)
 from capmac.metrics import (DEFAULT_ENERGY_PJ, assemble_waveform, charge_energy,
-                            schedule_report, waveform_final_outputs, write_waveform_csv)
+                            schedule_report, waveform_final_outputs, waveform_text)
 from capmac.netlab import MODELS
 
 PARAMS = SensorParams()
@@ -123,33 +123,29 @@ class TestAssembleWaveform:
         with pytest.raises(ValueError):
             assemble_waveform(no_banks)
 
-    def test_phase_starts_match_trace_csv(self, tmp_path):
+    def test_phase_starts_match_trace_csv(self):
         rng = np.random.default_rng(3)
         _, phases = self._traced_forward(rng.uniform(-1, 1, (4, 9)))
-        write_trace_csv(phases, tmp_path / "trace.csv")
-        write_waveform_csv(assemble_waveform(phases), tmp_path / "waveform.csv")
         trace_starts = {}
-        for row in (tmp_path / "trace.csv").read_text().splitlines()[1:]:
+        for row in trace_text(phases).splitlines()[1:]:
             fields = row.split(",")
             trace_starts.setdefault(fields[1], set()).add(fields[-1])
         wave_starts = sorted({row.split(",")[0] for row in
-                              (tmp_path / "waveform.csv").read_text().splitlines()[1:]},
+                              waveform_text(assemble_waveform(phases)).splitlines()[1:]},
                              key=float)
         # each phase starts at one time in trace.csv, the waveform's k-th sample
         assert [trace_starts[name] for name, _ in PHASES] == [{t} for t in wave_starts[:4]]
 
-    def test_csv_export(self, tmp_path):
+    def test_csv_export(self):
         _, phases = self._traced_forward(np.zeros((4, 9)))
         rows = assemble_waveform(phases)
-        path = tmp_path / "waveform.csv"
-        write_waveform_csv(rows, path)
-        lines = path.read_text().splitlines()
+        lines = waveform_text(rows).splitlines()
         assert lines[0] == "time_ns,signal,value"
         assert len(lines) == len(rows) + 1
 
 
 def _reference_trace_text(phases):
-    """write_trace_csv's text as its per-line loop wrote it, before the rows'
+    """trace_text(phases) as its per-line loop wrote it, before the rows'
     constant parts became a per-shape frame."""
     charge, volts = phases
     lines = ["unit_index,phase,CL,MUL,CON,ADD,charge_pC,voltage_V,time_ns"]
@@ -163,7 +159,7 @@ def _reference_trace_text(phases):
 
 
 def _reference_waveform_text(phases):
-    """write_waveform_csv(assemble_waveform(phases))'s text as their per-row
+    """waveform_text(assemble_waveform(phases)) as their per-row
     loops wrote it."""
     finals = phases[1][-1, :, 0].tolist()
     lines = ["time_ns,signal,value"]
@@ -186,21 +182,17 @@ class TestWritersAsBefore:
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 8), st.integers(1, 16), st.data())
-    def test_trace_and_waveform_text_unchanged(self, tmp_path_factory, banks, units, data):
+    def test_trace_and_waveform_text_unchanged(self, banks, units, data):
         both = data.draw(np_arrays(float, (2, len(PHASES), banks, units), elements=_TRACE_VALUES))
         phases = (both[0], both[1])
-        path = tmp_path_factory.getbasetemp() / "writers.csv"
-        write_trace_csv(phases, path)
-        assert path.read_text() == _reference_trace_text(phases)
-        write_waveform_csv(assemble_waveform(phases), path)
-        assert path.read_text() == _reference_waveform_text(phases)
+        assert trace_text(phases) == _reference_trace_text(phases)
+        assert waveform_text(assemble_waveform(phases)) == _reference_waveform_text(phases)
 
-    def test_a_shape_seen_again_writes_its_own_values(self, tmp_path):
+    def test_a_shape_seen_again_writes_its_own_values(self):
         # The frame is cached per shape; the values are not.
         for scale in (1.0, -3.0):
             phases = mac_phases([62.937, 13.602], [[0.5 * scale / 3, -0.25]], 72.0)
-            write_trace_csv(phases, tmp_path / "t.csv")
-            assert (tmp_path / "t.csv").read_text() == _reference_trace_text(phases)
+            assert trace_text(phases) == _reference_trace_text(phases)
 
 
 class TestSummary:

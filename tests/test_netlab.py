@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import dataclasses
 import math
@@ -23,11 +24,11 @@ from capmac.arrays import build_conv_array, build_fc_array, conv_forward, fc_for
 from capmac.device import (MAX_CAPACITANCE_PF, MAX_CAPACITANCE_RATIO, MAX_NOISE_FRAC,
                            MIN_C_IL_PF, SensorParams, series_capacitance)
 from capmac.netlab import (MODELS, Checkpoint, TrainConfig,
-                           array_inputs, autoencoder_forward, autoencoder_step,
+                           array_inputs, autoencoder_forward, autoencoder_step, checkpoint_text,
                            cnn_logits, cnn_step, cross_entropy, default_config,
                            encoder_caps, fc_output_volts, fc_step, gather_windows,
-                           history_columns, load_checkpoint, mean_square, save_checkpoint,
-                           sigmoid, softmax, train, write_history_csv)
+                           history_columns, history_text, load_checkpoint, mean_square,
+                           sigmoid, softmax, train)
 
 PARAMS = SensorParams()
 FC_SPEC, AE_SPEC, CNN_SPEC = (MODELS[arch].spec for arch in
@@ -1053,6 +1054,69 @@ class TestTrainers:
         assert got.epochs_run == 0
 
 
+@st.composite
+def _scaled_runs(draw):
+    """(architecture, config, params, k, the params with c0, c_ih and c_il times 2^k): a
+    short run at the paper defaults but its noise, within the SensorParams bounds."""
+    arch = draw(st.sampled_from(sorted(MODELS)))
+    k = draw(st.integers(-8, 8).filter(bool))
+    params = SensorParams(noise_frac=draw(st.sampled_from([0.0, 0.2]) | st.floats(1e-3, 1.0)),
+                          noise_mode=draw(st.sampled_from(["per_class", "global"])))
+    config = default_config(arch, epochs=draw(st.integers(1, 5)),
+                            seed=draw(st.integers(0, 2 ** 32)),
+                            binarize=MODELS[arch].binarizes and draw(st.booleans()))
+    scaled = dataclasses.replace(params, **{name: math.ldexp(getattr(params, name), k)
+                                            for name in ("c0", "c_ih", "c_il")})
+    return arch, config, params, k, scaled
+
+
+@contextlib.contextmanager
+def _noise_floor_times(factor):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(device, "NOISE_FLOOR_PF", factor * device.NOISE_FLOOR_PF)
+        yield
+
+
+class TestScaleInvariance:
+    """Every capacitance enters a run as a ratio, and NOISE_FLOOR_PF is the one absolute
+    capacitance: c0, c_ih, c_il and the floor times 2^k change no bit of a run. The
+    autoencoder's loss and MSE are in induced-capacitance units, so they are 4^k times
+    the base, and its rate is 4^-k times the base to step alike."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_scaled_runs())
+    def test_scaled_capacitances_train_the_same_run(self, run):
+        arch, config, params, k, scaled = run
+        unit = 4.0 ** k if arch == "autoencoder" else 1.0
+        want = train(arch, config, params)
+        with _noise_floor_times(2.0 ** k):
+            got = train(arch, dataclasses.replace(
+                config, learning_rate=config.learning_rate / unit), scaled)
+        assert got.loss == [unit * loss for loss in want.loss]
+        assert (got.accuracy, got.diverged_at) == (want.accuracy, want.diverged_at)
+        for g, w in zip(got.mean_outputs, want.mean_outputs, strict=True):
+            _assert_bitwise_equal(g, w)
+        for name, mat in want.checkpoint.matrices.items():
+            _assert_bitwise_equal(got.checkpoint.matrices[name], mat)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_scaled_runs(), st.integers(0, 2 ** 32), st.integers(1, 30), st.integers(1, 16))
+    def test_scaled_checkpoint_evaluates_the_same(self, run, seed, per_glyph, letters):
+        arch, config, params, k, scaled = run
+        ckpt = train(arch, config, params).checkpoint
+        want = cli.evaluate(ckpt, seed, per_glyph, letters)
+        with _noise_floor_times(2.0 ** k):
+            got = cli.evaluate(dataclasses.replace(ckpt, params=scaled), seed, per_glyph,
+                               letters)
+        assert got["accuracy"] == want["accuracy"]
+        _assert_bitwise_equal(got["mean_outputs"], want["mean_outputs"])
+        assert [(g["glyph"], g["predicted"]) for g in got.get("letters", [])] == [
+            (w["glyph"], w["predicted"]) for w in want.get("letters", [])]
+        for g, w in zip(got.get("letters", []), want.get("letters", []), strict=True):
+            assert g["mse"] == 4.0 ** k * w["mse"]
+            np.testing.assert_array_equal(g["bitmap"], w["bitmap"])
+
+
 _HEADER_KEYS = ["architecture", "seed", "epoch", "beta", "binarize", "sensor.c0",
                 "sensor.c_ih", "sensor.c_il", "sensor.noise_frac", "sensor.noise_mode"]
 
@@ -1069,8 +1133,7 @@ class TestCheckpointIo:
         # Without any one header line the file must not load, not even at a
         # default SensorParams value.
         path = tmp_path / "ck.txt"
-        save_checkpoint(_zero_checkpoint(arch), path)
-        lines = path.read_text().splitlines()
+        lines = checkpoint_text(_zero_checkpoint(arch)).splitlines()
         header = lines[1:1 + len(_HEADER_KEYS)]
         assert [line.partition(":")[0] for line in header] == _HEADER_KEYS
         assert lines[1 + len(_HEADER_KEYS)].startswith("matrix ")
@@ -1083,7 +1146,7 @@ class TestCheckpointIo:
                                      if k not in ("architecture", "sensor.noise_mode")])
     def test_malformed_header_value_names_field(self, tmp_path, key):
         path = tmp_path / "ck.txt"
-        save_checkpoint(_zero_checkpoint("fc_classifier"), path)
+        path.write_text(checkpoint_text(_zero_checkpoint("fc_classifier")))
         lines = [f"{key}: many" if line.partition(":")[0] == key else line
                  for line in path.read_text().splitlines()]
         path.write_text("\n".join(lines) + "\n")
@@ -1098,7 +1161,7 @@ class TestCheckpointIo:
     def test_refused_value_named_after_path(self, tmp_path, line, message):
         # Regression: these gave the reason without the file's path.
         path = tmp_path / "ck.txt"
-        save_checkpoint(_zero_checkpoint("fc_classifier"), path)
+        path.write_text(checkpoint_text(_zero_checkpoint("fc_classifier")))
         key = line.partition(":")[0]
         lines = [line if old.partition(":")[0] == key else old
                  for old in path.read_text().splitlines()]
@@ -1109,17 +1172,16 @@ class TestCheckpointIo:
     @pytest.mark.parametrize("arch", [a for a in sorted(MODELS) if not MODELS[a].binarizes])
     def test_binarize_refused_for_a_network_that_cannot_binarize(self, tmp_path, arch):
         path = tmp_path / "ck.txt"
-        save_checkpoint(_zero_checkpoint(arch), path)
-        path.write_text(path.read_text().replace("binarize: false", "binarize: true"))
+        text = checkpoint_text(_zero_checkpoint(arch))
+        path.write_text(text.replace("binarize: false", "binarize: true"))
         message = f"binarize: {arch} trains no binarized weights"
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_checkpoint(path)
 
     def test_unknown_architecture_rejected(self, tmp_path):
         path = tmp_path / "ck.txt"
-        save_checkpoint(_zero_checkpoint("fc_classifier"), path)
-        text = path.read_text().replace("architecture: fc_classifier", "architecture: mlp")
-        path.write_text(text)
+        text = checkpoint_text(_zero_checkpoint("fc_classifier"))
+        path.write_text(text.replace("architecture: fc_classifier", "architecture: mlp"))
         with pytest.raises(ValueError, match="unknown architecture 'mlp'"):
             load_checkpoint(path)
 
@@ -1127,7 +1189,7 @@ class TestCheckpointIo:
         cfg = default_config("autoencoder", epochs=3, seed=4)
         hist = train("autoencoder", cfg)
         path = tmp_path / "ck.txt"
-        save_checkpoint(hist.checkpoint, path)
+        path.write_text(checkpoint_text(hist.checkpoint))
         loaded = load_checkpoint(path)
         assert loaded.architecture == "autoencoder"
         assert loaded.seed == 4
@@ -1140,16 +1202,16 @@ class TestCheckpointIo:
 
     def test_headerless_file_named_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "ck.txt"
-        save_checkpoint(_zero_checkpoint("fc_classifier"), path)
-        path.write_text("\n".join(path.read_text().splitlines()[1:]) + "\n")
+        lines = checkpoint_text(_zero_checkpoint("fc_classifier")).splitlines()
+        path.write_text("\n".join(lines[1:]) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a capmac "
                                              f"checkpoint$"):
             load_checkpoint(path)
 
     def test_truncated_matrix_block_is_malformed(self, tmp_path):
         path = tmp_path / "ck.txt"
-        save_checkpoint(_zero_checkpoint("fc_classifier"), path)
-        path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+        lines = checkpoint_text(_zero_checkpoint("fc_classifier")).splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError, match="malformed matrix block 'matrix weights 4 9'"):
             load_checkpoint(path)
 
@@ -1158,8 +1220,7 @@ class TestCheckpointIo:
                              ids=["8 of 9", "10 of 9", "word", "hex", "double underscore"])
     def test_ragged_or_non_numeric_row_is_malformed(self, tmp_path, row):
         path = tmp_path / "ck.txt"
-        save_checkpoint(_zero_checkpoint("fc_classifier"), path)
-        lines = path.read_text().splitlines()
+        lines = checkpoint_text(_zero_checkpoint("fc_classifier")).splitlines()
         lines[lines.index("matrix weights 4 9") + 2] = row
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: malformed matrix "
@@ -1170,8 +1231,7 @@ class TestCheckpointIo:
     def test_matrix_tokens_read_as_float_reads_them(self, tmp_path, token):
         # The decoder is not the programmed matrix, so no beta depends on it.
         path = tmp_path / "ck.txt"
-        save_checkpoint(_zero_checkpoint("autoencoder"), path)
-        lines = path.read_text().splitlines()
+        lines = checkpoint_text(_zero_checkpoint("autoencoder")).splitlines()
         at = lines.index("matrix decoder 9 4") + 1
         lines[at] = f"{token} 0.0 0.0 0.0"
         path.write_text("\n".join(lines) + "\n")
@@ -1181,8 +1241,7 @@ class TestCheckpointIo:
     def test_repeated_header_line_refused(self, tmp_path):
         # Regression: an extra "seed: 99" before the real line loaded with seed 0.
         path = tmp_path / "ck.txt"
-        save_checkpoint(_zero_checkpoint("fc_classifier"), path)
-        lines = path.read_text().splitlines()
+        lines = checkpoint_text(_zero_checkpoint("fc_classifier")).splitlines()
         at = lines.index("seed: 0")
         path.write_text("\n".join(lines[:at] + ["seed: 99"] + lines[at:]) + "\n")
         with pytest.raises(ValueError, match=f"line {at + 2}: seed is given twice$"):
@@ -1191,8 +1250,7 @@ class TestCheckpointIo:
     def test_repeated_matrix_refused(self, tmp_path):
         # Regression: a second "matrix weights 4 9" block replaced the first.
         path = tmp_path / "ck.txt"
-        save_checkpoint(_zero_checkpoint("fc_classifier"), path)
-        lines = path.read_text().splitlines()
+        lines = checkpoint_text(_zero_checkpoint("fc_classifier")).splitlines()
         at = lines.index("matrix weights 4 9")
         path.write_text("\n".join(lines + lines[at:at + 5]) + "\n")
         with pytest.raises(ValueError, match=f"line {len(lines) + 1}: matrix weights is "
@@ -1206,8 +1264,7 @@ class TestCheckpointIo:
         # is refused naming its line and key, any line after the header
         # belongs to no matrix block.
         path = tmp_path_factory.getbasetemp() / "repeated.txt"
-        save_checkpoint(_zero_checkpoint("autoencoder"), path)
-        lines = path.read_text().splitlines()
+        lines = checkpoint_text(_zero_checkpoint("autoencoder")).splitlines()
         key = data.draw(st.sampled_from(_HEADER_KEYS))
         value = data.draw(st.sampled_from(["0", "1", "true", "global", "fc_classifier"]))
         at = data.draw(st.integers(1, len(lines)))
@@ -1238,8 +1295,7 @@ class TestCheckpointIo:
     def test_stray_line_refused_naming_path_and_line(self, tmp_path, bad, at, message):
         # Regression: each of these loaded.
         path = tmp_path / "ck.txt"
-        save_checkpoint(_zero_checkpoint("fc_classifier"), path)
-        lines = path.read_text().splitlines()
+        lines = checkpoint_text(_zero_checkpoint("fc_classifier")).splitlines()
         lines.insert(len(lines) if at is None else at, bad)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
@@ -1257,7 +1313,7 @@ class TestCheckpointIo:
         ck = hist.checkpoint
         ck.matrices["extra"] = np.zeros((1, 1))
         path = tmp_path / "ck.txt"
-        save_checkpoint(ck, path)
+        path.write_text(checkpoint_text(ck))
         with pytest.raises(ValueError, match="match"):
             load_checkpoint(path)
 
@@ -1312,8 +1368,7 @@ _TRAIN_CONFIGS = st.builds(
 class TestCheckpointProperties:
     @settings(max_examples=100, deadline=None)
     @given(_TRAIN_CONFIGS, checkpoints())
-    def test_written_settings_read_back_as_field_texts(self, tmp_path_factory, train_cfg,
-                                                        ckpt):
+    def test_written_settings_read_back_as_field_texts(self, train_cfg, ckpt):
         # The config lines and the checkpoint header that capmac writes go
         # through the one reader and give back each section's field_texts.
         config = cli.ExperimentConfig(ckpt.architecture, train_cfg, ckpt.params,
@@ -1324,9 +1379,7 @@ class TestCheckpointProperties:
         assert read == {"architecture": ckpt.architecture, "emit": "",
                         **netlab.field_texts(train_cfg, "train."),
                         **netlab.field_texts(ckpt.params, "sensor.")}
-        path = tmp_path_factory.getbasetemp() / "header.txt"
-        save_checkpoint(ckpt, path)
-        header = path.read_text().splitlines()[1:1 + len(_HEADER_KEYS)]
+        header = checkpoint_text(ckpt).splitlines()[1:1 + len(_HEADER_KEYS)]
         read = netlab.read_settings([("header", line) for line in header], ":", _HEADER_KEYS)
         assert read == {**netlab.field_texts(ckpt, ""),
                         **netlab.field_texts(ckpt.params, "sensor.")}
@@ -1335,7 +1388,7 @@ class TestCheckpointProperties:
     @given(checkpoints())
     def test_save_load_round_trip(self, tmp_path_factory, ckpt):
         path = tmp_path_factory.getbasetemp() / "round_trip.txt"
-        save_checkpoint(ckpt, path)
+        path.write_text(checkpoint_text(ckpt))
         loaded = load_checkpoint(path)
         assert (loaded.architecture, loaded.seed, loaded.epoch, loaded.beta,
                 loaded.binarize, loaded.params) == (
@@ -1344,6 +1397,7 @@ class TestCheckpointProperties:
         assert set(loaded.matrices) == set(ckpt.matrices)
         for name, mat in ckpt.matrices.items():
             np.testing.assert_array_equal(loaded.matrices[name], mat)
+        assert checkpoint_text(load_checkpoint(path)) == checkpoint_text(ckpt)
 
     @settings(max_examples=300, deadline=None)
     @given(checkpoints(), st.lists(st.tuples(st.sampled_from(["drop", "replace", "insert"]),
@@ -1353,8 +1407,7 @@ class TestCheckpointProperties:
                                                            ckpt, edits):
         # Edits of a valid file reach every branch of the parser.
         path = tmp_path_factory.getbasetemp() / "fuzz.txt"
-        save_checkpoint(ckpt, path)
-        lines = path.read_text().splitlines()
+        lines = checkpoint_text(ckpt).splitlines()
         for op, i, line in edits:
             i %= len(lines) + 1
             if op == "insert":
@@ -1374,7 +1427,7 @@ class TestCheckpointProperties:
         ck = _zero_checkpoint("autoencoder")
         ck.matrices["decoder"] = np.zeros((9, 3))
         path = tmp_path / "ck.txt"
-        save_checkpoint(ck, path)
+        path.write_text(checkpoint_text(ck))
         with pytest.raises(ValueError, match="decoder"):
             load_checkpoint(path)
 
@@ -1383,7 +1436,7 @@ class TestCheckpointProperties:
         path = tmp_path / "ck.txt"
         ck = _zero_checkpoint("fc_classifier")
         ck.beta = beta
-        save_checkpoint(ck, path)
+        path.write_text(checkpoint_text(ck))
         with pytest.raises(ValueError, match="beta must be finite"):
             load_checkpoint(path)
 
@@ -1395,7 +1448,7 @@ class TestCheckpointProperties:
         path = tmp_path_factory.getbasetemp() / "beta.txt"
         written = copy.copy(ckpt)
         written.beta = beta
-        save_checkpoint(written, path)
+        path.write_text(checkpoint_text(written))
         if beta == ckpt.beta:
             assert load_checkpoint(path).beta == beta
         else:
@@ -1406,18 +1459,16 @@ class TestCheckpointProperties:
         ck = _zero_checkpoint("fc_classifier")
         ck.matrices["weights"] = np.full((4, 9), np.inf)
         path = tmp_path / "ck.txt"
-        save_checkpoint(ck, path)
+        path.write_text(checkpoint_text(ck))
         with pytest.raises(ValueError, match="non-finite"):
             load_checkpoint(path)
 
 
 class TestHistoryCsv:
-    def test_format(self, tmp_path):
+    def test_format(self):
         cfg = default_config("fc_classifier", epochs=3, seed=0)
         hist = train("fc_classifier", cfg)
-        path = tmp_path / "history.csv"
-        write_history_csv(hist, path)
-        lines = path.read_text().splitlines()
+        lines = history_text(hist).splitlines()
         assert lines[0] == ",".join(history_columns())
         assert len(lines) == 4
         first = lines[1].split(",")
@@ -1425,12 +1476,10 @@ class TestHistoryCsv:
         assert len(first) == 3 + 16
         float(first[1])  # parseable loss
 
-    def test_byte_identical_across_runs(self, tmp_path):
+    def test_byte_identical_across_runs(self):
         cfg = default_config("fc_classifier", epochs=5, seed=2)
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_history_csv(train("fc_classifier", cfg), p1)
-        write_history_csv(train("fc_classifier", cfg), p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        texts = [history_text(train("fc_classifier", cfg)) for _ in range(2)]
+        assert texts[0] == texts[1]
 
 
 @st.composite

@@ -19,7 +19,9 @@ history.csv and checkpoint.txt. Last, it prints the digests of the stdout
 of `capmac schedule` (at its defaults and at --rows 7 --cols 9) and of
 every file `capmac fixtures` writes.
 Run it on two checkouts and diff the outputs to check that a change leaves
-every artifact byte-identical.
+every artifact byte-identical. It hashes each file as read back from disk,
+never the digests a manifest lists: that read checks `cli.write_artifact`,
+the one write path, end to end.
 """
 
 from __future__ import annotations

@@ -207,6 +207,9 @@ MUTANTS = (
     ("c_ih at MAX_CAPACITANCE_RATIO * c0 refused", "device.py",
      "self.c_ih > MAX_CAPACITANCE_RATIO * self.c0",
      "self.c_ih >= MAX_CAPACITANCE_RATIO * self.c0"),
+    # The manifest lists the digest of the bytes written, not of other bytes.
+    ("artifact digest of other bytes than those written", "cli.py",
+     "hashlib.sha256(data)", 'hashlib.sha256(data + b"\\n")'),
 )
 
 
