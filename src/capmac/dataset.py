@@ -103,10 +103,13 @@ def sample_batch(size: int, params: SensorParams, rng, resolution: int = 3
 
 def bitmap_text(grid) -> str:
     """Plain-text bitmap fixture format: one row of 0/1 characters per line."""
-    return "\n".join(["".join(str(int(v)) for v in row) for row in np.asarray(grid)]) + "\n"
+    rows = ["".join(str(int(v)) for v in row) for row in np.asarray(grid)]
+    return "\n".join(rows) + "\n"
 
 
 def capacitance_text(matrix) -> str:
     """Capacitance dump: one CSV row per pixel row, repr-formatted pF values."""
-    return "\n".join([",".join(map(repr, r)) for r in np.asarray(matrix, float).tolist()]) + "\n"
+    mat = np.asarray(matrix, dtype=float)
+    lines = [",".join(repr(float(v)) for v in row) for row in mat]
+    return "\n".join(lines) + "\n"
 

@@ -222,5 +222,6 @@ def trace_text(phases) -> str:
     each phase starting DEFAULT_PHASE_NS after the one before."""
     charge, volts = phases
     q, u = (a.swapaxes(0, 1).ravel().tolist() for a in (charge, volts))  # bank-major
-    return "unit_index,phase,CL,MUL,CON,ADD,charge_pC,voltage_V,time_ns\n" + "".join([
-        f"{h}{a!r},{b!r}{t}" for (h, t), a, b in zip(_trace_frame(*charge.shape[1:]), q, u)])
+    rows = [f"{head}{a!r},{b!r}{tail}"
+            for (head, tail), a, b in zip(_trace_frame(*charge.shape[1:]), q, u)]
+    return "unit_index,phase,CL,MUL,CON,ADD,charge_pC,voltage_V,time_ns\n" + "".join(rows)

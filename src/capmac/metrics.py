@@ -95,5 +95,5 @@ def waveform_final_outputs(rows) -> list[float]:
 
 def waveform_text(rows) -> str:
     """A waveform table of assemble_waveform as CSV, one row per sample."""
-    return "time_ns,signal,value\n" + "".join([f"{t!r},{signal},{value!r}\n"
-                                                for t, signal, value in rows])
+    text = "".join([f"{t!r},{signal},{value!r}\n" for t, signal, value in rows])
+    return "time_ns,signal,value\n" + text

@@ -565,8 +565,9 @@ def train(architecture: str, config: TrainConfig,
 
 def checkpoint_text(ckpt: Checkpoint) -> str:
     """A checkpoint's file text: the header lines, then each matrix block by name."""
+    lines = ["capmac-checkpoint v1"]
     header = {**field_texts(ckpt, ""), **field_texts(ckpt.params, "sensor.")}
-    lines = ["capmac-checkpoint v1", *[f"{key}: {text}" for key, text in header.items()]]
+    lines += [f"{key}: {text}" for key, text in header.items()]
     for name in sorted(ckpt.matrices):
         mat = np.atleast_2d(np.asarray(ckpt.matrices[name], dtype=float))
         lines.append(f"matrix {name} {mat.shape[0]} {mat.shape[1]}")

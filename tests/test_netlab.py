@@ -769,6 +769,41 @@ class TestChunkedTraining:
         assert np.geterr() == before
 
 
+@st.composite
+def _scaled_runs(draw):
+    """(k, params, seed, epochs, binarize): a short run at the paper defaults but its
+    noise, within the SensorParams bounds, and k in [-8, 8] but 0 to scale it by 2^k."""
+    k = draw(st.integers(-8, 8).filter(bool))
+    params = SensorParams(noise_frac=draw(st.sampled_from([0.0, 0.2]) | st.floats(1e-3, 1.0)),
+                          noise_mode=draw(st.sampled_from(["per_class", "global"])))
+    return k, params, draw(st.integers(0, 2 ** 32)), draw(st.integers(1, 5)), draw(st.booleans())
+
+
+def _with_doubled_default_runs(test):
+    """Pin the doubled capacitances (k = 1) at SensorParams(), seeds 0-2, 1-5 epochs."""
+    for seed, epochs in ((s, e) for s in range(3) for e in range(1, 6)):
+        test = example(run=(1, SensorParams(), seed, epochs, False))(test)
+    return test
+
+
+def _scaled_run_config(arch, seed, epochs, binarize):
+    return default_config(arch, epochs=epochs, seed=seed,
+                          binarize=MODELS[arch].binarizes and binarize)
+
+
+def _times_2_to(params, k):
+    """`params` with c0, c_ih and c_il times 2^k."""
+    return dataclasses.replace(params, **{name: math.ldexp(getattr(params, name), k)
+                                          for name in ("c0", "c_ih", "c_il")})
+
+
+@contextlib.contextmanager
+def _noise_floor_times(factor):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(device, "NOISE_FLOOR_PF", factor * device.NOISE_FLOOR_PF)
+        yield
+
+
 class TestTrainers:
     def test_fc_trains_clean_task_quickly(self):
         """Every seed learns the clean task well inside the paper's budget.
@@ -829,26 +864,24 @@ class TestTrainers:
         np.testing.assert_array_equal(pred, [0, 1, 2, 3])
 
     @pytest.mark.parametrize("arch", sorted(MODELS))
-    def test_doubled_capacitances_train_the_same_run(self, monkeypatch, arch):
-        # Every capacitance enters a run as a ratio, so doubling c0, c_ih, c_il and
-        # NOISE_FLOOR_PF changes no bit of it. The autoencoder's loss is in
-        # induced-capacitance units: 4 times the base loss, at a quarter of the rate.
-        base = SensorParams()
-        doubled = SensorParams(c0=2 * base.c0, c_ih=2 * base.c_ih, c_il=2 * base.c_il)
-        scale = 4.0 if arch == "autoencoder" else 1.0
-        for epochs, seed in ((e, s) for e in range(1, 6) for s in range(3)):
-            cfg = default_config(arch, epochs=epochs, seed=seed)
-            want = train(arch, cfg, base)
-            with monkeypatch.context() as patch:
-                patch.setattr(device, "NOISE_FLOOR_PF", 2 * device.NOISE_FLOOR_PF)
-                got = train(arch, dataclasses.replace(
-                    cfg, learning_rate=cfg.learning_rate / scale), doubled)
-            assert got.loss == [scale * loss for loss in want.loss]
-            assert (got.accuracy, got.diverged_at) == (want.accuracy, want.diverged_at)
-            for g, w in zip(got.mean_outputs, want.mean_outputs, strict=True):
-                _assert_bitwise_equal(g, w)
-            for name, mat in want.checkpoint.matrices.items():
-                _assert_bitwise_equal(got.checkpoint.matrices[name], mat)
+    @settings(max_examples=100, deadline=None)
+    @given(run=_scaled_runs())
+    @_with_doubled_default_runs
+    def test_doubled_capacitances_train_the_same_run(self, arch, run):
+        # Doubling (k = 1) or any 2^k: the histories and matrices keep every bit.
+        k, params, seed, epochs, binarize = run
+        unit = 4.0 ** k if arch == "autoencoder" else 1.0
+        config = _scaled_run_config(arch, seed, epochs, binarize)
+        want = train(arch, config, params)
+        with _noise_floor_times(2.0 ** k):
+            got = train(arch, dataclasses.replace(
+                config, learning_rate=config.learning_rate / unit), _times_2_to(params, k))
+        assert got.loss == [unit * loss for loss in want.loss]
+        assert (got.accuracy, got.diverged_at) == (want.accuracy, want.diverged_at)
+        for g, w in zip(got.mean_outputs, want.mean_outputs, strict=True):
+            _assert_bitwise_equal(g, w)
+        for name, mat in want.checkpoint.matrices.items():
+            _assert_bitwise_equal(got.checkpoint.matrices[name], mat)
 
     @pytest.mark.parametrize("arch", [a for a in sorted(MODELS) if not MODELS[a].binarizes])
     def test_binarize_refused_before_any_draw(self, monkeypatch, arch):
@@ -1054,60 +1087,23 @@ class TestTrainers:
         assert got.epochs_run == 0
 
 
-@st.composite
-def _scaled_runs(draw):
-    """(architecture, config, params, k, the params with c0, c_ih and c_il times 2^k): a
-    short run at the paper defaults but its noise, within the SensorParams bounds."""
-    arch = draw(st.sampled_from(sorted(MODELS)))
-    k = draw(st.integers(-8, 8).filter(bool))
-    params = SensorParams(noise_frac=draw(st.sampled_from([0.0, 0.2]) | st.floats(1e-3, 1.0)),
-                          noise_mode=draw(st.sampled_from(["per_class", "global"])))
-    config = default_config(arch, epochs=draw(st.integers(1, 5)),
-                            seed=draw(st.integers(0, 2 ** 32)),
-                            binarize=MODELS[arch].binarizes and draw(st.booleans()))
-    scaled = dataclasses.replace(params, **{name: math.ldexp(getattr(params, name), k)
-                                            for name in ("c0", "c_ih", "c_il")})
-    return arch, config, params, k, scaled
-
-
-@contextlib.contextmanager
-def _noise_floor_times(factor):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(device, "NOISE_FLOOR_PF", factor * device.NOISE_FLOOR_PF)
-        yield
-
-
 class TestScaleInvariance:
     """Every capacitance enters a run as a ratio, and NOISE_FLOOR_PF is the one absolute
-    capacitance: c0, c_ih, c_il and the floor times 2^k change no bit of a run. The
-    autoencoder's loss and MSE are in induced-capacitance units, so they are 4^k times
-    the base, and its rate is 4^-k times the base to step alike."""
+    capacitance: c0, c_ih, c_il and the floor times 2^k change no bit of a run
+    (TestTrainers::test_doubled_capacitances_train_the_same_run) nor of its evaluation.
+    The autoencoder's MSE is in induced-capacitance units, so it is 4^k times the base."""
 
     @settings(max_examples=100, deadline=None)
-    @given(_scaled_runs())
-    def test_scaled_capacitances_train_the_same_run(self, run):
-        arch, config, params, k, scaled = run
-        unit = 4.0 ** k if arch == "autoencoder" else 1.0
-        want = train(arch, config, params)
-        with _noise_floor_times(2.0 ** k):
-            got = train(arch, dataclasses.replace(
-                config, learning_rate=config.learning_rate / unit), scaled)
-        assert got.loss == [unit * loss for loss in want.loss]
-        assert (got.accuracy, got.diverged_at) == (want.accuracy, want.diverged_at)
-        for g, w in zip(got.mean_outputs, want.mean_outputs, strict=True):
-            _assert_bitwise_equal(g, w)
-        for name, mat in want.checkpoint.matrices.items():
-            _assert_bitwise_equal(got.checkpoint.matrices[name], mat)
-
-    @settings(max_examples=100, deadline=None)
-    @given(_scaled_runs(), st.integers(0, 2 ** 32), st.integers(1, 30), st.integers(1, 16))
-    def test_scaled_checkpoint_evaluates_the_same(self, run, seed, per_glyph, letters):
-        arch, config, params, k, scaled = run
-        ckpt = train(arch, config, params).checkpoint
+    @given(st.sampled_from(sorted(MODELS)), _scaled_runs(), st.integers(0, 2 ** 32),
+           st.integers(1, 30), st.integers(1, 16))
+    def test_scaled_checkpoint_evaluates_the_same(self, arch, run, seed, per_glyph, letters):
+        k, params, train_seed, epochs, binarize = run
+        ckpt = train(arch, _scaled_run_config(arch, train_seed, epochs, binarize),
+                     params).checkpoint
         want = cli.evaluate(ckpt, seed, per_glyph, letters)
         with _noise_floor_times(2.0 ** k):
-            got = cli.evaluate(dataclasses.replace(ckpt, params=scaled), seed, per_glyph,
-                               letters)
+            got = cli.evaluate(dataclasses.replace(ckpt, params=_times_2_to(params, k)),
+                               seed, per_glyph, letters)
         assert got["accuracy"] == want["accuracy"]
         _assert_bitwise_equal(got["mean_outputs"], want["mean_outputs"])
         assert [(g["glyph"], g["predicted"]) for g in got.get("letters", [])] == [
